@@ -616,7 +616,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lim = sub.add_parser("limits", help="limit scan along a schedule")
     add_common(p_lim, with_reward=True, fmt_help=(
         "csv: one row per requested --schedule index; table and json: every "
-        "scanned point, including the added change-point and phase-offset probes"))
+        "scanned point, including the added change-point and phase-offset probes. "
+        "In json, schedule lists every scanned index and requested, parallel to "
+        "it, is true for the indices given in --schedule"))
     p_lim.add_argument("--schedule", default="dyadic:100000",
                        help="dyadic:N or list:a,b,c; the scan adds change points "
                             "of binary rewards and, for V of a periodic reward, "

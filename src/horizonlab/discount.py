@@ -12,14 +12,21 @@ enclosure, and the derived horizon metrics:
 All metrics are scale-free: multiplying a spec's scale field rescales
 gamma and Gamma but leaves every metric bit-identical, which the
 implementation guarantees by computing metrics from unscaled internals.
+
+Families without a closed-form tail (cosine_modulated, alternating_zero,
+the harmonic stretches of patched) answer every tail and segment query
+from one lazily grown table of block sums (_BlockSums): a float sum and
+an error pad per block of S = 512 indices, built only as far as the
+largest index N queried. Memory is 2N/S floats plus one chunk of 2**16
+terms while the table grows; a query costs O(S + N/S), not O(N).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,16 +62,22 @@ class DiscountSpec:
     family: str
     params: tuple = ()
     scale: float = 1.0
+    # Set at construction, kept off eq, hash and repr: the family object,
+    # shared by equal specs through the _build cache (lazy tables included),
+    # and the unscaled twin (self if unscaled). Dispatch hashes no params.
+    _family: Optional["_Base"] = field(default=None, init=False, repr=False, compare=False)
+    _twin: Optional["DiscountSpec"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.scale <= 0 or math.isinf(self.scale) or math.isnan(self.scale):
             raise ValueError("scale must be a positive finite real")
-        _impl(self.unscaled())  # validates family and params eagerly
+        twin = self if self.scale == 1.0 else DiscountSpec(self.family, self.params)
+        object.__setattr__(self, "_twin", twin)
+        # _build validates family and params eagerly
+        object.__setattr__(self, "_family", _build(self) if twin is self else twin._family)
 
     def unscaled(self) -> "DiscountSpec":
-        if self.scale == 1.0:
-            return self
-        return DiscountSpec(self.family, self.params, 1.0)
+        return self._twin
 
     def with_scale(self, scale: float) -> "DiscountSpec":
         return DiscountSpec(self.family, self.params, scale)
@@ -556,12 +569,83 @@ class _StepLog(_Base):
         return (True, True, "both ratios oscillate inside [1/2, 2]-scale bands")
 
 
+class _BlockSums:
+    """Checkpointed block sums of a nonnegative weight sequence w_i, i >= origin.
+
+    terms(idx) evaluates w at a float array of indices. The table keeps a
+    float sum and an error pad per block of SIZE indices from origin (whole
+    blocks below stop, if given), grown in chunks of CHUNK indices only as
+    far as the last whole block a query covers. A mass over [a, b) is one
+    math.fsum of the whole blocks inside and of the partial blocks at both
+    ends, summed fresh; no prefix sums are subtracted. Results are a pure
+    function of (a, b): chunks start at origin + j * CHUNK, and
+    np.add.reduceat sums each piece by itself.
+
+    A piece of n terms with float sum s gets the pad
+    (u (260 + 2 log2 n) + term_rel(hi)) s. numpy's pairwise summation
+    (reduceat adds the first term to a pairwise sum of the rest) errs by
+    less than u (21 + log2 n) s; the rest covers per-term rounding of up
+    to 200 ulps, far more than rational and logarithmic weights incur.
+    term_rel(hi) adds a family's larger per-term bound for indices < hi.
+    """
+
+    SIZE = 1 << 9
+    CHUNK = 1 << 16
+
+    def __init__(self, terms, term_rel=None, origin: int = 1, stop: Optional[int] = None) -> None:
+        self._terms, self._term_rel, self._origin = terms, term_rel, origin
+        self._max_blocks = math.inf if stop is None else (stop - origin) // self.SIZE
+        self._sums: List[float] = []
+        self._pads: List[float] = []
+
+    def _pads_of(self, sums: np.ndarray, n, hi) -> np.ndarray:
+        rel = _U * (260.0 + 2.0 * np.log2(np.maximum(n, 2)))
+        return (rel if self._term_rel is None else rel + self._term_rel(hi)) * sums
+
+    def _grow(self, blocks: int) -> None:
+        size = self.SIZE
+        while len(self._sums) < blocks:
+            n = min(self.CHUNK // size, self._max_blocks - len(self._sums))
+            lo = self._origin + len(self._sums) * size
+            sums = self._terms(np.arange(lo, lo + n * size, dtype=np.float64))
+            sums = sums.reshape(n, size).sum(axis=1)
+            ends = lo + size * np.arange(1, n + 1, dtype=np.float64)
+            self._pads.extend(self._pads_of(sums, size, ends).tolist())
+            self._sums.extend(sums.tolist())
+
+    def masses(self, bounds: Sequence[int]) -> List[Interval]:
+        """Enclosures of sum_{a <= i < b} w_i for consecutive bounds a, b."""
+        size, o = self.SIZE, self._origin
+        a, b = np.array(bounds[:-1], dtype=np.int64), np.array(bounds[1:], dtype=np.int64)
+        first, last = -((o - a) // size), (b - o) // size  # whole blocks in [a, b)
+        whole = first < last
+        first, last = first * whole, last * whole
+        self._grow(int(last.max()))
+        # pieces [a, first block) and [past last block, b), or [a, b) and []
+        lo = np.concatenate([a, np.where(whole, o + last * size, b)])
+        hi = np.concatenate([np.where(whole, o + first * size, b), b])
+        n, sums = hi - lo, np.zeros(2 * a.size)
+        live, step = np.flatnonzero(n), self.CHUNK // (2 * size)
+        for sel in (live[g : g + step] for g in range(0, live.size, step)):
+            starts = np.cumsum(n[sel]) - n[sel]
+            idx = np.arange(starts[-1] + n[sel[-1]]) + np.repeat(lo[sel] - starts, n[sel])
+            sums[sel] = np.add.reduceat(self._terms(idx.astype(np.float64)), starts)
+        pads, sums, m = self._pads_of(sums, n, hi).tolist(), sums.tolist(), a.size
+        out = []
+        for j, (f, e) in enumerate(zip(first.tolist(), last.tolist())):
+            total = math.fsum(self._sums[f:e] + [sums[j], sums[m + j]])
+            pad = math.fsum(self._pads[f:e] + [pads[j], pads[m + j]])
+            out.append(Interval.widened(max(total - pad, 0.0), total + pad))
+        return out
+
+
 class _AlternatingZero(_Base):
     name = "alternating_zero"
     monotone = False
 
     def __init__(self, base: DiscountSpec) -> None:
-        self.base = _impl(base.unscaled())
+        self.base = _impl(base)
+        self._evens = _BlockSums(self._even_terms)  # w_j = base gamma at 2j
 
     def gamma(self, k: int) -> float:
         return 0.0 if k % 2 == 1 else self.base.gamma(k)
@@ -579,7 +663,7 @@ class _AlternatingZero(_Base):
         cap = min(guard_index(), max(start * 64, 1 << 22))
         while True:
             rest = self.base.tail(n + 1)
-            partial = self._even_sum(start, n)
+            partial = self._evens.masses([start // 2, n // 2 + 1])[0]
             if rest.hi <= max(1e-3 * partial.lo, 1e-300) or n >= cap:
                 lo = max(partial.lo, 0.0)
                 return Interval(lo, partial.hi + rest.hi)
@@ -595,20 +679,9 @@ class _AlternatingZero(_Base):
         # the even-index tail is bounded by the full base tail
         return self.base.index_for_tail_bound(target, start)
 
-    def _even_sum(self, start: int, end: int) -> Interval:
-        ks = np.arange(start, end + 1, 2, dtype=np.float64)
-        if ks.size == 0:
-            return Interval.exact(0.0)
-        vec = self.base.gamma_vec(ks)
-        if vec is None:
-            total = math.fsum(self.base.gamma(int(k)) for k in ks)
-            pad = _U * len(ks) * abs(total) + 5e-324
-        else:
-            total = float(np.sum(vec))
-            pad = _U * (260.0 + 2.0 * math.log2(max(ks.size, 2))) * float(
-                np.sum(np.abs(vec))
-            ) + 5e-324
-        return Interval(total - pad, total + pad)
+    def _even_terms(self, js: np.ndarray) -> np.ndarray:
+        vec = self.base.gamma_vec(2.0 * js)
+        return vec if vec is not None else np.array([self.base.gamma(2 * int(j)) for j in js])
 
 
 class _CosineModulated(_Base):
@@ -616,7 +689,9 @@ class _CosineModulated(_Base):
     monotone = False
 
     _DEFAULT_N = 1 << 23
-    _CHUNK = 1 << 21
+
+    def __init__(self) -> None:
+        self._sums = _BlockSums(self.gamma_vec, self._term_rel)
 
     def gamma(self, k: int) -> float:
         x = math.sqrt(2.0 * k)
@@ -634,7 +709,7 @@ class _CosineModulated(_Base):
         return Interval.widened(lo, hi)
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
-        kf = ks.astype(np.float64)
+        kf = np.asarray(ks, dtype=np.float64)
         return (2.0 + np.cos(np.pi * np.sqrt(2.0 * kf))) / (kf * kf)
 
     @staticmethod
@@ -651,35 +726,23 @@ class _CosineModulated(_Base):
     def tail_floor(self, k: int) -> float:
         return self.tail_crude(k).lo
 
-    def _segment_sums(self, bounds: List[int]) -> Tuple[List[float], List[float]]:
-        """Sums of gamma over [bounds[j], bounds[j+1]) plus error pads."""
-        sums = [0.0] * (len(bounds) - 1)
-        pads = [0.0] * (len(bounds) - 1)
-        lo, hi = bounds[0], bounds[-1]
-        for start in range(lo, hi, self._CHUNK):
-            end = min(start + self._CHUNK, hi)
-            idx = np.arange(start, end, dtype=np.float64)
-            terms = (2.0 + np.cos(np.pi * np.sqrt(2.0 * idx))) / (idx * idx)
-            # split the chunk at every segment boundary it straddles
-            cuts = [b - start for b in bounds if start < b < end]
-            seg = 0
-            while seg + 1 < len(bounds) and bounds[seg + 1] <= start:
-                seg += 1
-            for piece in np.split(terms, cuts):
-                if piece.size == 0:
-                    continue
-                sums[seg] += float(np.sum(piece))
-                pads[seg] += _U * (260.0 + 2.0 * math.log2(max(piece.size, 2))) * float(
-                    np.sum(piece)
-                )
-                seg += 1
-        return sums, pads
+    @staticmethod
+    def _term_rel(hi):
+        """Relative error bound of each computed gamma_vec term at i < hi.
+
+        For i < 2**52 the argument a = pi sqrt(2i) carries three roundings
+        (sqrt, np.pi, the product): |a~ - a| <= 3.01 u a < 4 ulp(a~). cos is
+        1-Lipschitz and np.cos is accurate to 4 ulp in [-1, 1], so
+        c~ = cos(a) + e, |e| <= 4 ulp(a~) + 4 u, as gamma_iv budgets. 2 + c~,
+        i*i and the division add three relative roundings, and e / i**2 <=
+        e gamma_i, so each term errs by < (5 ulp(a~) + 8 u) gamma_i. a~ is
+        nondecreasing in i, so its value at hi bounds every i < hi; at
+        2**23 this adds 9e-12 to the pad.
+        """
+        return 5.0 * np.spacing(np.pi * np.sqrt(2.0 * hi)) + 8.0 * _U
 
     def segment_masses(self, bounds: Sequence[int]) -> List[Interval]:
-        sums, pads = self._segment_sums([int(b) for b in bounds])
-        return [
-            Interval.widened(max(s - p, 0.0), s + p) for s, p in zip(sums, pads)
-        ]
+        return self._sums.masses(bounds)
 
     def tail_batch(self, ks: Sequence[int], target: Optional[float] = None) -> List[Interval]:
         if not ks:
@@ -688,16 +751,13 @@ class _CosineModulated(_Base):
         if sorted(set(ks)) != list(ks):
             raise ValueError("tail_batch needs strictly increasing indices")
         t = target if target is not None else 3.0 / self._DEFAULT_N
-        n_end = min(max(int(math.ceil(3.0 / t)) + 1, ks[-1] + 1), guard_index())
-        bounds = ks + [n_end]
-        sums, pads = self._segment_sums(bounds)
-        rest = self._tail_beyond(n_end - 1)
+        # the guard caps the truncation point, never below the last index asked for
+        n_end = max(min(int(math.ceil(3.0 / t)) + 1, guard_index()), ks[-1] + 1)
+        acc = self._tail_beyond(n_end - 1)
         out: List[Interval] = []
-        acc_lo, acc_hi = rest.lo, rest.hi
-        for j in range(len(ks) - 1, -1, -1):
-            acc_lo += sums[j] - pads[j]
-            acc_hi += sums[j] + pads[j]
-            out.append(Interval.widened(max(acc_lo, 0.0), acc_hi))
+        for m in reversed(self.segment_masses(ks + [n_end])):
+            acc = m + acc
+            out.append(acc)
         out.reverse()
         return out
 
@@ -737,14 +797,13 @@ def _harmonic_shape(k: int) -> float:
 class _Patched(_Base):
     name = "patched"
 
-    _CP = 1 << 16  # checkpoint spacing for harmonic segment prefixes
-
     def __init__(self, segments: Tuple[PatchedSegment, ...]) -> None:
         if not segments or segments[-1].end != 0:
             raise ValueError("patched spec needs a final infinite segment")
         self.segments = segments
         self._suffix: List[Interval] = []  # mass from segment j's start to infinity
-        self._harm_cp: Dict[int, Tuple[np.ndarray, float, float]] = {}
+        # one block table per harmonic stretch, keyed by its start
+        self._harm = {s.start: self._harm_table(s) for s in segments if s.kind == "harmonic"}
         self._build_suffix()
 
     def _seg_gamma(self, seg: PatchedSegment, k: int) -> float:
@@ -774,43 +833,14 @@ class _Patched(_Base):
                 return gk / one_minus
             g_next = _rel_pad_iv(self._seg_gamma(seg, seg.end + 1), 16 * _U)
             return (gk - g_next) / one_minus
-        # harmonic stretch: checkpointed prefix sums keep memory flat
-        cps, total, pad_unit = self._harm_checkpoints(seg)
-        q, rem_start = divmod(k - seg.start, self._CP)
-        prefix = float(cps[q]) + self._chunk_sum(seg, seg.start + q * self._CP, k)
-        part = total - prefix
-        pad = pad_unit + _U * 300.0 * total + 5e-324
-        return Interval(max(part - pad, 0.0), part + pad)
+        return self._harm[seg.start].masses([k, seg.end + 1])[0]
 
-    def _chunk_sum(self, seg: PatchedSegment, a: int, b: int) -> float:
-        """Plain sum of the harmonic stretch values over [a, b)."""
-        if b <= a:
-            return 0.0
-        idx = np.arange(a, b, dtype=np.float64)
-        ln = np.log(idx)
+    @staticmethod
+    def _harm_table(seg: PatchedSegment) -> _BlockSums:
         scale = seg.gamma_start / _harmonic_shape(seg.start)
-        return float(np.sum(scale / (idx * ln * ln)))
-
-    def _harm_checkpoints(self, seg: PatchedSegment) -> Tuple[np.ndarray, float, float]:
-        cached = self._harm_cp.get(seg.start)
-        if cached is not None:
-            return cached
-        edges = list(range(seg.start, seg.end + 1, self._CP)) + [seg.end + 1]
-        cps = [0.0]
-        running = 0.0
-        abs_total = 0.0
-        for a, b in zip(edges, edges[1:]):
-            s = self._chunk_sum(seg, a, b)
-            running += s
-            abs_total += s
-            cps.append(running)
-        total = running
-        # per-chunk pairwise error plus the sequential accumulation error
-        pad_unit = _U * (260.0 + 2.0 * math.log2(self._CP)) * abs_total
-        pad_unit += _U * len(edges) * abs_total
-        out = (np.array(cps[:-1]), total, pad_unit)
-        self._harm_cp[seg.start] = out
-        return out
+        return _BlockSums(
+            lambda idx: scale / (idx * np.log(idx) ** 2), origin=seg.start, stop=seg.end + 1
+        )
 
     def _build_suffix(self) -> None:
         acc = self._seg_mass(self.segments[-1], self.segments[-1].start)
@@ -904,7 +934,7 @@ class _Custom(_Base):
 
 
 @lru_cache(maxsize=256)
-def _impl(spec: DiscountSpec) -> _Base:
+def _build(spec: DiscountSpec) -> _Base:
     if spec.scale != 1.0:
         raise AssertionError("implementations are cached for unscaled specs only")
     fam = spec.family
@@ -932,6 +962,11 @@ def _impl(spec: DiscountSpec) -> _Base:
     raise ValueError(f"unknown discount family {fam!r}")
 
 
+def _impl(spec: DiscountSpec) -> _Base:
+    """The family object of a spec; a scaled spec shares its unscaled twin's."""
+    return spec._family
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -941,7 +976,7 @@ def gamma(spec: DiscountSpec, k: int) -> float:
     """The weight gamma_k, exact per family formula (then scaled)."""
     if k < 1:
         raise ValueError("index k must be >= 1")
-    g = _impl(spec.unscaled()).gamma(k)
+    g = _impl(spec).gamma(k)
     return g if spec.scale == 1.0 else g * spec.scale
 
 
@@ -949,7 +984,7 @@ def gamma_iv(spec: DiscountSpec, k: int) -> Interval:
     """Enclosure of gamma_k (scaled)."""
     if k < 1:
         raise ValueError("index k must be >= 1")
-    iv = _impl(spec.unscaled()).gamma_iv(k)
+    iv = _impl(spec).gamma_iv(k)
     return iv if spec.scale == 1.0 else iv * spec.scale
 
 
@@ -963,11 +998,12 @@ def gamma_tail(spec: DiscountSpec, k: int, target: Optional[float] = None) -> In
     """Enclosure of Gamma_k = sum_{i >= k} gamma_i (scaled).
 
     target, when given, asks for an absolute tail-resolution hint; families
-    with closed forms ignore it.
+    with closed forms ignore it. Numerically summed families answer from
+    their block table (module docstring): O(S + N/S) work per call.
     """
     if k < 1:
         raise ValueError("index k must be >= 1")
-    iv = _impl(spec.unscaled()).tail(k, target)
+    iv = _impl(spec).tail(k, target)
     return iv if spec.scale == 1.0 else iv * spec.scale
 
 
@@ -975,7 +1011,7 @@ def gamma_tail_batch(
     spec: DiscountSpec, ks: Sequence[int], target: Optional[float] = None
 ) -> List[Interval]:
     """Enclosures of Gamma at several increasing indices in one pass."""
-    out = _impl(spec.unscaled()).tail_batch(list(ks), target)
+    out = _impl(spec).tail_batch(list(ks), target)
     if spec.scale != 1.0:
         out = [iv * spec.scale for iv in out]
     return out
@@ -987,13 +1023,14 @@ def segment_masses(
     """Enclosures of the gamma mass over [bounds[j], bounds[j+1]) for each j.
 
     Families whose tails come from long numeric sums provide these sums
-    directly (no shared truncation term, so differences stay sharp);
-    closed-form families fall back to tail differences.
+    directly from their block table of 2N/S floats (module docstring), so
+    no truncation term is shared and differences stay sharp; closed-form
+    families fall back to tail differences.
     """
     bounds = [int(b) for b in bounds]
     if len(bounds) < 2 or any(b <= a for a, b in zip(bounds, bounds[1:])):
         raise ValueError("bounds must be strictly increasing, length >= 2")
-    impl = _impl(spec.unscaled())
+    impl = _impl(spec)
     direct = getattr(impl, "segment_masses", None)
     if direct is not None:
         out = direct(bounds)
@@ -1013,7 +1050,7 @@ def effective_horizon(spec: DiscountSpec, k: int) -> IntegerInterval:
     interval [first possibly satisfied, first certainly satisfied]."""
     if k < 1:
         raise ValueError("index k must be >= 1")
-    impl = _impl(spec.unscaled())
+    impl = _impl(spec)
     exact = impl.effective_horizon_exact(k)
     if exact is not None:
         return exact
@@ -1056,7 +1093,7 @@ def quasi_horizon(spec: DiscountSpec, k: int) -> Interval:
     """Enclosure of Gamma_k / gamma_k."""
     if k < 1:
         raise ValueError("index k must be >= 1")
-    impl = _impl(spec.unscaled())
+    impl = _impl(spec)
     exact = impl.quasi_horizon_exact(k)
     if exact is not None:
         return exact
@@ -1070,7 +1107,7 @@ def horizon_ratio(spec: DiscountSpec, k: int) -> Interval:
     """Enclosure of k gamma_k / Gamma_k."""
     if k < 1:
         raise ValueError("index k must be >= 1")
-    impl = _impl(spec.unscaled())
+    impl = _impl(spec)
     exact = impl.horizon_ratio_exact(k)
     if exact is not None:
         return exact
@@ -1093,7 +1130,7 @@ def check_monotone(spec: DiscountSpec, k_max: int) -> MonotoneScan:
     """Scan gamma_{k+1} <= gamma_k for 1 <= k < k_max."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-    impl = _impl(spec.unscaled())
+    impl = _impl(spec)
     chunk = 1 << 16
     prev = impl.gamma(1)
     k = 1
@@ -1156,7 +1193,7 @@ def growth_diagnostic(spec: DiscountSpec, k_grid: Sequence[int]) -> GrowthDiagno
     grid = tuple(int(k) for k in k_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be nonempty and strictly increasing")
-    impl = _impl(spec.unscaled())
+    impl = _impl(spec)
     ups: List[float] = []
     downs: List[float] = []
     ks_ok: List[int] = []
@@ -1356,15 +1393,15 @@ def spec_from_dict(d: dict) -> DiscountSpec:
 
 def is_monotone_family(spec: DiscountSpec) -> bool:
     """Documented monotonicity flag (scan-verifiable for the monotone ones)."""
-    return _impl(spec.unscaled()).monotone
+    return _impl(spec).monotone
 
 
 def premise_note(spec: DiscountSpec) -> Optional[Tuple[bool, bool, str]]:
     """Analytic boundedness verdicts for the two premise ratios, if known."""
-    return _impl(spec.unscaled()).premise_verdicts()
+    return _impl(spec).premise_verdicts()
 
 
 def index_for_tail_bound(spec: DiscountSpec, target: float, start: int) -> Optional[int]:
     """Cheap certified index N >= start with Gamma_N <= target, if the
     family can produce one analytically (unscaled)."""
-    return _impl(spec.unscaled()).index_for_tail_bound(target, start)
+    return _impl(spec).index_for_tail_bound(target, start)

@@ -268,7 +268,7 @@ def verify_future_avg(
         windows.append((k, m))
 
     premises = [_monotone_premise(dspec, scale)]
-    impl = _d._impl(dspec.unscaled())
+    impl = _d._impl(dspec)
     ratios = []
     for k, m in windows:
         if hasattr(impl, "tail_ratio"):
@@ -552,7 +552,7 @@ def lemma4_diagnostics(
     grid = tuple(int(k) for k in k_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
         raise ValueError("grid must be strictly increasing, indices >= 1")
-    impl = _d._impl(dspec.unscaled())
+    impl = _d._impl(dspec)
     step: List[Interval] = []
     share: List[Interval] = []
     tail_ratio: List[Interval] = []

@@ -179,8 +179,8 @@ def _truncation_index(
         t = tail_at(hint + 1)
         if t.hi <= target:
             if dspec.family not in _SCALABLE:
-                # numeric tails: each probe is a fresh O(n) sum, so take
-                # the hint as-is rather than bisect for the minimum
+                # numeric tails: take the hint as-is rather than bisect for
+                # the minimum, as each probe sums on to its own stopping index
                 return hint, t, True
             hi = hint
     if hi is None:
@@ -302,9 +302,9 @@ def _runs_value_shared_pass(
     rspec: _r.RewardSpec, dspec: _d.DiscountSpec, k: int, tol: float
 ) -> Tuple[Interval, Interval, int, bool]:
     """Runs-path variant for discounts that sum their tails numerically:
-    numerator and denominator come from one shared pass over [k, N], so
-    the two stay sharp and the work is a single O(N) sweep."""
-    impl = _d._impl(dspec.unscaled())
+    numerator and denominator come from the same segment masses over
+    [k, N], read off the family's block table, so the two stay sharp."""
+    impl = _d._impl(dspec)
     crude_lo = impl.tail_floor(k)
     target = tol * crude_lo
     guard = guard_index()
@@ -455,7 +455,7 @@ def _dense_sum(
     if n_trunc < k:
         return Interval.exact(0.0)
     length = n_trunc - k + 1
-    impl = _d._impl(dspec.unscaled())
+    impl = _d._impl(dspec)
     if length <= (1 << 17):
         total = math.fsum(
             impl.gamma(i) * _r.reward_at(rspec, i) for i in range(k, n_trunc + 1)
@@ -780,6 +780,7 @@ def limit_estimate_to_dict(est: LimitEstimate) -> dict:
     return {
         "quantity": est.quantity,
         "schedule": list(est.indices),
+        "requested": list(est.requested),
         "values": [[v.lo, v.hi] for v in est.values],
         "tags": list(est.tags),
         "liminf": [est.liminf_est.lo, est.liminf_est.hi],

@@ -169,6 +169,13 @@ def test_limits_csv_has_one_row_per_index(capsys) -> None:
          "--schedule", "list:4,8", "--format", "csv"], capsys)
     rows = list(csv.reader(io.StringIO(out)))
     assert [r[0] for r in rows[1:]] == ["4", "8"]
+    # the JSON lists every scanned point and flags the requested ones
+    code, out, _ = run_main(
+        ["limits", "--reward", "periodic:1,0,0", "--discount", "geometric:0.5",
+         "--schedule", "list:4,8", "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert len(payload["requested"]) == len(payload["schedule"]) > 2
+    assert [m for m, r in zip(payload["schedule"], payload["requested"]) if r] == [4, 8]
 
 
 # -- construct ---------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 import horizonlab as h
@@ -215,3 +217,184 @@ def test_discount_serialization_round_trips(spec) -> None:
     assert restored == spec
     for k in (1, 2, 3, 7, 20):
         assert d.gamma(restored, k) == d.gamma(spec, k)
+
+
+# -- block-sum engine of the numerically summed families -----------------
+#
+# Oracles are mpmath sums at 120 bits, so a miss of one ulp would show.
+# Block edges of the engine sit at origin + j * SIZE.
+
+_S = d._BlockSums.SIZE
+_EDGE_2_23 = 1 + _S * (2**23 // _S)
+_EDGE_1E8 = 1 + _S * (10**8 // _S)
+
+
+def _contains(iv, x) -> bool:
+    return mpmath.mpf(iv.lo) <= x <= mpmath.mpf(iv.hi)
+
+
+def _cosine_sum(a: int, b: int):
+    """Exact sum of (2 + cos(pi sqrt(2i))) / i^2 over [a, b)."""
+    with mpmath.workprec(120):
+        return mpmath.fsum(
+            (2 + mpmath.cos(mpmath.pi * mpmath.sqrt(2 * i))) / mpmath.mpf(i) ** 2
+            for i in range(a, b)
+        )
+
+
+@pytest.mark.parametrize("bounds", [
+    [5, 900],  # inside one block
+    [1000, 1001],  # single term
+    # ends at a block edge - 1, at the edge, at the edge + 1, then two blocks
+    [4 * _S - 3, 1 + 4 * _S - 1, 1 + 4 * _S, 1 + 4 * _S + 1, 1 + 6 * _S + 7],
+    [100, 20_000],  # many blocks
+    [_EDGE_2_23 - 2 * _S - 3, _EDGE_2_23 - 1, _EDGE_2_23, _EDGE_2_23 + 1, _EDGE_2_23 + _S + 5],
+    [_EDGE_1E8 - 2 * _S - 3, _EDGE_1E8 - 1, _EDGE_1E8, _EDGE_1E8 + 1, _EDGE_1E8 + _S + 5],
+])
+def test_cosine_segment_masses_contain_mpmath_sums(bounds) -> None:
+    masses = d.segment_masses(h.cosine_modulated(), bounds)
+    for (a, b), iv in zip(zip(bounds, bounds[1:]), masses):
+        exact = _cosine_sum(a, b)
+        assert _contains(iv, exact), (a, b, iv, exact)
+        assert iv.width <= 1e-10 * float(exact)
+
+
+@pytest.mark.parametrize("k", [1, 2, 150, 4 * _S, 1 + 4 * _S, 2 + 4 * _S])
+def test_cosine_tail_contains_mpmath_head_plus_remainder(k: int) -> None:
+    target = 3.0 / 20_000
+    n_end = math.ceil(3.0 / target) + 1  # the family's truncation point
+    # the true remainder sum_{i >= n_end} lies in [1, 3] * psi_1(n_end)
+    with mpmath.workprec(120):
+        head = _cosine_sum(k, n_end)
+        rest = mpmath.psi(1, n_end)
+    tail = d.gamma_tail(h.cosine_modulated(), k, target)
+    assert _contains(tail, head + rest) and _contains(tail, head + 3 * rest)
+
+
+def test_cosine_tail_past_the_guard_encloses_the_tail(monkeypatch) -> None:
+    # the guard caps the truncation point, but never below the index asked for
+    monkeypatch.setenv("HORIZONLAB_GUARD", "40000")
+    k, m = 50_000, 10**6
+    idx = np.arange(k, m, dtype=np.float64)
+    head = math.fsum((2.0 + np.cos(np.pi * np.sqrt(2.0 * idx))) / idx**2)
+    tail = d.gamma_tail(h.cosine_modulated(), k)
+    # the rest past m lies in [1, 3] * sum_{i >= m} i^-2, inside [1/m, 3/(m-1)]
+    assert tail.lo <= head + 1.0 / m and head + 3.0 / (m - 1) <= tail.hi
+
+
+def _alternating_tail(k: int):
+    """Exact sum over even i >= k of 1/(i(i+1)) = (psi(m+1/2) - psi(m))/2."""
+    m = (k + 1) // 2
+    with mpmath.workprec(120):
+        return (mpmath.digamma(m + mpmath.mpf(1) / 2) - mpmath.digamma(m)) / 2
+
+
+_ALT_EDGE = 2 * (1 + 3 * _S)  # index of a block edge of the even-index table
+
+
+@pytest.mark.parametrize("bounds", [
+    [1, 2, 3, 150],
+    [_ALT_EDGE - 3, _ALT_EDGE - 2, _ALT_EDGE - 1, _ALT_EDGE, _ALT_EDGE + 1, _ALT_EDGE + 2],
+    [2**23 - 1, 2**23, 2**23 + 1],
+    [10**8 - 1, 10**8, 10**8 + 1],
+])
+def test_alternating_tails_and_masses_contain_mpmath_values(bounds) -> None:
+    spec = h.alternating_zero()
+    tails = d.gamma_tail_batch(spec, bounds)
+    for k, iv in zip(bounds, tails):
+        assert _contains(iv, _alternating_tail(k)), (k, iv)
+    masses = d.segment_masses(spec, bounds)
+    for (a, b), iv in zip(zip(bounds, bounds[1:]), masses):
+        assert _contains(iv, _alternating_tail(a) - _alternating_tail(b)), (a, b, iv)
+
+
+def _patched_oracle_tail(segments, k: int):
+    """Exact Gamma_k of a patched spec: harmonic stretches term by term,
+    geometric stretches in closed form."""
+    total = mpmath.mpf(0)
+    with mpmath.workprec(120):
+        for seg in segments:
+            lo = max(k, seg.start)
+            if seg.end != 0 and lo > seg.end:
+                continue
+            if seg.kind == "geometric":
+                first = seg.gamma_start * mpmath.mpf(seg.g) ** (lo - seg.start)
+                count = None if seg.end == 0 else seg.end - lo + 1
+                g = mpmath.mpf(seg.g)
+                total += first / (1 - g) if count is None else first * (1 - g**count) / (1 - g)
+            else:
+                scale = seg.gamma_start * seg.start * mpmath.log(seg.start) ** 2
+                total += mpmath.fsum(
+                    scale / (i * mpmath.log(i) ** 2) for i in range(lo, seg.end + 1))
+    return total
+
+
+def _far_patched():
+    """Two short harmonic stretches, one across 2**23 and one near 10**8."""
+    seg = d.PatchedSegment
+    h1, h2 = (2**23 - 3000, 2**23 + 3000), (10**8 - 3000, 10**8 + 3000)
+    return d.DiscountSpec("patched", ((
+        seg("geometric", 1, h1[0] - 1, 0.5, 1.0),
+        seg("harmonic", h1[0], h1[1], 0.0, 1e-3),
+        seg("geometric", h1[1] + 1, h2[0] - 1, 0.5, 1e-6),
+        seg("harmonic", h2[0], h2[1], 0.0, 1e-9),
+        seg("geometric", h2[1] + 1, 0, 0.5, 1e-12),
+    ),))
+
+
+@pytest.mark.parametrize("spec_fn, ks", [
+    (lambda: d.build_patched([1, 2]), [18, 405, 427 + 2 * _S - 1, 427 + 2 * _S, 427 + 2 * _S + 1, 30153]),
+    (_far_patched, [2**23 - 3000, 2**23 - 3000 + _S - 1, 2**23 - 3000 + _S, 2**23 + 2999,
+                    10**8 - 3000 + _S + 1, 10**8 + 3000]),
+])
+def test_patched_harmonic_stretches_contain_mpmath_values(spec_fn, ks) -> None:
+    spec = spec_fn()
+    segments = spec.params[0]
+    exact = {k: _patched_oracle_tail(segments, k) for k in ks}
+    for k in ks:
+        assert _contains(d.gamma_tail(spec, k), exact[k]), k
+    masses = d.segment_masses(spec, ks)
+    for (a, b), iv in zip(zip(ks, ks[1:]), masses):
+        assert _contains(iv, exact[a] - exact[b]), (a, b, iv)
+
+
+def test_block_tables_answer_independently_of_history() -> None:
+    # a query on a fresh family object, the same query after other queries
+    # grew the table in another order, and after one sweep: same bits
+    cos_queries = [
+        lambda f: f.segment_masses([5, 900, 1 + 4 * _S, 100_000]),
+        lambda f: f.tail_batch([3, 1500, 70_000], 3e-6),
+        lambda f: f.tail(150),
+    ]
+    fresh = [q(d._CosineModulated()) for q in cos_queries]
+    grown = d._CosineModulated()
+    assert [q(grown) for q in reversed(cos_queries)] == fresh[::-1]
+    swept = d._CosineModulated()
+    swept.tail(1)  # one sweep to 2**23
+    assert [q(swept) for q in cos_queries] == fresh
+
+    alt_ks = [150, 2 * _S + 1, 10**5]
+    fresh = [d._AlternatingZero(h.quadratic()).tail(k) for k in alt_ks]
+    grown = d._AlternatingZero(h.quadratic())
+    assert [grown.tail(k) for k in reversed(alt_ks)] == fresh[::-1]
+    swept = d._AlternatingZero(h.quadratic())
+    swept.tail(2**23)  # one sweep far past every query above
+    assert [swept.tail(k) for k in alt_ks] == fresh
+
+
+def test_equal_specs_share_one_family_object() -> None:
+    import horizonlab.cli as cli
+
+    assert d._impl(h.cosine_modulated()) is d._impl(h.cosine_modulated())
+    # the CLI's fresh spec reuses the table built through the library
+    assert d._impl(cli.parse_discount("cosine")) is d._impl(h.cosine_modulated())
+    table = [1.0 / (i * (i + 1)) for i in range(1, 2001)]
+    spec = d.custom(table, tail=("power", 1.0))
+    scaled = spec.with_scale(2.5)
+    assert d._impl(scaled) is d._impl(spec)
+    assert scaled.unscaled() is scaled.unscaled() and scaled.unscaled() == spec
+    # the resolved object is not part of the spec's value
+    assert scaled == d.custom(table, tail=("power", 1.0)).with_scale(2.5)
+    assert hash(scaled) == hash(dataclasses.replace(spec, scale=2.5))
+    assert "_family" not in repr(h.quadratic()) and "_twin" not in repr(scaled)
+    assert set(d.spec_to_dict(scaled)) == {"family", "params", "scale"}
