@@ -25,7 +25,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import corpus as _c
@@ -306,25 +305,28 @@ def _table_cells(dspec: _d.DiscountSpec, k: int) -> Tuple[dict, List[str]]:
     return record, [cell for _, cell in columns]
 
 
-def cmd_table(cfg: "RunConfig") -> int:
-    discounts = [parse_discount(t) for t in cfg.discounts]
+def cmd_table(args: argparse.Namespace) -> int:
+    k_list = _ints(args.k, "index")
+    if not k_list or any(k < 1 for k in k_list):
+        raise SpecParseError("--k indices must be >= 1")
+    discounts = [parse_discount(t) for t in args.discount]
     if not discounts:
         raise SpecParseError("table needs at least one --discount")
     records, rows, footer = [], [], []
     for dspec in discounts:
-        for k in cfg.k_list:
+        for k in k_list:
             record, cells = _table_cells(dspec, k)
             records.append(record)
             rows.append(cells)
         note = _ASYMPTOTIC[dspec.family](dspec)
         footer.append(f"{dspec.family}: {note}")
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = _render_json({"rows": records, "footer": footer})
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         text = _render_csv(_TABLE_HEADERS, rows)
     else:
         text = _render_table(_TABLE_HEADERS, rows, footer)
-    _write_out(text, cfg.out)
+    _write_out(text, args.out)
     return EXIT_OK
 
 
@@ -333,12 +335,12 @@ def cmd_table(cfg: "RunConfig") -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_eval(cfg: "RunConfig") -> int:
-    rspec = parse_reward(cfg.reward)
-    dspec = parse_discount(cfg.discounts[0]) if cfg.discounts else None
-    m = cfg.m if cfg.m is not None else cfg.u_to
-    k = cfg.k
-    v_at = cfg.v_at if cfg.v_at is not None else (k if dspec is not None else None)
+def cmd_eval(args: argparse.Namespace) -> int:
+    rspec = parse_reward(args.reward)
+    dspec = parse_discount(args.discount[0]) if args.discount else None
+    m = args.m if args.m is not None else args.u_to
+    k = args.k
+    v_at = args.v_at if args.v_at is not None else (k if dspec is not None else None)
     if m is None and (dspec is None or v_at is None):
         raise SpecParseError(
             "eval needs --m/--u-to (average window), --v-at with --discount, or both"
@@ -349,7 +351,7 @@ def cmd_eval(cfg: "RunConfig") -> int:
     inconclusive = False
     if dspec is not None and v_at is not None:
         try:
-            v_det = _v.disc_value_detail(rspec, dspec, v_at, tol=cfg.tol, strict=True)
+            v_det = _v.disc_value_detail(rspec, dspec, v_at, tol=args.tol, strict=True)
         except _v.InconclusiveEnclosure as exc:
             v_det = exc.detail
             inconclusive = True
@@ -363,7 +365,7 @@ def cmd_eval(cfg: "RunConfig") -> int:
             "at": v_at,
             "lo": v_det.interval.lo,
             "hi": v_det.interval.hi,
-            "tolerance": cfg.tol,
+            "tolerance": args.tol,
             "attained": v_det.attained,
             "truncation": v_det.truncation,
             "path": v_det.path,
@@ -377,13 +379,13 @@ def cmd_eval(cfg: "RunConfig") -> int:
     if v_det is not None:
         suffix = "" if v_det.attained else "  (best effort; tolerance not attained)"
         rows.append((f"V({v_at})", _fiv(v_det.interval) + suffix))
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = _render_json(payload)
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         text = _render_csv(("quantity", "value"), rows)
     else:
         text = _render_table(("quantity", "value"), rows)
-    _write_out(text, cfg.out)
+    _write_out(text, args.out)
     return EXIT_EVAL_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
@@ -392,14 +394,15 @@ def cmd_eval(cfg: "RunConfig") -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_limits(cfg: "RunConfig") -> int:
-    rspec = parse_reward(cfg.reward)
-    dspec = parse_discount(cfg.discounts[0]) if cfg.discounts else None
+def cmd_limits(args: argparse.Namespace) -> int:
+    schedule = parse_schedule(args.schedule)
+    rspec = parse_reward(args.reward)
+    dspec = parse_discount(args.discount[0]) if args.discount else None
     quantity = "V" if dspec is not None else "U"
-    est = _v.limit_scan(rspec, dspec, quantity, cfg.schedule, tol=cfg.tol)
-    if cfg.fmt == "json":
+    est = _v.limit_scan(rspec, dspec, quantity, schedule, tol=args.tol)
+    if args.fmt == "json":
         text = _render_json(_v.limit_estimate_to_dict(est))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         # one row per requested index; the added probes stay in table/json
         header, *rows = _v.limit_estimate_csv_rows(est)
         text = _render_csv(header, [r for r, req in zip(rows, est.requested) if req])
@@ -418,7 +421,7 @@ def cmd_limits(cfg: "RunConfig") -> int:
             footer.append(f"alpha: {_fnum(est.alpha)}  beta: {_fnum(est.beta)}")
         footer.extend(f"note: {n}" for n in est.notes)
         text = _render_table(("index", "lo", "hi", "tag"), rows, footer)
-    _write_out(text, cfg.out)
+    _write_out(text, args.out)
     if est.verdict == "converged":
         return EXIT_OK
     if est.verdict == "oscillating":
@@ -465,16 +468,16 @@ def _prop2_certificates(dspec: _d.DiscountSpec, pts: Sequence[int]) -> List[str]
     return lines
 
 
-def cmd_construct(cfg: "RunConfig") -> int:
-    if not cfg.discounts:
+def cmd_construct(args: argparse.Namespace) -> int:
+    if not args.discount:
         raise SpecParseError("construct needs --discount")
-    dspec = parse_discount(cfg.discounts[0])
+    dspec = parse_discount(args.discount[0])
     try:
-        if cfg.prop == 1:
-            rspec = _t.construct_prop1_reward(dspec, cfg.n_max)
+        if args.prop == 1:
+            rspec = _t.construct_prop1_reward(dspec, args.n_max)
             lines = _prop1_certificates(dspec, rspec.params[1])
         else:
-            rspec = _t.construct_prop2_reward(dspec, cfg.n_max)
+            rspec = _t.construct_prop2_reward(dspec, args.n_max)
             lines = _prop2_certificates(dspec, rspec.params[1])
     except _t.PremiseFailure as exc:
         sys.stderr.write(f"construction premises not met: {exc}\n")
@@ -485,25 +488,25 @@ def cmd_construct(cfg: "RunConfig") -> int:
 
     reward_doc = _r.reward_to_dict(rspec)
     pts = list(rspec.params[1])
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = _render_json({
-            "prop": cfg.prop,
+            "prop": args.prop,
             "points": pts,
             "certificates": lines,
             "reward": reward_doc,
         })
-        _write_out(text, cfg.out)
-    elif cfg.fmt == "csv":
+        _write_out(text, args.out)
+    elif args.fmt == "csv":
         rows = [(n + 1, pts[2 * n], pts[2 * n + 1]) for n in range(len(pts) // 2)]
-        _write_out(_render_csv(("n", "k_n", "m_n"), rows), cfg.out)
+        _write_out(_render_csv(("n", "k_n", "m_n"), rows), args.out)
     else:
         for line in lines:
             sys.stdout.write(line + "\n")
-        if cfg.out is None:
+        if args.out is None:
             sys.stdout.write(_render_json(reward_doc))
         else:
-            _write_out(_render_json(reward_doc), cfg.out)
-            sys.stdout.write(f"reward spec written to {cfg.out}\n")
+            _write_out(_render_json(reward_doc), args.out)
+            sys.stdout.write(f"reward spec written to {args.out}\n")
     return EXIT_OK
 
 
@@ -514,7 +517,7 @@ def cmd_construct(cfg: "RunConfig") -> int:
 
 def _print_checks(number: int, checks: Sequence[_c.CheckResult]) -> int:
     failures = 0
-    title = _c.EXAMPLES[number].title
+    title = _c.examples()[number].title
     sys.stdout.write(f"example {number}: {title}\n")
     for c in checks:
         mark = "ok" if c.passed else "FAIL"
@@ -523,12 +526,14 @@ def _print_checks(number: int, checks: Sequence[_c.CheckResult]) -> int:
     return failures
 
 
-def cmd_verify(cfg: "RunConfig") -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.example is None and not args.all:
+        raise SpecParseError("verify needs --example N or --all")
     failures = 0
-    if cfg.example is not None:
-        failures += _print_checks(cfg.example, _c.golden_checks(cfg.example))
+    if args.example is not None:
+        failures += _print_checks(args.example, _c.golden_checks(args.example))
     else:
-        for number in sorted(_c.EXAMPLES):
+        for number in sorted(_c.examples()):
             failures += _print_checks(number, _c.golden_checks(number))
         sys.stdout.write("cross-checking limit claims over the full corpus\n")
         for pair in _c.all_pairs():
@@ -539,8 +544,8 @@ def cmd_verify(cfg: "RunConfig") -> int:
                     f"consistent={rep.consistent}\n"
                 )
                 failures += 0 if rep.consistent else 1
-        sys.stdout.write(f"randomized identity suites (seed={cfg.seed})\n")
-        idrep = _c.identity_trials(cfg.seed, cfg.trials)
+        sys.stdout.write(f"randomized identity suites (seed={args.seed})\n")
+        idrep = _c.identity_trials(args.seed, args.trials)
         sys.stdout.write(
             f"  {idrep.trials} trials, {idrep.checks} checks, "
             f"{len(idrep.failures)} failures\n"
@@ -558,27 +563,6 @@ def cmd_verify(cfg: "RunConfig") -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    command: str
-    discounts: List[str] = field(default_factory=list)
-    reward: Optional[str] = None
-    k: int = 1
-    k_list: List[int] = field(default_factory=lambda: [1])
-    m: Optional[int] = None
-    v_at: Optional[int] = None
-    u_to: Optional[int] = None
-    tol: float = 1e-3
-    schedule: List[int] = field(default_factory=lambda: _v.dyadic_schedule(10**5))
-    fmt: str = "table"
-    out: Optional[str] = None
-    seed: int = 0
-    trials: int = 10_000
-    example: Optional[int] = None
-    prop: int = 1
-    n_max: int = 5
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horizonlab",
@@ -593,7 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="SPEC", help="discount spec (repeatable)")
         if with_reward:
             p.add_argument("--reward", metavar="SPEC", help="reward spec")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=float, default=1e-3,
                        help="target enclosure width / scan tolerance")
         p.add_argument("--format", choices=("table", "csv", "json"),
                        default="table", dest="fmt", help=fmt_help)
@@ -642,39 +626,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.discounts = list(getattr(args, "discount", []) or [])
-    cfg.reward = getattr(args, "reward", None)
-    cfg.fmt = getattr(args, "fmt", "table")
-    cfg.out = getattr(args, "out", None)
-    tol = getattr(args, "tol", None)
-    if args.command == "table":
-        cfg.k_list = _ints(args.k, "index")
-        if not cfg.k_list or any(k < 1 for k in cfg.k_list):
-            raise SpecParseError("--k indices must be >= 1")
-    if args.command == "eval":
-        cfg.k = args.k
-        cfg.m = args.m
-        cfg.u_to = args.u_to
-        cfg.v_at = args.v_at
-        cfg.tol = tol if tol is not None else 1e-3
-    if args.command == "limits":
-        cfg.schedule = parse_schedule(args.schedule)
-        cfg.tol = tol if tol is not None else 1e-3
-    if args.command == "construct":
-        cfg.prop = args.prop
-        cfg.n_max = args.n_max
-    if args.command == "verify":
-        if args.example is None and not getattr(args, "all", False):
-            raise SpecParseError("verify needs --example N or --all")
-        cfg.example = args.example
-        cfg.seed = args.seed
-        cfg.trials = args.trials
-    return cfg
-
-
-_COMMANDS: Dict[str, Callable[[RunConfig], int]] = {
+_COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "table": cmd_table,
     "eval": cmd_eval,
     "limits": cmd_limits,
@@ -687,8 +639,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)  # argparse exits with status 2 on bad flags
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except SpecParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

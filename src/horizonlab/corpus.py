@@ -12,11 +12,11 @@ a named failure string rather than a silent drift.
 
 from __future__ import annotations
 
-import math
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import discount as _d
 from . import reward as _r
@@ -49,7 +49,11 @@ class Example:
     pairs: Tuple[ExamplePair, ...]
 
 
-def _examples() -> Dict[int, Example]:
+@functools.cache
+def examples() -> Dict[int, Example]:
+    """The worked examples by number, built on first use: example 6's
+    patched discount runs a switch search under the work guard, which
+    must not fire at import."""
     return {
         1: Example(1, "constant rewards: both limits equal the constant", (
             ExamplePair(1, "constant reward, power-law tail",
@@ -82,9 +86,6 @@ def _examples() -> Dict[int, Example]:
                         _r.linear_runs(), _d.build_patched([1, 2]), 2**14, 5e-2),
         )),
     }
-
-
-EXAMPLES: Dict[int, Example] = _examples()
 
 
 def _band_inside(est: _v.LimitEstimate, lo: float, hi: float) -> bool:
@@ -276,9 +277,9 @@ _CHECKS: Dict[int, Callable[[Example], List[CheckResult]]] = {
 
 def golden_checks(number: int) -> List[CheckResult]:
     """Run the curated assertions for one example."""
-    if number not in EXAMPLES:
+    if number not in _CHECKS:
         raise ValueError(f"example number must be in 1..6, got {number}")
-    return _CHECKS[number](EXAMPLES[number])
+    return _CHECKS[number](examples()[number])
 
 
 def verify_reports(pair: ExamplePair) -> List[_t.VerificationReport]:
@@ -291,7 +292,7 @@ def verify_reports(pair: ExamplePair) -> List[_t.VerificationReport]:
 
 
 def all_pairs() -> List[ExamplePair]:
-    return [pair for ex in EXAMPLES.values() for pair in ex.pairs]
+    return [pair for ex in examples().values() for pair in ex.pairs]
 
 
 # ---------------------------------------------------------------------------

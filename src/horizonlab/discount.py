@@ -199,8 +199,22 @@ def _log_iv(x) -> Interval:
 
 
 class _Base:
+    """One discount family. Capabilities are per-class constants:
+
+    mass_form: how V's runs path gets the mass of a reward's 1-runs.
+        "tails" (default): segment_masses as tail differences.
+        "blocks": segment_masses summed directly, plus tail_crude(k), an
+            analytic sandwich of Gamma_k.
+        "ratios": tail_ratio(j, k) = Gamma_j / Gamma_k and one_minus_g.
+        None: no runs path; V is summed densely.
+    sums_terms: False (default) when tails cost O(polylog k), so truncation
+        indices may pass the work guard; True when tails sum terms.
+    """
+
     name = "?"
     monotone = True
+    mass_form: Optional[str] = "tails"
+    sums_terms = False
 
     def gamma(self, k: int) -> float:
         raise NotImplementedError
@@ -219,6 +233,12 @@ class _Base:
 
     def gamma_vec(self, ks: np.ndarray) -> Optional[np.ndarray]:
         return None
+
+    def segment_masses(self, bounds: Sequence[int], target: Optional[float] = None) -> List[Interval]:
+        """Mass over each [bounds[j], bounds[j+1]): tail differences, clamped at 0."""
+        tails = self.tail_batch(bounds, target)
+        diffs = [a - b for a, b in zip(tails, tails[1:])]
+        return [Interval(max(d.lo, 0.0), max(d.hi, 0.0)) for d in diffs]
 
     # Analytic horizon overrides; None means use the generic search.
     def effective_horizon_exact(self, k: int) -> Optional[IntegerInterval]:
@@ -284,6 +304,7 @@ class _Finite(_Base):
 
 class _Geometric(_Base):
     name = "geometric"
+    mass_form = "ratios"
 
     def __init__(self, g: float) -> None:
         self.g = g
@@ -642,6 +663,8 @@ class _BlockSums:
 class _AlternatingZero(_Base):
     name = "alternating_zero"
     monotone = False
+    mass_form = None
+    sums_terms = True
 
     def __init__(self, base: DiscountSpec) -> None:
         self.base = _impl(base)
@@ -687,6 +710,8 @@ class _AlternatingZero(_Base):
 class _CosineModulated(_Base):
     name = "cosine_modulated"
     monotone = False
+    mass_form = "blocks"
+    sums_terms = True
 
     _DEFAULT_N = 1 << 23
 
@@ -723,9 +748,6 @@ class _CosineModulated(_Base):
             return Interval.widened(1.0, 3.0 * math.pi * math.pi / 6.0)
         return self._tail_beyond(k - 1)
 
-    def tail_floor(self, k: int) -> float:
-        return self.tail_crude(k).lo
-
     @staticmethod
     def _term_rel(hi):
         """Relative error bound of each computed gamma_vec term at i < hi.
@@ -741,7 +763,7 @@ class _CosineModulated(_Base):
         """
         return 5.0 * np.spacing(np.pi * np.sqrt(2.0 * hi)) + 8.0 * _U
 
-    def segment_masses(self, bounds: Sequence[int]) -> List[Interval]:
+    def segment_masses(self, bounds: Sequence[int], target: Optional[float] = None) -> List[Interval]:
         return self._sums.masses(bounds)
 
     def tail_batch(self, ks: Sequence[int], target: Optional[float] = None) -> List[Interval]:
@@ -796,6 +818,7 @@ def _harmonic_shape(k: int) -> float:
 
 class _Patched(_Base):
     name = "patched"
+    sums_terms = True
 
     def __init__(self, segments: Tuple[PatchedSegment, ...]) -> None:
         if not segments or segments[-1].end != 0:
@@ -879,14 +902,11 @@ class _Custom(_Base):
         self.gammas = gammas
         self.tail_model = tail_model
         self.K = len(gammas)
-        # backward partial sums over the table: suffix[j] = sum_{i>j} (0-based)
-        suffix = [0.0] * (self.K + 1)
-        for j in range(self.K - 1, -1, -1):
-            suffix[j] = suffix[j + 1] + gammas[j]
-        self._suffix = suffix
-        self.monotone = all(
-            gammas[j + 1] <= gammas[j] for j in range(self.K - 1)
-        )
+        # backward partial sums over the table: suffix[j] = sum_{i>=j} (0-based),
+        # suffix[K] = 0; np.cumsum adds sequentially, from the end, in floats
+        table = np.array(gammas, dtype=np.float64)
+        self._suffix = np.cumsum(np.concatenate(([0.0], table[::-1])))[::-1].tolist()
+        self.monotone = bool(np.all(np.diff(table) <= 0.0))
 
     def gamma(self, k: int) -> float:
         if k <= self.K:
@@ -988,12 +1008,6 @@ def gamma_iv(spec: DiscountSpec, k: int) -> Interval:
     return iv if spec.scale == 1.0 else iv * spec.scale
 
 
-def delta(spec: DiscountSpec, j: int) -> float:
-    """Successive difference gamma_j - gamma_{j+1} (the mixture weight in
-    the value-identity telescopes)."""
-    return gamma(spec, j) - gamma(spec, j + 1)
-
-
 def gamma_tail(spec: DiscountSpec, k: int, target: Optional[float] = None) -> Interval:
     """Enclosure of Gamma_k = sum_{i >= k} gamma_i (scaled).
 
@@ -1022,24 +1036,14 @@ def segment_masses(
 ) -> List[Interval]:
     """Enclosures of the gamma mass over [bounds[j], bounds[j+1]) for each j.
 
-    Families whose tails come from long numeric sums provide these sums
-    directly from their block table of 2N/S floats (module docstring), so
-    no truncation term is shared and differences stay sharp; closed-form
-    families fall back to tail differences.
+    Cosine sums these directly from its block table of 2N/S floats
+    (module docstring), so no truncation term is shared and differences
+    stay sharp; the other families take tail differences.
     """
     bounds = [int(b) for b in bounds]
     if len(bounds) < 2 or any(b <= a for a, b in zip(bounds, bounds[1:])):
         raise ValueError("bounds must be strictly increasing, length >= 2")
-    impl = _impl(spec)
-    direct = getattr(impl, "segment_masses", None)
-    if direct is not None:
-        out = direct(bounds)
-    else:
-        tails = impl.tail_batch(bounds, target)
-        out = []
-        for a, b in zip(tails, tails[1:]):
-            d = a - b
-            out.append(Interval(max(d.lo, 0.0), max(d.hi, 0.0)))
+    out = _impl(spec).segment_masses(bounds, target)
     if spec.scale != 1.0:
         out = [iv * spec.scale for iv in out]
     return out

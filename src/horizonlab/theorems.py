@@ -271,7 +271,7 @@ def verify_future_avg(
     impl = _d._impl(dspec)
     ratios = []
     for k, m in windows:
-        if hasattr(impl, "tail_ratio"):
+        if impl.mass_form == "ratios":
             # geometric: gamma_m/gamma_k = g**(m-k) exactly, no underflow
             ratios.append(impl.tail_ratio(m, k))
             continue
@@ -557,7 +557,7 @@ def lemma4_diagnostics(
     share: List[Interval] = []
     tail_ratio: List[Interval] = []
     for k in grid:
-        if hasattr(impl, "tail_ratio"):
+        if impl.mass_form == "ratios":
             # geometric: all three ratios are exact powers of g
             r1 = impl.tail_ratio(k + 1, k)
             step.append(r1)

@@ -7,14 +7,19 @@ is returned as a rigorous enclosure: the series is truncated at the
 smallest N whose remaining discount mass is below tol * Gamma_k, the
 unseen rewards contribute [0, Gamma_{N+1}], and all arithmetic is
 outward rounded.
+
+Binary-run rewards take one runs path: the numerator is the discount
+mass of the 1-runs, read in the family's mass_form (tail differences,
+block sums or ratios to Gamma_k; see discount._Base). Families with no
+mass_form, and other rewards, are summed densely (geometric in ratio
+form); disc_value_detail says how the path is picked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,23 +145,10 @@ def _product_is_zero(rspec: _r.RewardSpec, dspec: _d.DiscountSpec) -> bool:
     return all(pat[j] == 0.0 for j in range(1, len(pat), 2))
 
 
-# families whose tail enclosures cost O(polylog k), so truncation indices
-# may exceed the work guard (the guard bounds summed terms, and these
-# families sum nothing)
-_SCALABLE = {
-    "finite",
-    "geometric",
-    "quadratic",
-    "power",
-    "harmonic_like",
-    "step_log",
-    "custom",
-}
-
-# ceiling for truncation indices of scalable families: big enough that
-# even 1/log tails drop three decades below any quasi-horizon reachable
-# in tests, small enough that integer arithmetic stays cheap
-_N_CAP_SCALABLE = 10**500
+# truncation ceiling for families that sum no terms (the guard bounds
+# summed terms): big enough that even 1/log tails drop three decades below
+# any quasi-horizon reachable in tests, small enough for cheap integers
+_N_CAP = 10**500
 
 # runs-path work bound: closed-form mass evaluations per value
 _SEG_CAP = 200_000
@@ -178,7 +170,7 @@ def _truncation_index(
     if hint is not None and hint <= cap:
         t = tail_at(hint + 1)
         if t.hi <= target:
-            if dspec.family not in _SCALABLE:
+            if _d._impl(dspec).sums_terms:
                 # numeric tails: take the hint as-is rather than bisect for
                 # the minimum, as each probe sums on to its own stopping index
                 return hint, t, True
@@ -241,129 +233,97 @@ def _one_segments(
         n += 1
 
 
-def _finite_ones(rspec: _r.RewardSpec) -> bool:
-    """True when the reward is binary runs with no 1s past the stored
-    change points (even-length explicit list)."""
-    return (
-        _r.is_binary_runs(rspec)
-        and rspec.params[0] == "explicit"
-        and len(rspec.params[1]) % 2 == 0
-    )
-
-
 def _runs_value(
     rspec: _r.RewardSpec, dspec: _d.DiscountSpec, k: int, tol: float
 ) -> Tuple[Interval, Interval, int, bool]:
-    """(numerator, denominator, truncation, attained) for binary runs
-    against closed-form tails."""
-    tail_k = _d.gamma_tail(dspec, k, tol * 0.3 / (k + 1))
-    if not tail_k.lo > 0.0:
-        raise _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
-    if _finite_ones(rspec):
-        last = rspec.params[1][-1]
-        segs, _, _ = _one_segments(rspec, k, last)
-        tail_rest = Interval.exact(0.0)
-        n_trunc, attained = max(last - 1, k), True
-    else:
-        cap = _N_CAP_SCALABLE if dspec.family in _SCALABLE else guard_index()
-        n_trunc, tail_rest, attained = _truncation_index(dspec, k, tail_k, tol, cap)
-        segs, end, capped = _one_segments(rspec, k, n_trunc, cap=_SEG_CAP)
-        if capped:
-            n_trunc = end - 1
-            tail_rest = _d.gamma_tail(dspec, end, 0.25 * tol * tail_k.lo)
-            attained = tail_rest.hi <= tol * tail_k.lo
-            if not attained and len(segs) > _SEG_FALLBACK:
-                # the tolerance is out of reach by exhaustion; a short
-                # prefix yields the same verdict without paying for one
-                # closed-form tail evaluation per surviving boundary
-                end = segs[_SEG_FALLBACK][0]
-                segs = segs[:_SEG_FALLBACK]
-                n_trunc = end - 1
-                tail_rest = _d.gamma_tail(dspec, end, 0.25 * tol * tail_k.lo)
-    if segs:
-        bounds = sorted({x for seg in segs for x in seg})
-        masses = _d.segment_masses(dspec, bounds, tol * tail_k.lo)
-        starts = {a: i for i, a in enumerate(bounds[:-1])}
-        picked = []
-        for a, b in segs:
-            j = starts[a]
-            # a piece may span several bound gaps if runs touch
-            while bounds[j] != b:
-                picked.append(masses[j])
-                j += 1
-        s = _interval_sum(picked)
-    else:
-        s = Interval.exact(0.0)
-    numerator = Interval(max(s.lo, 0.0), s.hi + tail_rest.hi)
-    return numerator, tail_k, n_trunc, attained
+    """(numerator, denominator, truncation, attained) for binary runs.
 
-
-def _runs_value_shared_pass(
-    rspec: _r.RewardSpec, dspec: _d.DiscountSpec, k: int, tol: float
-) -> Tuple[Interval, Interval, int, bool]:
-    """Runs-path variant for discounts that sum their tails numerically:
-    numerator and denominator come from the same segment masses over
-    [k, N], read off the family's block table, so the two stay sharp."""
+    The numerator is the mass of the 1-run pieces in [k, N] plus the rest
+    past N. Runs never touch, so each piece is one gap of the sorted piece
+    bounds, whose masses come in the family's mass_form: tails (over
+    Gamma_k), blocks (gaps over [k, N+1) also sum to a sharp denominator)
+    or ratios to Gamma_k (over 1, immune to underflow). Once N covers the
+    last change point of an even-length explicit list no 1s remain: the
+    rest is dropped and the value attained.
+    """
     impl = _d._impl(dspec)
-    crude_lo = impl.tail_floor(k)
-    target = tol * crude_lo
-    guard = guard_index()
-    n_trunc = max(k, impl.index_for_tail_bound(target, k))
+    form = impl.mass_form
+    # an even-length explicit list has no 1s past its last change point
+    pts = rspec.params[1] if rspec.params[0] == "explicit" else ()
+    last = pts[-1] if pts and len(pts) % 2 == 0 else None
     attained = True
-    if n_trunc > guard:
-        n_trunc, attained = guard, False
-    segs, end, capped = _one_segments(rspec, k, n_trunc, cap=_SEG_CAP)
-    if capped:
-        n_trunc, attained = end - 1, False
-    one_bounds = {x for seg in segs for x in seg}
-    bounds = sorted(one_bounds | {k, n_trunc + 1})
-    masses = _d.segment_masses(dspec, bounds)
-    tail_rest = impl.tail_crude(n_trunc + 1)
-    denom = _interval_sum(masses) + tail_rest
-    starts = {a: i for i, a in enumerate(bounds[:-1])}
-    picked = []
-    for a, b in segs:
-        j = starts[a]
-        while bounds[j] != b:
-            picked.append(masses[j])
-            j += 1
-    s = _interval_sum(picked)
-    # no 1s remain past the stored change points: the numerator is exact
-    finite_done = _finite_ones(rspec) and rspec.params[1][-1] <= n_trunc + 1
-    slack = 0.0 if finite_done else tail_rest.hi
-    if finite_done:
-        attained = True
-    numerator = Interval(max(s.lo, 0.0), s.hi + slack)
-    return numerator, denom, n_trunc, attained
-
-
-def _geometric_value(
-    rspec: _r.RewardSpec, dspec: _d.DiscountSpec, k: int, tol: float
-) -> Tuple[Interval, Interval, int, bool, str]:
-    """Geometric discounting in relative form: every weight enters as
-    Gamma_j / Gamma_k = g**(j-k), so the value stays computable at
-    indices where the absolute weights underflow to zero.  The
-    denominator is exactly 1 by construction."""
-    impl = _d._impl(dspec)
-    # g**d <= tol/2 leaves room for the arithmetic pads
-    d_tail = int(math.ceil(math.log(0.5 * tol) / math.log(impl.g))) + 1
-    n_trunc = k + max(d_tail, 1)
-    one = Interval.exact(1.0)
-    if _r.is_binary_runs(rspec):
-        if _finite_ones(rspec):
+    if form == "ratios":
+        denom = Interval.exact(1.0)
+        n_trunc = _ratio_truncation(impl, k, tol)
+        if last is not None:
             # covering the whole stored list costs only len(list)/2 ratio
             # evaluations and makes the numerator exact (zero slack)
-            n_trunc = max(n_trunc, rspec.params[1][-1] - 1)
-        segs, _, _ = _one_segments(rspec, k, n_trunc)
-        parts = [
-            impl.tail_ratio(a, k) - impl.tail_ratio(b, k) for a, b in segs
-        ]
-        s = _interval_sum(parts)
-        finite_done = _finite_ones(rspec) and rspec.params[1][-1] <= n_trunc + 1
-        slack = 0.0 if finite_done else impl.tail_ratio(n_trunc + 1, k).hi
-        numerator = Interval(max(s.lo, 0.0), s.hi + slack)
-        return numerator, one, n_trunc, True, "runs"
-    # dense relative sum: gamma_i / Gamma_k = g**(i-k) (1-g)
+            n_trunc = max(n_trunc, last - 1)
+    elif form == "blocks":
+        target = tol * impl.tail_crude(k).lo
+        n_trunc = max(k, impl.index_for_tail_bound(target, k))
+        if n_trunc > guard_index():
+            n_trunc, attained = guard_index(), False
+    else:
+        denom = _d.gamma_tail(dspec, k, tol * 0.3 / (k + 1))
+        if not denom.lo > 0.0:
+            raise _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
+        target = tol * denom.lo
+        if last is not None:
+            n_trunc, rest = max(last - 1, k), Interval.exact(0.0)
+        else:
+            cap = guard_index() if impl.sums_terms else _N_CAP
+            n_trunc, rest, attained = _truncation_index(dspec, k, denom, tol, cap)
+    segs, end, capped = _one_segments(
+        rspec, k, n_trunc, cap=None if form == "ratios" else _SEG_CAP
+    )
+    if capped and form == "blocks":
+        n_trunc, attained = end - 1, False
+    elif capped:
+        rest = _d.gamma_tail(dspec, end, 0.25 * tol * denom.lo)
+        attained = rest.hi <= target
+        if not attained and len(segs) > _SEG_FALLBACK:
+            # the tolerance is out of reach by exhaustion; a short prefix
+            # yields the same verdict without paying for one closed-form
+            # tail evaluation per surviving boundary
+            end, segs = segs[_SEG_FALLBACK][0], segs[:_SEG_FALLBACK]
+            rest = _d.gamma_tail(dspec, end, 0.25 * tol * denom.lo)
+        n_trunc = end - 1
+
+    bounds = {x for seg in segs for x in seg}
+    if form == "blocks":
+        bounds |= {k, n_trunc + 1}
+    bounds = sorted(bounds)
+    if form == "ratios":
+        rest = impl.tail_ratio(n_trunc + 1, k)
+        ratios = [impl.tail_ratio(b, k) for b in bounds]
+        masses = [a - b for a, b in zip(ratios, ratios[1:])]
+    else:
+        masses = _d.segment_masses(dspec, bounds, target) if bounds else []
+    if form == "blocks":
+        rest = impl.tail_crude(n_trunc + 1)
+        denom = _interval_sum(masses) + rest
+    gap = {a: j for j, a in enumerate(bounds)}
+    s = _interval_sum([masses[gap[a]] for a, _ in segs])
+    finite_done = last is not None and last <= n_trunc + 1
+    numerator = Interval(max(s.lo, 0.0), s.hi + (0.0 if finite_done else rest.hi))
+    return numerator, denom, n_trunc, attained or finite_done
+
+
+def _ratio_truncation(impl: "_d._Base", k: int, tol: float) -> int:
+    """k + d with g**d <= tol/2, which leaves room for the arithmetic pads."""
+    d_tail = int(math.ceil(math.log(0.5 * tol) / math.log(impl.g))) + 1
+    return k + max(d_tail, 1)
+
+
+def _dense_relative(
+    rspec: _r.RewardSpec, impl: "_d._Base", k: int, tol: float
+) -> Tuple[Interval, int]:
+    """(numerator, truncation) of the dense sum in ratio form: every weight
+    enters as gamma_i / Gamma_k = (Gamma_i / Gamma_k) (1 - g), so the value
+    stays computable where the absolute weights underflow to zero. The
+    denominator is exactly 1."""
+    n_trunc = _ratio_truncation(impl, k, tol)
     parts = []
     for i in range(k, n_trunc + 1):
         r_i = _r.reward_at(rspec, i)
@@ -371,7 +331,7 @@ def _geometric_value(
             parts.append(impl.tail_ratio(i, k) * impl.one_minus_g * r_i)
     s = _interval_sum(parts)
     numerator = Interval(max(s.lo, 0.0), s.hi + impl.tail_ratio(n_trunc + 1, k).hi)
-    return numerator, one, n_trunc, True, "dense"
+    return numerator, n_trunc
 
 
 def disc_value_detail(
@@ -382,6 +342,12 @@ def disc_value_detail(
     strict: bool = True,
 ) -> ValueDetail:
     """V_{kg} as an enclosure with diagnostics.
+
+    Paths: constant and product_zero are exact. Binary-run rewards take
+    the runs path (_runs_value) when the family has a mass_form (tails,
+    blocks or ratios); the rest are summed densely, in ratio form for a
+    ratios family. Only the structural product_zero test reads a family
+    name.
 
     strict=True raises InconclusiveEnclosure when tol is unattainable
     within the work guard; strict=False returns the best achieved
@@ -400,18 +366,13 @@ def disc_value_detail(
         iv = Interval.exact(0.0)
         return ValueDetail(iv, iv, 0, "product_zero", True)
 
-    if dspec.family == "geometric":
-        numerator, denom, n_trunc, attained, path = _geometric_value(
-            rspec, dspec, k, tol
-        )
-    elif _r.is_binary_runs(rspec) and dspec.family != "alternating_zero":
+    impl = _d._impl(dspec)
+    if _r.is_binary_runs(rspec) and impl.mass_form is not None:
         path = "runs"
-        if hasattr(_d._impl(dspec), "segment_masses"):
-            numerator, denom, n_trunc, attained = _runs_value_shared_pass(
-                rspec, dspec, k, tol
-            )
-        else:
-            numerator, denom, n_trunc, attained = _runs_value(rspec, dspec, k, tol)
+        numerator, denom, n_trunc, attained = _runs_value(rspec, dspec, k, tol)
+    elif impl.mass_form == "ratios":
+        path, denom, attained = "dense", Interval.exact(1.0), True
+        numerator, n_trunc = _dense_relative(rspec, impl, k, tol)
     else:
         path = "dense"
         tail_k = _d.gamma_tail(dspec, k, tol * 0.3 / (k + 1))

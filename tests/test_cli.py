@@ -289,6 +289,22 @@ def test_output_file_matches_stdout_format(tmp_path, capsys) -> None:
     assert len(rows) == 3
 
 
+def test_low_guard_reaches_commands_not_import(monkeypatch) -> None:
+    # the worked examples are built on first use, so a guard too low for
+    # example 6's patched discount only stops the commands that need it
+    monkeypatch.setenv("HORIZONLAB_GUARD", "5000")
+    base = [sys.executable, "-m", "horizonlab.cli"]
+    table = subprocess.run(base + ["table", "--discount", "cosine", "--k", "4000"],
+                           capture_output=True, text=True)
+    assert table.returncode == 0
+    assert "Traceback" not in table.stderr and table.stdout.startswith("family")
+    verify = subprocess.run(base + ["verify", "--example", "5"],
+                            capture_output=True, text=True)
+    assert verify.returncode == 5
+    assert "Traceback" not in verify.stderr
+    assert verify.stderr.startswith("work guard exceeded:")
+
+
 def test_repeat_runs_are_byte_identical() -> None:
     argv = [sys.executable, "-m", "horizonlab.cli", "table",
             "--discount", "step-log", "--discount", "power:1.0",

@@ -398,3 +398,18 @@ def test_equal_specs_share_one_family_object() -> None:
     assert hash(scaled) == hash(dataclasses.replace(spec, scale=2.5))
     assert "_family" not in repr(h.quadratic()) and "_twin" not in repr(scaled)
     assert set(d.spec_to_dict(scaled)) == {"family", "params", "scale"}
+
+
+def test_custom_tails_equal_sequential_reversed_sum() -> None:
+    rng = np.random.default_rng(11)
+    table = (rng.random(5000) * 10.0 ** rng.uniform(-20, 0, 5000)).tolist()
+    impl = d._impl(d.custom(table))
+    expected = [0.0]
+    for g in reversed(table):  # suffix sums, added one term at a time from the end
+        expected.append(expected[-1] + g)
+    expected.reverse()
+    assert [x.hex() for x in impl._suffix] == [x.hex() for x in expected]
+    assert all(type(x) is float for x in impl._suffix)
+    assert impl.monotone is False
+    assert d._impl(d.custom(sorted(table, reverse=True))).monotone is True
+    assert d._impl(d.custom([0.5, 0.5, 0.25])).monotone is True  # ties are monotone
