@@ -181,12 +181,20 @@ def _rel_pad_iv(value: float, rel: float) -> Interval:
     return Interval.widened(value - pad, value + pad)
 
 
-def _pow_iv(base: float, expo: float) -> Interval:
-    """Enclosure of base**expo for base > 0.
+def _pow_iv(base, expo: float) -> Interval:
+    """Enclosure of base**expo for base > 0, a float or an int of any size.
 
     pow is assumed faithful to 1 ulp; the exponent itself may carry one
-    rounding whose effect scales with |ln base|, hence the log factor.
+    rounding whose effect scales with |ln base|, hence the log factor. An
+    int past 2**1000 goes through exp(expo ln base): ln of an int is good
+    to an ulp, so the product errs by at most 2u |expo ln base|, which exp
+    turns into a relative error.
     """
+    if isinstance(base, int):
+        if base >= 1 << 1000:
+            x = expo * math.log(base)
+            return _rel_pad_iv(math.exp(x), _U * (8.0 + 4.0 * abs(x)))
+        base = float(base)
     y = base**expo
     rel = _U * (8.0 + 2.0 * abs(math.log(base)))
     return _rel_pad_iv(y, rel)
@@ -209,6 +217,10 @@ class _Base:
         None: no runs path; V is summed densely.
     sums_terms: False (default) when tails cost O(polylog k), so truncation
         indices may pass the work guard; True when tails sum terms.
+    monotone: True only when gamma is provably nonincreasing. V's rest
+        enclosure by summation by parts (value._rest_enclosure) relies on
+        it; the cosine and alternating families are False, and patched and
+        custom decide per spec.
     """
 
     name = "?"
@@ -428,7 +440,37 @@ class _Quadratic(_Base):
         return (True, True, "k gamma_k / Gamma_k = k/(k+1) in (1/2, 1); reciprocal in (1, 2)")
 
 
-class _Power(_Base):
+class _Integrable(_Base):
+    """A family with gamma_i = f(i) for a nonincreasing f whose integral
+    tail F(x) = int_x^inf f has a closed form (integral_tail).
+
+    As f(i+1) <= int_i^{i+1} f <= f(i), for a < b
+
+        F(a) - F(b) <= sum_{a<=i<b} gamma_i <= F(a) - F(b) + gamma_a - gamma_b,
+
+    and the slack gamma_a - gamma_b telescopes: over consecutive segments
+    from k it sums to at most gamma_k, where tail differences carry
+    gamma_a + gamma_b each.
+    """
+
+    def integral_tail(self, k: int) -> Interval:
+        raise NotImplementedError
+
+    def segment_masses(self, bounds: Sequence[int], target: Optional[float] = None) -> List[Interval]:
+        big = [self.integral_tail(b) for b in bounds]
+        g = [self.gamma_iv(b) for b in bounds]
+        out = []
+        for j in range(len(bounds) - 1):
+            # both brackets are >= 0, so each of the four roundings errs by
+            # at most half an ulp of the result; widened adds four
+            lo = big[j].lo - big[j + 1].hi
+            hi = (big[j].hi - big[j + 1].lo) + (g[j].hi - g[j + 1].lo)
+            iv = Interval.widened(lo, hi)
+            out.append(Interval(max(iv.lo, 0.0), max(iv.hi, 0.0)))
+        return out
+
+
+class _Power(_Integrable):
     name = "power"
 
     def __init__(self, eps: float) -> None:
@@ -438,11 +480,15 @@ class _Power(_Base):
         return float(k) ** (-1.0 - self.eps)
 
     def gamma_iv(self, k: int) -> Interval:
-        return _pow_iv(float(k), -1.0 - self.eps)
+        return _pow_iv(k, -1.0 - self.eps)
+
+    def integral_tail(self, k: int) -> Interval:
+        """int_k^inf x^(-1-eps) dx = k^(-eps) / eps."""
+        return _pow_iv(k, -self.eps) / Interval.exact(self.eps)
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         # integral sandwich: int_k^inf x^(-1-eps) dx <= Gamma_k <= gamma_k + integral
-        integral = _pow_iv(float(k), -self.eps) / Interval.exact(self.eps)
+        integral = self.integral_tail(k)
         hi = (self.gamma_iv(k) + integral).hi
         return Interval(integral.lo, hi)
 
@@ -460,7 +506,7 @@ class _Power(_Base):
         return (True, True, "k gamma_k / Gamma_k tends to eps; both ratios bounded")
 
 
-class _HarmonicLike(_Base):
+class _HarmonicLike(_Integrable):
     name = "harmonic_like"
 
     def gamma(self, k: int) -> float:
@@ -485,9 +531,17 @@ class _HarmonicLike(_Base):
         # 1/ln k <= Gamma_k <= gamma_k + 1/ln k    (k >= 2)
         if k == 1:
             return self.gamma_iv(1) + self.tail(2)
-        inv_ln = Interval.exact(1.0) / _log_iv(k)
+        inv_ln = self.integral_tail(k)
         hi = (self.gamma_iv(k) + inv_ln).hi
         return Interval(inv_ln.lo, hi)
+
+    def integral_tail(self, k: int) -> Interval:
+        """int_k^inf dx / (x ln^2 x) = 1 / ln k for k >= 2. At k = 1 it is
+        gamma_1 + 1/ln 2: with gamma_1 = gamma_2 the segment sandwich then
+        holds from a = 1 as well."""
+        if k == 1:
+            return self.gamma_iv(1) + self.integral_tail(2)
+        return Interval.exact(1.0) / _log_iv(k)
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
         kf = np.where(ks == 1, 2, ks).astype(np.float64)
@@ -824,6 +878,7 @@ class _Patched(_Base):
         if not segments or segments[-1].end != 0:
             raise ValueError("patched spec needs a final infinite segment")
         self.segments = segments
+        self.monotone = self._joins_descend()
         self._suffix: List[Interval] = []  # mass from segment j's start to infinity
         # one block table per harmonic stretch, keyed by its start
         self._harm = {s.start: self._harm_table(s) for s in segments if s.kind == "harmonic"}
@@ -846,6 +901,28 @@ class _Patched(_Base):
 
     def gamma(self, k: int) -> float:
         return self._seg_gamma(self.segments[self._seg_index(k)], k)
+
+    def _joins_descend(self) -> bool:
+        """Whether gamma is provably nonincreasing.
+
+        Inside a stretch it decreases: g**(k - start) for 0 < g < 1, and the
+        shape 1/(k ln^2 k) for k >= 2. So it suffices that every stretch
+        starts at most at the least value the previous one can take at its
+        end; that value carries a handful of roundings, well inside 32 u.
+        build_patched continues each stretch by its own formula one index
+        on, a drop of a relative 1 - g or about 1/end (end <= the guard),
+        so its specs pass; a hand-made spec that jumps up does not.
+        """
+        segs = self.segments
+        if any(s.kind == "geometric" and not 0.0 < s.g < 1.0 for s in segs):
+            return False
+        if any(s.kind == "harmonic" and s.start < 2 for s in segs):
+            return False
+        for prev, seg in zip(segs, segs[1:]):
+            end = _rel_pad_iv(self._seg_gamma(prev, prev.end), 32 * _U)
+            if not seg.gamma_start <= end.lo:
+                return False
+        return True
 
     def _seg_mass(self, seg: PatchedSegment, k: int) -> Interval:
         """Mass of gamma over [k, seg.end], or [k, inf) for the final segment."""
@@ -896,6 +973,15 @@ class _Patched(_Base):
 
 
 class _Custom(_Base):
+    """Table weights, then an optional tail model anchored at the last one.
+
+    monotone holds exactly when the table is nonincreasing: the floats
+    are the weights themselves, and both continuations start below the
+    anchor and decrease (anchor g^(k-K) with 0 < g < 1, anchor
+    (k/K)^(-1-p) with p > 0). Without a tail model nothing past the table
+    is defined, and V there raises as before.
+    """
+
     name = "custom"
 
     def __init__(self, gammas: Tuple[float, ...], tail_model: Optional[Tuple]) -> None:

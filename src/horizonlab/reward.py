@@ -119,29 +119,26 @@ def reward_at(spec: RewardSpec, k: int) -> float:
     if gen == "explicit":
         pts = spec.params[1]
         return float(bisect_right(pts, k) % 2)
-    kn, mn = _run_containing(spec, k)
+    kn, mn = change_points(spec, run_index(spec, k))
     return 1.0 if kn <= k < mn else 0.0
 
 
-def _run_containing(spec: RewardSpec, k: int) -> Tuple[int, int]:
-    """(k_n, m_n) of the run block [k_n, k_{n+1}) containing k."""
-    gen = spec.params[0]
+def run_index(spec: RewardSpec, k: int) -> int:
+    """The n with k_n <= k < k_{n+1}: the run block containing k, in closed form.
+
+    Linear runs: k_n = 2n^2 - 3n + 2 <= k iff n <= (3 + sqrt(8k - 7)) / 4,
+    and no integer lies strictly between isqrt(8k - 7) and sqrt(8k - 7),
+    so n = (3 + isqrt(8k - 7)) // 4 exactly. Exponential runs:
+    k_n = 4^(n-1) <= k < 4^n, so n - 1 = floor(log_4 k).
+    """
+    if k < 1:
+        raise ValueError("index k must be >= 1")
+    gen = spec.params[0] if is_binary_runs(spec) else None
     if gen == "linear":
-        # k_n = 2n^2 - 3n + 2 <= k: solve the quadratic, then correct
-        n = max(1, (3 + math.isqrt(max(8 * k - 7, 1))) // 4)
-        while _linear_k(n + 1) <= k:
-            n += 1
-        while n > 1 and _linear_k(n) > k:
-            n -= 1
-        return _linear_k(n), _linear_m(n)
+        return (3 + math.isqrt(8 * k - 7)) // 4
     if gen == "exponential":
-        n = max(1, ((k.bit_length() - 1) // 2) + 1)
-        while 4**n <= k:
-            n += 1
-        while n > 1 and 4 ** (n - 1) > k:
-            n -= 1
-        return 4 ** (n - 1), 2 * 4 ** (n - 1)
-    raise ValueError(f"not a generated run family: {gen}")
+        return (k.bit_length() + 1) // 2
+    raise ValueError("run index is defined for generated run families only")
 
 
 def _linear_k(n: int) -> int:
@@ -162,7 +159,7 @@ def change_points(spec: RewardSpec, n: int) -> Tuple[int, int]:
     if gen == "linear":
         return _linear_k(n), _linear_m(n)
     if gen == "exponential":
-        return 4 ** (n - 1), 2 * 4 ** (n - 1)
+        return 1 << (2 * n - 2), 1 << (2 * n - 1)
     pts = spec.params[1]
     if 2 * n > len(pts):
         raise ValueError(f"run {n} beyond stored change points")
@@ -198,8 +195,8 @@ def ones_count(spec: RewardSpec, m: int) -> int:
     if m == 0:
         return 0
     gen = spec.params[0]
-    total = 0
     if gen == "explicit":
+        total = 0
         pts = spec.params[1]
         for i in range(0, len(pts), 2):
             kn = pts[i]
@@ -208,13 +205,82 @@ def ones_count(spec: RewardSpec, m: int) -> int:
             mn = pts[i + 1] if i + 1 < len(pts) else m + 1
             total += min(mn - 1, m) - kn + 1
         return total
-    n = 1
-    while True:
-        kn, mn = change_points(spec, n)
-        if kn > m:
-            return total
-        total += min(mn - 1, m) - kn + 1
-        n += 1
+    # runs before n hold sum_{j<n} A_j ones: (n-1)^2 for A_j = 2j - 1,
+    # (4^(n-1) - 1)/3 for A_j = 4^(j-1)
+    n = run_index(spec, m)
+    kn, mn = change_points(spec, n)
+    before = (n - 1) ** 2 if gen == "linear" else (kn - 1) // 3
+    return before + min(mn, m + 1) - kn
+
+
+# ---------------------------------------------------------------------------
+# Window envelopes
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WindowEnvelope:
+    """A bound on how far the partial sums of a reward stray from a mean.
+
+    With e_j = sum_{i<=j} (r_i - mean), every j >= 0 obeys
+    |e_j| <= a j^p + b. a encloses its constant, p is 0, 1/2 or 1, and
+    mean and b are exact. value._rest_enclosure turns this into an
+    enclosure of the discounted rewards past any index.
+    """
+
+    spec: RewardSpec
+    mean: Fraction
+    a: Interval
+    p: float
+    b: Fraction
+
+    def excess(self, j: int) -> Fraction:
+        """e_j, exactly."""
+        if is_binary_runs(self.spec):
+            return ones_count(self.spec, j) - self.mean * j
+        pat = [Fraction(x) for x in self.spec.params[0]]
+        # whole periods add exactly zero
+        return sum(pat[: j % len(pat)], Fraction(0)) - self.mean * (j % len(pat))
+
+
+def window_envelope(spec: RewardSpec) -> Optional[WindowEnvelope]:
+    """The partial-sum envelope of a reward family, or None (explicit
+    lists, custom tables and constants have none here).
+
+    Linear runs, mean 1/2, a = 1/sqrt 8, p = 1/2, b = 1: before run n
+    come (n-1)^2 ones among k_n - 1 = 2n^2 - 3n + 1 indices, so
+    e_{k_n - 1} = -(n-1)/2; e rises by 1/2 per index of the 1-run to n/2
+    at m_n - 1, then falls to -n/2 at k_{n+1} - 1. So |e_j| <= n/2 on
+    block n, and for n >= 2 (n - 2)^2 / 4 <= (2n^2 - 3n + 2) / 8 (that is
+    6 <= 5n) gives n/2 <= sqrt(j/8) + 1 for every j >= k_n; block 1 has
+    |e_j| <= 1/2.
+
+    Exponential runs, mean 1/2, a = 1/6, p = 1, b = 1/3: before run n
+    come (4^(n-1) - 1)/3 ones among j0 = 4^(n-1) - 1 indices, so
+    e_{j0} = -j0/6; e rises with slope 1/2 to j1/6 + 1/3 at
+    j1 = 2 * 4^(n-1) - 1, then falls with slope 1/2 to -j2/6 at
+    j2 = 4^n - 1. Both bounds have slope 1/6 < 1/2, so
+    -j/6 <= e_j <= j/6 + 1/3 for all j.
+
+    Periodic, mean = pattern sum / period, a = 0, p = 0: a whole period
+    adds zero to e, so e_j = e_{j mod P}, and b = max over one period of
+    |e_j| is exact.
+    """
+    if spec.family == "periodic":
+        pat = [Fraction(x) for x in spec.params[0]]
+        mean = sum(pat, Fraction(0)) / len(pat)
+        e, b = Fraction(0), Fraction(0)
+        for x in pat:
+            e += x - mean
+            b = max(b, abs(e))
+        return WindowEnvelope(spec, mean, Interval.exact(0.0), 0.0, b)
+    if not is_binary_runs(spec) or spec.params[0] == "explicit":
+        return None
+    half = Fraction(1, 2)
+    if spec.params[0] == "linear":
+        # sqrt is correctly rounded, so 1/sqrt 8 = sqrt(0.125) within one ulp
+        return WindowEnvelope(spec, half, Interval.rounded(math.sqrt(0.125)), 0.5, Fraction(1))
+    return WindowEnvelope(spec, half, Interval.rounded(1.0 / 6.0), 1.0, Fraction(1, 3))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,15 @@
 U_{1m} is the plain mean of r_1..r_m and U_{km} the windowed mean; both
 are computed exactly for binary sequences (integer counting) and by
 compensated summation otherwise. V_{kg} = (1/Gamma_k) sum_{i>=k} gamma_i r_i
-is returned as a rigorous enclosure: the series is truncated at the
-smallest N whose remaining discount mass is below tol * Gamma_k, the
-unseen rewards contribute [0, Gamma_{N+1}], and all arithmetic is
-outward rounded.
+is returned as a rigorous enclosure, with all arithmetic outward rounded:
+the terms up to a truncation index N are summed and the rewards past N
+are enclosed. On a nonincreasing discount, a reward whose partial sums
+keep near a mean (periodic, linear and exponential runs; see
+reward.window_envelope) gets the summation-by-parts enclosure of
+_rest_enclosure, and N is within 1/64 of the least index found whose
+enclosure is at most tol * Gamma_k / 2 wide. Otherwise the unseen rewards contribute
+[0, Gamma_{N+1}], with N the smallest index whose remaining discount
+mass is below tol * Gamma_k.
 
 Binary-run rewards take one runs path: the numerator is the discount
 mass of the 1-runs, read in the family's mass_form (tail differences,
@@ -18,7 +23,9 @@ form); disc_value_detail says how the path is picked.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -112,9 +119,12 @@ class ValueDetail:
     """disc_value result with diagnostics.
 
     interval: enclosure clamped to [0,1]; raw: pre-clamp enclosure;
-    truncation: last summed index N (0 for closed-form paths);
-    path: constant | product_zero | runs | dense; attained: whether the
-    requested tolerance was met before the guard index.
+    truncation: last summed index N (0 for closed-form paths); the
+    rewards past N enter as an enclosure of their discounted sum, of
+    width at most tol * Gamma_k when attained (module docstring);
+    path: constant | product_zero | runs | dense; attained: whether that
+    rest met the tolerance before the guard index (or, on the runs path,
+    the run budget _SEG_CAP).
     """
 
     interval: Interval
@@ -150,9 +160,10 @@ def _product_is_zero(rspec: _r.RewardSpec, dspec: _d.DiscountSpec) -> bool:
 # any quasi-horizon reachable in tests, small enough for cheap integers
 _N_CAP = 10**500
 
-# runs-path work bound: closed-form mass evaluations per value
+# runs-path work bound: 1-run pieces (closed-form mass evaluations) per value
 _SEG_CAP = 200_000
-_SEG_FALLBACK = 4_096
+
+_ONE = Interval.exact(1.0)
 
 
 def _truncation_index(
@@ -191,42 +202,172 @@ def _truncation_index(
     return lo, tail_at(lo + 1), True
 
 
-def _one_segments(
-    rspec: _r.RewardSpec, k: int, n_trunc: int, cap: Optional[int] = None
-) -> Tuple[List[Tuple[int, int]], int, bool]:
-    """Half-open 1-run pieces [a,b) intersected with [k, n_trunc + 1).
+def _int_times(n: int, iv: Interval) -> Interval:
+    """Enclosure of n x for x in iv, iv >= 0, n >= 0 an integer of any size.
 
-    Returns (pieces, end, capped): end is the first index not covered
-    (n_trunc + 1 normally); capped reports that the piece budget ran out
-    first, in which case end is pulled back to the last covered index.
+    n lies in [top, top + 1) 2^s with top < 2^53 exact, and scaling by 2^s
+    is exact short of overflow, where the bounds go to inf and to the
+    largest float.
     """
+    shift = max(n.bit_length() - 53, 0)
+    top = n >> shift
+    try:
+        hi = (top + (shift > 0)) * math.ldexp(iv.hi, shift)
+    except OverflowError:
+        hi = math.inf
+    try:
+        lo = min(top * math.ldexp(iv.lo, shift), sys.float_info.max)
+    except OverflowError:
+        lo = sys.float_info.max
+    return Interval.widened(lo, hi)
+
+
+def _q_times(q: Fraction, iv: Interval) -> Interval:
+    """Enclosure of q x for x in iv, iv >= 0, q an exact rational of any size."""
+    prod = _int_times(abs(q.numerator), iv) / _int_times(q.denominator, _ONE)
+    return -prod if q < 0 else prod
+
+
+def _sqrt_iv(n: int) -> Interval:
+    """Enclosure of sqrt(n) for an integer n >= 1."""
+    if n < 1 << 53:
+        return Interval.rounded(math.sqrt(n))  # n exact, sqrt correctly rounded
+    r = math.isqrt(n)
+    return Interval.widened(float(r), float(r + 1))
+
+
+def _rest_enclosure(
+    dspec: _d.DiscountSpec, env: _r.WindowEnvelope, m: int, hint: float
+) -> Interval:
+    """Enclosure of sum_{i>m} gamma_i r_i for nonincreasing gamma, by
+    summation by parts (Hutter, General Discounting versus Average
+    Reward, ALT 2006, section 4).
+
+    Let e_j = sum_{i<=j} (r_i - mu) with |e_j| <= a j^p + b (the reward's
+    WindowEnvelope). As r_i - mu = e_i - e_{i-1}, for every L > m
+
+        sum_{m<i<=L} gamma_i r_i = mu (Gamma_{m+1} - Gamma_{L+1})
+            - gamma_{m+1} e_m + gamma_L e_L + sum_{m<i<L} (gamma_i - gamma_{i+1}) e_i.
+
+    For summable nonincreasing gamma, (L/2) gamma_L <= Gamma_{ceil(L/2)}
+    tends to 0, and |e_L| <= (a + b) L, so gamma_L e_L vanishes. Each
+    gamma_i - gamma_{i+1} is >= 0, hence
+
+        sum_{i>m} gamma_i r_i = mu Gamma_{m+1} - gamma_{m+1} e_m
+                                +- [a S_p(m) + b gamma_{m+1}]
+
+    with S_p(m) = sum_{i>m} (gamma_i - gamma_{i+1}) i^p, summed by parts
+    again: S_0 = gamma_{m+1}; S_1 = (m+1) gamma_{m+1} + Gamma_{m+2};
+    S_1/2 = sqrt(m+1) gamma_{m+1} + sum_{i>m+1} gamma_i (sqrt i - sqrt(i-1))
+    <= sqrt(m+1) gamma_{m+1} + Gamma_{m+2} / (2 sqrt(m+1)), as
+    sqrt i - sqrt(i-1) <= 1 / (2 sqrt(i-1)). Only gamma_{m+1} and
+    Gamma_{m+2} are evaluated; Gamma_{m+1} is their sum. As 0 <= r_i <= 1
+    the result is also clipped to [0, Gamma_{m+1}].
+    """
+    g = _d.gamma_iv(dspec, m + 1)
+    t2 = _d.gamma_tail(dspec, m + 2, hint)
+    t1 = g + t2
+    if env.p == 0.0:
+        s = g
+    elif env.p == 1.0:
+        s = _int_times(m + 1, g) + t2
+    else:
+        root = _sqrt_iv(m + 1)
+        s = root * g + t2 / (root + root)
+    radius = (env.a * s + _q_times(env.b, g)).hi
+    iv = _q_times(env.mean, t1) - _q_times(env.excess(m), g) + Interval(-radius, radius)
+    return Interval(max(iv.lo, 0.0), min(iv.hi, t1.hi))
+
+
+def _enveloped_truncation(
+    dspec: _d.DiscountSpec, env: _r.WindowEnvelope, k: int, target: float, cap: int
+) -> Tuple[int, Interval, bool]:
+    """(M, rest, attained): an M in [k, max(cap, k)] whose _rest_enclosure
+    is at most target/2 wide, the rest past M, and whether the target was
+    met. The other half of the target is left to the enclosures of the
+    summed part.
+
+    M = k 2^e is tried for e = 1, 2, 4, ..., then bracketed by bit length
+    and bisected to within 1/64 of the least passing index found: about
+    2 log2(e) + 8 probes, however long M is. A family that sums its tails
+    first tries its tail hint, taken as-is when it passes (as in
+    _truncation_index).
+    """
+    seen: dict = {}
+
+    def ok(m: int) -> bool:
+        if m not in seen:
+            seen[m] = _rest_enclosure(dspec, env, m, 0.25 * target)
+        return seen[m].width <= 0.5 * target
+
+    cap = max(cap, k)
+    if _d._impl(dspec).sums_terms:
+        hint = _d.index_for_tail_bound(dspec, 0.5 * target, k)
+        if hint is not None and hint <= cap and ok(hint):
+            return hint, seen[hint], True
+    lo, hi, e = k, k, 1
+    while not ok(hi):
+        if hi >= cap:
+            return cap, seen[cap], False
+        lo, hi, e = hi, min(k << e, cap), 2 * e
+    while hi.bit_length() - lo.bit_length() >= 2:
+        mid = 1 << ((lo.bit_length() + hi.bit_length()) // 2 - 1)
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    while hi - lo > max(hi >> 6, 1):
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi, seen[hi], True
+
+
+def _truncate(
+    rspec: _r.RewardSpec,
+    dspec: _d.DiscountSpec,
+    k: int,
+    tail_k: Interval,
+    tol: float,
+    cap: int,
+) -> Tuple[int, Interval, bool]:
+    """(N, rest, attained): the truncation index, an enclosure of
+    sum_{i>N} gamma_i r_i and whether it met tol * Gamma_k. A reward with
+    a window envelope under a monotone discount gets _rest_enclosure; the
+    others get [0, Gamma_{N+1}]."""
+    env = _r.window_envelope(rspec) if _d._impl(dspec).monotone else None
+    if env is not None:
+        return _enveloped_truncation(dspec, env, k, tol * tail_k.lo, cap)
+    n_trunc, tail, attained = _truncation_index(dspec, k, tail_k, tol, cap)
+    return n_trunc, Interval(0.0, tail.hi), attained
+
+
+def _budget_end(rspec: _r.RewardSpec, k: int) -> Optional[int]:
+    """The index before the run that would add piece _SEG_CAP + 1 from k,
+    in closed form; None for explicit lists, whose runs are all stored."""
+    if rspec.params[0] == "explicit":
+        return None
+    n = _r.run_index(rspec, k)
+    if k >= _r.change_points(rspec, n)[1]:
+        n += 1  # k lies in a 0-run: the first piece is the next 1-run
+    return _r.change_points(rspec, n + _SEG_CAP)[0] - 1
+
+
+def _one_segments(rspec: _r.RewardSpec, k: int, n_trunc: int) -> List[Tuple[int, int]]:
+    """Half-open 1-run pieces [a,b) intersected with [k, n_trunc + 1)."""
     end = n_trunc + 1
     segs: List[Tuple[int, int]] = []
-    gen = rspec.params[0]
-    if gen == "explicit":
+    if rspec.params[0] == "explicit":
         pts = list(rspec.params[1])
-        open_tail = len(pts) % 2 == 1
         pairs = [(pts[i], pts[i + 1]) for i in range(0, len(pts) - 1, 2)]
-        if open_tail:
+        if len(pts) % 2 == 1:
             pairs.append((pts[-1], end))
         for a, b in pairs:
             a2, b2 = max(a, k), min(b, end)
             if a2 < b2:
                 segs.append((a2, b2))
-        return segs, end, False
-    n = 1
-    if k > 1:
-        # jump near the run containing k instead of walking from n = 1
-        kn, _ = _r._run_containing(rspec, k)
-        while _r.change_points(rspec, n)[0] < kn:
-            n += 1
+        return segs
+    n = _r.run_index(rspec, k)
     while True:
         a, b = _r.change_points(rspec, n)
         if a >= end:
-            return segs, end, False
-        if cap is not None and len(segs) >= cap:
-            # stop at a run boundary so the uncovered part starts clean
-            return segs, a, True
+            return segs
         a2, b2 = max(a, k), min(b, end)
         if a2 < b2:
             segs.append((a2, b2))
@@ -242,15 +383,23 @@ def _runs_value(
     past N. Runs never touch, so each piece is one gap of the sorted piece
     bounds, whose masses come in the family's mass_form: tails (over
     Gamma_k), blocks (gaps over [k, N+1) also sum to a sharp denominator)
-    or ratios to Gamma_k (over 1, immune to underflow). Once N covers the
-    last change point of an even-length explicit list no 1s remain: the
-    rest is dropped and the value attained.
+    or ratios to Gamma_k (over 1, immune to underflow).
+
+    The rest is [0, Gamma_{N+1}], except in the tails form for a reward
+    with a WindowEnvelope (linear and exponential runs) and a
+    nonincreasing discount, where _rest_enclosure gives it and
+    _enveloped_truncation picks N. Once N
+    covers the last change point of an even-length explicit list no 1s
+    remain: the rest is dropped and the value attained. Generated runs
+    stop N before the run that would pass _SEG_CAP pieces (closed form,
+    _budget_end); a tolerance out of reach there is not attained.
     """
     impl = _d._impl(dspec)
     form = impl.mass_form
     # an even-length explicit list has no 1s past its last change point
     pts = rspec.params[1] if rspec.params[0] == "explicit" else ()
     last = pts[-1] if pts and len(pts) % 2 == 0 else None
+    budget_end = None if form == "ratios" else _budget_end(rspec, k)
     attained = True
     if form == "ratios":
         denom = Interval.exact(1.0)
@@ -264,38 +413,28 @@ def _runs_value(
         n_trunc = max(k, impl.index_for_tail_bound(target, k))
         if n_trunc > guard_index():
             n_trunc, attained = guard_index(), False
+        if budget_end is not None and n_trunc > budget_end:
+            n_trunc, attained = budget_end, False
     else:
         denom = _d.gamma_tail(dspec, k, tol * 0.3 / (k + 1))
         if not denom.lo > 0.0:
             raise _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
         target = tol * denom.lo
         if last is not None:
-            n_trunc, rest = max(last - 1, k), Interval.exact(0.0)
+            n_trunc, unseen = max(last - 1, k), Interval.exact(0.0)
         else:
             cap = guard_index() if impl.sums_terms else _N_CAP
-            n_trunc, rest, attained = _truncation_index(dspec, k, denom, tol, cap)
-    segs, end, capped = _one_segments(
-        rspec, k, n_trunc, cap=None if form == "ratios" else _SEG_CAP
-    )
-    if capped and form == "blocks":
-        n_trunc, attained = end - 1, False
-    elif capped:
-        rest = _d.gamma_tail(dspec, end, 0.25 * tol * denom.lo)
-        attained = rest.hi <= target
-        if not attained and len(segs) > _SEG_FALLBACK:
-            # the tolerance is out of reach by exhaustion; a short prefix
-            # yields the same verdict without paying for one closed-form
-            # tail evaluation per surviving boundary
-            end, segs = segs[_SEG_FALLBACK][0], segs[:_SEG_FALLBACK]
-            rest = _d.gamma_tail(dspec, end, 0.25 * tol * denom.lo)
-        n_trunc = end - 1
+            if budget_end is not None:
+                cap = min(cap, budget_end)
+            n_trunc, unseen, attained = _truncate(rspec, dspec, k, denom, tol, cap)
+    segs = _one_segments(rspec, k, n_trunc)
 
     bounds = {x for seg in segs for x in seg}
     if form == "blocks":
         bounds |= {k, n_trunc + 1}
     bounds = sorted(bounds)
     if form == "ratios":
-        rest = impl.tail_ratio(n_trunc + 1, k)
+        unseen = Interval(0.0, impl.tail_ratio(n_trunc + 1, k).hi)
         ratios = [impl.tail_ratio(b, k) for b in bounds]
         masses = [a - b for a, b in zip(ratios, ratios[1:])]
     else:
@@ -303,10 +442,15 @@ def _runs_value(
     if form == "blocks":
         rest = impl.tail_crude(n_trunc + 1)
         denom = _interval_sum(masses) + rest
+        unseen = Interval(0.0, rest.hi)
     gap = {a: j for j, a in enumerate(bounds)}
     s = _interval_sum([masses[gap[a]] for a, _ in segs])
     finite_done = last is not None and last <= n_trunc + 1
-    numerator = Interval(max(s.lo, 0.0), s.hi + (0.0 if finite_done else rest.hi))
+    if finite_done:
+        unseen = Interval.exact(0.0)
+    # the division by the denominator widens by 4 ulp, which covers the
+    # rounding of these two sums
+    numerator = Interval(max(s.lo + unseen.lo, 0.0), s.hi + unseen.hi)
     return numerator, denom, n_trunc, attained or finite_done
 
 
@@ -346,8 +490,9 @@ def disc_value_detail(
     Paths: constant and product_zero are exact. Binary-run rewards take
     the runs path (_runs_value) when the family has a mass_form (tails,
     blocks or ratios); the rest are summed densely, in ratio form for a
-    ratios family. Only the structural product_zero test reads a family
-    name.
+    ratios family. On the dense branch a periodic reward under a
+    monotone discount gets the rest of _rest_enclosure. Only the
+    structural product_zero test reads a family name.
 
     strict=True raises InconclusiveEnclosure when tol is unattainable
     within the work guard; strict=False returns the best achieved
@@ -378,11 +523,9 @@ def disc_value_detail(
         tail_k = _d.gamma_tail(dspec, k, tol * 0.3 / (k + 1))
         if not tail_k.lo > 0.0:
             raise _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
-        n_trunc, tail_rest, attained = _truncation_index(
-            dspec, k, tail_k, tol, guard_index()
-        )
+        n_trunc, unseen, attained = _truncate(rspec, dspec, k, tail_k, tol, guard_index())
         s = _dense_sum(rspec, dspec, k, n_trunc, tail_k)
-        numerator = Interval(max(s.lo, 0.0), s.hi + tail_rest.hi)
+        numerator = Interval(max(s.lo + unseen.lo, 0.0), s.hi + unseen.hi)
         denom = tail_k
 
     raw = numerator / denom
@@ -454,7 +597,7 @@ def _reward_vec(rspec: _r.RewardSpec, start: int, end: int) -> np.ndarray:
             raise ValueError(f"index {end} beyond custom reward table")
         return np.array(table[start - 1 : end], dtype=np.float64)
     out = np.zeros(n)
-    segs, _, _ = _one_segments(rspec, start, end)
+    segs = _one_segments(rspec, start, end)
     for a, b in segs:
         out[a - start : b - start] = 1.0
     return out

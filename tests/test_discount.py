@@ -413,3 +413,73 @@ def test_custom_tails_equal_sequential_reversed_sum() -> None:
     assert impl.monotone is False
     assert d._impl(d.custom(sorted(table, reverse=True))).monotone is True
     assert d._impl(d.custom([0.5, 0.5, 0.25])).monotone is True  # ties are monotone
+
+
+# -- integral sandwich of the closed-form slow families -------------------
+#
+# power and harmonic_like sum segments as F(a) - F(b) plus [0, gamma_a -
+# gamma_b], F the integral tail. Oracles are direct mpmath sums at 120 bits.
+
+_P53 = 2**53
+
+
+def _mp_gamma(spec, i: int):
+    if spec.family == "power":
+        return mpmath.mpf(i) ** (-1 - mpmath.mpf(spec.params[0]))
+    i = max(i, 2)  # harmonic_like: gamma_1 = gamma_2
+    return 1 / (i * mpmath.log(i) ** 2)
+
+
+def _linear_run_edges(n0: int, n1: int):
+    out = []
+    for n in range(n0, n1):
+        out.extend(h.change_points(h.linear_runs(), n))
+    return out
+
+
+@pytest.mark.parametrize("spec", [h.power(0.5), h.power(1.3), h.harmonic_like()],
+                         ids=["power0.5", "power1.3", "harmonic"])
+@pytest.mark.parametrize("bounds", [
+    [1, 2, 3, 7, 40],  # from k = 1 (harmonic_like's gamma_1 = gamma_2)
+    _linear_run_edges(20, 31),  # linear-run boundaries near k = 800..1900
+    [5000, 5001, 5077, 25_000],
+    [_P53 - 5, _P53 - 1, _P53, _P53 + 1, _P53 + 3, _P53 + 1000],
+    [3 * _P53 + 1, 3 * _P53 + 2, 3 * _P53 + 600],
+    [2**1100, 2**1100 + 1, 2**1100 + 40],  # past the float range
+])
+def test_sandwich_masses_contain_mpmath_sums(spec, bounds) -> None:
+    masses = d.segment_masses(spec, bounds)
+    with mpmath.workprec(120):
+        for (a, b), iv in zip(zip(bounds, bounds[1:]), masses):
+            exact = mpmath.fsum(_mp_gamma(spec, i) for i in range(a, b))
+            assert _contains(iv, exact), (a, b, iv, exact)
+        # Gamma_b lies between the integral from b and that plus gamma_b
+        for b, iv in zip(bounds[1:], d.gamma_tail_batch(spec, bounds[1:])):
+            eps = mpmath.mpf(spec.params[0]) if spec.family == "power" else None
+            big = b**-eps / eps if eps else 1 / mpmath.log(b)
+            assert mpmath.mpf(iv.lo) <= big and big + _mp_gamma(spec, b) <= mpmath.mpf(iv.hi)
+
+
+@pytest.mark.parametrize("spec", [h.power(0.5), h.harmonic_like()], ids=["power", "harmonic"])
+@pytest.mark.parametrize("k", [81, 3600])
+def test_sandwich_slack_telescopes_to_gamma_k(spec, k: int) -> None:
+    # consecutive segments from k: the widths add up to at most gamma_k,
+    # where tail differences would carry gamma_a + gamma_b per segment
+    bounds = [k + j * (j + 1) // 2 for j in range(400)]
+    widths = sum(iv.width for iv in d.segment_masses(spec, bounds))
+    assert widths <= 1.001 * d.gamma(spec, k)
+    tails = d.gamma_tail_batch(spec, bounds)
+    assert sum((a - b).width for a, b in zip(tails, tails[1:])) > 10 * widths
+
+
+def test_patched_monotone_flag_is_checked_at_the_joins() -> None:
+    built = d.build_patched([1, 2])
+    assert d.is_monotone_family(built)
+    segs = list(built.params[0])
+    assert d.check_monotone(built, segs[-1].start + 10).monotone
+    # a stretch that starts above where the previous one ended
+    first, second = segs[0], segs[1]
+    jump = dataclasses.replace(second, gamma_start=3.0 * first.gamma_start * first.g ** (first.end - first.start))
+    bumped = d.DiscountSpec("patched", (tuple([first, jump] + segs[2:]),))
+    assert not d.is_monotone_family(bumped)
+    assert not d.check_monotone(bumped, second.start + 1).monotone

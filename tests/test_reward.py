@@ -10,13 +10,17 @@ a_n/b_n = n/(n-1) + o(1), which is what the numbers actually show.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import horizonlab as h
 import horizonlab.discount as d
 import horizonlab.reward as r
 from horizonlab import Interval
+
+import oracles
 
 
 # -- pointwise rewards --------------------------------------------------
@@ -100,6 +104,101 @@ def test_reward_membership_matches_change_points() -> None:
         for k in range(1, spans[-1][1]):
             expected = 1.0 if any(a <= k < b for a, b in spans) else 0.0
             assert r.reward_at(spec, k) == expected, (spec.family, k)
+
+
+# -- closed-form run index ---------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [h.linear_runs(), h.exponential_runs()])
+def test_run_index_matches_the_walk_up_to_a_million(spec) -> None:
+    n, nxt = 1, r.change_points(spec, 2)[0]
+    for k in range(1, 10**6 + 1):
+        while k >= nxt:
+            n += 1
+            nxt = r.change_points(spec, n + 1)[0]
+        assert r.run_index(spec, k) == n, k
+
+
+@pytest.mark.parametrize("spec", [h.linear_runs(), h.exponential_runs()])
+@pytest.mark.parametrize("n", [10**6, 10**9 + 7, 10**20, 2**200 + 3])
+def test_run_index_at_huge_run_edges(spec, n: int) -> None:
+    if spec.params[0] == "exponential" and n > 10**6:
+        n = n.bit_length()  # 4^(n-1) is already astronomically large
+    k_n, m_n = r.change_points(spec, n)
+    k_next = r.change_points(spec, n + 1)[0]
+    assert r.run_index(spec, k_n) == n
+    assert r.run_index(spec, k_n - 1) == n - 1
+    assert r.run_index(spec, m_n) == n
+    assert r.run_index(spec, k_next - 1) == n
+    assert r.run_index(spec, k_next) == n + 1
+
+
+def test_run_index_needs_a_generated_run_family() -> None:
+    with pytest.raises(ValueError):
+        r.run_index(h.explicit_change_points([3, 5]), 4)
+
+
+@pytest.mark.parametrize("spec", [h.linear_runs(), h.exponential_runs()])
+def test_ones_count_matches_a_direct_count(spec) -> None:
+    total = 0
+    for m in range(1, 20001):
+        total += int(r.reward_at(spec, m))
+        assert r.ones_count(spec, m) == total, m
+
+
+# -- window envelopes ---------------------------------------------------
+
+
+def _twice_excess(bits: np.ndarray) -> np.ndarray:
+    """2 e_j = 2 (ones among r_1..r_j) - j for j = 1..len(bits), exact ints."""
+    j = np.arange(1, bits.size + 1, dtype=np.int64)
+    return 2 * np.cumsum(bits.astype(np.int64)) - j
+
+
+def test_linear_runs_envelope_holds_up_to_a_million() -> None:
+    env = r.window_envelope(h.linear_runs())
+    assert (env.mean, env.p, env.b) == (Fraction(1, 2), 0.5, 1)
+    assert env.a.lo ** 2 <= 0.125 <= env.a.hi ** 2
+    ks = np.arange(1, 10**6 + 1, dtype=np.int64)
+    two_e = _twice_excess(oracles.linear_bits(ks))
+    # |e| <= sqrt(j/8) + 1  <=>  |e| <= 1 or 2 (|2e| - 2)^2 <= j, in integers
+    over = np.maximum(np.abs(two_e) - 2, 0)
+    assert np.all(2 * over * over <= ks)
+    for j in (1, 2, 3, 7, 1000, 99_999, 10**6):
+        assert env.excess(j) == Fraction(int(two_e[j - 1]), 2)
+
+
+def test_exponential_runs_envelope_holds_up_to_a_million() -> None:
+    env = r.window_envelope(h.exponential_runs())
+    assert (env.mean, env.p, env.b) == (Fraction(1, 2), 1.0, Fraction(1, 3))
+    assert env.a.lo <= 1 / Fraction(6) <= env.a.hi
+    ks = np.arange(1, 10**6 + 1, dtype=np.int64)
+    two_e = _twice_excess(oracles.exponential_bits(ks))
+    # |e| <= j/6 + 1/3  <=>  3 |2e| <= j + 2; the bound is met at every 1-run end
+    assert np.all(3 * np.abs(two_e) <= ks + 2)
+    ends = [2 * 4**n - 1 for n in range(9)]
+    assert all(3 * two_e[j - 1] == j + 2 for j in ends)
+    for j in (1, 5, 4**9, 10**6):
+        assert env.excess(j) == Fraction(int(two_e[j - 1]), 2)
+
+
+@pytest.mark.parametrize("pattern", [
+    [1.0, 0.0, 1.0], [1.0], [0.0, 0.0, 1.0, 0.25], [0.3, 0.7, 0.1, 0.9, 0.5],
+])
+def test_periodic_envelope_is_exact_over_every_phase(pattern) -> None:
+    env = r.window_envelope(h.periodic(pattern))
+    pat = [Fraction(x) for x in pattern]
+    mean = sum(pat) / len(pat)
+    assert (env.mean, env.p) == (mean, 0.0) and env.a.hi == 0.0
+    excess = [sum(pat[:j % len(pat)]) + (j // len(pat)) * sum(pat) - mean * j
+              for j in range(4 * len(pat))]
+    assert env.b == max(abs(e) for e in excess)
+    assert [env.excess(j) for j in range(4 * len(pat))] == excess
+
+
+def test_explicit_lists_and_custom_rewards_have_no_envelope() -> None:
+    assert r.window_envelope(h.explicit_change_points([1, 4])) is None
+    assert r.window_envelope(r.custom_table([0.5])) is None
 
 
 # -- run masses ---------------------------------------------------------

@@ -9,7 +9,10 @@ oracles.py for spot cross-checks of discounted enclosures.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
 import horizonlab as h
@@ -232,3 +235,182 @@ def test_scan_serialization_helpers_are_consistent() -> None:
     rows = v.limit_estimate_csv_rows(est)
     assert rows[0][0] == "index"
     assert len(rows) - 1 == len(est.indices)
+
+
+# -- summation-by-parts rest on nonincreasing discounts --------------------
+#
+# The oracle shares no code with the package: a numpy brute-force head with
+# an explicit rounding budget (weights from oracles.py, reward bits from the
+# run-length definitions), then a bracket of the rest from the run structure,
+# as in the benchmark's checker. Its width is far below the package's, so
+# an overlap pins the package enclosure to the truth.
+
+_U = 2.0**-53
+
+
+def _oracle_weights(family: str, params: tuple, ks: np.ndarray) -> np.ndarray:
+    if family == "harmonic_like":
+        kf = np.maximum(ks, 2).astype(np.float64)
+        ln = np.log(kf)
+        return 1.0 / (kf * ln * ln)
+    return oracles.weight_vec(family, params, ks)
+
+
+def _oracle_tail(family: str, params: tuple, n: int):
+    """mpmath bracket of Gamma_n."""
+    if family == "harmonic_like":
+        ln = mpmath.log(n)
+        return 1 / ln, 1 / ln + 1 / (n * ln**2)
+    lo, hi = oracles.tail_bounds(family, params, n)
+    return mpmath.mpf(lo), mpmath.mpf(hi)
+
+
+def _brute(family: str, params: tuple, kind: str, k: int, end: int):
+    """Brackets of sum_{k<=i<=end} gamma_i r_i and of sum gamma_i."""
+    parts, weights = [], []
+    for start in range(k, end + 1, 1 << 20):
+        ks = np.arange(start, min(start + (1 << 20) - 1, end) + 1, dtype=np.int64)
+        w = _oracle_weights(family, params, ks)
+        parts.append(float(np.dot(w, oracles.reward_vec(kind, None, ks))))
+        weights.append(float(w.sum()))
+    total = math.fsum(weights)
+    err = mpmath.mpf((32 + end - k + len(weights) + 8) * _U * total)
+    s, t = mpmath.mpf(math.fsum(parts)), mpmath.mpf(total)
+    return (s - err, s + err), (t - err, t + err)
+
+
+def _linear_runs_oracle(family: str, params: tuple, k: int):
+    """V_k of linear runs: brute force up to the start s of an odd oracle run
+    J (run j has length j, odd runs hold the 1s), then the odd-run mass from
+    J on lies in [(G - E)/2, (G + m_J + E)/2] for nonincreasing gamma, with
+    G = Gamma_s, m_J <= J gamma_s and E = G/(J+1) (bench/check.py)."""
+    j = math.isqrt(2 * (k + (1 << 21)))
+    j += j % 2 == 0
+    s = j * (j - 1) // 2 + 1
+    with mpmath.workdps(40):
+        num, den = _brute(family, params, "linear", k, s - 1)
+        g_lo, g_hi = _oracle_tail(family, params, s)
+        gamma_s = mpmath.mpf(float(_oracle_weights(family, params, np.array([s]))[0]))
+        m_j = j * gamma_s * (1 + 64 * _U)
+        e = g_hi / (j + 1)
+        lo = (num[0] + (g_lo - e) / 2) / (den[1] + g_hi)
+        hi = (num[1] + (g_hi + m_j + e) / 2) / (den[0] + g_lo)
+        return float(lo), float(hi)
+
+
+def _exponential_harmonic_oracle(k: int):
+    """V_k of exponential runs under harmonic_like: oracle run j covers
+    [2^(j-1), 2^j), odd runs hold the 1s. Runs up to 2^1000 are bracketed
+    one by one by the integral sandwich; from the odd run 1001 on, run
+    masses do not increase (gamma_2i + gamma_2i+1 <= gamma_i), so the odd
+    runs carry between half of the tail and half of it plus run 1001."""
+    f = lambda x: 1 / (x * mpmath.log(x) ** 2)  # noqa: E731
+    big = lambda x: 1 / mpmath.log(x)  # noqa: E731
+    with mpmath.workdps(60):
+        lo = hi = mpmath.mpf(0)
+        for j in range(1, 1001, 2):
+            a, b = max(k, 2 ** (j - 1)), 2**j - 1
+            if a > b:
+                continue
+            lo += big(a) - big(b + 1)
+            hi += f(a) + big(a) - big(b)
+        g, m_next = big(2**1000), f(2**1000) + big(2**1000) - big(2**1001 - 1)
+        lo, hi = lo + g / 2, hi + (g + f(2**1000) + m_next) / 2
+        return float(lo / (big(k) + f(k))), float(hi / big(k))
+
+
+_LIN = h.linear_runs()
+# 1-run start, 0-run start and an index inside a run, at two scales
+_LIN_KS = [k for n in (7, 43) for k in (*r.change_points(_LIN, n), r.change_points(_LIN, n)[0] + 9)]
+
+
+@pytest.mark.parametrize("dspec,family,params", [
+    (h.quadratic(), "quadratic", ()),
+    (h.power(0.5), "power", (0.5,)),
+    (h.harmonic_like(), "harmonic_like", ()),
+    (h.step_log(), "step_log", ()),
+], ids=["quadratic", "power0.5", "harmonic", "step_log"])
+@pytest.mark.parametrize("k", _LIN_KS)
+def test_linear_runs_rest_enclosure_contains_the_oracle(dspec, family, params, k) -> None:
+    det = v.disc_value_detail(_LIN, dspec, k, tol=1e-3)
+    assert det.path == "runs" and det.attained
+    lo, hi = _linear_runs_oracle(family, params, k)
+    assert hi - lo < 0.6 * det.interval.width, (lo, hi, det.interval)
+    assert det.interval.lo <= hi and lo <= det.interval.hi, (det.interval, (lo, hi))
+
+
+@pytest.mark.parametrize("k", [4096, 5000, 8192, 70_000])
+def test_exponential_runs_harmonic_rest_contains_the_oracle(k: int) -> None:
+    det = v.disc_value_detail(h.exponential_runs(), h.harmonic_like(), k, tol=0.05 / 3)
+    assert det.attained
+    # bit length of the truncation: the parent's [0, Gamma] rest needed about
+    # ln N >= ln(k) / tol; the band of width 1/3 needs a fraction of that
+    assert det.truncation.bit_length() < 0.8 * math.log(k) / (0.05 / 3) / math.log(2)
+    lo, hi = _exponential_harmonic_oracle(k)
+    assert hi - lo < 0.25 * det.interval.width, (lo, hi, det.interval)
+    assert det.interval.lo <= hi and lo <= det.interval.hi, (det.interval, (lo, hi))
+
+
+def test_linear_harmonic_is_attained_with_few_run_evaluations(monkeypatch) -> None:
+    # the parent enumerated 200,019 runs here and still missed the tolerance
+    calls = []
+    change_points = r.change_points
+
+    def counted(spec, n):
+        calls.append(n)
+        return change_points(spec, n)
+
+    monkeypatch.setattr(r, "change_points", counted)
+    det = v.disc_value_detail(_LIN, h.harmonic_like(), 600, tol=1e-3, strict=False)
+    assert det.attained
+    assert len(calls) < 5000
+
+
+def _periodic_step_log_value(pattern, k: int, blocks: int = 200) -> Fraction:
+    """V_k of a 0/1 pattern under step_log, block by block: block n
+    (2^(n-1) < i <= 2^n, weight 4^-n) holds a count of ones fixed by the
+    residues. Blocks past n = blocks weigh 2^-(blocks+1) in all, so the
+    result is exact to a relative 2^(n_k - blocks) for k in block n_k."""
+    p = len(pattern)
+    ones = [j + 1 for j, x in enumerate(pattern) if x]  # residues i mod p, 1-based
+
+    def count(x: int) -> int:  # ones among r_1..r_x
+        full, rem = divmod(x, p)
+        return full * len(ones) + sum(1 for j in ones if j <= rem)
+
+    n_k = (k - 1).bit_length()
+    num = Fraction(count(2**n_k) - count(k - 1), 4**n_k)
+    num += sum(Fraction(count(2**n) - count(2 ** (n - 1)), 4**n) for n in range(n_k + 1, blocks + 1))
+    den = (2**n_k - k + 1) * Fraction(1, 4**n_k) + Fraction(1, 2 ** (n_k + 1))
+    return num / den
+
+
+def test_periodic_step_log_dense_branch_contains_the_exact_value() -> None:
+    truth = _periodic_step_log_value([1, 0, 1], 64, blocks=2000)
+    assert abs(truth - Fraction(37, 55)) < Fraction(1, 2**1900)
+    det = v.disc_value_detail(h.periodic([1.0, 0.0, 1.0]), h.step_log(), 64, tol=1e-6)
+    assert det.path == "dense" and det.attained
+    assert det.interval.lo <= 37 / 55 <= det.interval.hi
+    assert det.interval.width <= 1e-6
+    # the parent summed 64,379,413 terms here; the envelope needs a few thousand
+    assert det.truncation < 1 << 15
+
+
+@pytest.mark.parametrize("pattern", [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 1.0]])
+@pytest.mark.parametrize("k", [1, 64, 1000, 1001])
+def test_periodic_step_log_values_match_exact_blocks(pattern, k: int) -> None:
+    det = v.disc_value_detail(h.periodic(pattern), h.step_log(), k, tol=1e-9)
+    truth = float(_periodic_step_log_value(pattern, k))
+    assert det.interval.lo <= truth <= det.interval.hi
+    assert det.interval.width <= 1e-9
+
+
+@pytest.mark.parametrize("dspec,family,params", [
+    (h.quadratic(), "quadratic", ()),
+    (h.power(0.5), "power", (0.5,)),
+])
+def test_periodic_rest_enclosure_contains_brute_force(dspec, family, params) -> None:
+    pattern = [1.0, 0.25, 0.0, 1.0]
+    det = v.disc_value_detail(h.periodic(pattern), dspec, 300, tol=1e-7)
+    lo, hi = oracles.disc_bounds("periodic", pattern, family, params, 300, n_terms=10**6)
+    assert det.interval.lo <= hi and lo <= det.interval.hi
