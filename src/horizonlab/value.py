@@ -328,9 +328,10 @@ def _truncate(
     cap: int,
 ) -> Tuple[int, Interval, bool]:
     """(N, rest, attained): the truncation index, an enclosure of
-    sum_{i>N} gamma_i r_i and whether it met tol * Gamma_k. A reward with
-    a window envelope under a monotone discount gets _rest_enclosure; the
-    others get [0, Gamma_{N+1}]."""
+    sum_{i>N} gamma_i r_i and whether its width met the target of the
+    search. A reward with a window envelope under a monotone discount
+    gets _rest_enclosure (_enveloped_truncation); the others get
+    [0, Gamma_{N+1}] (_truncation_index)."""
     env = _r.window_envelope(rspec) if _d._impl(dspec).monotone else None
     if env is not None:
         return _enveloped_truncation(dspec, env, k, tol * tail_k.lo, cap)
@@ -388,11 +389,11 @@ def _runs_value(
     The rest is [0, Gamma_{N+1}], except in the tails form for a reward
     with a WindowEnvelope (linear and exponential runs) and a
     nonincreasing discount, where _rest_enclosure gives it and
-    _enveloped_truncation picks N. Once N
-    covers the last change point of an even-length explicit list no 1s
-    remain: the rest is dropped and the value attained. Generated runs
-    stop N before the run that would pass _SEG_CAP pieces (closed form,
-    _budget_end); a tolerance out of reach there is not attained.
+    _enveloped_truncation picks N (see _truncate). Once N covers the last
+    change point of an even-length explicit list no 1s remain: the rest
+    is dropped and the value attained. Generated runs stop N before the
+    run that would pass _SEG_CAP pieces (closed form, _budget_end); a
+    tolerance out of reach there is not attained.
     """
     impl = _d._impl(dspec)
     form = impl.mass_form
