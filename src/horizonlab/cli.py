@@ -622,7 +622,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="all examples, the corpus sweep, and identity suites")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--trials", type=int, default=10_000,
-                       help="identity trial count for --all")
+                       help="identity trial count for --all; each trial draws one "
+                            "seeded case, in turn: running averages of a random "
+                            "table equal to the nearest float of the exact "
+                            "rational, three discount tail recurrences, one "
+                            "summation-by-parts window, or V under geometric "
+                            "weights inside the exact hull of its windowed averages")
     return parser
 
 

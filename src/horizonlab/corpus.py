@@ -8,15 +8,21 @@ through the value and theorem layers. The identity suites draw seeded
 random specs and check exact rational identities alongside enclosure
 containment, so a regression anywhere in the numeric stack surfaces as
 a named failure string rather than a silent drift.
+
+The suites mirror their reward tables in integers over a denominator of
+8 (dyadic tables) or 1 (0/1 lists). Each float the package must match is
+one correctly rounded int / int quotient, so == against it is exact
+(identity_trials says why).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import discount as _d
 from . import reward as _r
@@ -326,50 +332,49 @@ class _Tally:
             self.failures.append(msg)
 
 
-def _dyadic_table(rng: random.Random, length: int) -> Tuple[List[float], List[Fraction]]:
-    fracs = [Fraction(rng.randint(0, 8), 8) for _ in range(length)]
-    return [float(f) for f in fracs], fracs
-
-
-def _prefix(fracs: Sequence[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)]
-    for f in fracs:
-        out.append(out[-1] + f)
-    return out
+def _dyadic_table(rng: random.Random, length: int) -> List[int]:
+    """Numerators of a table of eighths: entry i is nums[i] / 8."""
+    return [rng.randint(0, 8) for _ in range(length)]
 
 
 def _trial_averages(rng: random.Random, tally: _Tally, label: str) -> None:
-    """Running averages against an exact rational mirror.
+    """Running averages against an exact integer mirror.
 
-    The package sums dyadic tables exactly, so its averages must equal
+    The package sums these tables exactly, so its averages must equal
     the nearest float of the true rational: equality, not closeness.
+    An explicit list has r_i = 1 on [p_{2j}, p_{2j+1}).
     """
     if rng.random() < 0.5:
         length = rng.randint(8, 200)
-        table, fracs = _dyadic_table(rng, length)
-        rspec = _r.custom_table(table)
+        nums, den = _dyadic_table(rng, length), 8
+        rspec = _r.custom_table([x / den for x in nums])
     else:
         n_pts = 2 * rng.randint(1, 6)
         pts = sorted(rng.sample(range(1, 400), n_pts))
         rspec = _r.explicit_change_points(pts)
         length = pts[-1] + rng.randint(0, 30)
-        fracs = [Fraction(int(_r.reward_at(rspec, i))) for i in range(1, length + 1)]
-    pre = _prefix(fracs)
+        nums, den = [0] * length, 1
+        for a, b in zip(pts[::2], pts[1::2]):
+            nums[a - 1:b - 1] = [1] * (b - a)
+    pre = list(itertools.accumulate(nums, initial=0))
     m = rng.randint(2, length - 1)
     k = rng.randint(1, m)
     u_m = _v.avg_value(rspec, m)
     u_mp = _v.avg_value(rspec, m + 1)
     u_km = _v.avg_value_from(rspec, k, m)
-    tally.expect(u_m == float(pre[m] / m), f"{label}: U(1..{m}) != nearest rational")
-    tally.expect(u_mp == float(pre[m + 1] / (m + 1)), f"{label}: U(1..{m+1}) != nearest rational")
+    tally.expect(u_m == pre[m] / (den * m), f"{label}: U(1..{m}) != nearest rational")
+    tally.expect(u_mp == pre[m + 1] / (den * (m + 1)),
+                 f"{label}: U(1..{m+1}) != nearest rational")
     tally.expect(
-        u_km == float((pre[m] - pre[k - 1]) / (m - k + 1)),
+        u_km == (pre[m] - pre[k - 1]) / (den * (m - k + 1)),
         f"{label}: U({k}..{m}) != nearest rational",
     )
     # recurrence and window decomposition, exactly in rationals
-    um, ump, ukm = pre[m] / m, pre[m + 1] / (m + 1), (pre[m] - pre[k - 1]) / (m - k + 1)
-    tally.expect((m + 1) * ump == m * um + fracs[m], f"{label}: running-average recurrence broke")
-    uk1 = pre[k - 1] / (k - 1) if k > 1 else Fraction(0)
+    um, ump = Fraction(pre[m], den * m), Fraction(pre[m + 1], den * (m + 1))
+    ukm = Fraction(pre[m] - pre[k - 1], den * (m - k + 1))
+    tally.expect((m + 1) * ump == m * um + Fraction(nums[m], den),
+                 f"{label}: running-average recurrence broke")
+    uk1 = Fraction(pre[k - 1], den * (k - 1)) if k > 1 else Fraction(0)
     tally.expect(
         (m - k + 1) * ukm == m * um - (k - 1) * uk1,
         f"{label}: window decomposition broke",
@@ -445,26 +450,32 @@ def _trial_telescope(rng: random.Random, tally: _Tally, label: str) -> None:
 
 def _trial_mixture(rng: random.Random, tally: _Tally, label: str) -> None:
     """V under dyadic geometric weights is a convex mixture of the
-    windowed averages U_{k..j}, so it must land inside their hull
-    (padded by the exactly-computable weight of the dropped tail)."""
+    windowed averages U_{k..j}, so it must land inside their hull,
+    widened by the weight of the windows that end past the table; the
+    comparison is exact in rationals. Rounding is monotone, so the exact
+    extremes are among the windows whose float average is extreme."""
     g = Fraction(1, 2) if rng.random() < 0.7 else Fraction(1, 4)
     k = rng.randint(1, 60)
     length = k + rng.randint(45, 90)
-    table, fracs = _dyadic_table(rng, length)
-    rspec = _r.custom_table(table)
+    nums = _dyadic_table(rng, length)
+    rspec = _r.custom_table([x / 8 for x in nums])
     iv = _v.disc_value(rspec, _d.geometric(float(g)), k, tol=1e-9)
-    pre = _prefix(fracs)
-    u_vals = [
-        float((pre[j] - pre[k - 1]) / (j - k + 1)) for j in range(k, length + 1)
-    ]
+    pre = list(itertools.accumulate(nums, initial=0))
+    ends = range(k, length + 1)
+    u_vals = [(pre[j] - pre[k - 1]) / (8 * (j - k + 1)) for j in ends]
+
+    def exact(x: float) -> List[Fraction]:
+        return [Fraction(pre[j] - pre[k - 1], 8 * (j - k + 1))
+                for j, u in zip(ends, u_vals) if u == x]
+
     # mixture weight of all windows ending past the table
-    w_tail = float(g ** (length - k) * (1 + (length - k) * (1 - g)))
-    lo = min(u_vals) - w_tail - 1e-12
-    hi = max(u_vals) + w_tail + 1e-12
+    w_tail = g ** (length - k) * (1 + (length - k) * (1 - g))
+    lo = min(exact(min(u_vals))) - w_tail
+    hi = max(exact(max(u_vals))) + w_tail
     tally.expect(
-        lo <= iv.lo and iv.hi <= hi,
+        lo <= Fraction(iv.lo) and Fraction(iv.hi) <= hi,
         f"{label}: V=[{iv.lo:.9f},{iv.hi:.9f}] outside mixture hull "
-        f"[{lo:.9f},{hi:.9f}] (g={g}, k={k})",
+        f"[{float(lo):.9f},{float(hi):.9f}] (g={g}, k={k})",
     )
 
 
@@ -474,6 +485,15 @@ def identity_trials(seed: int, n_trials: int = 10_000) -> IdentityReport:
     Trials rotate over four groups: exact running averages, discount
     tail recurrences, window telescopes, and the mixture containment of
     discounted values. The report is deterministic for a given seed.
+
+    The averages and mixture groups mirror their reward tables in
+    integers: numerators over a denominator of 8 (dyadic tables) or 1
+    (explicit 0/1 lists, built from the change points, not through the
+    package). The expected average over a window is the single quotient
+    (pre[m] - pre[k-1]) / (den (m-k+1)) of two ints; CPython's int true
+    division is correctly rounded, as is float(Fraction(a, b)), so
+    comparing the package's float with it by == checks equality with the
+    nearest float of the exact rational.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")

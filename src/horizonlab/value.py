@@ -717,6 +717,23 @@ def _last_quarter(items: List) -> List:
     return items[-w:]
 
 
+_MISS_NOTES = {
+    "guard": "guard-limited",
+    "ceiling": "truncation ceiling 10^500",
+    "budget": f"run budget of {_SEG_CAP} pieces",
+}
+
+
+def _miss_cause(rspec: _r.RewardSpec, k: int, det: ValueDetail) -> str:
+    """The bound that stopped a not-attained value at k: the truncation
+    ceiling _N_CAP, the run budget (_budget_end) or else the work guard."""
+    if det.truncation == _N_CAP:
+        return "ceiling"
+    if det.path == "runs" and det.truncation == _budget_end(rspec, k):
+        return "budget"
+    return "guard"
+
+
 def limit_scan(
     rspec: _r.RewardSpec,
     dspec: Optional[_d.DiscountSpec],
@@ -764,7 +781,7 @@ def limit_scan(
     values: List[Interval] = []
     kept: List[int] = []
     kept_tags: List[str] = []
-    misses = 0
+    misses = dict.fromkeys(_MISS_NOTES, 0)
     skipped = 0
     for m, tag in zip(indices, tags):
         if quantity == "U":
@@ -776,14 +793,14 @@ def limit_scan(
                 skipped += 1  # V undefined there (discount tail is zero)
                 continue
             if not det.attained:
-                misses += 1
+                misses[_miss_cause(rspec, m, det)] += 1
             values.append(det.interval)
         kept.append(m)
         kept_tags.append(tag)
-    if misses:
-        notes.append(
-            f"{misses} point(s) report best-effort enclosures (guard-limited)"
-        )
+    notes.extend(
+        f"{n} point(s) report best-effort enclosures ({_MISS_NOTES[cause]})"
+        for cause, n in misses.items() if n
+    )
     if skipped:
         notes.append(f"{skipped} point(s) skipped: value undefined (zero tail)")
     if not values:

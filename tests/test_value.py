@@ -227,6 +227,26 @@ def test_discounted_scan_skips_zero_tail_points() -> None:
     assert any("skipped" in note and "zero tail" in note for note in est.notes)
 
 
+def test_scan_notes_name_the_limit_that_was_hit(monkeypatch) -> None:
+    # past the 10^500 truncation ceiling, whatever the work guard
+    monkeypatch.setenv("HORIZONLAB_GUARD", str(10**9))
+    est = v.limit_scan(h.exponential_runs(), h.harmonic_like(), "V", [1, 64, 1024])
+    misses = [n for n in est.notes if "best-effort" in n]
+    assert misses == [f"{len(est.indices)} point(s) report best-effort "
+                      "enclosures (truncation ceiling 10^500)"]
+    # cosine sums its terms, so a low guard stops it
+    monkeypatch.setenv("HORIZONLAB_GUARD", "20000")
+    est = v.limit_scan(h.linear_runs(), h.cosine_modulated(), "V", [64, 1024])
+    misses = [n for n in est.notes if "best-effort" in n]
+    assert len(misses) == 1 and misses[0].endswith(" enclosures (guard-limited)")
+    # the run budget sits near 8e10 for linear runs: too far to reach here
+    k = 100
+    at_budget = v.ValueDetail(Interval(0.0, 1.0), Interval(0.0, 1.0),
+                              v._budget_end(h.linear_runs(), k), "runs", False)
+    assert v._miss_cause(h.linear_runs(), k, at_budget) == "budget"
+    assert v._MISS_NOTES["budget"] == "run budget of 200000 pieces"
+
+
 def test_scan_serialization_helpers_are_consistent() -> None:
     est = v.limit_scan(h.linear_runs(), None, "U", v.dyadic_schedule(10**3))
     payload = v.limit_estimate_to_dict(est)
