@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -717,21 +718,14 @@ def _last_quarter(items: List) -> List:
     return items[-w:]
 
 
-_MISS_NOTES = {
-    "guard": "guard-limited",
-    "ceiling": "truncation ceiling 10^500",
-    "budget": f"run budget of {_SEG_CAP} pieces",
-}
-
-
 def _miss_cause(rspec: _r.RewardSpec, k: int, det: ValueDetail) -> str:
     """The bound that stopped a not-attained value at k: the truncation
     ceiling _N_CAP, the run budget (_budget_end) or else the work guard."""
     if det.truncation == _N_CAP:
-        return "ceiling"
+        return "truncation ceiling 10^500"
     if det.path == "runs" and det.truncation == _budget_end(rspec, k):
-        return "budget"
-    return "guard"
+        return f"run budget of {_SEG_CAP} pieces"
+    return "guard-limited"
 
 
 def limit_scan(
@@ -781,7 +775,7 @@ def limit_scan(
     values: List[Interval] = []
     kept: List[int] = []
     kept_tags: List[str] = []
-    misses = dict.fromkeys(_MISS_NOTES, 0)
+    misses: Counter = Counter()
     skipped = 0
     for m, tag in zip(indices, tags):
         if quantity == "U":
@@ -797,10 +791,8 @@ def limit_scan(
             values.append(det.interval)
         kept.append(m)
         kept_tags.append(tag)
-    notes.extend(
-        f"{n} point(s) report best-effort enclosures ({_MISS_NOTES[cause]})"
-        for cause, n in misses.items() if n
-    )
+    notes.extend(f"{n} point(s) report best-effort enclosures ({cause})"
+                 for cause, n in misses.items())
     if skipped:
         notes.append(f"{skipped} point(s) skipped: value undefined (zero tail)")
     if not values:

@@ -10,6 +10,8 @@ package gets wrong.
 from __future__ import annotations
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +31,16 @@ def test_identity_report_is_pinned(seed, trials, checks) -> None:
     rep = c.identity_trials(seed, trials)
     assert (rep.seed, rep.trials, rep.checks, rep.failures) == (seed, trials, checks, ())
     assert rep.ok
+
+
+def test_int_quotient_is_the_nearest_float() -> None:
+    # the mirror's premise: int / int rounds as float(Fraction) does
+    rng = random.Random(11)
+    for _ in range(20_000):
+        a, b = rng.randrange(8 * 400), 8 * rng.randint(1, 400)
+        assert a / b == float(Fraction(a, b))
+        a, b = rng.getrandbits(200), rng.getrandbits(120) | 1
+        assert a / b == float(Fraction(a, b))
 
 
 @pytest.mark.parametrize("n_trials", [0, -3])
