@@ -25,11 +25,19 @@ import horizonlab.cli as cli
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 GOLDEN_FILE = GOLDEN_DIR / "cli.json"
 CUSTOM_SPEC = "@" + str(GOLDEN_DIR / "custom_discount.json")
+EXPLICIT_REWARD = "@" + str(GOLDEN_DIR / "explicit_reward.json")
+# 60 rewards ((37 i) mod 101) / 100, rounded to two places
+CUSTOM_60 = "custom:" + ",".join(str(round(((37 * i) % 101) / 100, 2)) for i in range(1, 61))
 
 
 def _eval(reward, discount, v_at, *extra):
     return ["eval", "--reward", reward, "--discount", discount,
             "--v-at", str(v_at), "--format", "json", *extra]
+
+
+def _window(reward, k, m, *extra):
+    return ["eval", "--reward", reward, "--k", str(k), "--m", str(m),
+            "--format", "json", *extra]
 
 
 # name -> (argv, HORIZONLAB_GUARD or None)
@@ -66,6 +74,35 @@ CASES = {
     "table_custom_file": (
         ["table", "--discount", CUSTOM_SPEC, "--k", "1,3,8,9,50", "--format", "csv"],
         None),
+    # U windows and V of every reward family
+    "window_constant_quadratic": (
+        _window("constant:0.3", 3, 40, "--discount", "quadratic", "--v-at", "7"), None),
+    "window_periodic": (_window("periodic:1,0,0", 3, 1000), None),
+    "window_explicit3": (_window("explicit:2,9,30", 3, 40), None),
+    "window_explicit4": (_window("explicit:1,2,55,110", 50, 200), None),
+    "window_exponential_quadratic": (
+        _window("exponential-runs", 17, 5000, "--discount", "quadratic", "--v-at", "64"),
+        None),
+    "window_linear": (_window("linear-runs", 1000, 123456), None),
+    "window_custom60_geometric": (
+        _window(CUSTOM_60, 5, 60, "--discount", "geometric:0.25", "--v-at", "3"), None),
+    "window_explicit_file_quadratic": (
+        _window(EXPLICIT_REWARD, 2, 30, "--discount", "quadratic", "--v-at", "4"), None),
+    "eval_linear_alternating_long": (_eval("linear-runs", "alternating", 5000), None),
+    "limits_periodic_phase_probes": (
+        ["limits", "--reward", "periodic:1,0,0", "--discount", "geometric:0.5",
+         "--schedule", "list:4,8"], None),
+    "limits_exponential_u_csv": (
+        ["limits", "--reward", "exponential-runs", "--schedule", "dyadic:65536",
+         "--format", "csv"], None),
+    "construct_prop1_geometric": (
+        ["construct", "--discount", "geometric:0.5", "--prop", "1", "--n-max", "3",
+         "--format", "json"], None),
+    # custom reward tables define nothing past their end
+    "eval_custom_u_past_table": (["eval", "--reward", "custom:0.5,0.5", "--m", "3"], None),
+    "eval_custom_v_past_table": (
+        ["eval", "--reward", "custom:0.2,0.9,0.4", "--discount", "geometric:0.5",
+         "--v-at", "1"], None),
     # argument errors: which check fires first, and its message
     "table_bad_k_before_bad_discount": (
         ["table", "--discount", "bogus", "--k", "0"], None),
