@@ -221,6 +221,11 @@ class _Base:
         enclosure by summation by parts (value._rest_enclosure) relies on
         it; the cosine and alternating families are False, and patched and
         custom decide per spec.
+
+    The horizon methods effective_horizon, quasi_horizon and horizon_ratio
+    are defaults that search and divide the tail enclosures; a family with
+    a closed form overrides them. _build finds a family's class by its
+    name.
     """
 
     name = "?"
@@ -252,15 +257,57 @@ class _Base:
         diffs = [a - b for a, b in zip(tails, tails[1:])]
         return [Interval(max(d.lo, 0.0), max(d.hi, 0.0)) for d in diffs]
 
-    # Analytic horizon overrides; None means use the generic search.
-    def effective_horizon_exact(self, k: int) -> Optional[IntegerInterval]:
-        return None
+    def effective_horizon(self, k: int) -> IntegerInterval:
+        """[first h with Gamma_{k+h} possibly <= Gamma_k / 2, first h with
+        it certainly so], found by doubling and bisection over the tails."""
+        tail_k = self.tail(k)
+        if not tail_k.lo > 0.0:
+            raise UndefinedMetric(f"tail enclosure not positive at k={k}")
+        if tail_k.width > 0.5 * tail_k.lo:
+            raise EnclosureAmbiguous("tail enclosure too wide to halve certainly")
+        half_hi = Interval.exact(0.5 * tail_k.hi + 2 * math.ulp(tail_k.hi))
+        half_lo = Interval.exact(0.5 * tail_k.lo - 2 * math.ulp(tail_k.lo))
+        guard = guard_index()
+        target = tail_k.lo * 5e-4  # keeps summed tails sharp enough to halve
 
-    def quasi_horizon_exact(self, k: int) -> Optional[Interval]:
-        return None
+        def tail_at(h: int) -> Interval:
+            return self.tail(k + h, target)
 
-    def horizon_ratio_exact(self, k: int) -> Optional[Interval]:
-        return None
+        def first_with(pred) -> int:
+            hi = 1
+            while not pred(tail_at(hi)):
+                hi *= 2
+                if hi > guard:
+                    raise GuardExceeded("effective horizon search exceeded guard")
+            lo = 0 if hi == 1 else hi // 2
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if pred(tail_at(mid)):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+
+        h_possible = first_with(lambda iv: iv.lo <= half_hi.hi)
+        h_certain = first_with(lambda iv: iv.hi <= half_lo.lo)
+        if h_certain < h_possible:  # can happen only through enclosure noise
+            h_possible = h_certain
+        return IntegerInterval(h_possible, h_certain)
+
+    def quasi_horizon(self, k: int) -> Interval:
+        g = self.gamma_iv(k)
+        if not g.lo > 0.0:
+            raise UndefinedMetric(f"gamma is zero (or indistinguishable from it) at k={k}")
+        return self.tail(k) / g
+
+    def horizon_ratio(self, k: int) -> Interval:
+        tail_k = self.tail(k)
+        if not tail_k.lo > 0.0:
+            raise UndefinedMetric(f"tail is zero (or indistinguishable from it) at k={k}")
+        g = self.gamma_iv(k)
+        if g.lo == 0.0 and g.hi == 0.0:
+            return Interval.exact(0.0)  # k * 0 / Gamma is exactly zero
+        return (g * Interval.exact(float(k))) / tail_k
 
     def index_for_tail_bound(self, target: float, start: int) -> Optional[int]:
         """Some index N >= start with tail(N).hi <= target, if cheaply
@@ -290,19 +337,19 @@ class _Finite(_Base):
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
         return (ks <= self.m).astype(np.float64)
 
-    def effective_horizon_exact(self, k: int) -> IntegerInterval:
+    def effective_horizon(self, k: int) -> IntegerInterval:
         t = self.m - k + 1
         if t <= 0:
             raise UndefinedMetric(f"tail is zero at k={k}")
         h = (t + 1) // 2
         return IntegerInterval(h, h)
 
-    def quasi_horizon_exact(self, k: int) -> Interval:
+    def quasi_horizon(self, k: int) -> Interval:
         if k > self.m:
             raise UndefinedMetric(f"gamma is zero at k={k}")
         return Interval.exact(float(self.m - k + 1))
 
-    def horizon_ratio_exact(self, k: int) -> Interval:
+    def horizon_ratio(self, k: int) -> Interval:
         if k > self.m:
             raise UndefinedMetric(f"tail is zero at k={k}")
         return Interval.rounded(k / (self.m - k + 1))
@@ -352,7 +399,7 @@ class _Geometric(_Base):
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
         return self.g ** ks.astype(np.float64)
 
-    def effective_horizon_exact(self, k: int) -> IntegerInterval:
+    def effective_horizon(self, k: int) -> IntegerInterval:
         # Gamma_{k+h} / Gamma_k = g**h; smallest integer h with g**h <= 1/2.
         if self.dyadic_exp is not None:
             return IntegerInterval(1, 1)  # g <= 1/2, and g**0 = 1 > 1/2
@@ -370,12 +417,12 @@ class _Geometric(_Base):
             raise EnclosureAmbiguous(f"g**{h} straddles 1/2 for g={self.g}")
         return IntegerInterval(lo, lo)
 
-    def quasi_horizon_exact(self, k: int) -> Interval:
+    def quasi_horizon(self, k: int) -> Interval:
         if self.g == 0.5:
             return Interval.exact(2.0)
         return Interval.exact(1.0) / self.one_minus_g
 
-    def horizon_ratio_exact(self, k: int) -> Interval:
+    def horizon_ratio(self, k: int) -> Interval:
         if self.g == 0.5:
             return Interval.exact(math.ldexp(float(k), -1))  # k/2 exact
         return Interval.exact(float(k)) * self.one_minus_g
@@ -423,14 +470,14 @@ class _Quadratic(_Base):
         kf = ks.astype(np.float64)
         return 1.0 / (kf * (kf + 1.0))
 
-    def effective_horizon_exact(self, k: int) -> IntegerInterval:
+    def effective_horizon(self, k: int) -> IntegerInterval:
         # 1/(k+h) <= 1/(2k) iff h >= k: exact in integers.
         return IntegerInterval(k, k)
 
-    def quasi_horizon_exact(self, k: int) -> Interval:
+    def quasi_horizon(self, k: int) -> Interval:
         return Interval.exact(float(k + 1))
 
-    def horizon_ratio_exact(self, k: int) -> Interval:
+    def horizon_ratio(self, k: int) -> Interval:
         return Interval.rounded(k / (k + 1))
 
     def index_for_tail_bound(self, target: float, start: int) -> int:
@@ -600,7 +647,7 @@ class _StepLog(_Base):
             return Interval(0.0, 5e-324)
         return Interval.rounded(y)
 
-    def effective_horizon_exact(self, k: int) -> IntegerInterval:
+    def effective_horizon(self, k: int) -> IntegerInterval:
         # exact integer bisection: Gamma(k+h) <= Gamma(k)/2 compared via
         # cross-multiplied scaled integers
         num_k, sh_k = self.tail_scaled(k)
@@ -624,14 +671,14 @@ class _StepLog(_Base):
                 lo = mid + 1
         return IntegerInterval(lo, lo)
 
-    def quasi_horizon_exact(self, k: int) -> Interval:
+    def quasi_horizon(self, k: int) -> Interval:
         num, _ = self.tail_scaled(k)
         # Gamma_k / gamma_k = num / 2: dyadic, exact for num < 2**54
         if num.bit_length() <= 54:
             return Interval.exact(num / 2)
         return Interval.rounded(num / 2)
 
-    def horizon_ratio_exact(self, k: int) -> Interval:
+    def horizon_ratio(self, k: int) -> Interval:
         num, _ = self.tail_scaled(k)
         return Interval.rounded(2 * k / num)
 
@@ -870,6 +917,13 @@ def _harmonic_shape(k: int) -> float:
     return 1.0 / (k * ln * ln)
 
 
+def _seg_gamma(seg: PatchedSegment, k: int) -> float:
+    """The weight that a patched stretch's formula gives at k (also past its end)."""
+    if seg.kind == "geometric":
+        return seg.gamma_start * seg.g ** (k - seg.start)
+    return seg.gamma_start * _harmonic_shape(k) / _harmonic_shape(seg.start)
+
+
 class _Patched(_Base):
     name = "patched"
     sums_terms = True
@@ -884,11 +938,6 @@ class _Patched(_Base):
         self._harm = {s.start: self._harm_table(s) for s in segments if s.kind == "harmonic"}
         self._build_suffix()
 
-    def _seg_gamma(self, seg: PatchedSegment, k: int) -> float:
-        if seg.kind == "geometric":
-            return seg.gamma_start * seg.g ** (k - seg.start)
-        return seg.gamma_start * _harmonic_shape(k) / _harmonic_shape(seg.start)
-
     def _seg_index(self, k: int) -> int:
         lo, hi = 0, len(self.segments) - 1
         while lo < hi:
@@ -900,7 +949,7 @@ class _Patched(_Base):
         return lo
 
     def gamma(self, k: int) -> float:
-        return self._seg_gamma(self.segments[self._seg_index(k)], k)
+        return _seg_gamma(self.segments[self._seg_index(k)], k)
 
     def _joins_descend(self) -> bool:
         """Whether gamma is provably nonincreasing.
@@ -919,7 +968,7 @@ class _Patched(_Base):
         if any(s.kind == "harmonic" and s.start < 2 for s in segs):
             return False
         for prev, seg in zip(segs, segs[1:]):
-            end = _rel_pad_iv(self._seg_gamma(prev, prev.end), 32 * _U)
+            end = _rel_pad_iv(_seg_gamma(prev, prev.end), 32 * _U)
             if not seg.gamma_start <= end.lo:
                 return False
         return True
@@ -927,11 +976,11 @@ class _Patched(_Base):
     def _seg_mass(self, seg: PatchedSegment, k: int) -> Interval:
         """Mass of gamma over [k, seg.end], or [k, inf) for the final segment."""
         if seg.kind == "geometric":
-            gk = _rel_pad_iv(self._seg_gamma(seg, k), 16 * _U)
+            gk = _rel_pad_iv(_seg_gamma(seg, k), 16 * _U)
             one_minus = Interval.rounded(1.0 - seg.g) if seg.g < 0.5 else Interval.exact(1.0 - seg.g)
             if seg.end == 0:
                 return gk / one_minus
-            g_next = _rel_pad_iv(self._seg_gamma(seg, seg.end + 1), 16 * _U)
+            g_next = _rel_pad_iv(_seg_gamma(seg, seg.end + 1), 16 * _U)
             return (gk - g_next) / one_minus
         return self._harm[seg.start].masses([k, seg.end + 1])[0]
 
@@ -962,7 +1011,7 @@ class _Patched(_Base):
         anchor = max(start, final.start)
         # inside the final geometric stretch: mass(k) = gamma(k)/(1-g)
         need = target * (1.0 - final.g)
-        gk = self._seg_gamma(final, anchor)
+        gk = _seg_gamma(final, anchor)
         if gk <= need:
             return anchor
         steps = math.log(need / gk) / math.log(final.g)
@@ -1039,33 +1088,21 @@ class _Custom(_Base):
         return None
 
 
+_FAMILIES = {
+    cls.name: cls
+    for cls in (_Finite, _Geometric, _Quadratic, _Power, _HarmonicLike, _StepLog,
+                _AlternatingZero, _CosineModulated, _Patched, _Custom)
+}
+
+
 @lru_cache(maxsize=256)
 def _build(spec: DiscountSpec) -> _Base:
+    """The family object of an unscaled spec: its class, called with its params."""
     if spec.scale != 1.0:
         raise AssertionError("implementations are cached for unscaled specs only")
-    fam = spec.family
-    p = spec.params
-    if fam == "finite":
-        return _Finite(p[0])
-    if fam == "geometric":
-        return _Geometric(p[0])
-    if fam == "quadratic":
-        return _Quadratic()
-    if fam == "power":
-        return _Power(p[0])
-    if fam == "harmonic_like":
-        return _HarmonicLike()
-    if fam == "step_log":
-        return _StepLog()
-    if fam == "alternating_zero":
-        return _AlternatingZero(p[0])
-    if fam == "cosine_modulated":
-        return _CosineModulated()
-    if fam == "patched":
-        return _Patched(p[0])
-    if fam == "custom":
-        return _Custom(p[0], p[1])
-    raise ValueError(f"unknown discount family {fam!r}")
+    if spec.family not in _FAMILIES:
+        raise ValueError(f"unknown discount family {spec.family!r}")
+    return _FAMILIES[spec.family](*spec.params)
 
 
 def _impl(spec: DiscountSpec) -> _Base:
@@ -1140,74 +1177,21 @@ def effective_horizon(spec: DiscountSpec, k: int) -> IntegerInterval:
     interval [first possibly satisfied, first certainly satisfied]."""
     if k < 1:
         raise ValueError("index k must be >= 1")
-    impl = _impl(spec)
-    exact = impl.effective_horizon_exact(k)
-    if exact is not None:
-        return exact
-    tail_k = impl.tail(k)
-    if not tail_k.lo > 0.0:
-        raise UndefinedMetric(f"tail enclosure not positive at k={k}")
-    if tail_k.width > 0.5 * tail_k.lo:
-        raise EnclosureAmbiguous("tail enclosure too wide to halve certainly")
-    half_hi = Interval.exact(0.5 * tail_k.hi + 2 * math.ulp(tail_k.hi))
-    half_lo = Interval.exact(0.5 * tail_k.lo - 2 * math.ulp(tail_k.lo))
-    guard = guard_index()
-    target = tail_k.lo * 5e-4  # keeps summed tails sharp enough to halve
-
-    def tail_at(h: int) -> Interval:
-        return impl.tail(k + h, target)
-
-    def first_with(pred) -> int:
-        hi = 1
-        while not pred(tail_at(hi)):
-            hi *= 2
-            if hi > guard:
-                raise GuardExceeded("effective horizon search exceeded guard")
-        lo = 0 if hi == 1 else hi // 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if pred(tail_at(mid)):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    h_possible = first_with(lambda iv: iv.lo <= half_hi.hi)
-    h_certain = first_with(lambda iv: iv.hi <= half_lo.lo)
-    if h_certain < h_possible:  # can happen only through enclosure noise
-        h_possible = h_certain
-    return IntegerInterval(h_possible, h_certain)
+    return _impl(spec).effective_horizon(k)
 
 
 def quasi_horizon(spec: DiscountSpec, k: int) -> Interval:
     """Enclosure of Gamma_k / gamma_k."""
     if k < 1:
         raise ValueError("index k must be >= 1")
-    impl = _impl(spec)
-    exact = impl.quasi_horizon_exact(k)
-    if exact is not None:
-        return exact
-    g = impl.gamma_iv(k)
-    if not g.lo > 0.0:
-        raise UndefinedMetric(f"gamma is zero (or indistinguishable from it) at k={k}")
-    return impl.tail(k) / g
+    return _impl(spec).quasi_horizon(k)
 
 
 def horizon_ratio(spec: DiscountSpec, k: int) -> Interval:
     """Enclosure of k gamma_k / Gamma_k."""
     if k < 1:
         raise ValueError("index k must be >= 1")
-    impl = _impl(spec)
-    exact = impl.horizon_ratio_exact(k)
-    if exact is not None:
-        return exact
-    tail_k = impl.tail(k)
-    if not tail_k.lo > 0.0:
-        raise UndefinedMetric(f"tail is zero (or indistinguishable from it) at k={k}")
-    g = impl.gamma_iv(k)
-    if g.lo == 0.0 and g.hi == 0.0:
-        return Interval.exact(0.0)  # k * 0 / Gamma is exactly zero
-    return (g * Interval.exact(float(k))) / tail_k
+    return _impl(spec).horizon_ratio(k)
 
 
 @dataclass(frozen=True)
@@ -1344,12 +1328,6 @@ def build_patched(thresholds: Sequence[int], g: float = 0.5) -> DiscountSpec:
     start = 1
     gamma_at_start = 1.0
 
-    def harm_continue(prev_seg: PatchedSegment, k: int) -> float:
-        # value the previous family would take at k (continuation)
-        if prev_seg.kind == "geometric":
-            return prev_seg.gamma_start * prev_seg.g ** (k - prev_seg.start)
-        return prev_seg.gamma_start * _harmonic_shape(k) / _harmonic_shape(prev_seg.start)
-
     for n in thresholds:
         # geometric stretch: provisional tail ratio Gamma/(k gamma) = 1/(k(1-g))
         t = max(start, int(math.ceil(8 * n / (1.0 - g))) + 1)
@@ -1366,7 +1344,7 @@ def build_patched(thresholds: Sequence[int], g: float = 0.5) -> DiscountSpec:
         seg = PatchedSegment("geometric", start, t, g, gamma_at_start)
         segments.append(seg)
         start = t + 1
-        gamma_at_start = harm_continue(seg, start)
+        gamma_at_start = _seg_gamma(seg, start)
         # harmonic stretch long enough that ln k (1 - ln k / ln T) reaches
         # n + 1/2 somewhere in [start, T]; the unconstrained peak sits at
         # ln k = ln T / 2, but a late start pins the peak to ln k = ln start
@@ -1382,7 +1360,7 @@ def build_patched(thresholds: Sequence[int], g: float = 0.5) -> DiscountSpec:
         seg = PatchedSegment("harmonic", start, t, 0.0, gamma_at_start)
         segments.append(seg)
         start = t + 1
-        gamma_at_start = harm_continue(seg, start)
+        gamma_at_start = _seg_gamma(seg, start)
     segments.append(PatchedSegment("geometric", start, 0, g, gamma_at_start))
     return DiscountSpec("patched", (tuple(segments),))
 
@@ -1475,6 +1453,9 @@ def spec_from_dict(d: dict) -> DiscountSpec:
         spec = DiscountSpec("patched", (segs,))
     elif fam == "custom":
         tail = params.get("tail")
+        if not isinstance(params["table"], (list, tuple)):
+            # a string would be read one character at a time
+            raise ValueError(f"table must be a list, got {type(params['table']).__name__}")
         spec = custom(params["table"], None if tail is None else (tail["type"], tail["param"]))
     else:
         raise ValueError(f"unknown discount family {fam!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 WIDEN_ULPS = 4
 
@@ -180,12 +180,3 @@ def hull_of(intervals: Iterable[Interval]) -> Interval:
         raise ValueError("hull of empty collection")
     return Interval(min(iv.lo for iv in items), max(iv.hi for iv in items))
 
-
-def sum_enclosure(values: Sequence[float]) -> Interval:
-    """Enclosure of the exact real sum of the given floats.
-
-    math.fsum is correctly rounded, so the true sum lies within one ulp
-    of the returned float.
-    """
-    s = math.fsum(values)
-    return Interval.rounded(s)

@@ -5,6 +5,15 @@ k_1 < m_1 < k_2 < m_2 < ... with r_i = 1 on [k_n, m_n) and r_i = 0 on
 [m_n, k_{n+1}). Run lengths A_n = m_n - k_n (ones) and B_n = k_{n+1} - m_n
 (zeros) drive all limit formulas; the discount masses of the runs are
 a_n = Gamma_{k_n} - Gamma_{m_n} and b_n = Gamma_{m_n} - Gamma_{k_{n+1}}.
+
+Every decision about how a family lays out its rewards is made here, so
+the value module reads no family name to get at them:
+
+    reward_at      r_k, one index at a time
+    reward_vec     r_a..r_b as a float array, bit for bit equal to reward_at
+    window_mean    U_{km}, the mean of r_k..r_m
+    one_segments   the 1-runs of a binary sequence cut to a window
+    run_count      the stored runs of an explicit list (None when generated)
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import discount as _disc
 from .intervals import Interval
@@ -181,6 +192,50 @@ def run_count(spec: RewardSpec) -> Optional[int]:
     return None
 
 
+def one_segments(spec: RewardSpec, k: int, n: int) -> List[Tuple[int, int]]:
+    """The 1-runs [k_j, m_j) cut to [k, n + 1), as half-open pieces in order.
+
+    Generated runs start from the run holding k, explicit lists from their
+    first run; an odd-length list ends in a 1-run that reaches n.
+    """
+    end = n + 1
+    stored = run_count(spec)
+    j = 1 if stored is not None else run_index(spec, k)
+    segs: List[Tuple[int, int]] = []
+    while stored is None or j <= stored:
+        a, b = change_points(spec, j)
+        if a >= end:
+            return segs
+        a, b = max(a, k), min(b, end)
+        if a < b:
+            segs.append((a, b))
+        j += 1
+    pts = spec.params[1]
+    a = max(pts[-1], k)
+    if len(pts) % 2 == 1 and a < end:
+        segs.append((a, end))
+    return segs
+
+
+def reward_vec(spec: RewardSpec, a: int, b: int) -> np.ndarray:
+    """r_a..r_b as a float64 array, equal bit for bit to reward_at."""
+    fam = spec.family
+    if fam == "constant":
+        return np.full(b - a + 1, spec.params[0])
+    if fam == "periodic":
+        pat = np.array(spec.params[0], dtype=np.float64)
+        return pat[np.arange(a - 1, b, dtype=np.int64) % len(pat)]
+    if fam == "custom":
+        table = spec.params[0]
+        if b > len(table):
+            raise ValueError(f"index {b} beyond custom reward table")
+        return np.array(table[a - 1 : b], dtype=np.float64)
+    out = np.zeros(b - a + 1)
+    for lo, hi in one_segments(spec, a, b):
+        out[lo - a : hi - a] = 1.0
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Counting and run statistics
 # ---------------------------------------------------------------------------
@@ -211,6 +266,35 @@ def ones_count(spec: RewardSpec, m: int) -> int:
     kn, mn = change_points(spec, n)
     before = (n - 1) ** 2 if gen == "linear" else (kn - 1) // 3
     return before + min(mn, m + 1) - kn
+
+
+def window_mean(spec: RewardSpec, k: int, m: int) -> float:
+    """U_{km}, the mean of r_k..r_m for 1 <= k <= m.
+
+    Binary sequences count their ones exactly, so the result is the
+    correctly rounded rational; periodic and custom rewards are summed
+    with math.fsum and clamped to [0, 1].
+    """
+    fam = spec.family
+    if fam == "constant":
+        return spec.params[0]
+    if fam == "binary_runs":
+        return (ones_count(spec, m) - ones_count(spec, k - 1)) / (m - k + 1)
+    if fam == "periodic":
+        pat = spec.params[0]
+        cycle = math.fsum(pat)
+
+        def prefix(j: int) -> float:
+            full, rem = divmod(j, len(pat))
+            return full * cycle + math.fsum(pat[:rem])
+
+        s = prefix(m) - prefix(k - 1)
+    else:
+        table = spec.params[0]
+        if m > len(table):
+            raise ValueError(f"index {m} beyond custom reward table")
+        s = math.fsum(table[k - 1 : m])
+    return min(max(s / (m - k + 1), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +491,23 @@ def reward_to_dict(spec: RewardSpec) -> dict:
     return out
 
 
+def _json_list(d: dict, key: str) -> list:
+    """d[key], which must be a list: a string would be read one character
+    at a time."""
+    value = d[key]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {type(value).__name__}")
+    return value
+
+
 def reward_from_dict(d: dict) -> RewardSpec:
     fam = d["family"]
     if fam == "constant":
         return constant(d["alpha"])
     if fam == "periodic":
-        return periodic(d["pattern"])
+        return periodic(_json_list(d, "pattern"))
     if fam == "custom":
-        return custom_table(d["table"])
+        return custom_table(_json_list(d, "table"))
     if fam == "binary_runs":
         gen = d["generator"]
         if gen == "linear":
@@ -422,6 +515,6 @@ def reward_from_dict(d: dict) -> RewardSpec:
         if gen == "exponential":
             return exponential_runs()
         if gen == "explicit":
-            return explicit_change_points(d["change_points"])
+            return explicit_change_points(_json_list(d, "change_points"))
         raise ValueError(f"unknown run generator {gen!r}")
     raise ValueError(f"unknown reward family {fam!r}")

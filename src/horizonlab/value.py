@@ -1,8 +1,7 @@
 """Average and discounted values, plus limit estimation along schedules.
 
-U_{1m} is the plain mean of r_1..r_m and U_{km} the windowed mean; both
-are computed exactly for binary sequences (integer counting) and by
-compensated summation otherwise. V_{kg} = (1/Gamma_k) sum_{i>=k} gamma_i r_i
+U_{1m} is the plain mean of r_1..r_m and U_{km} the windowed mean, both
+from reward.window_mean. V_{kg} = (1/Gamma_k) sum_{i>=k} gamma_i r_i
 is returned as a rigorous enclosure, with all arithmetic outward rounded:
 the terms up to a truncation index N are summed and the rewards past N
 are enclosed. On a nonincreasing discount, a reward whose partial sums
@@ -14,10 +13,11 @@ enclosure is at most tol * Gamma_k / 2 wide. Otherwise the unseen rewards contri
 mass is below tol * Gamma_k.
 
 Binary-run rewards take one runs path: the numerator is the discount
-mass of the 1-runs, read in the family's mass_form (tail differences,
-block sums or ratios to Gamma_k; see discount._Base). Families with no
-mass_form, and other rewards, are summed densely (geometric in ratio
-form); disc_value_detail says how the path is picked.
+mass of the 1-runs (reward.one_segments), read in the family's mass_form
+(tail differences, block sums or ratios to Gamma_k; see discount._Base).
+Families with no mass_form, and other rewards, are summed densely
+(geometric in ratio form) over reward.reward_at or reward.reward_vec;
+disc_value_detail says how the path is picked.
 """
 
 from __future__ import annotations
@@ -55,59 +55,18 @@ class InconclusiveEnclosure(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _window_sum(spec: _r.RewardSpec, k: int, m: int) -> Tuple[float, bool]:
-    """Sum of r_k..r_m; second element reports exactness."""
-    fam = spec.family
-    n = m - k + 1
-    if fam == "constant":
-        return spec.params[0] * n, False
-    if fam == "periodic":
-        pat = spec.params[0]
-        p = len(pat)
-        cycle = math.fsum(pat)
-        # shift to a common phase: sum over [k..m] = prefix(m) - prefix(k-1)
-        def prefix(j: int) -> float:
-            full, rem = divmod(j, p)
-            return full * cycle + math.fsum(pat[:rem])
-
-        exact = all(float(x).is_integer() for x in pat) and cycle <= 2**52
-        return prefix(m) - prefix(k - 1), exact
-    if fam == "custom":
-        table = spec.params[0]
-        if m > len(table):
-            raise ValueError(f"index {m} beyond custom reward table")
-        return math.fsum(table[k - 1 : m]), False
-    ones = _r.ones_count(spec, m) - _r.ones_count(spec, k - 1)
-    return float(ones), True
-
-
 def avg_value(spec: _r.RewardSpec, m: int) -> float:
-    """U_{1m}: mean of r_1..r_m.
-
-    Binary sequences use exact integer counting (the result is the
-    correctly rounded rational); others use compensated summation.
-    """
+    """U_{1m}: mean of r_1..r_m (reward.window_mean)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if spec.family == "constant":
-        return spec.params[0]
-    if _r.is_binary_runs(spec):
-        return _r.ones_count(spec, m) / m
-    s, _ = _window_sum(spec, 1, m)
-    return min(max(s / m, 0.0), 1.0)
+    return _r.window_mean(spec, 1, m)
 
 
 def avg_value_from(spec: _r.RewardSpec, k: int, m: int) -> float:
-    """U_{km}: mean of r_k..r_m."""
+    """U_{km}: mean of r_k..r_m (reward.window_mean)."""
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
-    if spec.family == "constant":
-        return spec.params[0]
-    if _r.is_binary_runs(spec):
-        ones = _r.ones_count(spec, m) - _r.ones_count(spec, k - 1)
-        return ones / (m - k + 1)
-    s, _ = _window_sum(spec, k, m)
-    return min(max(s / (m - k + 1), 0.0), 1.0)
+    return _r.window_mean(spec, k, m)
 
 
 # ---------------------------------------------------------------------------
@@ -343,37 +302,12 @@ def _truncate(
 def _budget_end(rspec: _r.RewardSpec, k: int) -> Optional[int]:
     """The index before the run that would add piece _SEG_CAP + 1 from k,
     in closed form; None for explicit lists, whose runs are all stored."""
-    if rspec.params[0] == "explicit":
+    if _r.run_count(rspec) is not None:
         return None
     n = _r.run_index(rspec, k)
     if k >= _r.change_points(rspec, n)[1]:
         n += 1  # k lies in a 0-run: the first piece is the next 1-run
     return _r.change_points(rspec, n + _SEG_CAP)[0] - 1
-
-
-def _one_segments(rspec: _r.RewardSpec, k: int, n_trunc: int) -> List[Tuple[int, int]]:
-    """Half-open 1-run pieces [a,b) intersected with [k, n_trunc + 1)."""
-    end = n_trunc + 1
-    segs: List[Tuple[int, int]] = []
-    if rspec.params[0] == "explicit":
-        pts = list(rspec.params[1])
-        pairs = [(pts[i], pts[i + 1]) for i in range(0, len(pts) - 1, 2)]
-        if len(pts) % 2 == 1:
-            pairs.append((pts[-1], end))
-        for a, b in pairs:
-            a2, b2 = max(a, k), min(b, end)
-            if a2 < b2:
-                segs.append((a2, b2))
-        return segs
-    n = _r.run_index(rspec, k)
-    while True:
-        a, b = _r.change_points(rspec, n)
-        if a >= end:
-            return segs
-        a2, b2 = max(a, k), min(b, end)
-        if a2 < b2:
-            segs.append((a2, b2))
-        n += 1
 
 
 def _runs_value(
@@ -429,7 +363,7 @@ def _runs_value(
             if budget_end is not None:
                 cap = min(cap, budget_end)
             n_trunc, unseen, attained = _truncate(rspec, dspec, k, denom, tol, cap)
-    segs = _one_segments(rspec, k, n_trunc)
+    segs = _r.one_segments(rspec, k, n_trunc)
 
     bounds = {x for seg in segs for x in seg}
     if form == "blocks":
@@ -576,54 +510,12 @@ def _dense_sum(
         vec = impl.gamma_vec(ks)
         if vec is None:
             vec = np.array([impl.gamma(int(i)) for i in ks])
-        rew = _reward_vec(rspec, start, end)
+        rew = _r.reward_vec(rspec, start, end)
         part = vec * rew
         total += float(np.sum(part))
         abs_total += float(np.sum(np.abs(part)))
     pad = _U * (300.0 + 2.0 * math.log2(length)) * abs_total + 16.0 * _U * tail_k.hi
     return Interval.widened(total - pad, total + pad)
-
-
-def _reward_vec(rspec: _r.RewardSpec, start: int, end: int) -> np.ndarray:
-    fam = rspec.family
-    n = end - start + 1
-    if fam == "constant":
-        return np.full(n, rspec.params[0])
-    if fam == "periodic":
-        pat = np.array(rspec.params[0], dtype=np.float64)
-        idx = (np.arange(start - 1, end, dtype=np.int64)) % len(pat)
-        return pat[idx]
-    if fam == "custom":
-        table = rspec.params[0]
-        if end > len(table):
-            raise ValueError(f"index {end} beyond custom reward table")
-        return np.array(table[start - 1 : end], dtype=np.float64)
-    out = np.zeros(n)
-    segs = _one_segments(rspec, start, end)
-    for a, b in segs:
-        out[a - start : b - start] = 1.0
-    return out
-
-
-def subsequence_values(
-    rspec: _r.RewardSpec,
-    dspec: _d.DiscountSpec,
-    which: str,
-    n_range: Sequence[int],
-    tol: float = 1e-3,
-) -> List[Interval]:
-    """V at run starts (at_k_n: limsup candidates) or at 0-run starts
-    (at_m_n: liminf candidates)."""
-    if which not in ("at_k_n", "at_m_n"):
-        raise ValueError("which must be 'at_k_n' or 'at_m_n'")
-    if rspec.family == "constant":
-        return [Interval.exact(rspec.params[0]) for _ in n_range]
-    out = []
-    for n in n_range:
-        kn, mn = _r.change_points(rspec, n)
-        idx = kn if which == "at_k_n" else mn
-        out.append(disc_value(rspec, dspec, idx, tol))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -684,11 +576,7 @@ def _augment_schedule(
     ns: List[int] = []
     n = 1
     while stored is None or n <= stored:
-        try:
-            kn, mn = _r.change_points(rspec, n)
-        except ValueError:
-            break
-        if kn > max_idx:
+        if _r.change_points(rspec, n)[0] > max_idx:
             break
         ns.append(n)
         n += 1

@@ -275,6 +275,26 @@ def test_discount_spec_file_round_trip(tmp_path, capsys) -> None:
     assert payload["V"]["lo"] <= 2 / 3 <= payload["V"]["hi"]
 
 
+@pytest.mark.parametrize("kind, payload", [
+    ("reward", {"family": "binary_runs", "generator": "explicit", "change_points": "19"}),
+    ("reward", {"family": "periodic", "pattern": "10"}),
+    ("reward", {"family": "custom", "table": "01"}),
+    ("discount", {"family": "custom", "params": {"table": "12", "tail": None}}),
+], ids=["change_points", "pattern", "reward_table", "discount_table"])
+def test_spec_file_string_in_place_of_list_exits_2(kind, payload, tmp_path, capsys) -> None:
+    # a string is not read one character at a time as if it were a list
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(payload))
+    if kind == "reward":
+        argv = ["eval", "--reward", f"@{spec_path}", "--m", "6"]
+    else:
+        argv = ["eval", "--reward", "constant:0.5", "--discount", f"@{spec_path}",
+                "--v-at", "1"]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"bad {kind} spec file" in err and "must be a list, got str" in err
+
+
 def test_alternating_reward_is_period_two_alias(capsys) -> None:
     code_a, out_a, _ = run_main(
         ["eval", "--reward", "alternating", "--u-to", "7",

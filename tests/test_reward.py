@@ -146,6 +146,76 @@ def test_ones_count_matches_a_direct_count(spec) -> None:
         assert r.ones_count(spec, m) == total, m
 
 
+# -- the two r_i maps: reward_at and reward_vec --------------------------
+#
+# value._dense_sum reads rewards through reward_at up to 2^17 terms and
+# through reward_vec beyond, so the two must give the same bits.
+
+_CUSTOM_60 = [round(((37 * i) % 101) / 100, 2) for i in range(1, 61)]
+
+
+def _run_edge_windows(spec, runs):
+    """Short windows that straddle k_n and m_n of the given runs."""
+    out = []
+    for n in runs:
+        k_n, m_n = r.change_points(spec, n)
+        out += [(k_n - 2, k_n + 1), (m_n - 2, m_n + 1)]
+    return out
+
+
+_WINDOW_CASES = [
+    (h.constant(0.3), [(1, 50), (10**6, 10**6 + 100)]),
+    # every phase of a period-5 pattern, near 1 and near 10^9
+    (h.periodic([1.0, 0.0, 0.5, 0.25, 0.1]),
+     [(a, a + 23) for a in range(1, 6)] + [(10**9 + a, 10**9 + a + 7) for a in range(5)]),
+    (h.custom_table(_CUSTOM_60), [(1, 60), (17, 60), (60, 60), (1, 1)]),
+    (h.linear_runs(), [(1, 5000)] + _run_edge_windows(h.linear_runs(), [2, 3, 40, 10**6])),
+    (h.exponential_runs(),
+     [(1, 5000)] + _run_edge_windows(h.exponential_runs(), [2, 3, 9, 30])),
+    # past the last change point: even lists stay at 0, odd lists at 1
+    (h.explicit_change_points([1, 2, 55, 110]), [(1, 200), (100, 300), (110, 111)]),
+    (h.explicit_change_points([2, 9, 30]), [(1, 200), (29, 31), (30, 30), (1, 1)]),
+]
+
+
+@pytest.mark.parametrize("spec, windows", _WINDOW_CASES,
+                         ids=[c[0].family + str(j) for j, c in enumerate(_WINDOW_CASES)])
+def test_reward_vec_equals_reward_at_bit_for_bit(spec, windows) -> None:
+    for a, b in windows:
+        vec = r.reward_vec(spec, a, b)
+        want = np.array([r.reward_at(spec, i) for i in range(a, b + 1)], dtype=np.float64)
+        assert vec.dtype == np.float64 and vec.tobytes() == want.tobytes(), (a, b)
+
+
+def test_reward_vec_and_reward_at_agree_past_a_custom_table() -> None:
+    spec = h.custom_table(_CUSTOM_60)
+    with pytest.raises(ValueError, match="index 61 beyond custom reward table"):
+        r.reward_at(spec, 61)
+    with pytest.raises(ValueError, match="index 61 beyond custom reward table"):
+        r.reward_vec(spec, 50, 61)
+
+
+@pytest.mark.parametrize("spec, bits", [
+    (h.linear_runs(), oracles.linear_bits),
+    (h.exponential_runs(), oracles.exponential_bits),
+    (h.explicit_change_points([1, 2, 55, 110]),
+     lambda ks: oracles.reward_vec("explicit", [1, 2, 55, 110], ks)),
+    (h.explicit_change_points([2, 9, 30]),
+     lambda ks: oracles.reward_vec("explicit", [2, 9, 30], ks)),
+], ids=["linear", "exponential", "explicit4", "explicit3"])
+@pytest.mark.parametrize("k, n", [(1, 1), (1, 10**5), (12345, 67890), (29, 31),
+                                  (4**9 - 3, 4**9 + 3), (10**12, 10**12 + 10**4)])
+def test_one_segments_match_the_oracle_bits(spec, bits, k, n) -> None:
+    segs = r.one_segments(spec, k, n)
+    # pieces are nonempty, in order, inside [k, n + 1) and never touch
+    assert all(k <= a < b <= n + 1 for a, b in segs)
+    assert all(b1 < a2 for (_, b1), (a2, _) in zip(segs, segs[1:]))
+    got = np.zeros(n - k + 1)
+    for a, b in segs:
+        got[a - k:b - k] = 1.0
+    assert np.array_equal(got, bits(np.arange(k, n + 1, dtype=np.int64)))
+
+
 # -- window envelopes ---------------------------------------------------
 
 

@@ -159,27 +159,16 @@ def test_truncation_depth_grows_as_tolerance_shrinks() -> None:
 
 
 def test_run_boundary_values_split_under_geometric_decay() -> None:
-    at_k = v.subsequence_values(h.linear_runs(), h.geometric(0.5), "at_k_n",
-                                range(5, 11))
-    at_m = v.subsequence_values(h.linear_runs(), h.geometric(0.5), "at_m_n",
-                                range(5, 11))
+    # V from a run start k_n tracks the limsup, from a 0-run start m_n the
+    # liminf
+    runs = [h.change_points(h.linear_runs(), n) for n in range(5, 11)]
+    at_k = [v.disc_value(h.linear_runs(), h.geometric(0.5), kn) for kn, _ in runs]
+    at_m = [v.disc_value(h.linear_runs(), h.geometric(0.5), mn) for _, mn in runs]
     assert all(iv.lo > 0.99 for iv in at_k[2:])
     assert all(iv.hi < 0.01 for iv in at_m[2:])
     # Monotone separation as the runs lengthen.
     assert at_k[-1].lo >= at_k[0].lo - 1e-12
     assert at_m[-1].hi <= at_m[0].hi + 1e-12
-
-
-def test_subsequence_values_edge_specs() -> None:
-    # Constant rewards need no run structure: V is the constant everywhere.
-    flat = v.subsequence_values(h.constant(0.5), h.geometric(0.5), "at_k_n",
-                                [1, 2, 3])
-    assert all(iv.lo == iv.hi == 0.5 for iv in flat)
-    with pytest.raises(ValueError):
-        v.subsequence_values(h.periodic([1.0, 0.0]), h.geometric(0.5),
-                             "at_k_n", [1])
-    with pytest.raises(ValueError):
-        v.subsequence_values(h.linear_runs(), h.geometric(0.5), "sideways", [1])
 
 
 # -- limit scans --------------------------------------------------------
