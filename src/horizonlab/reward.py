@@ -6,8 +6,8 @@ k_1 < m_1 < k_2 < m_2 < ... with r_i = 1 on [k_n, m_n) and r_i = 0 on
 (zeros) drive all limit formulas; the discount masses of the runs are
 a_n = Gamma_{k_n} - Gamma_{m_n} and b_n = Gamma_{m_n} - Gamma_{k_{n+1}}.
 
-Every decision about how a family lays out its rewards is made here, so
-the value module reads no family name to get at them:
+How each family lays out its rewards is decided here, and the value
+module asks these functions for it:
 
     reward_at      r_k, one index at a time
     reward_vec     r_a..r_b as a float array, bit for bit equal to reward_at
