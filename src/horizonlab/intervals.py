@@ -7,49 +7,84 @@ over-covers the worst-case rounding error of one binary64 operation.
 Exactly representable results (integer arithmetic, dyadic scaling) are
 constructed with Interval.exact and never widened, so comparisons that
 are mathematically ties stay decidable.
+
+Interval is a __slots__ class rather than a frozen dataclass because
+every arithmetic step builds one, and its construction was the largest
+single cost of the library: each operator computes its endpoints,
+widens them in line and builds one object, with no helper calls. It
+keeps the frozen dataclass's behaviour: fields that cannot be assigned
+or deleted (FrozenInstanceError), == and hash on (lo, hi), == only
+between Intervals, the ValueErrors for NaN and inverted endpoints, and
+the repr.
+
+widened_arrays is the array form of Interval.widened for kernels that
+replay a chain of interval operations over float64 lo/hi arrays (see
+value._dense_relative and discount._Integrable.segment_masses). numpy is
+trusted there only with correctly rounded elementwise operations
+(+ - * /, abs, minimum/maximum, spacing), which give the same bits as
+the scalar code. Its transcendentals are not: numpy's vectorised power
+can differ from the C library's pow in the last bit, so every pow, log
+and exp stays a scalar Python call per element.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Union
+import sys
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Iterable, Tuple, Union
+
+import numpy as np
 
 WIDEN_ULPS = 4
 
 _Number = Union[int, float, "Interval"]
 
-
-def _down(x: float) -> float:
-    """Largest float certainly <= every real within WIDEN_ULPS ulp below x."""
-    if math.isinf(x):
-        return x
-    return x - WIDEN_ULPS * math.ulp(x)
-
-
-def _up(x: float) -> float:
-    if math.isinf(x):
-        return x
-    return x + WIDEN_ULPS * math.ulp(x)
+_WIDEN = float(WIDEN_ULPS)
+_INF = math.inf
+_ulp = math.ulp
+# the float below the largest: its spacing is math.ulp of the largest
+_BELOW_MAX = math.nextafter(sys.float_info.max, 0.0)
 
 
-@dataclass(frozen=True)
 class Interval:
-    lo: float
-    hi: float
+    """The closed interval [lo, hi]; immutable, equal and hashed by (lo, hi)."""
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.lo) or math.isnan(self.hi):
+    __slots__ = ("lo", "hi")
+    __match_args__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float) -> None:
+        if lo != lo or hi != hi:
             raise ValueError("interval endpoints must not be NaN")
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+        if lo > hi:
+            raise ValueError(f"inverted interval [{lo}, {hi}]")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.lo == other.lo and self.hi == other.hi
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __reduce__(self):
+        return (Interval, (self.lo, self.hi))
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def exact(x: float) -> "Interval":
         """Degenerate interval; caller asserts x is the exact real value."""
-        return Interval(float(x), float(x))
+        x = float(x)
+        return Interval(x, x)
 
     @staticmethod
     def rounded(x: float) -> "Interval":
@@ -58,7 +93,12 @@ class Interval:
 
     @staticmethod
     def widened(lo: float, hi: float) -> "Interval":
-        return Interval(_down(lo), _up(hi))
+        """[lo - WIDEN_ULPS ulp(lo), hi + WIDEN_ULPS ulp(hi)]; infinities stay."""
+        if lo - lo == 0.0:  # finite
+            lo -= _WIDEN * _ulp(lo)
+        if hi - hi == 0.0:
+            hi += _WIDEN * _ulp(hi)
+        return Interval(lo, hi)
 
     # -- queries -------------------------------------------------------
 
@@ -90,7 +130,7 @@ class Interval:
     def possibly_le(self, other: "Interval") -> bool:
         return self.lo <= other.hi
 
-    # -- arithmetic (outward rounded) -----------------------------------
+    # -- arithmetic (outward rounded, widened in line) -------------------
 
     @staticmethod
     def _coerce(x: _Number) -> "Interval":
@@ -99,8 +139,18 @@ class Interval:
         return Interval.exact(float(x))
 
     def __add__(self, other: _Number) -> "Interval":
-        o = Interval._coerce(other)
-        return Interval.widened(self.lo + o.lo, self.hi + o.hi)
+        if isinstance(other, Interval):
+            lo = self.lo + other.lo
+            hi = self.hi + other.hi
+        else:
+            x = float(other)
+            lo = self.lo + x
+            hi = self.hi + x
+        if lo - lo == 0.0:  # finite
+            lo -= _WIDEN * _ulp(lo)
+        if hi - hi == 0.0:
+            hi += _WIDEN * _ulp(hi)
+        return Interval(lo, hi)
 
     __radd__ = __add__
 
@@ -108,35 +158,64 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __sub__(self, other: _Number) -> "Interval":
-        o = Interval._coerce(other)
-        return Interval.widened(self.lo - o.hi, self.hi - o.lo)
+        if isinstance(other, Interval):
+            lo = self.lo - other.hi
+            hi = self.hi - other.lo
+        else:
+            x = float(other)
+            lo = self.lo - x
+            hi = self.hi - x
+        if lo - lo == 0.0:  # finite
+            lo -= _WIDEN * _ulp(lo)
+        if hi - hi == 0.0:
+            hi += _WIDEN * _ulp(hi)
+        return Interval(lo, hi)
 
     def __rsub__(self, other: _Number) -> "Interval":
         return Interval._coerce(other).__sub__(self)
 
     def __mul__(self, other: _Number) -> "Interval":
-        o = Interval._coerce(other)
-        products = (
-            self.lo * o.lo,
-            self.lo * o.hi,
-            self.hi * o.lo,
-            self.hi * o.hi,
-        )
-        return Interval.widened(min(products), max(products))
+        a, b = self.lo, self.hi
+        if isinstance(other, Interval):
+            c, d = other.lo, other.hi
+        else:
+            c = d = float(other)
+        if 0.0 <= a and 0.0 <= c and b < _INF and d < _INF:
+            # finite and nonnegative: rounding is monotone, no NaN arises
+            lo = a * c
+            hi = b * d
+        else:
+            # min and max of the four products in this order: which NaN
+            # (0 * inf) they skip is part of the result
+            products = (a * c, a * d, b * c, b * d)
+            lo = min(products)
+            hi = max(products)
+        if lo - lo == 0.0:  # finite
+            lo -= _WIDEN * _ulp(lo)
+        if hi - hi == 0.0:
+            hi += _WIDEN * _ulp(hi)
+        return Interval(lo, hi)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: _Number) -> "Interval":
-        o = Interval._coerce(other)
-        if o.lo <= 0.0 <= o.hi:
+        o = other if isinstance(other, Interval) else Interval.exact(float(other))
+        c, d = o.lo, o.hi
+        if c <= 0.0 <= d:
             raise ZeroDivisionError(f"division by interval containing zero: {o}")
-        quotients = (
-            self.lo / o.lo,
-            self.lo / o.hi,
-            self.hi / o.lo,
-            self.hi / o.hi,
-        )
-        return Interval.widened(min(quotients), max(quotients))
+        a, b = self.lo, self.hi
+        if 0.0 <= a and 0.0 < c and b < _INF and d < _INF:
+            lo = a / d
+            hi = b / c
+        else:
+            quotients = (a / c, a / d, b / c, b / d)
+            lo = min(quotients)
+            hi = max(quotients)
+        if lo - lo == 0.0:  # finite
+            lo -= _WIDEN * _ulp(lo)
+        if hi - hi == 0.0:
+            hi += _WIDEN * _ulp(hi)
+        return Interval(lo, hi)
 
     def __rtruediv__(self, other: _Number) -> "Interval":
         return Interval._coerce(other).__truediv__(self)
@@ -155,6 +234,25 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
+
+
+# the slot descriptors' setters, which __setattr__ no longer reaches
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+
+
+def widened_arrays(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Interval.widened on each (lo[j], hi[j]), bit for bit, as new arrays.
+
+    np.spacing is math.ulp except at the largest float, where it
+    overflows; spacing(min(|x|, _BELOW_MAX)) is math.ulp(x) for every
+    finite x and finite for infinite x, which x -+ 4 ulp then keeps.
+    An end that overflows to inf does so with numpy's warning, unless the
+    caller silences it (np.errstate).
+    """
+    lo_ulp = np.spacing(np.minimum(np.abs(lo), _BELOW_MAX))
+    hi_ulp = np.spacing(np.minimum(np.abs(hi), _BELOW_MAX))
+    return lo - WIDEN_ULPS * lo_ulp, hi + WIDEN_ULPS * hi_ulp
 
 
 @dataclass(frozen=True)
