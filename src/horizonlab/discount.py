@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._guards import GuardExceeded, guard_index
-from .intervals import Interval, IntegerInterval
+from .intervals import Interval, IntegerInterval, widened_arrays
 
 _U = 2.0**-53  # binary64 unit roundoff
 
@@ -181,8 +181,19 @@ def _rel_pad_iv(value: float, rel: float) -> Interval:
     return Interval.widened(value - pad, value + pad)
 
 
-def _pow_iv(base, expo: float) -> Interval:
-    """Enclosure of base**expo for base > 0, a float or an int of any size.
+def _rel_pad_arrays(values: np.ndarray, rel) -> Tuple[np.ndarray, np.ndarray]:
+    """_rel_pad_iv on each value (rel a float or one per value), bit for bit."""
+    pad = np.abs(values) * rel + 5e-324
+    return widened_arrays(values - pad, values + pad)
+
+
+def _pow_rel(base: float) -> float:
+    """Relative error bound of base**expo for a float base > 0 (_pow_iv)."""
+    return _U * (8.0 + 2.0 * abs(math.log(base)))
+
+
+def _pow_parts(base, expo: float) -> Tuple[float, float]:
+    """(base**expo, its relative error bound): _pow_iv before the padding.
 
     pow is assumed faithful to 1 ulp; the exponent itself may carry one
     rounding whose effect scales with |ln base|, hence the log factor. An
@@ -193,11 +204,21 @@ def _pow_iv(base, expo: float) -> Interval:
     if isinstance(base, int):
         if base >= 1 << 1000:
             x = expo * math.log(base)
-            return _rel_pad_iv(math.exp(x), _U * (8.0 + 4.0 * abs(x)))
+            return math.exp(x), _U * (8.0 + 4.0 * abs(x))
         base = float(base)
-    y = base**expo
-    rel = _U * (8.0 + 2.0 * abs(math.log(base)))
-    return _rel_pad_iv(y, rel)
+    return base**expo, _pow_rel(base)
+
+
+def _pow_iv(base, expo: float) -> Interval:
+    """Enclosure of base**expo for base > 0, a float or an int of any size."""
+    return _rel_pad_iv(*_pow_parts(base, expo))
+
+
+def _pow_arrays(bases: Sequence, expo: float) -> Tuple[np.ndarray, np.ndarray]:
+    """lo and hi of _pow_iv(b, expo) for each b, bit for bit: one scalar
+    pow per base, then the padding in numpy."""
+    parts = [_pow_parts(b, expo) for b in bases]
+    return _rel_pad_arrays(np.array([y for y, _ in parts]), np.array([r for _, r in parts]))
 
 
 def _log_iv(x) -> Interval:
@@ -450,6 +471,23 @@ class _Geometric(_Base):
         r = _pow_iv(self.g, float(d))
         return r if r.lo > 0.0 else Interval(0.0, max(r.hi, 5e-324))
 
+    def tail_ratio_arrays(self, ds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """lo and hi of tail_ratio(k + d, k) for each offset d >= 0 in ds,
+        bit for bit; each power of g is one scalar ldexp or pow call."""
+        if self.dyadic_exp is not None:
+            ps = np.array([math.ldexp(1.0, self.dyadic_exp * d) for d in ds.tolist()])
+            below = self.dyadic_exp * ds < -1074
+            return np.where(below, 0.0, ps), np.where(below, 5e-324, ps)
+        g = self.g
+        lo, hi = _rel_pad_arrays(np.array([g ** float(d) for d in ds.tolist()]), _pow_rel(g))
+        under = ~(lo > 0.0)
+        lo[under] = 0.0
+        hi[under] = np.maximum(hi[under], 5e-324)
+        one = ds == 0
+        lo[one] = 1.0
+        hi[one] = 1.0
+        return lo, hi
+
     def premise_verdicts(self) -> Tuple[bool, bool, str]:
         return (False, True, "k gamma_k / Gamma_k = (1-g) k diverges; reciprocal tends to 0")
 
@@ -503,18 +541,27 @@ class _Integrable(_Base):
     def integral_tail(self, k: int) -> Interval:
         raise NotImplementedError
 
+    def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """lo and hi of gamma_iv(k) for each k, bit for bit."""
+        raise NotImplementedError
+
+    def integral_tail_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """lo and hi of integral_tail(k) for each k, bit for bit."""
+        raise NotImplementedError
+
     def segment_masses(self, bounds: Sequence[int], target: Optional[float] = None) -> List[Interval]:
-        big = [self.integral_tail(b) for b in bounds]
-        g = [self.gamma_iv(b) for b in bounds]
-        out = []
-        for j in range(len(bounds) - 1):
+        """The sandwich above over each gap, in float64 lo/hi arrays that
+        replay the interval operations of gamma_iv and integral_tail."""
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+            glo, ghi = self.gamma_arrays(bounds)
+            tlo, thi = self.integral_tail_arrays(bounds)
             # both brackets are >= 0, so each of the four roundings errs by
-            # at most half an ulp of the result; widened adds four
-            lo = big[j].lo - big[j + 1].hi
-            hi = (big[j].hi - big[j + 1].lo) + (g[j].hi - g[j + 1].lo)
-            iv = Interval.widened(lo, hi)
-            out.append(Interval(max(iv.lo, 0.0), max(iv.hi, 0.0)))
-        return out
+            # at most half an ulp of the result; widening adds four
+            lo, hi = widened_arrays(tlo[:-1] - thi[1:], (thi[:-1] - tlo[1:]) + (ghi[:-1] - glo[1:]))
+        bad = np.flatnonzero(~(lo <= hi))
+        if bad.size:
+            Interval(lo[bad[0]].item(), hi[bad[0]].item())  # raises, as Interval.widened would
+        return [Interval(a, b) for a, b in zip(np.maximum(lo, 0.0).tolist(), np.maximum(hi, 0.0).tolist())]
 
 
 class _Power(_Integrable):
@@ -532,6 +579,14 @@ class _Power(_Integrable):
     def integral_tail(self, k: int) -> Interval:
         """int_k^inf x^(-1-eps) dx = k^(-eps) / eps."""
         return _pow_iv(k, -self.eps) / Interval.exact(self.eps)
+
+    def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        return _pow_arrays(ks, -1.0 - self.eps)
+
+    def integral_tail_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        lo, hi = _pow_arrays(ks, -self.eps)
+        # the four quotients by the point eps > 0 keep lo's and hi's order
+        return widened_arrays(lo / self.eps, hi / self.eps)
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         # integral sandwich: int_k^inf x^(-1-eps) dx <= Gamma_k <= gamma_k + integral
@@ -589,6 +644,26 @@ class _HarmonicLike(_Integrable):
         if k == 1:
             return self.gamma_iv(1) + self.integral_tail(2)
         return Interval.exact(1.0) / _log_iv(k)
+
+    def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        gs = np.array([self.gamma(k) for k in ks])
+        rels = np.array([_U * (8.0 + 2.0 * math.log(math.log(max(k, 3)))) for k in ks])
+        lo, hi = _rel_pad_arrays(gs, rels)
+        zero = gs == 0.0
+        lo[zero] = 0.0
+        hi[zero] = 5e-324
+        return lo, hi
+
+    def integral_tail_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        logs = np.array([math.log(max(k, 2)) for k in ks])
+        log_lo, log_hi = widened_arrays(logs, logs)
+        lo, hi = widened_arrays(1.0 / log_hi, 1.0 / log_lo)  # ln k > 0.69: 1 / [lo, hi]
+        if 1 in ks:
+            iv = self.integral_tail(1)
+            for j, k in enumerate(ks):
+                if k == 1:
+                    lo[j], hi[j] = iv.lo, iv.hi
+        return lo, hi
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
         kf = np.where(ks == 1, 2, ks).astype(np.float64)

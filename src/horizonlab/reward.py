@@ -228,7 +228,8 @@ def reward_vec(spec: RewardSpec, a: int, b: int) -> np.ndarray:
     if fam == "custom":
         table = spec.params[0]
         if b > len(table):
-            raise ValueError(f"index {b} beyond custom reward table")
+            # the first missing index, as reward_at reports it in a loop from a
+            raise ValueError(f"index {max(a, len(table) + 1)} beyond custom reward table")
         return np.array(table[a - 1 : b], dtype=np.float64)
     out = np.zeros(b - a + 1)
     for lo, hi in one_segments(spec, a, b):

@@ -34,7 +34,7 @@ import numpy as np
 from . import discount as _d
 from . import reward as _r
 from ._guards import guard_index
-from .intervals import Interval, hull_of
+from .intervals import Interval, hull_of, widened_arrays
 
 _U = 2.0**-53
 
@@ -402,14 +402,28 @@ def _dense_relative(
     """(numerator, truncation) of the dense sum in ratio form: every weight
     enters as gamma_i / Gamma_k = (Gamma_i / Gamma_k) (1 - g), so the value
     stays computable where the absolute weights underflow to zero. The
-    denominator is exactly 1."""
+    denominator is exactly 1.
+
+    Each nonzero term is the interval product tail_ratio(i, k) *
+    one_minus_g * r_i, replayed in float64 lo/hi arrays with the same
+    operations and the same widening (tail_ratio_arrays, widened_arrays);
+    the terms are summed by one math.fsum per end, as _interval_sum does.
+    """
     n_trunc = _ratio_truncation(impl, k, tol)
-    parts = []
-    for i in range(k, n_trunc + 1):
-        r_i = _r.reward_at(rspec, i)
-        if r_i != 0.0:
-            parts.append(impl.tail_ratio(i, k) * impl.one_minus_g * r_i)
-    s = _interval_sum(parts)
+    rewards = _r.reward_vec(rspec, k, n_trunc)
+    ds = np.flatnonzero(rewards)
+    if ds.size == 0:
+        s = Interval.exact(0.0)
+    else:
+        r = rewards[ds]
+        t_lo, t_hi = impl.tail_ratio_arrays(ds)
+        # every factor is finite and t_lo >= 0, 1 - g > 0 and r > 0: the
+        # extremes of the four products are these, as Interval.__mul__
+        # finds them; a zero's sign is lost in the widening
+        omg = impl.one_minus_g
+        lo, hi = widened_arrays(t_lo * omg.lo, t_hi * omg.hi)
+        lo, hi = widened_arrays(lo * r, hi * r)
+        s = Interval.widened(math.fsum(lo.tolist()), math.fsum(hi.tolist()))
     numerator = Interval(max(s.lo, 0.0), s.hi + impl.tail_ratio(n_trunc + 1, k).hi)
     return numerator, n_trunc
 

@@ -195,6 +195,17 @@ def test_reward_vec_and_reward_at_agree_past_a_custom_table() -> None:
         r.reward_vec(spec, 50, 61)
 
 
+@pytest.mark.parametrize("a, b, first_missing", [(50, 61, 61), (1, 10**6, 61), (70, 90, 70)])
+def test_reward_vec_names_the_first_missing_index(a, b, first_missing) -> None:
+    # the index a loop of reward_at from a would stop at, not b
+    spec = h.custom_table(_CUSTOM_60)
+    with pytest.raises(ValueError, match=f"^index {first_missing} beyond custom reward table$"):
+        r.reward_vec(spec, a, b)
+    with pytest.raises(ValueError, match=f"^index {first_missing} beyond"):
+        for i in range(a, b + 1):
+            r.reward_at(spec, i)
+
+
 @pytest.mark.parametrize("spec, bits", [
     (h.linear_runs(), oracles.linear_bits),
     (h.exponential_runs(), oracles.exponential_bits),
@@ -396,3 +407,4 @@ def test_reward_serialization_round_trips(spec) -> None:
     top = 3 if spec.family == "custom" else 20
     for k in range(1, top + 1):
         assert r.reward_at(restored, k) == r.reward_at(spec, k)
+
