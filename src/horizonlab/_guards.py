@@ -1,4 +1,4 @@
-"""Work guards shared across the package.
+"""Work guards and index checks shared across the package.
 
 Every potentially unbounded search (horizon walks, series truncation,
 switch-point searches) is capped by a guard index. The cap can be raised
@@ -30,3 +30,11 @@ def guard_index() -> int:
     if value < 1:
         raise ValueError("HORIZONLAB_GUARD must be positive")
     return value
+
+
+def as_index(x, what: str) -> int:
+    """x as an int when it is integral (3 or 3.0); a fractional or
+    non-finite float raises ValueError naming it instead of truncating."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)

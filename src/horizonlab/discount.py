@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._guards import GuardExceeded, guard_index
+from ._guards import GuardExceeded, as_index, guard_index
 from .intervals import Interval, IntegerInterval, widened_arrays
 
 _U = 2.0**-53  # binary64 unit roundoff
@@ -85,9 +85,10 @@ class DiscountSpec:
 
 def finite(m: int) -> DiscountSpec:
     """Unit weight up to cycle m, zero afterwards."""
+    m = as_index(m, "finite horizon m")
     if m < 1:
         raise ValueError("finite horizon m must be >= 1")
-    return DiscountSpec("finite", (int(m),))
+    return DiscountSpec("finite", (m,))
 
 
 def geometric(g: float) -> DiscountSpec:
@@ -1505,7 +1506,7 @@ def spec_from_dict(d: dict) -> DiscountSpec:
     params = d.get("params", {})
     scale = float(d.get("scale", 1.0))
     if fam == "finite":
-        spec = finite(int(params["m"]))
+        spec = finite(params["m"])
     elif fam == "geometric":
         spec = geometric(float(params["g"]))
     elif fam == "quadratic":
@@ -1522,7 +1523,8 @@ def spec_from_dict(d: dict) -> DiscountSpec:
         spec = cosine_modulated()
     elif fam == "patched":
         segs = tuple(
-            PatchedSegment(s["kind"], int(s["start"]), int(s["end"]), float(s["g"]), float(s["gamma_start"]))
+            PatchedSegment(s["kind"], as_index(s["start"], "segment start"),
+                           as_index(s["end"], "segment end"), float(s["g"]), float(s["gamma_start"]))
             for s in params["segments"]
         )
         spec = DiscountSpec("patched", (segs,))

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import discount as _disc
+from ._guards import as_index
 from .intervals import Interval
 
 
@@ -84,7 +85,7 @@ def explicit_change_points(flat: Sequence[int]) -> RewardSpec:
     Beyond the last stored boundary the reward keeps its current value
     (an odd-length list ends inside a 1-run that then extends forever).
     """
-    pts = tuple(int(x) for x in flat)
+    pts = tuple(as_index(x, f"change point {j + 1}") for j, x in enumerate(flat))
     if len(pts) < 2:
         raise ValueError("need at least k_1 and m_1")
     if pts[0] < 1 or any(b <= a for a, b in zip(pts, pts[1:])):

@@ -295,6 +295,25 @@ def test_spec_file_string_in_place_of_list_exits_2(kind, payload, tmp_path, caps
     assert f"bad {kind} spec file" in err and "must be a list, got str" in err
 
 
+@pytest.mark.parametrize("kind, payload, entry", [
+    ("reward", {"family": "binary_runs", "generator": "explicit", "change_points": [1.5, 3.9]},
+     "change point 1"),
+    ("discount", {"family": "finite", "params": {"m": 2.5}}, "finite horizon m"),
+], ids=["change_points", "finite_m"])
+def test_spec_file_fractional_index_exits_2(kind, payload, entry, tmp_path, capsys) -> None:
+    # 1.5 is not truncated to 1: the entry is named and the spec refused
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(payload))
+    if kind == "reward":
+        argv = ["eval", "--reward", f"@{spec_path}", "--m", "4"]
+    else:
+        argv = ["eval", "--reward", "constant:0.5", "--discount", f"@{spec_path}",
+                "--v-at", "1"]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"bad {kind} spec file" in err and f"{entry} must be an integer" in err
+
+
 def test_alternating_reward_is_period_two_alias(capsys) -> None:
     code_a, out_a, _ = run_main(
         ["eval", "--reward", "alternating", "--u-to", "7",

@@ -483,3 +483,17 @@ def test_patched_monotone_flag_is_checked_at_the_joins() -> None:
     bumped = d.DiscountSpec("patched", (tuple([first, jump] + segs[2:]),))
     assert not d.is_monotone_family(bumped)
     assert not d.check_monotone(bumped, second.start + 1).monotone
+
+
+def test_fractional_indices_are_rejected_by_name() -> None:
+    with pytest.raises(ValueError, match=r"finite horizon m must be an integer, got 1\.5"):
+        d.finite(1.5)
+    with pytest.raises(ValueError, match=r"finite horizon m must be an integer, got 2\.5"):
+        d.spec_from_dict({"family": "finite", "params": {"m": 2.5}})
+    seg = d.spec_to_dict(d.build_patched([1, 2]))
+    seg["params"]["segments"][0]["end"] += 0.5
+    with pytest.raises(ValueError, match="segment end must be an integer"):
+        d.spec_from_dict(seg)
+    # integral floats keep working
+    assert d.finite(3.0) == d.finite(3)
+    assert d.spec_from_dict({"family": "finite", "params": {"m": 3.0}}) == d.finite(3)

@@ -408,3 +408,14 @@ def test_reward_serialization_round_trips(spec) -> None:
     for k in range(1, top + 1):
         assert r.reward_at(restored, k) == r.reward_at(spec, k)
 
+
+def test_fractional_change_points_are_rejected_by_name() -> None:
+    with pytest.raises(ValueError, match=r"change point 1 must be an integer, got 1\.5"):
+        r.explicit_change_points([1.5, 3.9])
+    with pytest.raises(ValueError, match=r"change point 4 must be an integer, got 9\.25"):
+        r.reward_from_dict({"family": "binary_runs", "generator": "explicit",
+                            "change_points": [1, 2, 5, 9.25]})
+    with pytest.raises(ValueError, match="must be an integer, got inf"):
+        r.explicit_change_points([1, math.inf])
+    # integral floats keep working
+    assert r.explicit_change_points([1.0, 3.0, 7.0, 8.0]) == r.explicit_change_points([1, 3, 7, 8])
