@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -419,7 +420,9 @@ def _trial_tail_recurrence(rng: random.Random, tally: _Tally, label: str) -> Non
 
 def _trial_telescope(rng: random.Random, tally: _Tally, label: str) -> None:
     """Summation by parts over a window, in enclosures and (for the
-    quadratic family) exactly in rationals."""
+    quadratic family) exactly, in integers over one common denominator:
+    D = lcm of j(j+1) over the window makes every gamma_j = G_j / D with
+    G_j = D / (j(j+1))."""
     dspec = _random_discount(rng)
     if dspec.family == "finite":
         dspec = _d.quadratic()
@@ -440,11 +443,12 @@ def _trial_telescope(rng: random.Random, tally: _Tally, label: str) -> None:
         f"{label}: telescoped window sum disjoint for {dspec.family} at k={k} w={w}",
     )
     if dspec.family == "quadratic":
-        gq = [Fraction(1, j * (j + 1)) for j in range(k, n + 2)]
+        den = math.lcm(*(j * (j + 1) for j in range(k, n + 2)))
+        gq = [den // (j * (j + 1)) for j in range(k, n + 2)]
         lhs_q = sum(
             (gq[j - k] - gq[j - k + 1]) * (j - k + 1) for j in range(k, n + 1)
         ) + gq[n + 1 - k] * (n - k + 1)
-        rhs_q = sum(gq[j - k] for j in range(k, n + 1))
+        rhs_q = sum(gq[: n + 1 - k])
         tally.expect(lhs_q == rhs_q, f"{label}: exact telescope broke at k={k} w={w}")
 
 
@@ -453,7 +457,13 @@ def _trial_mixture(rng: random.Random, tally: _Tally, label: str) -> None:
     windowed averages U_{k..j}, so it must land inside their hull,
     widened by the weight of the windows that end past the table; the
     comparison is exact in rationals. Rounding is monotone, so the exact
-    extremes are among the windows whose float average is extreme."""
+    extremes are among the windows whose float average is extreme.
+
+    V must also enclose every value the table allows: with L its length,
+    S_L = sum_{i=k}^{L} (1-g) g^(i-k) r_i plus anything in [0, g^(L+1-k)]
+    for the rewards past it. For g = 1/q that is [s, s + 8] / (8 q^(L+1-k))
+    with s = (q-1) sum_i nums_i q^(L-i), exact in integers; this side of
+    the check sees an error in V down to the enclosure's own width."""
     g = Fraction(1, 2) if rng.random() < 0.7 else Fraction(1, 4)
     k = rng.randint(1, 60)
     length = k + rng.randint(45, 90)
@@ -472,10 +482,16 @@ def _trial_mixture(rng: random.Random, tally: _Tally, label: str) -> None:
     w_tail = g ** (length - k) * (1 + (length - k) * (1 - g))
     lo = min(exact(min(u_vals))) - w_tail
     hi = max(exact(max(u_vals))) + w_tail
+    q = g.denominator
+    s = (q - 1) * sum(nums[i - 1] * q ** (length - i) for i in range(k, length + 1))
+    den = 8 * q ** (length + 1 - k)
+    s_lo, s_hi = Fraction(s, den), Fraction(s + 8, den)
+    v_lo, v_hi = Fraction(iv.lo), Fraction(iv.hi)
     tally.expect(
-        lo <= Fraction(iv.lo) and Fraction(iv.hi) <= hi,
+        lo <= v_lo and v_hi <= hi and v_lo <= s_lo and s_hi <= v_hi,
         f"{label}: V=[{iv.lo:.9f},{iv.hi:.9f}] outside mixture hull "
-        f"[{float(lo):.9f},{float(hi):.9f}] (g={g}, k={k})",
+        f"[{float(lo):.9f},{float(hi):.9f}] or not enclosing the table's "
+        f"values [{float(s_lo):.12f},{float(s_hi):.12f}] (g={g}, k={k})",
     )
 
 

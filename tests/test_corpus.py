@@ -74,6 +74,20 @@ def test_shifted_discounted_value_leaves_the_mixture_hull(monkeypatch) -> None:
     assert any("mixture hull" in f for f in _failures())
 
 
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+def test_discounted_value_off_by_a_millionth_is_caught(monkeypatch, shift) -> None:
+    # far inside the hull of the window averages, but off the table's
+    # exact discounted sum, which the enclosure must contain
+    real = v.disc_value
+
+    def shifted(*a, **kw):
+        iv = real(*a, **kw)
+        return Interval(iv.lo + shift, iv.hi + shift)
+
+    monkeypatch.setattr(v, "disc_value", shifted)
+    assert any("not enclosing the table's values" in f for f in _failures())
+
+
 def test_tail_raised_past_its_recurrence_is_caught(monkeypatch) -> None:
     # Gamma_k scaled by 1 + 1e-6 puts its lo above gamma_k + Gamma_{k+1}
     # (scaled alike) by about 1e-6 gamma_k; a uniform shift would cancel
