@@ -559,9 +559,6 @@ class _Integrable(_Base):
             # both brackets are >= 0, so each of the four roundings errs by
             # at most half an ulp of the result; widening adds four
             lo, hi = widened_arrays(tlo[:-1] - thi[1:], (thi[:-1] - tlo[1:]) + (ghi[:-1] - glo[1:]))
-        bad = np.flatnonzero(~(lo <= hi))
-        if bad.size:
-            Interval(lo[bad[0]].item(), hi[bad[0]].item())  # raises, as Interval.widened would
         return [Interval(a, b) for a, b in zip(np.maximum(lo, 0.0).tolist(), np.maximum(hi, 0.0).tolist())]
 
 

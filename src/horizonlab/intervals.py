@@ -51,7 +51,6 @@ class Interval:
     """The closed interval [lo, hi]; immutable, equal and hashed by (lo, hi)."""
 
     __slots__ = ("lo", "hi")
-    __match_args__ = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float) -> None:
         if lo != lo or hi != hi:
