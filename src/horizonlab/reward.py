@@ -225,7 +225,9 @@ def reward_vec(spec: RewardSpec, a: int, b: int) -> np.ndarray:
         return np.full(b - a + 1, spec.params[0])
     if fam == "periodic":
         pat = np.array(spec.params[0], dtype=np.float64)
-        return pat[np.arange(a - 1, b, dtype=np.int64) % len(pat)]
+        # the phase is reduced in Python ints, so a may pass int64
+        phase = (a - 1) % len(pat)
+        return pat[(np.arange(b - a + 1, dtype=np.int64) + phase) % len(pat)]
     if fam == "custom":
         table = spec.params[0]
         if b > len(table):

@@ -85,6 +85,21 @@ def test_eval_discounted_point_value(capsys) -> None:
     assert payload["U_1m"] is None
 
 
+@pytest.mark.parametrize("k, value", [
+    (10**22, 4.0 / 7.0),  # r_k = 1: (1 - g) / (1 - g^3)
+    (2**63 - 2, 2.0 / 7.0),  # r_k = 0, r_{k+1} = 1
+    (2**63, 1.0 / 7.0),  # r_k = r_{k+1} = 0, r_{k+2} = 1
+])
+def test_eval_v_at_an_index_past_int64(k, value, capsys) -> None:
+    code, out, _ = run_main(
+        ["eval", "--reward", "periodic:1,0,0", "--discount", "geometric:0.5",
+         "--v-at", str(k), "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["V"]["at"] == k
+    assert payload["V"]["lo"] <= value <= payload["V"]["hi"]
+
+
 def test_eval_average_only(capsys) -> None:
     code, out, _ = run_main(
         ["eval", "--reward", "constant:0.7", "--u-to", "100",

@@ -120,6 +120,20 @@ def test_dense_relative_custom_table_names_its_first_missing_index() -> None:
         dense_relative_reference(spec, impl, 3, 1e-3)
 
 
+@pytest.mark.parametrize("k", [2**63 - 2, 2**63, 10**22, 2**200])
+@pytest.mark.parametrize("g", [0.5, 0.9, 0.3])
+def test_dense_relative_matches_past_int64(g, k) -> None:
+    # k - 1 no longer fits an int64: the periodic phase must be reduced
+    # in Python ints, as reward_at does
+    impl = d._impl(d.geometric(g))
+    for rspec in (h.periodic([1.0, 0.0, 0.0]), h.periodic([0.25, 0.0, 0.7, 1.0, 0.1]),
+                  h.linear_runs(), h.exponential_runs(),
+                  h.explicit_change_points([2, 5, 9, 30]), h.constant(0.3)):
+        got, n_got = v._dense_relative(rspec, impl, k, 1e-6)
+        want, n_want = dense_relative_reference(rspec, impl, k, 1e-6)
+        assert n_got == n_want and same_bits(got, want), rspec
+
+
 # -- closed-form segment masses -------------------------------------------------
 
 

@@ -167,7 +167,9 @@ _WINDOW_CASES = [
     (h.constant(0.3), [(1, 50), (10**6, 10**6 + 100)]),
     # every phase of a period-5 pattern, near 1 and near 10^9
     (h.periodic([1.0, 0.0, 0.5, 0.25, 0.1]),
-     [(a, a + 23) for a in range(1, 6)] + [(10**9 + a, 10**9 + a + 7) for a in range(5)]),
+     [(a, a + 23) for a in range(1, 6)] + [(10**9 + a, 10**9 + a + 7) for a in range(5)]
+     # and past int64, where the phase must be reduced in Python ints
+     + [(2**63 - 3, 2**63 + 5), (10**22, 10**22 + 7), (2**200 + 1, 2**200 + 12)]),
     (h.custom_table(_CUSTOM_60), [(1, 60), (17, 60), (60, 60), (1, 1)]),
     (h.linear_runs(), [(1, 5000)] + _run_edge_windows(h.linear_runs(), [2, 3, 40, 10**6])),
     (h.exponential_runs(),
