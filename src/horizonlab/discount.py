@@ -624,7 +624,13 @@ class _HarmonicLike(_Integrable):
         g = self.gamma(k)
         if g == 0.0:
             return Interval(0.0, 5e-324)
-        return _rel_pad_iv(g, _U * (8.0 + 2.0 * math.log(math.log(max(k, 3)))))
+        return _rel_pad_iv(g, self._gamma_rel(k))
+
+    @staticmethod
+    def _gamma_rel(k: int) -> float:
+        """Relative error bound of gamma(k): the rounding of k ln^2 k and
+        of its reciprocal grows with ln ln k."""
+        return _U * (8.0 + 2.0 * math.log(math.log(max(k, 3))))
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         # integral sandwich for the decreasing integrand 1/(x ln^2 x):
@@ -645,8 +651,7 @@ class _HarmonicLike(_Integrable):
 
     def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         gs = np.array([self.gamma(k) for k in ks])
-        rels = np.array([_U * (8.0 + 2.0 * math.log(math.log(max(k, 3)))) for k in ks])
-        lo, hi = _rel_pad_arrays(gs, rels)
+        lo, hi = _rel_pad_arrays(gs, np.array([self._gamma_rel(k) for k in ks]))
         zero = gs == 0.0
         lo[zero] = 0.0
         hi[zero] = 5e-324
