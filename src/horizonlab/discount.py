@@ -13,16 +13,20 @@ All metrics are scale-free: multiplying a spec's scale field rescales
 gamma and Gamma but leaves every metric bit-identical, which the
 implementation guarantees by computing metrics from unscaled internals.
 
-Families without a closed-form tail (cosine_modulated, alternating_zero,
-the harmonic stretches of patched) answer every tail and segment query
-from one lazily grown table of block sums (_BlockSums): a float sum and
-an error pad per block of S = 512 indices, built only as far as the
-largest index N queried. Memory is 2N/S floats plus one chunk of 2**16
-terms while the table grows; a query costs O(S + N/S), not O(N).
+Families without a closed-form tail (cosine_modulated, the harmonic
+stretches of patched, and the even-index sums of alternating_zero)
+answer every tail and segment query from one lazily grown float64 array
+of block sums (_BlockSums), one per block of S = 64 indices, built only
+as far as the largest index N queried and never past the work guard.
+Memory is 8N/S bytes plus one chunk of 2**15 terms while the table
+grows. A query of p pieces costs one np.add.reduceat over the blocks
+they cover plus under 3S fresh terms per piece, all in numpy:
+O(pS + N/S), not O(N).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -769,74 +773,166 @@ class _StepLog(_Base):
         return (True, True, "both ratios oscillate inside [1/2, 2]-scale bands")
 
 
+def _sum_depth(n: np.ndarray) -> np.ndarray:
+    """Bound on the rounded additions that any term passes through when
+    np.add.reduceat sums a segment of n >= 1 float64 terms.
+
+    numpy sums a segment as its first term plus a pairwise sum of the
+    rest (tests/test_kernels.py pins this model bit for bit). The
+    pairwise sum of m terms adds them in a row when m < 8 (depth <= 6).
+    Up to m = 128 it keeps 8 running sums of m // 8 terms, joins them in a
+    tree of depth 3 and adds the m % 8 left over in a row: a depth of
+    m // 8 - 1 + 3 + m % 8 <= 24. Past 128 it splits m into
+    h = m // 2 - (m // 2) % 8 and m - h <= ceil(m / 2) + 7, one level
+    more. By induction the larger part is at most 128 after t splits
+    when m <= 114 * 2**t + 14, as then ceil(m / 2) + 7 <= 114 * 2**(t-1)
+    + 14. With the first term's addition the depth is at most 25 + t for
+    the least such t, which is ceil(log2 q), q = ceil((n - 14) / 114).
+    """
+    q = np.maximum(-(-(n - 14) // 114), 1)
+    return 25 + np.frexp((q - 1).astype(np.float64))[1]  # frexp's exponent: bit length
+
+
+def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sums of x[lo[j]:hi[j]] for nonempty ranges in ascending order that
+    do not overlap, by one np.add.reduceat; the segments between ranges
+    are summed too and dropped."""
+    idx = np.column_stack([lo, hi]).ravel()[:-1]
+    return np.add.reduceat(x[: hi[-1]], idx)[::2]
+
+
 class _BlockSums:
-    """Checkpointed block sums of a nonnegative weight sequence w_i, i >= origin.
+    """Block sums of a nonnegative weight sequence w_i, i >= origin.
 
-    terms(idx) evaluates w at a float array of indices. The table keeps a
-    float sum and an error pad per block of SIZE indices from origin (whole
-    blocks below stop, if given), grown in chunks of CHUNK indices only as
-    far as the last whole block a query covers. A mass over [a, b) is one
-    math.fsum of the whole blocks inside and of the partial blocks at both
-    ends, summed fresh; no prefix sums are subtracted. Results are a pure
-    function of (a, b): chunks start at origin + j * CHUNK, and
-    np.add.reduceat sums each piece by itself.
+    terms(idx) evaluates w at a float64 array of indices. The table is one
+    float64 array: the sum of each block of SIZE indices from origin (whole
+    blocks below stop, if given). It grows in chunks of CHUNK indices
+    aligned to origin, only as far as the last whole block a query covers,
+    and never past the work guard; a piece may end at most 2 SIZE indices
+    past the table's last possible block, and one reaching further raises
+    GuardExceeded. A mass over [a, b) is the reduceat sum W of the whole
+    blocks inside plus its two partial ends P1 and P2, each under 3 SIZE
+    terms summed fresh: s = (W + P1) + P2. No prefix sums are
+    subtracted. Results are a pure function of (a, b): chunks start at
+    origin + j * CHUNK, and reduceat sums each piece by itself. Bounds
+    reach numpy as int64 offsets from origin, and terms() gets float64
+    indices, exact below 2**53.
 
-    A piece of n terms with float sum s gets the pad
-    (u (260 + 2 log2 n) + term_rel(hi)) s. numpy's pairwise summation
-    (reduceat adds the first term to a pairwise sum of the rest) errs by
-    less than u (21 + log2 n) s; the rest covers per-term rounding of up
-    to 200 ulps, far more than rational and logarithmic weights incur.
-    term_rel(hi) adds a family's larger per-term bound for indices < hi.
+    The pad. Let w~_i >= 0 be the computed terms, with
+    |w~_i - w_i| <= (200 u + rho_i) w~_i: 200 u covers the rounding of
+    rational and logarithmic weights, and rho_i = term_rel (0 if not
+    given) is a family's larger bound, nondecreasing in i, with
+    rho_i <= 2**-21 (a bound relative to w_i serves too: the two differ
+    by less than 2 rho_i**2 < u). Each block is a reduceat sum of SIZE
+    terms (depth 25, _sum_depth), W sums m blocks (depth 25 + t), a fresh
+    end takes at most 26, and two additions follow, so every term of a
+    piece passes through at most d = 2 + max(26, 50 + t) rounded
+    additions. For nonnegative summands |s - sum w~| <= g sum w~ and
+    sum w~ <= s / (1 - g), g = d u / (1 - d u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 4.2). Hence, with
+    R = sum rho_i w~_i,
+
+        |s - M| <= (g + 200 u) s / (1 - g) + R <= (d + 201) u s + R
+
+    for the mass M (d < 2**10). R is computed per run of blocks of equal
+    rho (rho at each block's end), and as rho at its end times each fresh
+    end; its computed value R~ <= 2**-19 s meets R <= R~ (1 + 2**-40),
+    an excess below u s. The pad (d + 202) u s + R~ and s -+ pad, formed
+    in floating point, err by less than 2 ulp(s), which the outward
+    widening by 4 ulp of each end covers.
     """
 
-    SIZE = 1 << 9
-    CHUNK = 1 << 16
+    SIZE = 1 << 6
+    CHUNK = 1 << 15
 
     def __init__(self, terms, term_rel=None, origin: int = 1, stop: Optional[int] = None) -> None:
         self._terms, self._term_rel, self._origin = terms, term_rel, origin
         self._max_blocks = math.inf if stop is None else (stop - origin) // self.SIZE
-        self._sums: List[float] = []
-        self._pads: List[float] = []
+        self._sums = np.zeros(0)
+        # runs of blocks of equal term_rel: the first block of each, its rel
+        self._cuts: List[int] = []
+        self._rels: List[float] = []
 
-    def _pads_of(self, sums: np.ndarray, n, hi) -> np.ndarray:
-        rel = _U * (260.0 + 2.0 * np.log2(np.maximum(n, 2)))
-        return (rel if self._term_rel is None else rel + self._term_rel(hi)) * sums
+    def _grow(self, blocks: int, cap: int) -> None:
+        """Fill the table to at least min(blocks, cap) blocks, in whole
+        chunks unless cap or stop cuts the last one short."""
+        have, per, size = self._sums.size, self.CHUNK // self.SIZE, self.SIZE
+        if blocks <= have:
+            return
+        j = first = have - have % per  # a chunk an earlier cap cut short is redone whole
+        goal = min(blocks + (-blocks) % per, cap, self._max_blocks)
+        parts = [self._sums[:j]]
+        while j < goal:
+            n = min(per, goal - j)
+            lo = self._origin + j * size
+            terms = self._terms(np.arange(lo, lo + n * size, dtype=np.float64))
+            parts.append(np.add.reduceat(terms, np.arange(0, n * size, size)))
+            j += n
+        self._sums = np.concatenate(parts)
+        if self._term_rel is not None:
+            kept = bisect.bisect_left(self._cuts, first)
+            del self._cuts[kept:], self._rels[kept:]
+            ends = self._origin + size * np.arange(first + 1, goal + 1, dtype=np.float64)
+            rel = self._term_rel(ends)
+            new = np.flatnonzero(np.diff(rel, prepend=self._rels[-1] if self._rels else -1.0))
+            self._cuts += (first + new).tolist()
+            self._rels += rel[new].tolist()
 
-    def _grow(self, blocks: int) -> None:
-        size = self.SIZE
-        while len(self._sums) < blocks:
-            n = min(self.CHUNK // size, self._max_blocks - len(self._sums))
-            lo = self._origin + len(self._sums) * size
-            sums = self._terms(np.arange(lo, lo + n * size, dtype=np.float64))
-            sums = sums.reshape(n, size).sum(axis=1)
-            ends = lo + size * np.arange(1, n + 1, dtype=np.float64)
-            self._pads.extend(self._pads_of(sums, size, ends).tolist())
-            self._sums.extend(sums.tolist())
-
-    def masses(self, bounds: Sequence[int]) -> List[Interval]:
-        """Enclosures of sum_{a <= i < b} w_i for consecutive bounds a, b."""
-        size, o = self.SIZE, self._origin
-        a, b = np.array(bounds[:-1], dtype=np.int64), np.array(bounds[1:], dtype=np.int64)
-        first, last = -((o - a) // size), (b - o) // size  # whole blocks in [a, b)
-        whole = first < last
-        first, last = first * whole, last * whole
-        self._grow(int(last.max()))
-        # pieces [a, first block) and [past last block, b), or [a, b) and []
-        lo = np.concatenate([a, np.where(whole, o + last * size, b)])
-        hi = np.concatenate([np.where(whole, o + first * size, b), b])
-        n, sums = hi - lo, np.zeros(2 * a.size)
-        live, step = np.flatnonzero(n), self.CHUNK // (2 * size)
+    def _fresh(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Reduceat sums of the terms over each offset range [lo, hi) of
+        fewer than 3 SIZE indices; 0 for an empty one."""
+        n = hi - lo
+        out = np.zeros(n.size)
+        live, step = np.flatnonzero(n), self.CHUNK // (3 * self.SIZE)
         for sel in (live[g : g + step] for g in range(0, live.size, step)):
             starts = np.cumsum(n[sel]) - n[sel]
             idx = np.arange(starts[-1] + n[sel[-1]]) + np.repeat(lo[sel] - starts, n[sel])
-            sums[sel] = np.add.reduceat(self._terms(idx.astype(np.float64)), starts)
-        pads, sums, m = self._pads_of(sums, n, hi).tolist(), sums.tolist(), a.size
-        out = []
-        for j, (f, e) in enumerate(zip(first.tolist(), last.tolist())):
-            total = math.fsum(self._sums[f:e] + [sums[j], sums[m + j]])
-            pad = math.fsum(self._pads[f:e] + [pads[j], pads[m + j]])
-            out.append(Interval.widened(max(total - pad, 0.0), total + pad))
+            out[sel] = np.add.reduceat(self._terms(idx + float(self._origin)), starts)
         return out
+
+    def _rel_pads(self, f: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Sum of rho_j T_j over the blocks j of each range [f, e), in
+        ascending order: one reduceat sum per run of equal rho inside it."""
+        cuts = np.array(self._cuts)
+        first = np.searchsorted(cuts, f, "right") - 1
+        count = np.searchsorted(cuts, e, "left") - first
+        rng = np.repeat(np.arange(f.size), count)
+        run = np.arange(rng.size) - np.repeat(np.cumsum(count) - count, count) + first[rng]
+        lo = np.maximum(f[rng], cuts[run])
+        hi = np.minimum(e[rng], np.append(cuts[1:], e[-1])[run])
+        parts = np.array(self._rels)[run] * _range_sums(self._sums, lo, hi)
+        return np.bincount(rng, weights=parts, minlength=f.size)
+
+    def masses(self, bounds: Sequence[int]) -> List[Interval]:
+        """Enclosures of sum_{a <= i < b} w_i for consecutive bounds a, b."""
+        if len(bounds) < 2:
+            return []
+        size, o = self.SIZE, self._origin
+        cap = min(guard_index(), 1 << 52) // size  # blocks the table may hold
+        if bounds[-1] - o > (cap + 2) * size:
+            raise GuardExceeded("block sums past the work guard")
+        x = np.array([v - o for v in bounds], dtype=np.int64)
+        a, b = x[:-1], x[1:]
+        f, e = -(-a // size), np.minimum(b // size, cap)  # whole blocks [f, e) of [a, b)
+        whole = f < e
+        # fresh ends [a, c) and [e SIZE, b): c = f SIZE, or c = b and nothing
+        c = np.where(whole, f * size, b)
+        ends = self._fresh(np.concatenate([a, np.where(whole, e * size, b)]), np.concatenate([c, b]))
+        p1, p2 = ends[: a.size], ends[a.size :]
+        w, depth = np.zeros(a.size), np.full(a.size, _sum_depth(3 * size))
+        f, e = f[whole], e[whole]
+        if f.size:
+            self._grow(int(e[-1]), cap)
+            w[whole] = _range_sums(self._sums, f, e)
+            depth[whole] = np.maximum(depth[whole], 25 + _sum_depth(e - f))
+        s = (w + p1) + p2
+        pad = (depth + 204) * _U * s  # (d + 202) u s, d = depth + 2
+        if self._term_rel is not None:
+            pad += self._term_rel(c + float(o)) * p1 + self._term_rel(b + float(o)) * p2
+            if f.size:
+                pad[whole] += self._rel_pads(f, e)
+        lo, hi = widened_arrays(np.maximum(s - pad, 0.0), s + pad)
+        return [Interval(lo_j, hi_j) for lo_j, hi_j in zip(lo.tolist(), hi.tolist())]
 
 
 class _AlternatingZero(_Base):
@@ -857,18 +953,67 @@ class _AlternatingZero(_Base):
             return Interval.exact(0.0)
         return self.base.gamma_iv(k)
 
+    # the relative width that the rest of a tail over a monotone base aims for
+    _SHARP = 2.0**-20
+
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
-        # partial sum over even indices plus the base tail as a bound on
-        # the even-index remainder (crude but rigorous: 0 <= rest <= base tail)
-        start = k if k % 2 == 0 else k + 1
-        n = max(start + 4096, 1 << 16)
+        """Gamma_k: the base weights at the even indices i >= k.
+
+        The even indices from start (k rounded up to even) to an even
+        n >= start - 2 are summed from the block table (none at
+        n = start - 2), and the rest E = sum_{even i > n} gamma_i is
+        enclosed without summing. With O = sum_{odd i > n} gamma_i, the
+        base tail is Gamma_{n+1} = E + O. When the base is provably
+        nonincreasing (base.monotone), pairing neighbours gives
+
+            O - E = sum_{j>=0} (gamma_{n+1+2j} - gamma_{n+2+2j}) >= 0,
+            O - E = gamma_{n+1} - sum_{j>=0} (gamma_{n+2+2j} - gamma_{n+3+2j})
+                  <= gamma_{n+1},
+
+        so E lies in [(Gamma_{n+1} - gamma_{n+1}) / 2, Gamma_{n+1} / 2], a
+        width of gamma_{n+1} / 2 (the odd rest, which starts first, holds
+        the larger half). At n = start - 2 the lower end is Gamma_start / 2,
+        a lower bound of the whole tail. So n is start - 2 or the first of
+        start - 2 + 2^j, j >= 1, with gamma_{n+1} <= 2u Gamma_start if one
+        has 2^j <= 4096 (a rest below the rounding pads for a few thousand
+        terms at most), else the first with gamma_{n+1} <= 2^-20
+        Gamma_start (or 2 target, if smaller): the rest is at most 2^-20
+        of the tail wide. n never passes the work guard or 64 start; past
+        the guard the rest alone answers.
+
+        Any other base keeps the crude rest 0 <= E <= Gamma_{n+1}, with n
+        grown fourfold from start + 4096 until that rest is below 1e-3 of
+        the summed part, or up to the same cap.
+        """
+        start = k + k % 2
         cap = min(guard_index(), max(start * 64, 1 << 22))
+        cap -= cap % 2
+        base = self.base
+        if base.monotone:
+            whole = base.tail(start).lo
+            goal = self._SHARP * whole if target is None else min(self._SHARP * whole, 2.0 * target)
+            fine = 2.0 * _U * whole
+
+            def first(limit: float, last: int) -> int:
+                n, step = start - 2, 2
+                while n < last and base.gamma_iv(n + 1).hi > limit:
+                    n, step = min(start - 2 + step, last), 2 * step
+                return n
+
+            n = first(fine, min(start + 4094, cap))
+            if base.gamma_iv(n + 1).hi > fine:
+                n = first(max(goal, 1e-300), cap)
+            t, g = base.tail(n + 1), base.gamma_iv(n + 1)
+            tail = Interval(max(((t - g) * 0.5).lo, 0.0), (t * 0.5).hi)
+            if n >= start:
+                tail = self._evens.masses([start // 2, n // 2 + 1])[0] + tail
+            return Interval(max(tail.lo, 0.0), tail.hi)
+        n = max(min(max(start + 4096, 1 << 16), cap), start - 2)
         while True:
-            rest = self.base.tail(n + 1)
+            rest = base.tail(n + 1)
             partial = self._evens.masses([start // 2, n // 2 + 1])[0]
             if rest.hi <= max(1e-3 * partial.lo, 1e-300) or n >= cap:
-                lo = max(partial.lo, 0.0)
-                return Interval(lo, partial.hi + rest.hi)
+                return Interval(max(partial.lo, 0.0), partial.hi + rest.hi)
             n = min(n * 4, cap)
 
     def gamma_vec(self, ks: np.ndarray) -> Optional[np.ndarray]:
@@ -952,15 +1097,20 @@ class _CosineModulated(_Base):
         if sorted(set(ks)) != list(ks):
             raise ValueError("tail_batch needs strictly increasing indices")
         t = target if target is not None else 3.0 / self._DEFAULT_N
-        # the guard caps the truncation point, never below the last index asked for
-        n_end = max(min(int(math.ceil(3.0 / t)) + 1, guard_index()), ks[-1] + 1)
+        guard = guard_index()
+        # an index past the guard gets the analytic sandwich; the others sum
+        # to a truncation point the guard caps, never below the last of them
+        summed = [k for k in ks if k <= guard]
+        out = [self.tail_crude(k) for k in ks[len(summed) :]]
+        if not summed:
+            return out
+        n_end = max(min(int(math.ceil(3.0 / t)) + 1, guard), summed[-1] + 1)
         acc = self._tail_beyond(n_end - 1)
-        out: List[Interval] = []
-        for m in reversed(self.segment_masses(ks + [n_end])):
+        head: List[Interval] = []
+        for m in reversed(self.segment_masses(summed + [n_end])):
             acc = m + acc
-            out.append(acc)
-        out.reverse()
-        return out
+            head.append(acc)
+        return head[::-1] + out
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         return self.tail_batch([k], target)[0]

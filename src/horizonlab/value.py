@@ -367,7 +367,10 @@ def _runs_value(
 
     bounds = {x for seg in segs for x in seg}
     if form == "blocks":
-        bounds |= {k, n_trunc + 1}
+        # the guard can put N below k; then nothing is summed
+        end = max(n_trunc + 1, k)
+        if end > k:
+            bounds |= {k, end}
     bounds = sorted(bounds)
     if form == "ratios":
         unseen = Interval(0.0, impl.tail_ratio(n_trunc + 1, k).hi)
@@ -376,7 +379,7 @@ def _runs_value(
     else:
         masses = _d.segment_masses(dspec, bounds, target) if bounds else []
     if form == "blocks":
-        rest = impl.tail_crude(n_trunc + 1)
+        rest = impl.tail_crude(end)
         denom = _interval_sum(masses) + rest
         unseen = Interval(0.0, rest.hi)
     gap = {a: j for j, a in enumerate(bounds)}

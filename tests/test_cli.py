@@ -13,6 +13,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -98,6 +99,34 @@ def test_eval_v_at_an_index_past_int64(k, value, capsys) -> None:
     payload = json.loads(out)
     assert payload["V"]["at"] == k
     assert payload["V"]["lo"] <= value <= payload["V"]["hi"]
+
+
+# Block-summed discounts past the work guard: nothing is summed there, so
+# V is [0, 1] from the analytic tail bounds, not attained (exit 3); a base
+# tail that underflows to zero leaves V undefined (exit 2). Before, the
+# block tables grew linearly up to k (2.7 s at 8e7 under guard 1000), and
+# past 2^63 an int64 cast raised OverflowError.
+@pytest.mark.parametrize("discount, code", [
+    ("cosine", 3), ("alternating", 3), ("alternating:geometric:0.5", 2),
+])
+@pytest.mark.parametrize("k, guard", [
+    (80_000_000, "1000"), (2**63 - 2, None), (2**63, None), (10**22, None), (2**200, None),
+])
+def test_eval_v_at_past_the_guard_answers_without_summing(
+        discount, code, k, guard, capsys, monkeypatch) -> None:
+    if guard is not None:
+        monkeypatch.setenv("HORIZONLAB_GUARD", guard)
+    start = time.perf_counter()
+    got, out, err = run_main(
+        ["eval", "--reward", "linear-runs", "--discount", discount,
+         "--v-at", str(k), "--format", "json"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert got == code and "Traceback" not in err
+    if code == 3:
+        payload = json.loads(out)["V"]
+        assert (payload["lo"], payload["hi"], payload["attained"]) == (0.0, 1.0, False)
+    else:
+        assert err == f"error: tail enclosure not positive at k={k}\n"
 
 
 def test_eval_average_only(capsys) -> None:

@@ -18,7 +18,7 @@ import pytest
 
 import horizonlab as h
 import horizonlab.discount as d
-from horizonlab import EnclosureAmbiguous, IntegerInterval, UndefinedMetric
+from horizonlab import EnclosureAmbiguous, IntegerInterval, Interval, UndefinedMetric
 
 
 def assert_tight(iv, golden: float, ulps: int = 8) -> None:
@@ -259,8 +259,10 @@ def test_cosine_segment_masses_contain_mpmath_sums(bounds) -> None:
         assert iv.width <= 1e-10 * float(exact)
 
 
-@pytest.mark.parametrize("k", [1, 2, 150, 4 * _S, 1 + 4 * _S, 2 + 4 * _S])
+# 2049 is a block edge (1 + j * SIZE), so the indices stay fixed as SIZE changes
+@pytest.mark.parametrize("k", [1, 2, 150, 2048, 2049, 2050])
 def test_cosine_tail_contains_mpmath_head_plus_remainder(k: int) -> None:
+    assert (2049 - 1) % _S == 0
     target = 3.0 / 20_000
     n_end = math.ceil(3.0 / target) + 1  # the family's truncation point
     # the true remainder sum_{i >= n_end} lies in [1, 3] * psi_1(n_end)
@@ -306,6 +308,74 @@ def test_alternating_tails_and_masses_contain_mpmath_values(bounds) -> None:
     masses = d.segment_masses(spec, bounds)
     for (a, b), iv in zip(zip(bounds, bounds[1:]), masses):
         assert _contains(iv, _alternating_tail(a) - _alternating_tail(b)), (a, b, iv)
+
+
+def _geometric_even_tail(k: int):
+    """Exact sum over even i >= k of 2^-i = (4/3) 2^-start."""
+    start = k + k % 2
+    with mpmath.workprec(120):
+        return mpmath.mpf(4) / 3 * mpmath.mpf(2) ** -start
+
+
+# widths of gamma_tail at the parent of the pairing rest, which summed the
+# even weights until the base tail past them fell below 1e-3 of the sum
+_ALT_KS = [1, 2, 3, _ALT_EDGE - 1, _ALT_EDGE, _ALT_EDGE + 1,
+           10**5, 10**5 + 1, 10**6, 10**6 + 1, 2**23, 2**23 + 1]
+_ALT_OLD_WIDTHS = {
+    "quadratic": [1.5258556254837963e-05, 1.5258556254837963e-05, 1.5258556244290844e-05,
+                  9.536734069939476e-07, 9.536734069939476e-07, 9.536734069935139e-07,
+                  1.5624997558625099e-07, 1.5624685064972657e-07, 1.562499975589046e-08,
+                  1.5624968505954007e-08, 9.999999900003423e-09, 9.999999900003423e-09],
+    "geometric": [2.098321516541546e-14, 2.098321516541546e-14, 5.245803791353865e-15,
+                  5.297241150340937e-130, 5.297241150340937e-130, 1.3243102875852343e-130,
+                  2e-323, 2e-323, 2e-323, 2e-323, 2e-323, 2e-323],
+}
+
+
+@pytest.mark.parametrize("base, exact", [
+    (h.quadratic(), _alternating_tail),
+    (h.geometric(0.5), _geometric_even_tail),
+], ids=["quadratic", "geometric"])
+def test_alternating_pairing_rest_contains_exact_tails(base, exact) -> None:
+    spec = h.alternating_zero(base)
+    assert d._impl(base).monotone
+    for k, old in zip(_ALT_KS, _ALT_OLD_WIDTHS[base.family]):
+        iv = d.gamma_tail(spec, k)
+        assert _contains(iv, exact(k)), (k, iv)
+        assert iv.width <= old, (k, iv.width, old)
+        assert iv.lo >= 0.0
+
+
+def test_alternating_pairing_rest_meets_a_target_below_the_guard(monkeypatch) -> None:
+    spec = h.alternating_zero()
+    for k in (150, 10**4 + 1):
+        iv = d.gamma_tail(spec, k, target=1e-12)
+        assert _contains(iv, _alternating_tail(k)) and iv.width <= 1e-12 + 1e-15, (k, iv)
+    # past the guard nothing is summed: the rest alone answers
+    monkeypatch.setenv("HORIZONLAB_GUARD", "1000")
+    impl = d._AlternatingZero(h.quadratic())
+    for k in (5000, 5001, 2**64 + 1):
+        iv = impl.tail(k)
+        assert _contains(iv, _alternating_tail(k)), (k, iv)
+        assert iv.width <= 1.01 / (2 * k * k) + 1e-14 * iv.hi, (k, iv)
+    assert impl._evens._sums.size == 0
+
+
+def test_alternating_over_a_non_monotone_base_keeps_the_crude_rest() -> None:
+    impl = d._AlternatingZero(h.cosine_modulated())
+    assert not impl.base.monotone
+    for k in (3, 150, 1000):
+        # the loop that every base took before the pairing rest
+        start = k + k % 2
+        n = max(start + 4096, 1 << 16)
+        cap = min(d.guard_index(), max(start * 64, 1 << 22))
+        while True:
+            rest = impl.base.tail(n + 1)
+            partial = impl._evens.masses([start // 2, n // 2 + 1])[0]
+            if rest.hi <= max(1e-3 * partial.lo, 1e-300) or n >= cap:
+                break
+            n = min(n * 4, cap)
+        assert impl.tail(k) == Interval(max(partial.lo, 0.0), partial.hi + rest.hi), k
 
 
 def _patched_oracle_tail(segments, k: int):
@@ -362,7 +432,7 @@ def test_block_tables_answer_independently_of_history() -> None:
     # a query on a fresh family object, the same query after other queries
     # grew the table in another order, and after one sweep: same bits
     cos_queries = [
-        lambda f: f.segment_masses([5, 900, 1 + 4 * _S, 100_000]),
+        lambda f: f.segment_masses([5, 900, 1 + 16 * _S, 100_000]),
         lambda f: f.tail_batch([3, 1500, 70_000], 3e-6),
         lambda f: f.tail(150),
     ]
