@@ -905,8 +905,6 @@ class _BlockSums:
 
     def masses(self, bounds: Sequence[int]) -> List[Interval]:
         """Enclosures of sum_{a <= i < b} w_i for consecutive bounds a, b."""
-        if len(bounds) < 2:
-            return []
         size, o = self.SIZE, self._origin
         cap = min(guard_index(), 1 << 52) // size  # blocks the table may hold
         if bounds[-1] - o > (cap + 2) * size:
@@ -917,7 +915,8 @@ class _BlockSums:
         whole = f < e
         # fresh ends [a, c) and [e SIZE, b): c = f SIZE, or c = b and nothing
         c = np.where(whole, f * size, b)
-        ends = self._fresh(np.concatenate([a, np.where(whole, e * size, b)]), np.concatenate([c, b]))
+        ends = self._fresh(np.concatenate([a, np.where(whole, e * size, b)]),
+                           np.concatenate([c, b]))
         p1, p2 = ends[: a.size], ends[a.size :]
         w, depth = np.zeros(a.size), np.full(a.size, _sum_depth(3 * size))
         f, e = f[whole], e[whole]
@@ -990,9 +989,11 @@ class _AlternatingZero(_Base):
         cap -= cap % 2
         base = self.base
         if base.monotone:
-            whole = base.tail(start).lo
-            goal = self._SHARP * whole if target is None else min(self._SHARP * whole, 2.0 * target)
-            fine = 2.0 * _U * whole
+            scale = base.tail(start).lo  # Gamma_start: at most twice the tail
+            goal = self._SHARP * scale
+            if target is not None:
+                goal = min(goal, 2.0 * target)
+            fine = 2.0 * _U * scale
 
             def first(limit: float, last: int) -> int:
                 n, step = start - 2, 2
@@ -1387,9 +1388,9 @@ def segment_masses(
 ) -> List[Interval]:
     """Enclosures of the gamma mass over [bounds[j], bounds[j+1]) for each j.
 
-    Cosine sums these directly from its block table of 2N/S floats
-    (module docstring), so no truncation term is shared and differences
-    stay sharp; the other families take tail differences.
+    Cosine sums these directly from its block table (module docstring),
+    so no truncation term is shared and differences stay sharp; the other
+    families take tail differences.
     """
     bounds = [int(b) for b in bounds]
     if len(bounds) < 2 or any(b <= a for a, b in zip(bounds, bounds[1:])):
