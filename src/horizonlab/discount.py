@@ -21,7 +21,9 @@ as far as the largest index N queried and never past the work guard.
 Memory is 8N/S bytes plus one chunk of 2**15 terms while the table
 grows. A query of p pieces costs one np.add.reduceat over the blocks
 they cover plus under 3S fresh terms per piece, all in numpy:
-O(pS + N/S), not O(N).
+O(pS + N/S), not O(N). Cosine needs its table only near k: far from k
+a first-order Euler-Maclaurin enclosure takes over (_CosineModulated),
+so a tail at resolution t sums O(t^(-2/3)) terms rather than O(1/t).
 """
 
 from __future__ import annotations
@@ -151,13 +153,12 @@ def custom(table: Sequence[float], tail: Optional[Tuple] = None) -> DiscountSpec
 
     tail is ('geometric', g) or ('power', eps) and continues the sequence
     beyond the table anchored at its last value; without it, queries past
-    the table raise.
+    the table raise. The weights are checked where the family object
+    builds its array (_Custom), after the tail model.
     """
-    gammas = tuple(float(g) for g in table)
+    gammas = tuple(map(float, table))
     if not gammas:
         raise ValueError("custom table must be nonempty")
-    if any(g < 0 or math.isnan(g) or math.isinf(g) for g in gammas):
-        raise ValueError("custom weights must be finite and nonnegative")
     if tail is not None:
         kind = tail[0]
         if kind == "geometric":
@@ -237,8 +238,10 @@ class _Base:
 
     mass_form: how V's runs path gets the mass of a reward's 1-runs.
         "tails" (default): segment_masses as tail differences.
-        "blocks": segment_masses summed directly, plus tail_crude(k), an
-            analytic sandwich of Gamma_k.
+        "blocks": segment_masses(bounds, target) summed directly (from a
+            block table near k, in closed form far from it), plus
+            tail_crude(k), an analytic sandwich of Gamma_k that sets the
+            target, and rest(x), an enclosure of Gamma_x without summing.
         "ratios": tail_ratio(j, k) = Gamma_j / Gamma_k and one_minus_g.
         None: no runs path; V is summed densely.
     sums_terms: False (default) when tails cost O(polylog k), so truncation
@@ -1033,12 +1036,43 @@ class _AlternatingZero(_Base):
 
 
 class _CosineModulated(_Base):
+    """gamma_i = g(i), g(x) = (2 + cos U_x) / x^2 with U_x = pi sqrt(2x).
+
+    Near k masses are summed from the block table; far from k they are
+    enclosed in closed form (first-order Euler-Maclaurin). For integers
+    a < b <= inf, with B_1(t) = t - 1/2 and |B_1| <= 1/2 on [0, 1),
+
+        sum_{a<=i<b} g(i) = int_a^b g + (g(a) - g(b)) / 2 + E,
+        E = int_a^b B_1(x - floor x) g'(x) dx,  |E| <= (1/2) int_a^b |g'|,
+
+    (g(inf) = 0). As g' = -sin U_x pi / (sqrt(2x) x^2) - 2 (2 + cos U_x) / x^3,
+    |g'| <= (pi / sqrt 2) x^(-5/2) + 6 x^(-3), so
+    |E| <= (sqrt(2) pi / 6) (a^(-3/2) - b^(-3/2)) + (3/2) (a^(-2) - b^(-2)).
+    In int_a^b cos(U_x) / x^2 dx the substitution u = U_x (x = u^2 / (2 pi^2))
+    gives 4 pi^2 int cos(u) / u^3 du; one integration by parts turns it into
+    (sqrt(2) / pi) (sin U_b b^(-3/2) - sin U_a a^(-3/2)) + R with
+    R = 12 pi^2 int sin(u) / u^4 du, |R| <= 4 pi^2 (U_a^-3 - U_b^-3)
+    = (sqrt(2) / pi) (a^(-3/2) - b^(-3/2)). Hence
+
+        sum_{a<=i<b} g(i) = F(a) - F(b) +- (H(a) - H(b)),
+        F(x) = 2/x - (sqrt(2) / pi) sin(U_x) x^(-3/2) + g(x) / 2,
+        H(x) = C x^(-3/2) + (3/2) x^(-2),  C = sqrt(2) pi / 6 + sqrt(2) / pi,
+
+    with F(inf) = H(inf) = 0. C = 1.19063... <= _EM_C. Both bounds
+    telescope: over consecutive pieces from P the errors add up to at
+    most H(P) = 1.19 P^(-3/2) + 1.5 P^(-2), however many pieces there are.
+    _closed_parts proves the floating-point evaluation of F and H.
+    """
+
     name = "cosine_modulated"
     monotone = False
     mass_form = "blocks"
     sums_terms = True
 
-    _DEFAULT_N = 1 << 23
+    _DEFAULT_TARGET = 3.0 * 2.0**-23  # default tail resolution
+    _EM_C = 1.1907  # >= sqrt(2) pi / 6 + sqrt(2) / pi
+    _SQRT2_PI = math.sqrt(2.0) / math.pi  # sqrt(2) / pi within 2.2 u
+    _FAR = 2.0**500  # where the closed form stops: x^-2 stays a normal float
 
     def __init__(self) -> None:
         self._sums = _BlockSums(self.gamma_vec, self._term_rel)
@@ -1062,16 +1096,12 @@ class _CosineModulated(_Base):
         kf = np.asarray(ks, dtype=np.float64)
         return (2.0 + np.cos(np.pi * np.sqrt(2.0 * kf))) / (kf * kf)
 
-    @staticmethod
-    def _tail_beyond(n: int) -> Interval:
-        # 1 <= 2 + cos <= 3 and sum_{i>N} i^-2 in [1/(N+1), 1/N]
-        return Interval.widened(1.0 / (n + 1), 3.0 / n)
-
     def tail_crude(self, k: int) -> Interval:
-        """Analytic sandwich of Gamma_k with no summation."""
+        """Analytic sandwich of Gamma_k with no summation: 1 <= 2 + cos <= 3
+        and sum_{i>=k} i^-2 lies in [1/k, 1/(k-1)] (in [1, pi^2/6] at k = 1)."""
         if k <= 1:
             return Interval.widened(1.0, 3.0 * math.pi * math.pi / 6.0)
-        return self._tail_beyond(k - 1)
+        return Interval.widened(1.0 / k, 3.0 / (k - 1))
 
     @staticmethod
     def _term_rel(hi):
@@ -1088,30 +1118,129 @@ class _CosineModulated(_Base):
         """
         return 5.0 * np.spacing(np.pi * np.sqrt(2.0 * hi)) + 8.0 * _U
 
+    @classmethod
+    def _closed_parts(cls, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(F~, p, H_lo, H_hi) at float64 points 1 <= x < _FAR, with
+        |F~ - F(x)| <= p and H_lo <= H(x) <= H_hi (class docstring; H takes
+        the float _EM_C >= C, which only widens the bound, as x^(-3/2)
+        decreases).
+
+        Each x is an index rounded to float64, x~ = x (1 + d0) with
+        |d0| <= u (d0 = 0 below 2**53). F~ = (t1 - t2) + t3 with
+        t1 = 2 / x~, r = 1 / (x~ sqrt x~), t2 = (K r) sin U~,
+        t3 = (2 + cos U~) / (x~ x~) / 2, K = fl(sqrt 2 / pi) and
+        U~ = pi sqrt(2 x~) formed as gamma_vec forms it. sqrt and the four
+        basic operations are correctly rounded, so r = x^(-3/2) (1 + th),
+        |th| <= 4.6 u, and K = (sqrt 2 / pi) (1 + 2.2 u). |U~ - U_x| <=
+        3.01 u U + u U / 2 < 4.6 ulp(U~), and np.sin and np.cos are
+        accurate to 4 ulp in [-1, 1], so each errs from sin U_x or cos U_x
+        by e <= s = min(6 ulp(U~) + 16 u, 3) (the cap holds for any value
+        in [-1, 1] they return). Then, with kr = fl(K r),
+
+            |t1~ - t1| <= 2 u t1,
+            |t2~ - t2| <= K x^(-3/2) (e + 9.1 u) <= (s + 10 u) kr,
+            |t3~ - t3| <= t3 (e / (2 + cos U_x) + 5.1 u) <= (s + 6 u) t3,
+
+        as 2 + cos >= 1, and the two additions err by at most
+        2.01 u (t1 + kr + t3). So |F~ - F| <= 4.01 u t1 + (s + 12.01 u)
+        (kr + t3), and p = 1.01 ((s + 16 u) (kr + t3) + 4 u t1) bounds it:
+        the margin of 1.01 covers the roundings of p itself. H~ = C r +
+        1.5 / (x~ x~) is H(x) (1 +- 8 u), and scaling it by 1 -+ 2**-48
+        (32 u) rounds to H_lo <= H(x) <= H_hi. Below _FAR, x~^2 < 2**1000,
+        so no term leaves the normal range.
+        """
+        xx = xs * xs
+        r = 1.0 / (xs * np.sqrt(xs))
+        arg = np.pi * np.sqrt(2.0 * xs)
+        t1 = 2.0 / xs
+        kr = cls._SQRT2_PI * r
+        t3 = 0.5 * ((2.0 + np.cos(arg)) / xx)
+        f = (t1 - kr * np.sin(arg)) + t3
+        s = np.minimum(6.0 * np.spacing(arg) + 16.0 * _U, 3.0)
+        pad = 1.01 * ((s + 16.0 * _U) * (kr + t3) + 4.0 * _U * t1)
+        h = cls._EM_C * r + 1.5 / xx
+        return f, pad, h * (1.0 - 2.0**-48), h * (1.0 + 2.0**-48)
+
+    def _closed_masses(self, bounds: Sequence[int]) -> List[Interval]:
+        """Mass over each [bounds[j], bounds[j+1]) as F(a) - F(b) +-
+        (H(a) - H(b)), for 1 <= bounds < _FAR.
+
+        mid = F~(a) - F~(b) rounds by at most u (|F~(a)| + |F~(b)|). The
+        radius adds that, p(a), p(b) and H_hi(a) - H_lo(b) >= H(a) - H(b):
+        nonnegative terms whose sum rounds by less than 5 u of itself, which
+        the factor 1 + 2**-48 covers. mid -+ radius rounds by half an ulp of
+        each end, inside the 4-ulp widening.
+        """
+        f, p, h_lo, h_hi = self._closed_parts(np.array(bounds, dtype=np.float64))
+        mid = f[:-1] - f[1:]
+        cancel = _U * (np.abs(f[:-1]) + np.abs(f[1:]))
+        rad = ((h_hi[:-1] - h_lo[1:]) + (p[:-1] + p[1:]) + cancel) * (1.0 + 2.0**-48)
+        lo, hi = widened_arrays(np.maximum(mid - rad, 0.0), mid + rad)
+        return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+
+    def rest(self, x: int) -> Interval:
+        """Enclosure of Gamma_x = sum_{i >= x} gamma_i with no summation:
+        F(x) +- H(x) (b = inf in the class docstring), cut to tail_crude(x).
+        F~ -+ (H_hi + p) (1 + 2**-48) rounds by half an ulp of each end,
+        inside the widening. From _FAR on only the crude sandwich is left."""
+        crude = self.tail_crude(x)
+        if x >= self._FAR:
+            return crude
+        f, p, _, h_hi = (float(v[0]) for v in self._closed_parts(np.array([float(x)])))
+        rad = (h_hi + p) * (1.0 + 2.0**-48)
+        em = Interval.widened(f - rad, f + rad)
+        return Interval(max(em.lo, crude.lo), min(em.hi, crude.hi))
+
+    @classmethod
+    def _reach(cls, h: float) -> int:
+        """An index n >= 1 with H(n) <= h (each of H's terms at most h / 2),
+        or the table's reach min(guard, 2**52) if that comes first."""
+        n = max((2.0 * cls._EM_C / h) ** (2.0 / 3.0), math.sqrt(3.0 / h))
+        return max(int(math.ceil(min(n, float(min(guard_index(), 1 << 52))))), 1)
+
     def segment_masses(self, bounds: Sequence[int], target: Optional[float] = None) -> List[Interval]:
-        return self._sums.masses(bounds)
+        """Masses over consecutive bounds. With a target, pieces below the cut
+        P = _reach(target / 16) come from the block table and pieces from P
+        on in closed form (_closed_masses; a piece across P is split there),
+        so the closed-form pieces err by at most H(P) <= target / 16 in
+        total. Without a target, or with bounds from _FAR on, every piece
+        comes from the table."""
+        if target is None or bounds[-1] >= self._FAR:
+            return self._sums.masses(bounds)
+        cut = self._reach(target / 16.0)
+        j = bisect.bisect_left(bounds, cut)  # bounds[:j] < cut <= bounds[j:]
+        if j == 0:
+            return self._closed_masses(bounds)
+        if j == len(bounds):
+            return self._sums.masses(bounds)
+        if bounds[j] == cut:
+            return self._sums.masses(bounds[: j + 1]) + self._closed_masses(bounds[j:])
+        near = self._sums.masses(list(bounds[:j]) + [cut])
+        far = self._closed_masses([cut] + list(bounds[j:]))
+        return near[:-1] + [near[-1] + far[0]] + far[1:]
 
     def tail_batch(self, ks: Sequence[int], target: Optional[float] = None) -> List[Interval]:
+        """Gamma_k for each k: the block-table mass over [k, n) plus rest(n),
+        where n = _reach(t / 4) leaves rest(n) at most t / 2 wide (t the
+        target, or _DEFAULT_TARGET). An index k >= n, as every index past
+        the guard is, gets rest(k) alone."""
         if not ks:
             return []
         ks = [int(k) for k in ks]
         if sorted(set(ks)) != list(ks):
             raise ValueError("tail_batch needs strictly increasing indices")
-        t = target if target is not None else 3.0 / self._DEFAULT_N
-        guard = guard_index()
-        # an index past the guard gets the analytic sandwich; the others sum
-        # to a truncation point the guard caps, never below the last of them
-        summed = [k for k in ks if k <= guard]
-        out = [self.tail_crude(k) for k in ks[len(summed) :]]
+        t = target if target is not None else self._DEFAULT_TARGET
+        n = self._reach(0.25 * t)
+        summed = [k for k in ks if k < n]
+        far = [self.rest(k) for k in ks[len(summed) :]]
         if not summed:
-            return out
-        n_end = max(min(int(math.ceil(3.0 / t)) + 1, guard), summed[-1] + 1)
-        acc = self._tail_beyond(n_end - 1)
+            return far
+        acc = self.rest(n)
         head: List[Interval] = []
-        for m in reversed(self.segment_masses(summed + [n_end])):
+        for m in reversed(self._sums.masses(summed + [n])):
             acc = m + acc
             head.append(acc)
-        return head[::-1] + out
+        return head[::-1] + far
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         return self.tail_batch([k], target)[0]
@@ -1266,9 +1395,12 @@ class _Custom(_Base):
         self.gammas = gammas
         self.tail_model = tail_model
         self.K = len(gammas)
+        table = np.fromiter(gammas, dtype=np.float64, count=self.K)
+        # NaN fails the first test
+        if not ((table >= 0.0).all() and np.isfinite(table).all()):
+            raise ValueError("custom weights must be finite and nonnegative")
         # backward partial sums over the table: suffix[j] = sum_{i>=j} (0-based),
         # suffix[K] = 0; np.cumsum adds sequentially, from the end, in floats
-        table = np.array(gammas, dtype=np.float64)
         self._suffix = np.cumsum(np.concatenate(([0.0], table[::-1])))[::-1].tolist()
         self.monotone = bool(np.all(np.diff(table) <= 0.0))
 
@@ -1365,7 +1497,9 @@ def gamma_tail(spec: DiscountSpec, k: int, target: Optional[float] = None) -> In
 
     target, when given, asks for an absolute tail-resolution hint; families
     with closed forms ignore it. Numerically summed families answer from
-    their block table (module docstring): O(S + N/S) work per call.
+    their block table (module docstring). Cosine sums only up to an index
+    n of order (target)^(-2/3), where its closed-form rest is sharp
+    enough, and answers an index past n or past the guard from that rest.
     """
     if k < 1:
         raise ValueError("index k must be >= 1")
@@ -1389,8 +1523,10 @@ def segment_masses(
     """Enclosures of the gamma mass over [bounds[j], bounds[j+1]) for each j.
 
     Cosine sums these directly from its block table (module docstring),
-    so no truncation term is shared and differences stay sharp; the other
-    families take tail differences.
+    so no truncation term is shared and differences stay sharp; with a
+    target, pieces far from the first bound come in closed form, whose
+    errors add up to at most target / 16. The other families take tail
+    differences.
     """
     bounds = [int(b) for b in bounds]
     if len(bounds) < 2 or any(b <= a for a, b in zip(bounds, bounds[1:])):

@@ -81,7 +81,9 @@ class ValueDetail:
     interval: enclosure clamped to [0,1]; raw: pre-clamp enclosure;
     truncation: last summed index N (0 for closed-form paths); the
     rewards past N enter as an enclosure of their discounted sum, of
-    width at most tol * Gamma_k when attained (module docstring);
+    width at most tol * Gamma_k when attained (module docstring). When
+    the work guard stops a sum before k, nothing is summed and N is
+    k - 1 (with attained False);
     path: constant | product_zero | runs | dense; attained: whether that
     rest met the tolerance before the guard index (or, on the runs path,
     the run budget _SEG_CAP).
@@ -150,7 +152,9 @@ def _truncation_index(
         hi = max(k, 1)
         while tail_at(hi + 1).hi > target:
             if hi >= cap:
-                return cap, tail_at(cap + 1), False
+                # a cap below k stops the sum before it starts: N = k - 1
+                n = max(cap, k - 1)
+                return n, tail_at(n + 1), False
             hi = min(hi * 2, cap)
     lo = k
     while lo < hi:
@@ -324,7 +328,10 @@ def _runs_value(
     The rest is [0, Gamma_{N+1}], except in the tails form for a reward
     with a WindowEnvelope (linear and exponential runs) and a
     nonincreasing discount, where _rest_enclosure gives it and
-    _enveloped_truncation picks N (see _truncate). Once N covers the last
+    _enveloped_truncation picks N (see _truncate). In the blocks form
+    Gamma_{N+1} is the family's closed-form rest(N + 1), and the masses
+    take the target tol * Gamma_k (from tail_crude(k)), so gaps far from
+    k may come in closed form too (discount._CosineModulated). Once N covers the last
     change point of an even-length explicit list no 1s remain: the rest
     is dropped and the value attained. Generated runs stop N before the
     run that would pass _SEG_CAP pieces (closed form, _budget_end); a
@@ -348,7 +355,8 @@ def _runs_value(
         target = tol * impl.tail_crude(k).lo
         n_trunc = max(k, impl.index_for_tail_bound(target, k))
         if n_trunc > guard_index():
-            n_trunc, attained = guard_index(), False
+            # a guard below k stops the sum before it starts: N = k - 1
+            n_trunc, attained = max(guard_index(), k - 1), False
         if budget_end is not None and n_trunc > budget_end:
             n_trunc, attained = budget_end, False
     else:
@@ -367,24 +375,30 @@ def _runs_value(
 
     bounds = {x for seg in segs for x in seg}
     if form == "blocks":
-        # the guard can put N below k; then nothing is summed
-        end = max(n_trunc + 1, k)
+        end = n_trunc + 1  # k when the guard stopped the sum before k
         if end > k:
             bounds |= {k, end}
     bounds = sorted(bounds)
+    finite_done = last is not None and last <= n_trunc + 1
     if form == "ratios":
         unseen = Interval(0.0, impl.tail_ratio(n_trunc + 1, k).hi)
         ratios = [impl.tail_ratio(b, k) for b in bounds]
         masses = [a - b for a, b in zip(ratios, ratios[1:])]
-    else:
-        masses = _d.segment_masses(dspec, bounds, target) if bounds else []
-    if form == "blocks":
-        rest = impl.tail_crude(end)
+    elif form == "blocks":
+        # with no 1s past the last piece (finite_done), the gaps up to its
+        # end are summed without a target, so the numerator stays as sharp
+        # as the table; only the gaps past it may take a coarser form
+        split = bounds.index(segs[-1][1]) if finite_done and segs else 0
+        masses = _d.segment_masses(dspec, bounds[: split + 1]) if split else []
+        if len(bounds) > split + 1:
+            masses += _d.segment_masses(dspec, bounds[split:], target)
+        rest = impl.rest(end)
         denom = _interval_sum(masses) + rest
         unseen = Interval(0.0, rest.hi)
+    else:
+        masses = _d.segment_masses(dspec, bounds, target) if bounds else []
     gap = {a: j for j, a in enumerate(bounds)}
     s = _interval_sum([masses[gap[a]] for a, _ in segs])
-    finite_done = last is not None and last <= n_trunc + 1
     if finite_done:
         unseen = Interval.exact(0.0)
     # the division by the denominator widens by 4 ulp, which covers the

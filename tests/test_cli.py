@@ -129,6 +129,23 @@ def test_eval_v_at_past_the_guard_answers_without_summing(
         assert err == f"error: tail enclosure not positive at k={k}\n"
 
 
+# A guard below k stops the sum before it starts: truncation is k - 1
+# ("nothing summed"), on the blocks path (cosine) and the dense path
+# (alternating) alike, never the guard index itself.
+@pytest.mark.parametrize("discount, k, guard", [
+    ("cosine", 10**22, None), ("cosine", 80_000_000, "1000"), ("alternating", 10**22, None),
+])
+def test_eval_guard_stop_before_k_reports_k_minus_one(discount, k, guard, capsys, monkeypatch) -> None:
+    if guard is not None:
+        monkeypatch.setenv("HORIZONLAB_GUARD", guard)
+    code, out, _ = run_main(
+        ["eval", "--reward", "linear-runs", "--discount", discount,
+         "--v-at", str(k), "--format", "json"], capsys)
+    payload = json.loads(out)["V"]
+    assert code == 3 and payload["attained"] is False
+    assert payload["truncation"] == k - 1
+
+
 def test_eval_average_only(capsys) -> None:
     code, out, _ = run_main(
         ["eval", "--reward", "constant:0.7", "--u-to", "100",

@@ -10,6 +10,7 @@ when the truth is exactly representable.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import mpmath
@@ -259,29 +260,141 @@ def test_cosine_segment_masses_contain_mpmath_sums(bounds) -> None:
         assert iv.width <= 1e-10 * float(exact)
 
 
+_HEAD_END = 20_000
+
+
+@functools.lru_cache(maxsize=None)
+def _cosine_heads():
+    """heads[x] = exact sum of the terms over [x, _HEAD_END), x <= _HEAD_END."""
+    heads = [mpmath.mpf(0)] * (_HEAD_END + 1)
+    with mpmath.workprec(120):
+        for i in range(_HEAD_END - 1, 0, -1):
+            heads[i] = heads[i + 1] + (2 + mpmath.cos(mpmath.pi * mpmath.sqrt(2 * i))) / mpmath.mpf(i) ** 2
+    return heads
+
+
+def _cosine_tail(x: int):
+    """(T, e): the true tail sum_{i >= x} g(i), g(i) = (2 + cos(pi sqrt(2i))) / i^2,
+    lies in [T - e, T + e].
+
+    The terms below M = max(x, _HEAD_END) are summed exactly; the rest
+    follows second-order Euler-Maclaurin,
+        sum_{i>=M} g(i) = int_M^inf g + g(M)/2 - g'(M)/12 + R,
+        |R| <= (1/12) int_M^inf |g''|,
+    with int_M^inf g = 2/M + 4 pi^2 int_a^inf cos(u)/u^3 du (u = pi sqrt(2x),
+    a = pi sqrt(2M)) = 2/M + 4 pi^2 (cos a/(2a^2) - sin a/(2a) + Ci(a)/2),
+    and |g''| <= (pi^2/2) x^-3 + (9 pi/(2 sqrt 2)) x^-7/2 + 18 x^-4. An
+    oracle independent of the package's first-order formula, and far
+    sharper: e ~ 0.2 M^-2.
+    """
+    head = _cosine_heads()[x] if x < _HEAD_END else 0
+    with mpmath.workprec(200):
+        big_m = mpmath.mpf(max(x, _HEAD_END))
+        pi, root2 = mpmath.pi, mpmath.sqrt(2)
+        a = pi * mpmath.sqrt(2 * big_m)
+        integral = 2 / big_m + 4 * pi**2 * (
+            mpmath.cos(a) / (2 * a**2) - mpmath.sin(a) / (2 * a) + mpmath.ci(a) / 2)
+        g = (2 + mpmath.cos(a)) / big_m**2
+        dg = (-mpmath.sin(a) * pi / (root2 * mpmath.sqrt(big_m) * big_m**2)
+              - 2 * (2 + mpmath.cos(a)) / big_m**3)
+        err = (pi**2 / 4 * big_m**-2 + 9 * pi / (2 * root2) * mpmath.mpf(2) / 5 * big_m ** mpmath.mpf(-2.5)
+               + 6 * big_m**-3) / 12
+        return head + integral + g / 2 - dg / 12, err
+
+
+def _cosine_mass(a: int, b: int):
+    """(T, e) for the mass over [a, b): an exact sum for short pieces."""
+    if b - a <= 5000:
+        return _cosine_sum(a, b), 0
+    (ta, ea), (tb, eb) = _cosine_tail(a), _cosine_tail(b)
+    return ta - tb, ea + eb
+
+
+def _encloses_true(iv, true) -> bool:
+    """iv holds the whole oracle band (T, e) of a true value, and that band
+    is under a thousandth of iv's width."""
+    t, e = true
+    return (mpmath.mpf(iv.lo) <= t - e and t + e <= mpmath.mpf(iv.hi)
+            and e <= 1e-3 * mpmath.mpf(iv.width))
+
+
 # 2049 is a block edge (1 + j * SIZE), so the indices stay fixed as SIZE changes
 @pytest.mark.parametrize("k", [1, 2, 150, 2048, 2049, 2050])
 def test_cosine_tail_contains_mpmath_head_plus_remainder(k: int) -> None:
+    # below the family's summing point the tail is the block mass up to it
+    # plus the closed-form rest; past it (2048 on), the rest alone
     assert (2049 - 1) % _S == 0
-    target = 3.0 / 20_000
-    n_end = math.ceil(3.0 / target) + 1  # the family's truncation point
-    # the true remainder sum_{i >= n_end} lies in [1, 3] * psi_1(n_end)
-    with mpmath.workprec(120):
-        head = _cosine_sum(k, n_end)
-        rest = mpmath.psi(1, n_end)
-    tail = d.gamma_tail(h.cosine_modulated(), k, target)
-    assert _contains(tail, head + rest) and _contains(tail, head + 3 * rest)
+    tail = d.gamma_tail(h.cosine_modulated(), k, 3.0 / 20_000)
+    assert _encloses_true(tail, _cosine_tail(k))
 
 
 def test_cosine_tail_past_the_guard_encloses_the_tail(monkeypatch) -> None:
-    # the guard caps the truncation point, but never below the index asked for
+    # past the guard nothing is summed: the closed-form rest answers alone
     monkeypatch.setenv("HORIZONLAB_GUARD", "40000")
-    k, m = 50_000, 10**6
-    idx = np.arange(k, m, dtype=np.float64)
-    head = math.fsum((2.0 + np.cos(np.pi * np.sqrt(2.0 * idx))) / idx**2)
-    tail = d.gamma_tail(h.cosine_modulated(), k)
-    # the rest past m lies in [1, 3] * sum_{i >= m} i^-2, inside [1/m, 3/(m-1)]
-    assert tail.lo <= head + 1.0 / m and head + 3.0 / (m - 1) <= tail.hi
+    tail = d.gamma_tail(h.cosine_modulated(), 50_000)
+    assert _encloses_true(tail, _cosine_tail(50_000))
+    # 2 H(k) / Gamma_k ~ 1.2 / sqrt(k); the crude sandwich was 200% wide
+    assert tail.width <= 1.3 * tail.lo / math.sqrt(50_000)
+
+
+_COS = d._impl(h.cosine_modulated())
+_GUARD = 10**8
+
+
+@pytest.mark.parametrize("x", [
+    2, 3, 10, 150, 2049, 10**5,
+    _GUARD - 1, _GUARD, _GUARD + 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 + 2, 10**22,
+])
+def test_cosine_rest_contains_the_true_tail(x: int) -> None:
+    iv = _COS.rest(x)
+    assert _encloses_true(iv, _cosine_tail(x))
+    assert _COS.tail_crude(x).encloses(iv)
+    if x >= 10**5:  # 2 H(x) / Gamma_x ~ 1.2 / sqrt(x)
+        assert iv.width <= 1.3 * iv.lo / math.sqrt(x)
+
+
+def _closed_cases():
+    target = 1e-6
+    cut = _COS._reach(target / 16)
+    return cut, [
+        ("straddling P", [cut - 700, cut + 900]),
+        ("starting at P", [cut, cut + 1, cut + 5000]),
+        ("all past P", [cut + 3, cut + 64, 4 * cut]),
+        ("one very long piece", [cut + 11, 10**8]),
+        ("near the guard", [cut - 3, _GUARD - 1, _GUARD, _GUARD + 1]),
+        ("near 2^52", [2**52 - 5, 2**52, 2**52 + 7]),
+    ]
+
+
+@pytest.mark.parametrize("name, bounds", _closed_cases()[1], ids=[c[0] for c in _closed_cases()[1]])
+def test_cosine_closed_form_masses_contain_the_true_masses(name, bounds) -> None:
+    target = 1e-6
+    masses = d.segment_masses(h.cosine_modulated(), bounds, target)
+    for (a, b), iv in zip(zip(bounds, bounds[1:]), masses):
+        assert _encloses_true(iv, _cosine_mass(a, b)), (a, b, iv)
+    # the closed-form errors telescope: the whole run is at most target / 8 wide
+    assert sum(iv.width for iv in masses) <= target / 8
+
+
+def test_cosine_closed_form_and_table_masses_intersect() -> None:
+    target = 1e-6
+    cut = _closed_cases()[0]
+    bounds = [cut] + sorted({cut + 3 + int(cut * 0.37 * j * j) for j in range(1, 12)})
+    closed = d.segment_masses(h.cosine_modulated(), bounds, target)
+    table = d.segment_masses(h.cosine_modulated(), bounds)
+    for (a, b), c, t in zip(zip(bounds, bounds[1:]), closed, table):
+        assert c.intersects(t), (a, b, c, t)
+        assert c.width >= t.width  # the table is the sharper of the two
+
+
+def test_cosine_masses_without_target_stay_in_the_table(monkeypatch) -> None:
+    # the same far pieces: the closed form answers past the guard, the table raises
+    monkeypatch.setenv("HORIZONLAB_GUARD", "5000")
+    bounds = [100, 4000, 80_000, 10**6]
+    got = d.segment_masses(h.cosine_modulated(), bounds, 1e-4)
+    assert len(got) == 3 and all(iv.lo > 0.0 for iv in got)
+    with pytest.raises(d.GuardExceeded):
+        d.segment_masses(h.cosine_modulated(), bounds)
 
 
 def _alternating_tail(k: int):

@@ -8,7 +8,9 @@ oracles.py for spot cross-checks of discounted enclosures.
 
 from __future__ import annotations
 
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import mpmath
@@ -422,3 +424,22 @@ def test_periodic_rest_enclosure_contains_brute_force(dspec, family, params) -> 
     det = v.disc_value_detail(h.periodic(pattern), dspec, 300, tol=1e-7)
     lo, hi = oracles.disc_bounds("periodic", pattern, family, params, 300, n_terms=10**6)
     assert det.interval.lo <= hi and lo <= det.interval.hi
+
+
+def _cosine_grid():
+    path = pathlib.Path(__file__).resolve().parent / "golden" / "cosine_v_grid.json"
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("reward", ["linear", "exponential", "explicit", "explicit_odd"])
+def test_cosine_runs_values_keep_truncation_and_never_widen(reward) -> None:
+    # recorded before the far masses and the rest took their closed forms
+    grid = _cosine_grid()
+    rspec = {"linear": r.linear_runs(), "exponential": r.exponential_runs()}.get(reward)
+    if rspec is None:
+        rspec = r.explicit_change_points(grid[reward])
+    for case in (c for c in grid["cases"] if c["reward"] == reward):
+        det = v.disc_value_detail(rspec, h.cosine_modulated(), case["k"], case["tol"], strict=False)
+        old = Interval(case["lo"], case["hi"])
+        assert (det.truncation, det.attained) == (case["truncation"], case["attained"]), case
+        assert det.interval.intersects(old) and det.interval.width <= old.width, (case, det)
