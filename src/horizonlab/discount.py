@@ -1131,23 +1131,25 @@ class _CosineModulated(_Base):
         t3 = (2 + cos U~) / (x~ x~) / 2, K = fl(sqrt 2 / pi) and
         U~ = pi sqrt(2 x~) formed as gamma_vec forms it. sqrt and the four
         basic operations are correctly rounded, so r = x^(-3/2) (1 + th),
-        |th| <= 4.6 u, and K = (sqrt 2 / pi) (1 + 2.2 u). |U~ - U_x| <=
-        3.01 u U + u U / 2 < 4.6 ulp(U~), and np.sin and np.cos are
-        accurate to 4 ulp in [-1, 1], so each errs from sin U_x or cos U_x
-        by e <= s = min(6 ulp(U~) + 16 u, 3) (the cap holds for any value
-        in [-1, 1] they return). Then, with kr = fl(K r),
+        |th| <= 4.5 u, and K = (sqrt 2 / pi) (1 + 2.2 u). |U~ - U_x| <=
+        3.01 u U + u U / 2 < 4 ulp(U~), and np.sin and np.cos are accurate
+        to 4 ulp (<= 8 u) in [-1, 1], so each errs from sin U_x or cos U_x
+        by e <= s = min(6 ulp(U~) + 16 u, 3) (the cap holds for any values
+        in [-1, 1] they return). With kr = fl(K r) = K x^(-3/2) (1 + 7.8 u),
+        |sin~| <= 1 and 2 + cos~ >= 1 (so t3~ >= (1 - 6 u) / (2 x^2)):
 
             |t1~ - t1| <= 2 u t1,
-            |t2~ - t2| <= K x^(-3/2) (e + 9.1 u) <= (s + 10 u) kr,
-            |t3~ - t3| <= t3 (e / (2 + cos U_x) + 5.1 u) <= (s + 6 u) t3,
+            |t2~ - t2| <= K x^(-3/2) (e + 8.9 u) <= (1 + 8 u) (s + 8.9 u) kr,
+            |t3~ - t3| <= e / (2 x^2) + 5.1 u t3 <= (s + 6 u + 11 u s) t3~,
 
-        as 2 + cos >= 1, and the two additions err by at most
-        2.01 u (t1 + kr + t3). So |F~ - F| <= 4.01 u t1 + (s + 12.01 u)
-        (kr + t3), and p = 1.01 ((s + 16 u) (kr + t3) + 4 u t1) bounds it:
-        the margin of 1.01 covers the roundings of p itself. H~ = C r +
-        1.5 / (x~ x~) is H(x) (1 +- 8 u), and scaling it by 1 -+ 2**-48
-        (32 u) rounds to H_lo <= H(x) <= H_hi. Below _FAR, x~^2 < 2**1000,
-        so no term leaves the normal range.
+        the last as t3 <= (1 + e) t3~ (1 + 6 u), and the two additions
+        err by at most 2.01 u (t1 + kr + t3~). So |F~ - F| <= 4.01 u t1 +
+        (s + 11.2 u + 11 u s) (kr + t3~), and p = 1.01 ((s + 16 u)
+        (kr + t3~) + 4 u t1) bounds it: the margin of 1.01 covers the
+        terms in u s and the roundings of p itself. H~ = C r + 1.5 / (x~ x~)
+        is H(x) (1 +- 8 u), and scaling it by 1 -+ 2**-48 (32 u) rounds to
+        H_lo <= H(x) <= H_hi. Below _FAR, x~^2 < 2**1000, so no term
+        leaves the normal range.
         """
         xx = xs * xs
         r = 1.0 / (xs * np.sqrt(xs))
@@ -1194,8 +1196,9 @@ class _CosineModulated(_Base):
     @classmethod
     def _reach(cls, h: float) -> int:
         """An index n >= 1 with H(n) <= h (each of H's terms at most h / 2),
-        or the table's reach min(guard, 2**52) if that comes first."""
-        n = max((2.0 * cls._EM_C / h) ** (2.0 / 3.0), math.sqrt(3.0 / h))
+        or the table's reach min(guard, 2**52) if that comes first (as it
+        does for h <= 0)."""
+        n = max((2.0 * cls._EM_C / h) ** (2.0 / 3.0), math.sqrt(3.0 / h)) if h > 0.0 else math.inf
         return max(int(math.ceil(min(n, float(min(guard_index(), 1 << 52))))), 1)
 
     def segment_masses(self, bounds: Sequence[int], target: Optional[float] = None) -> List[Interval]:

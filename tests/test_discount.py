@@ -347,7 +347,11 @@ _GUARD = 10**8
 ])
 def test_cosine_rest_contains_the_true_tail(x: int) -> None:
     iv = _COS.rest(x)
-    assert _encloses_true(iv, _cosine_tail(x))
+    true = _cosine_tail(x)
+    assert _encloses_true(iv, true)
+    # the bound on the Euler-Maclaurin error is loose (the error itself is
+    # under 15% of it from x = 2 on), so a wrong F shows off centre first
+    assert abs(true[0] - mpmath.mpf(iv.mid)) <= iv.width / 8
     assert _COS.tail_crude(x).encloses(iv)
     if x >= 10**5:  # 2 H(x) / Gamma_x ~ 1.2 / sqrt(x)
         assert iv.width <= 1.3 * iv.lo / math.sqrt(x)
@@ -371,7 +375,10 @@ def test_cosine_closed_form_masses_contain_the_true_masses(name, bounds) -> None
     target = 1e-6
     masses = d.segment_masses(h.cosine_modulated(), bounds, target)
     for (a, b), iv in zip(zip(bounds, bounds[1:]), masses):
-        assert _encloses_true(iv, _cosine_mass(a, b)), (a, b, iv)
+        true = _cosine_mass(a, b)
+        assert _encloses_true(iv, true), (a, b, iv)
+        if a < 2**40:  # near 2^52 the rounding of F(a) - F(b) sets the width
+            assert abs(true[0] - mpmath.mpf(iv.mid)) <= iv.width / 8, (a, b, iv)
     # the closed-form errors telescope: the whole run is at most target / 8 wide
     assert sum(iv.width for iv in masses) <= target / 8
 
