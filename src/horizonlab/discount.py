@@ -1196,9 +1196,8 @@ class _CosineModulated(_Base):
     @classmethod
     def _reach(cls, h: float) -> int:
         """An index n >= 1 with H(n) <= h (each of H's terms at most h / 2),
-        or the table's reach min(guard, 2**52) if that comes first (as it
-        does for h <= 0)."""
-        n = max((2.0 * cls._EM_C / h) ** (2.0 / 3.0), math.sqrt(3.0 / h)) if h > 0.0 else math.inf
+        or the table's reach min(guard, 2**52) if that comes first."""
+        n = max((2.0 * cls._EM_C / h) ** (2.0 / 3.0), math.sqrt(3.0 / h))
         return max(int(math.ceil(min(n, float(min(guard_index(), 1 << 52))))), 1)
 
     def segment_masses(self, bounds: Sequence[int], target: Optional[float] = None) -> List[Interval]:
@@ -1218,8 +1217,8 @@ class _CosineModulated(_Base):
             return self._sums.masses(bounds)
         if bounds[j] == cut:
             return self._sums.masses(bounds[: j + 1]) + self._closed_masses(bounds[j:])
-        near = self._sums.masses(list(bounds[:j]) + [cut])
-        far = self._closed_masses([cut] + list(bounds[j:]))
+        near = self._sums.masses(bounds[:j] + [cut])
+        far = self._closed_masses([cut] + bounds[j:])
         return near[:-1] + [near[-1] + far[0]] + far[1:]
 
     def tail_batch(self, ks: Sequence[int], target: Optional[float] = None) -> List[Interval]:

@@ -344,6 +344,7 @@ _GUARD = 10**8
 @pytest.mark.parametrize("x", [
     2, 3, 10, 150, 2049, 10**5,
     _GUARD - 1, _GUARD, _GUARD + 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 + 2, 10**22,
+    10**200,  # past _FAR: the crude sandwich alone
 ])
 def test_cosine_rest_contains_the_true_tail(x: int) -> None:
     iv = _COS.rest(x)
@@ -353,7 +354,7 @@ def test_cosine_rest_contains_the_true_tail(x: int) -> None:
     # under 15% of it from x = 2 on), so a wrong F shows off centre first
     assert abs(true[0] - mpmath.mpf(iv.mid)) <= iv.width / 8
     assert _COS.tail_crude(x).encloses(iv)
-    if x >= 10**5:  # 2 H(x) / Gamma_x ~ 1.2 / sqrt(x)
+    if 10**5 <= x < _COS._FAR:  # 2 H(x) / Gamma_x ~ 1.2 / sqrt(x)
         assert iv.width <= 1.3 * iv.lo / math.sqrt(x)
 
 
