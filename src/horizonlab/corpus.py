@@ -334,8 +334,20 @@ class _Tally:
 
 
 def _dyadic_table(rng: random.Random, length: int) -> List[int]:
-    """Numerators of a table of eighths: entry i is nums[i] / 8."""
-    return [rng.randint(0, 8) for _ in range(length)]
+    """Numerators of a table of eighths: entry i is nums[i] / 8.
+
+    Each entry is rng.randint(0, 8), drawn as random.Random does it: one
+    getrandbits(4), drawn again while it is 9 or more. The loop is that
+    draw inline, so it gives the same numbers and leaves the generator in
+    the same state, without randint's call chain per entry."""
+    bits = rng.getrandbits
+    nums = []
+    for _ in range(length):
+        x = bits(4)
+        while x > 8:
+            x = bits(4)
+        nums.append(x)
+    return nums
 
 
 def _trial_averages(rng: random.Random, tally: _Tally, label: str) -> None:

@@ -248,8 +248,15 @@ class _Base:
         indices may pass the work guard; True when tails sum terms.
     monotone: True only when gamma is provably nonincreasing. V's rest
         enclosure by summation by parts (value._rest_enclosure) relies on
-        it; the cosine and alternating families are False, and patched and
-        custom decide per spec.
+        it or on variation; the cosine and alternating families are False,
+        and patched and custom decide per spec.
+
+    Two methods serve that rest where gamma is not monotone: variation(m)
+    bounds sum_{i>m} |gamma_i - gamma_{i+1}| (cosine in closed form), and
+    even_view() gives alternating's even-index weights as a monotone
+    family of their own. term_rel(hi) bounds the relative error of each
+    computed gamma and gamma_vec term below hi, beyond what V's dense sum
+    pads for every family.
 
     The horizon methods effective_horizon, quasi_horizon and horizon_ratio
     are defaults that search and divide the tail enclosures; a family with
@@ -279,6 +286,21 @@ class _Base:
 
     def gamma_vec(self, ks: np.ndarray) -> Optional[np.ndarray]:
         return None
+
+    def variation(self, m: int) -> Optional[Interval]:
+        """An interval whose upper end bounds sum_{i>m} |gamma_i - gamma_{i+1}|,
+        or None. For nonincreasing gamma the sum telescopes to gamma_{m+1}."""
+        return self.gamma_iv(m + 1) if self.monotone else None
+
+    def even_view(self) -> Optional["_Base"]:
+        """The weights w_j = gamma_{2j} as a nonincreasing family, where the
+        odd weights vanish (alternating); None elsewhere."""
+        return None
+
+    def term_rel(self, hi: int) -> float:
+        """Relative error bound of gamma(i) and gamma_vec at every i < hi,
+        padded by V's dense sum on top of its flat pads; 0 by default."""
+        return 0.0
 
     def segment_masses(self, bounds: Sequence[int], target: Optional[float] = None) -> List[Interval]:
         """Mass over each [bounds[j], bounds[j+1]): tail differences, clamped at 0."""
@@ -946,6 +968,7 @@ class _AlternatingZero(_Base):
     def __init__(self, base: DiscountSpec) -> None:
         self.base = _impl(base)
         self._evens = _BlockSums(self._even_terms)  # w_j = base gamma at 2j
+        self._view = _EvenWeights(self) if self.base.monotone else None
 
     def gamma(self, k: int) -> float:
         return 0.0 if k % 2 == 1 else self.base.gamma(k)
@@ -954,6 +977,12 @@ class _AlternatingZero(_Base):
         if k % 2 == 1:
             return Interval.exact(0.0)
         return self.base.gamma_iv(k)
+
+    def even_view(self) -> Optional["_EvenWeights"]:
+        return self._view
+
+    def term_rel(self, hi: int) -> float:
+        return self.base.term_rel(hi)
 
     # the relative width that the rest of a tail over a monotone base aims for
     _SHARP = 2.0**-20
@@ -1035,6 +1064,30 @@ class _AlternatingZero(_Base):
         return vec if vec is not None else np.array([self.base.gamma(2 * int(j)) for j in js])
 
 
+class _EvenWeights(_Base):
+    """The even-index weights w_j = gamma_{2j} of an alternating discount
+    over a nonincreasing base, as a family of their own: w_j is the base
+    weight at 2j, so w is nonincreasing too, and its tail
+    W_j = sum_{j' >= j} w_{j'} is the alternating tail Gamma_{2j}. As the
+    odd weights vanish, sum_{i > 2m} gamma_i r_i = sum_{j > m} w_j r_{2j}
+    exactly (value._truncate)."""
+
+    name = "alternating_zero:even"
+    mass_form = None
+
+    def __init__(self, alternating: _AlternatingZero) -> None:
+        self._alt = alternating
+
+    def gamma(self, j: int) -> float:
+        return self._alt.base.gamma(2 * j)
+
+    def gamma_iv(self, j: int) -> Interval:
+        return self._alt.base.gamma_iv(2 * j)
+
+    def tail(self, j: int, target: Optional[float] = None) -> Interval:
+        return self._alt.tail(2 * j, target)
+
+
 class _CosineModulated(_Base):
     """gamma_i = g(i), g(x) = (2 + cos U_x) / x^2 with U_x = pi sqrt(2x).
 
@@ -1071,6 +1124,7 @@ class _CosineModulated(_Base):
 
     _DEFAULT_TARGET = 3.0 * 2.0**-23  # default tail resolution
     _EM_C = 1.1907  # >= sqrt(2) pi / 6 + sqrt(2) / pi
+    _VAR_C = 1.4810  # >= sqrt(2) pi / 3
     _SQRT2_PI = math.sqrt(2.0) / math.pi  # sqrt(2) / pi within 2.2 u
     _FAR = 2.0**500  # where the closed form stops: x^-2 stays a normal float
 
@@ -1102,6 +1156,39 @@ class _CosineModulated(_Base):
         if k <= 1:
             return Interval.widened(1.0, 3.0 * math.pi * math.pi / 6.0)
         return Interval.widened(1.0 / k, 3.0 / (k - 1))
+
+    def variation(self, m: int) -> Interval:
+        """[0, V] with V >= sum_{i>m} |gamma_i - gamma_{i+1}|.
+
+        Each difference is |int_i^{i+1} g'|, so with x = m + 1 and the
+        bound on |g'| of the class docstring
+
+            sum_{i>m} |gamma_i - gamma_{i+1}| <= int_x^inf |g'|
+                <= (sqrt(2) pi / 3) x^(-3/2) + 3 x^(-2),
+
+        and sqrt(2) pi / 3 = 1.48096... <= _VAR_C. The float x~ = x (1 + d0),
+        |d0| <= u (d0 = 0 below 2**53), r = 1 / (x~ sqrt x~) and
+        q = 1 / (x~ x~) take three and two correct roundings, and
+        _VAR_C r + 3 q two more: the computed sum is the bound times
+        (1 +- 8 u), and 1 + 2**-48 (32 u) lifts it above. From _FAR on,
+        where x~^2 may overflow, V = 2 tail_crude(x).hi, as the sum is at
+        most sum_{i>m} (gamma_i + gamma_{i+1}) <= 2 Gamma_x.
+        """
+        x = m + 1
+        if x >= self._FAR:
+            return Interval(0.0, 2.0 * self.tail_crude(x).hi)
+        xf = float(x)
+        v = self._VAR_C / (xf * math.sqrt(xf)) + 3.0 / (xf * xf)
+        return Interval(0.0, v * (1.0 + 2.0**-48))
+
+    def term_rel(self, hi: int) -> float:
+        """_term_rel at hi, whose argument bound holds past 2**52 too: there
+        float(i) adds one relative rounding, u a <= ulp(a~) to the argument
+        and u to the quotient, inside its slack. It is capped at 3, which
+        bounds any term's error: computed and true 2 + cos lie in [1, 3]."""
+        if hi >= 1 << 110:  # the cap binds long before float(hi) overflows
+            return 3.0
+        return min(float(self._term_rel(float(hi))), 3.0)
 
     @staticmethod
     def _term_rel(hi):
@@ -1196,8 +1283,9 @@ class _CosineModulated(_Base):
     @classmethod
     def _reach(cls, h: float) -> int:
         """An index n >= 1 with H(n) <= h (each of H's terms at most h / 2),
-        or the table's reach min(guard, 2**52) if that comes first."""
-        n = max((2.0 * cls._EM_C / h) ** (2.0 / 3.0), math.sqrt(3.0 / h))
+        or the table's reach min(guard, 2**52) if that comes first (h may
+        underflow to 0 from a subnormal target)."""
+        n = max((2.0 * cls._EM_C / h) ** (2.0 / 3.0), math.sqrt(3.0 / h)) if h > 0.0 else math.inf
         return max(int(math.ceil(min(n, float(min(guard_index(), 1 << 52))))), 1)
 
     def segment_masses(self, bounds: Sequence[int], target: Optional[float] = None) -> List[Interval]:
@@ -1478,6 +1566,12 @@ def _impl(spec: DiscountSpec) -> _Base:
 # ---------------------------------------------------------------------------
 
 
+def _check_target(target: Optional[float]) -> None:
+    """A resolution target is None or a positive finite float."""
+    if target is not None and not 0.0 < target < math.inf:
+        raise ValueError(f"target must be positive and finite, got {target!r}")
+
+
 def gamma(spec: DiscountSpec, k: int) -> float:
     """The weight gamma_k, exact per family formula (then scaled)."""
     if k < 1:
@@ -1497,14 +1591,16 @@ def gamma_iv(spec: DiscountSpec, k: int) -> Interval:
 def gamma_tail(spec: DiscountSpec, k: int, target: Optional[float] = None) -> Interval:
     """Enclosure of Gamma_k = sum_{i >= k} gamma_i (scaled).
 
-    target, when given, asks for an absolute tail-resolution hint; families
-    with closed forms ignore it. Numerically summed families answer from
+    target, when given, asks for an absolute tail-resolution hint; it must
+    be positive and finite (ValueError otherwise, as in gamma_tail_batch
+    and segment_masses), and families with closed forms ignore it. Numerically summed families answer from
     their block table (module docstring). Cosine sums only up to an index
     n of order (target)^(-2/3), where its closed-form rest is sharp
     enough, and answers an index past n or past the guard from that rest.
     """
     if k < 1:
         raise ValueError("index k must be >= 1")
+    _check_target(target)
     iv = _impl(spec).tail(k, target)
     return iv if spec.scale == 1.0 else iv * spec.scale
 
@@ -1513,6 +1609,7 @@ def gamma_tail_batch(
     spec: DiscountSpec, ks: Sequence[int], target: Optional[float] = None
 ) -> List[Interval]:
     """Enclosures of Gamma at several increasing indices in one pass."""
+    _check_target(target)
     out = _impl(spec).tail_batch(list(ks), target)
     if spec.scale != 1.0:
         out = [iv * spec.scale for iv in out]
@@ -1533,6 +1630,7 @@ def segment_masses(
     bounds = [int(b) for b in bounds]
     if len(bounds) < 2 or any(b <= a for a, b in zip(bounds, bounds[1:])):
         raise ValueError("bounds must be strictly increasing, length >= 2")
+    _check_target(target)
     out = _impl(spec).segment_masses(bounds, target)
     if spec.scale != 1.0:
         out = [iv * spec.scale for iv in out]

@@ -14,6 +14,7 @@ module asks these functions for it:
     window_mean    U_{km}, the mean of r_k..r_m
     one_segments   the 1-runs of a binary sequence cut to a window
     run_count      the stored runs of an explicit list (None when generated)
+    even_rewards   r_2, r_4, ... as a spec of their own, where one exists
 """
 
 from __future__ import annotations
@@ -133,6 +134,19 @@ def reward_at(spec: RewardSpec, k: int) -> float:
         return float(bisect_right(pts, k) % 2)
     kn, mn = change_points(spec, run_index(spec, k))
     return 1.0 if kn <= k < mn else 0.0
+
+
+def even_rewards(spec: RewardSpec) -> Optional[RewardSpec]:
+    """The rewards s_j = r_{2j}, j >= 1, as a spec of their own, or None.
+
+    A periodic pattern of period P gives s_j = pat[(2j - 1) mod P], periodic
+    in j with period P / gcd(P, 2): pat[1::2] for even P, and for odd P
+    the odd slots of two periods. Other families have no such spec here.
+    """
+    if spec.family != "periodic":
+        return None
+    pat = spec.params[0]
+    return RewardSpec("periodic", ((pat * (1 + len(pat) % 2))[1::2],))
 
 
 def run_index(spec: RewardSpec, k: int) -> int:

@@ -8,9 +8,11 @@ are enclosed. On a nonincreasing discount, a reward whose partial sums
 keep near a mean (periodic, linear and exponential runs; see
 reward.window_envelope) gets the summation-by-parts enclosure of
 _rest_enclosure, and N is within 1/64 of the least index found whose
-enclosure is at most tol * Gamma_k / 2 wide. Otherwise the unseen rewards contribute
-[0, Gamma_{N+1}], with N the smallest index whose remaining discount
-mass is below tol * Gamma_k.
+enclosure is at most tol * Gamma_k / 2 wide. So does a periodic reward
+under cosine (through its variation bound) and under alternating over a
+monotone base (through its even-index weights; see _truncate).
+Otherwise the unseen rewards contribute [0, Gamma_{N+1}], with N the
+smallest index whose remaining discount mass is below tol * Gamma_k.
 
 Binary-run rewards take one runs path: the numerator is the discount
 mass of the 1-runs (reward.one_segments), read in the family's mass_form
@@ -201,11 +203,12 @@ def _sqrt_iv(n: int) -> Interval:
 
 
 def _rest_enclosure(
-    dspec: _d.DiscountSpec, env: _r.WindowEnvelope, m: int, hint: float
+    fam: "_d._Base", env: _r.WindowEnvelope, m: int, hint: float
 ) -> Interval:
-    """Enclosure of sum_{i>m} gamma_i r_i for nonincreasing gamma, by
-    summation by parts (Hutter, General Discounting versus Average
-    Reward, ALT 2006, section 4).
+    """Enclosure of sum_{i>m} gamma_i r_i by summation by parts (Hutter,
+    General Discounting versus Average Reward, ALT 2006, section 4), for a
+    nonincreasing gamma, or for any gamma with a variation bound when
+    p = 0.
 
     Let e_j = sum_{i<=j} (r_i - mu) with |e_j| <= a j^p + b (the reward's
     WindowEnvelope). As r_i - mu = e_i - e_{i-1}, for every L > m
@@ -213,60 +216,67 @@ def _rest_enclosure(
         sum_{m<i<=L} gamma_i r_i = mu (Gamma_{m+1} - Gamma_{L+1})
             - gamma_{m+1} e_m + gamma_L e_L + sum_{m<i<L} (gamma_i - gamma_{i+1}) e_i.
 
-    For summable nonincreasing gamma, (L/2) gamma_L <= Gamma_{ceil(L/2)}
-    tends to 0, and |e_L| <= (a + b) L, so gamma_L e_L vanishes. Each
-    gamma_i - gamma_{i+1} is >= 0, hence
+    gamma_L e_L vanishes: for summable nonincreasing gamma,
+    (L/2) gamma_L <= Gamma_{ceil(L/2)} tends to 0 and |e_L| <= (a + b) L;
+    for p = 0, |e_L| <= a + b while gamma_L tends to 0. Hence
 
         sum_{i>m} gamma_i r_i = mu Gamma_{m+1} - gamma_{m+1} e_m
-                                +- [a S_p(m) + b gamma_{m+1}]
+                                +- [a S_p(m) + b S_0(m)]
 
-    with S_p(m) = sum_{i>m} (gamma_i - gamma_{i+1}) i^p, summed by parts
-    again: S_0 = gamma_{m+1}; S_1 = (m+1) gamma_{m+1} + Gamma_{m+2};
-    S_1/2 = sqrt(m+1) gamma_{m+1} + sum_{i>m+1} gamma_i (sqrt i - sqrt(i-1))
-    <= sqrt(m+1) gamma_{m+1} + Gamma_{m+2} / (2 sqrt(m+1)), as
-    sqrt i - sqrt(i-1) <= 1 / (2 sqrt(i-1)). Only gamma_{m+1} and
-    Gamma_{m+2} are evaluated; Gamma_{m+1} is their sum. As 0 <= r_i <= 1
-    the result is also clipped to [0, Gamma_{m+1}].
+    with S_p(m) = sum_{i>m} |gamma_i - gamma_{i+1}| i^p. S_0 is the
+    family's variation(m): gamma_{m+1} when gamma is nonincreasing (the
+    sum telescopes), cosine's closed form otherwise. For nonincreasing
+    gamma S_p is summed by parts again: S_1 = (m+1) gamma_{m+1} +
+    Gamma_{m+2}; S_1/2 = sqrt(m+1) gamma_{m+1} + sum_{i>m+1} gamma_i
+    (sqrt i - sqrt(i-1)) <= sqrt(m+1) gamma_{m+1} + Gamma_{m+2} / (2 sqrt(m+1)),
+    as sqrt i - sqrt(i-1) <= 1 / (2 sqrt(i-1)). Beyond variation(m) only
+    gamma_{m+1} and Gamma_{m+2} are evaluated; Gamma_{m+1} is their sum.
+    As 0 <= r_i <= 1 the result is also clipped to [0, Gamma_{m+1}].
     """
-    g = _d.gamma_iv(dspec, m + 1)
-    t2 = _d.gamma_tail(dspec, m + 2, hint)
+    g = fam.gamma_iv(m + 1)
+    t2 = fam.tail(m + 2, hint)
     t1 = g + t2
+    s0 = fam.variation(m)
     if env.p == 0.0:
-        s = g
+        s = s0
     elif env.p == 1.0:
         s = _int_times(m + 1, g) + t2
     else:
         root = _sqrt_iv(m + 1)
         s = root * g + t2 / (root + root)
-    radius = (env.a * s + _q_times(env.b, g)).hi
+    radius = (env.a * s + _q_times(env.b, s0)).hi
     iv = _q_times(env.mean, t1) - _q_times(env.excess(m), g) + Interval(-radius, radius)
     return Interval(max(iv.lo, 0.0), min(iv.hi, t1.hi))
 
 
 def _enveloped_truncation(
-    dspec: _d.DiscountSpec, env: _r.WindowEnvelope, k: int, target: float, cap: int
+    fam: "_d._Base", env: _r.WindowEnvelope, k: int, target: float, cap: int
 ) -> Tuple[int, Interval, bool]:
-    """(M, rest, attained): an M in [k, max(cap, k)] whose _rest_enclosure
+    """(M, rest, attained): an M in [k - 1, max(cap, k)] whose _rest_enclosure
     is at most target/2 wide, the rest past M, and whether the target was
     met. The other half of the target is left to the enclosures of the
-    summed part.
+    summed part. A cap below k whose rest at k fails stops the sum before
+    it starts: M = k - 1, not attained.
 
     M = k 2^e is tried for e = 1, 2, 4, ..., then bracketed by bit length
     and bisected to within 1/64 of the least passing index found: about
-    2 log2(e) + 8 probes, however long M is. A family that sums its tails
-    first tries its tail hint, taken as-is when it passes (as in
-    _truncation_index).
+    2 log2(e) + 8 probes, however long M is. A monotone family that sums
+    its tails first tries its tail hint, taken as-is when it passes (as in
+    _truncation_index); cosine's hint, about 3/target, would pass far past
+    the least index.
     """
     seen: dict = {}
 
     def ok(m: int) -> bool:
         if m not in seen:
-            seen[m] = _rest_enclosure(dspec, env, m, 0.25 * target)
+            seen[m] = _rest_enclosure(fam, env, m, 0.25 * target)
         return seen[m].width <= 0.5 * target
 
+    if cap < k and not ok(k):
+        return k - 1, _rest_enclosure(fam, env, k - 1, 0.25 * target), False
     cap = max(cap, k)
-    if _d._impl(dspec).sums_terms:
-        hint = _d.index_for_tail_bound(dspec, 0.5 * target, k)
+    if fam.sums_terms and fam.monotone:
+        hint = fam.index_for_tail_bound(0.5 * target, k)
         if hint is not None and hint <= cap and ok(hint):
             return hint, seen[hint], True
     lo, hi, e = k, k, 1
@@ -293,12 +303,31 @@ def _truncate(
 ) -> Tuple[int, Interval, bool]:
     """(N, rest, attained): the truncation index, an enclosure of
     sum_{i>N} gamma_i r_i and whether its width met the target of the
-    search. A reward with a window envelope under a monotone discount
-    gets _rest_enclosure (_enveloped_truncation); the others get
-    [0, Gamma_{N+1}] (_truncation_index)."""
-    env = _r.window_envelope(rspec) if _d._impl(dspec).monotone else None
-    if env is not None:
-        return _enveloped_truncation(dspec, env, k, tol * tail_k.lo, cap)
+    search. A reward with a window envelope gets _rest_enclosure
+    (_enveloped_truncation) under a monotone discount, and a periodic
+    reward (p = 0) under a discount with a variation bound (cosine).
+    Under alternating over a monotone base a periodic reward gets it on
+    the even-index view: the odd weights vanish, so
+    sum_{i>2M} gamma_i r_i = sum_{j>M} w_j r_{2j} with w_j = gamma_{2j}
+    nonincreasing and r_{2j} periodic, and the search runs on w and
+    r_{2j} from ceil(k/2) >= 1 (doubling from 0 would never end), with
+    N = 2M >= k. A guard
+    below that start leaves M = floor((k-1)/2): nothing is summed, and as
+    gamma_{k-1} = 0 for even k the rest is the one past N = k - 1. The
+    others get [0, Gamma_{N+1}] (_truncation_index)."""
+    fam = _d._impl(dspec)
+    target = tol * tail_k.lo
+    view = fam.even_view()
+    if view is not None:
+        even = _r.even_rewards(rspec)
+        env = None if even is None else _r.window_envelope(even)
+        if env is not None:
+            m, rest, attained = _enveloped_truncation(view, env, (k + 1) // 2, target, cap // 2)
+            return max(2 * m, k - 1), rest, attained
+    else:
+        env = _r.window_envelope(rspec)
+        if env is not None and (fam.monotone or env.p == 0.0 and fam.variation(k) is not None):
+            return _enveloped_truncation(fam, env, k, target, cap)
     n_trunc, tail, attained = _truncation_index(dspec, k, tail_k, tol, cap)
     return n_trunc, Interval(0.0, tail.hi), attained
 
@@ -457,9 +486,10 @@ def disc_value_detail(
     Paths: constant and product_zero are exact. Binary-run rewards take
     the runs path (_runs_value) when the family has a mass_form (tails,
     blocks or ratios); the rest are summed densely, in ratio form for a
-    ratios family. On the dense branch a periodic reward under a
-    monotone discount gets the rest of _rest_enclosure. Only the
-    structural product_zero test reads a family name.
+    ratios family. On the dense branch a periodic reward gets the rest of
+    _rest_enclosure under a monotone discount, under cosine and under
+    alternating over a monotone base (_truncate). Only the structural
+    product_zero test reads a family name.
 
     strict=True raises InconclusiveEnclosure when tol is unattainable
     within the work guard; strict=False returns the best achieved
@@ -522,16 +552,22 @@ def _dense_sum(
     n_trunc: int,
     tail_k: Interval,
 ) -> Interval:
-    """Enclosure of sum_{i=k}^{N} gamma_i r_i by direct evaluation."""
+    """Enclosure of sum_{i=k}^{N} gamma_i r_i by direct evaluation.
+
+    Both branches pad by the family's term_rel(N + 1) times the sum of
+    the computed terms, which are >= 0 (the short branch's fsum is that
+    sum correctly rounded), on top of their flat pads.
+    """
     if n_trunc < k:
         return Interval.exact(0.0)
     length = n_trunc - k + 1
     impl = _d._impl(dspec)
+    rel = impl.term_rel(n_trunc + 1)
     if length <= (1 << 17):
         total = math.fsum(
             impl.gamma(i) * _r.reward_at(rspec, i) for i in range(k, n_trunc + 1)
         )
-        pad = 16.0 * _U * tail_k.hi + math.ulp(total)
+        pad = 16.0 * _U * tail_k.hi + math.ulp(total) + rel * total
         return Interval.widened(total - pad, total + pad)
     total = 0.0
     abs_total = 0.0
@@ -545,7 +581,7 @@ def _dense_sum(
         part = vec * rew
         total += float(np.sum(part))
         abs_total += float(np.sum(np.abs(part)))
-    pad = _U * (300.0 + 2.0 * math.log2(length)) * abs_total + 16.0 * _U * tail_k.hi
+    pad = (_U * (300.0 + 2.0 * math.log2(length)) + rel) * abs_total + 16.0 * _U * tail_k.hi
     return Interval.widened(total - pad, total + pad)
 
 

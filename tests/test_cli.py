@@ -146,6 +146,24 @@ def test_eval_guard_stop_before_k_reports_k_minus_one(discount, k, guard, capsys
     assert payload["truncation"] == k - 1
 
 
+# Periodic rewards under the non-monotone discounts stop their sums by
+# summation by parts: cosine through its variation bound, alternating
+# through its even-index weights (parent truncations 36,082,564 and
+# 19,990,015)
+@pytest.mark.parametrize("reward, discount, k, most", [
+    ("periodic:1,0", "cosine", 2417, 200_000),
+    ("periodic:1,0,1", "alternating", 1000, 10_000),
+])
+def test_eval_periodic_nonmonotone_truncation_is_short(reward, discount, k, most, capsys) -> None:
+    code, out, _ = run_main(
+        ["eval", "--reward", reward, "--discount", discount, "--v-at", str(k),
+         "--tol", "1e-4", "--format", "json"], capsys)
+    payload = json.loads(out)["V"]
+    assert code == 0 and payload["attained"] is True
+    assert k <= payload["truncation"] <= most
+    assert payload["hi"] - payload["lo"] <= 1e-4
+
+
 def test_eval_average_only(capsys) -> None:
     code, out, _ = run_main(
         ["eval", "--reward", "constant:0.7", "--u-to", "100",

@@ -43,6 +43,16 @@ def test_int_quotient_is_the_nearest_float() -> None:
         assert a / b == float(Fraction(a, b))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 3131, 2**40 + 5])
+def test_dyadic_table_draws_as_randint_does(seed) -> None:
+    # same numbers as randint(0, 8) and the same generator state after
+    fast, slow = random.Random(seed), random.Random(seed)
+    for length in (0, 1, 9, 200):
+        assert c._dyadic_table(fast, length) == [slow.randint(0, 8) for _ in range(length)]
+        assert fast.getstate() == slow.getstate()
+    assert fast.random() == slow.random()
+
+
 @pytest.mark.parametrize("n_trials", [0, -3])
 def test_identity_trials_needs_one_trial(n_trials) -> None:
     with pytest.raises(ValueError, match="n_trials must be >= 1"):

@@ -688,3 +688,41 @@ def test_fractional_indices_are_rejected_by_name() -> None:
     # integral floats keep working
     assert d.finite(3.0) == d.finite(3)
     assert d.spec_from_dict({"family": "finite", "params": {"m": 3.0}}) == d.finite(3)
+
+
+_EVERY_FAMILY = [
+    h.finite(40), h.geometric(0.9), h.quadratic(), h.power(0.5), h.harmonic_like(),
+    h.step_log(), h.alternating_zero(), h.cosine_modulated(), d.build_patched([1]),
+    d.custom([1.0, 0.5, 0.25], tail=("geometric", 0.5)),
+]
+
+
+@pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=lambda s: s.family)
+@pytest.mark.parametrize("target", [0.0, -1e-3, math.nan, math.inf])
+def test_nonpositive_or_nonfinite_targets_are_refused(spec, target) -> None:
+    match = f"target must be positive and finite, got {target!r}"
+    with pytest.raises(ValueError, match=match):
+        d.gamma_tail(spec, 5, target)
+    with pytest.raises(ValueError, match=match):
+        d.gamma_tail_batch(spec, [5, 9], target)
+    with pytest.raises(ValueError, match=match):
+        d.segment_masses(spec, [5, 9, 20], target)
+
+
+@pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=lambda s: s.family)
+def test_positive_targets_and_none_are_accepted(spec) -> None:
+    for target in (None, 1e-6, 5e-324):
+        assert d.gamma_tail(spec, 5, target).hi >= d.gamma_tail(spec, 9, target).lo
+    assert len(d.segment_masses(spec, [5, 9, 20], 1e-6)) == 2
+
+
+def test_alternating_even_view_is_its_even_weights_and_tails() -> None:
+    alt = d._impl(h.alternating_zero())
+    view = alt.even_view()
+    assert view.monotone and view.variation(7) == view.gamma_iv(8)
+    for j in (1, 2, 50, 10**9):
+        assert view.gamma_iv(j) == alt.gamma_iv(2 * j)
+        assert view.tail(j) == alt.tail(2 * j)
+    # an alternating discount over a non-monotone base has no such view
+    assert d._impl(h.alternating_zero(h.cosine_modulated())).even_view() is None
+    assert d._impl(h.quadratic()).even_view() is None

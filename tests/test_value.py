@@ -8,6 +8,7 @@ oracles.py for spot cross-checks of discounted enclosures.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import pathlib
@@ -443,3 +444,194 @@ def test_cosine_runs_values_keep_truncation_and_never_widen(reward) -> None:
         old = Interval(case["lo"], case["hi"])
         assert (det.truncation, det.attained) == (case["truncation"], case["attained"]), case
         assert det.interval.intersects(old) and det.interval.width <= old.width, (case, det)
+
+
+# ---------------------------------------------------------------------------
+# Periodic rewards under the non-monotone discounts: summation-by-parts rests
+# ---------------------------------------------------------------------------
+
+
+def _nonmonotone_grid():
+    path = pathlib.Path(__file__).resolve().parent / "golden" / "nonmonotone_v_grid.json"
+    return json.loads(path.read_text())["cases"]
+
+
+_NONMONOTONE = {"alternating": h.alternating_zero(), "cosine": h.cosine_modulated()}
+
+
+@pytest.mark.parametrize("family", sorted(_NONMONOTONE))
+def test_nonmonotone_periodic_values_shrink_truncation_and_never_widen(family) -> None:
+    # recorded while these values still took the rest [0, Gamma_{N+1}]
+    for case in (c for c in _nonmonotone_grid() if c["discount"] == family):
+        det = v.disc_value_detail(h.periodic(case["pattern"]), _NONMONOTONE[family],
+                                  case["k"], case["tol"], strict=False)
+        old = Interval(case["lo"], case["hi"])
+        assert det.attained == case["attained"] and det.truncation <= case["truncation"], case
+        assert det.interval.intersects(old) and det.interval.width <= old.width, (case, det)
+
+
+def _alternating_periodic_numerator(pattern, k: int):
+    """sum_{i>=k} gamma_i r_i for alternating over quadratic, in mpmath.
+
+    With L = lcm(2, P), each even residue class c mod L holds the reward
+    r_c, and sum_{n>=0} 1/((a+nL)(a+nL+1)) = (psi((a+1)/L) - psi(a/L)) / L
+    from its first index a >= k: exact, as 1/(x(x+1)) = 1/x - 1/(x+1)."""
+    period = len(pattern) * (1 + len(pattern) % 2)
+    total = mpmath.mpf(0)
+    for a in range(k, k + period):
+        rew = pattern[(a - 1) % len(pattern)]
+        if a % 2 == 0 and rew:
+            total += rew * (mpmath.digamma(mpmath.mpf(a + 1) / period)
+                            - mpmath.digamma(mpmath.mpf(a) / period)) / period
+    return total
+
+
+_ORACLE_KS = [1, 2, 3, 100, 101, 2417, 10**8 - 1, 10**8 + 2]  # the last two: at the guard
+
+
+def _value_at(rspec, dspec, k: int, tol: float):
+    """V at k; at the guard (10^8) tol 1e-4 may be out of reach, as cosine's
+    tail rest there is about 1.2e-4 of Gamma_k wide."""
+    det = v.disc_value_detail(rspec, dspec, k, tol, strict=False)
+    assert det.attained or (k >= 10**8 - 1 and tol < 1e-3)
+    if det.attained:
+        assert det.interval.width <= tol
+    return det
+
+
+@pytest.mark.parametrize("pattern", [[1.0, 0.0, 1.0], [0.0, 1.0], [1.0, 1.0, 0.0, 0.5]])
+@pytest.mark.parametrize("k", _ORACLE_KS)
+@pytest.mark.parametrize("tol", [1e-3, 1e-4])
+def test_alternating_periodic_value_contains_the_digamma_oracle(pattern, k, tol) -> None:
+    det = _value_at(h.periodic(pattern), h.alternating_zero(), k, tol)
+    with mpmath.workdps(40):
+        true = (_alternating_periodic_numerator(pattern, k)
+                / _alternating_periodic_numerator([1.0], k))
+        assert mpmath.mpf(det.interval.lo) <= true <= mpmath.mpf(det.interval.hi), (det, true)
+
+
+_COS_HEAD = 1 << 17
+
+
+@functools.lru_cache(maxsize=None)
+def _cosine_terms():
+    """g(i) = (2 + cos(pi sqrt(2i))) / i^2 for 1 <= i < _COS_HEAD, in mpmath
+    (index 0 holds 0)."""
+    with mpmath.workprec(120):
+        return [mpmath.mpf(0)] + [
+            (2 + mpmath.cos(mpmath.pi * mpmath.sqrt(2 * i))) / mpmath.mpf(i) ** 2
+            for i in range(1, _COS_HEAD)]
+
+
+def _cosine_class_tail(a: int, step: int):
+    """(T, e): sum_{n>=0} g(a + n step) lies in [T - e, T + e].
+
+    Second-order Euler-Maclaurin for h(t) = g(a + t step):
+        sum_{n>=0} h(n) = int_0^inf h + h(0)/2 - h'(0)/12 + R,
+        |R| <= (1/12) int_0^inf |h''| = (step/12) int_a^inf |g''|,
+    with int_0^inf h = (1/step) int_a^inf g and h'(0) = step g'(a); the
+    integral of g and the bound on |g''| are those of the cosine tail
+    oracle in test_discount.py."""
+    with mpmath.workprec(200):
+        x = mpmath.mpf(a)
+        pi, root2 = mpmath.pi, mpmath.sqrt(2)
+        u = pi * mpmath.sqrt(2 * x)
+        integral = 2 / x + 4 * pi**2 * (
+            mpmath.cos(u) / (2 * u**2) - mpmath.sin(u) / (2 * u) + mpmath.ci(u) / 2)
+        g = (2 + mpmath.cos(u)) / x**2
+        dg = -mpmath.sin(u) * pi / (root2 * mpmath.sqrt(x) * x**2) - 2 * (2 + mpmath.cos(u)) / x**3
+        err = step * (pi**2 / 4 * x**-2 + 9 * pi / (2 * root2) * mpmath.mpf(2) / 5 * x ** mpmath.mpf(-2.5)
+                      + 6 * x**-3) / 12
+        return integral / step + g / 2 - step * dg / 12, err
+
+
+@functools.lru_cache(maxsize=None)
+def _cosine_class_heads(step: int):
+    """heads[i] = sum of g(i + n step) over n >= 0 with i + n step < _COS_HEAD."""
+    terms = _cosine_terms()
+    heads = terms + [mpmath.mpf(0)] * step
+    with mpmath.workprec(120):
+        for i in range(_COS_HEAD - 1, 0, -1):
+            heads[i] = terms[i] + heads[i + step]
+    return heads
+
+
+def _cosine_periodic_numerator(pattern, k: int):
+    """(T, e): sum_{i>=k} g(i) r_i in [T - e, T + e]: the terms below
+    max(k, _COS_HEAD) exactly, then one Euler-Maclaurin tail per residue."""
+    head_end = max(k, _COS_HEAD)
+    period = len(pattern)
+    with mpmath.workprec(200):
+        heads = _cosine_class_heads(period) if k < _COS_HEAD else None
+        total = mpmath.fsum(pattern[(i - 1) % period] * heads[i]
+                            for i in range(k, min(k + period, head_end))) if heads else 0
+        err = mpmath.mpf(0)
+        for a in range(head_end, head_end + period):
+            rew = pattern[(a - 1) % period]
+            if rew:
+                t, e = _cosine_class_tail(a, period)
+                total, err = total + rew * t, err + rew * e
+        return total, err
+
+
+@pytest.mark.parametrize("pattern", [[1.0, 0.0, 1.0], [1.0, 0.0], [1.0, 1.0, 0.0, 0.5]])
+@pytest.mark.parametrize("k", _ORACLE_KS)
+@pytest.mark.parametrize("tol", [1e-3, 1e-4])
+def test_cosine_periodic_value_contains_the_mpmath_oracle(pattern, k, tol) -> None:
+    det = _value_at(h.periodic(pattern), h.cosine_modulated(), k, tol)
+    with mpmath.workprec(200):
+        num, e_num = _cosine_periodic_numerator(pattern, k)
+        den, e_den = _cosine_periodic_numerator([1.0], k)
+        lo, hi = (num - e_num) / (den + e_den), (num + e_num) / (den - e_den)
+        assert hi - lo <= 1e-2 * mpmath.mpf(det.interval.width)  # the oracle is sharper
+        assert mpmath.mpf(det.interval.lo) <= lo and hi <= mpmath.mpf(det.interval.hi), (det, lo, hi)
+
+
+def test_cosine_periodic_dense_sum_is_padded_by_its_term_error() -> None:
+    # a partial sum to N = 10^5 on the short branch (at most 2^17 terms),
+    # where each computed weight errs by up to 1,288 u at i = 10^3 and
+    # 10,248 u at 10^5, far beyond the flat 16 u Gamma_k pad
+    rspec, dspec, k, n = h.periodic([1.0, 0.0, 1.0]), h.cosine_modulated(), 1000, 100_000
+    tail_k = d.gamma_tail(dspec, k)
+    s = v._dense_sum(rspec, dspec, k, n, tail_k)
+    terms, pat = _cosine_terms(), rspec.params[0]
+    with mpmath.workprec(120):
+        exact = mpmath.fsum(terms[i] * pat[(i - 1) % 3] for i in range(k, n + 1))
+        assert mpmath.mpf(s.lo) <= exact <= mpmath.mpf(s.hi)
+    rel = d._impl(dspec).term_rel(n + 1)
+    assert 10_000 * v._U <= rel <= 11_000 * v._U
+    assert s.width >= 2 * rel * s.lo
+
+
+@pytest.mark.parametrize("m", [0, 1, 9, 150, 2416, 10**5])
+def test_cosine_variation_bounds_the_partial_variation(m: int) -> None:
+    # sum_{m<i<=m+2^12} |gamma_i - gamma_{i+1}| in mpmath stays below the
+    # closed-form bound on the whole infinite sum
+    bound = d._impl(h.cosine_modulated()).variation(m).hi
+    g = lambda i: (2 + mpmath.cos(mpmath.pi * mpmath.sqrt(2 * i))) / mpmath.mpf(i) ** 2  # noqa: E731
+    with mpmath.workprec(80):
+        values = [g(i) for i in range(m + 1, m + (1 << 12) + 2)]
+        partial = mpmath.fsum(abs(a - b) for a, b in zip(values, values[1:]))
+        assert partial <= mpmath.mpf(bound)
+    # the bound is sqrt(2) pi / 3 (m+1)^-3/2 + 3 (m+1)^-2, rounded upward
+    x = m + 1
+    assert bound <= (1.481 * x**-1.5 + 3 * x**-2.0) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("k", [2**63, 10**22, 2**200])
+@pytest.mark.parametrize("dspec", [h.alternating_zero(), h.cosine_modulated()],
+                         ids=["alternating", "cosine"])
+def test_periodic_values_past_the_guard_are_attained_without_summing(k, dspec) -> None:
+    # the rest alone answers: at most the term at k itself is summed
+    det = v.disc_value_detail(h.periodic([1.0, 0.0, 1.0]), dspec, k, 1e-3)
+    assert det.attained and k - 1 <= det.truncation <= k
+    assert det.interval.contains(2.0 / 3.0) and det.interval.width <= 1e-3
+
+
+def test_cosine_periodic_value_past_the_closed_form_stays_unattained() -> None:
+    # from 2^500 on only the crude tail sandwich is left: the rest at k is
+    # too wide, so nothing is summed (truncation k - 1) and V is not attained
+    k = 10**200
+    det = v.disc_value_detail(h.periodic([1.0, 0.0]), h.cosine_modulated(), k, 1e-3, strict=False)
+    assert (det.truncation, det.attained) == (k - 1, False)
+    assert det.interval.contains(0.5)
