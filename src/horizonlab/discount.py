@@ -293,8 +293,9 @@ class _Base:
         return self.gamma_iv(m + 1) if self.monotone else None
 
     def even_view(self) -> Optional["_Base"]:
-        """The weights w_j = gamma_{2j} as a nonincreasing family, where the
-        odd weights vanish (alternating); None elsewhere."""
+        """The weights w_j = gamma_{2j} as a family of their own, where the
+        odd weights vanish and the even ones do not increase (alternating
+        over a monotone base); None elsewhere."""
         return None
 
     def term_rel(self, hi: int) -> float:
@@ -1072,14 +1073,8 @@ class _EvenWeights(_Base):
     odd weights vanish, sum_{i > 2m} gamma_i r_i = sum_{j > m} w_j r_{2j}
     exactly (value._truncate)."""
 
-    name = "alternating_zero:even"
-    mass_form = None
-
     def __init__(self, alternating: _AlternatingZero) -> None:
         self._alt = alternating
-
-    def gamma(self, j: int) -> float:
-        return self._alt.base.gamma(2 * j)
 
     def gamma_iv(self, j: int) -> Interval:
         return self._alt.base.gamma_iv(2 * j)
@@ -1185,9 +1180,9 @@ class _CosineModulated(_Base):
         """_term_rel at hi, whose argument bound holds past 2**52 too: there
         float(i) adds one relative rounding, u a <= ulp(a~) to the argument
         and u to the quotient, inside its slack. It is capped at 3, which
-        bounds any term's error: computed and true 2 + cos lie in [1, 3]."""
-        if hi >= 1 << 110:  # the cap binds long before float(hi) overflows
-            return 3.0
+        bounds any term's error, as computed and true 2 + cos lie in [1, 3]:
+        the cap binds from about 2**100 on, where V past the guard sums the
+        term at k alone."""
         return min(float(self._term_rel(float(hi))), 3.0)
 
     @staticmethod
