@@ -1588,10 +1588,11 @@ def gamma_tail(spec: DiscountSpec, k: int, target: Optional[float] = None) -> In
 
     target, when given, asks for an absolute tail-resolution hint; it must
     be positive and finite (ValueError otherwise, as in gamma_tail_batch
-    and segment_masses), and families with closed forms ignore it. Numerically summed families answer from
-    their block table (module docstring). Cosine sums only up to an index
-    n of order (target)^(-2/3), where its closed-form rest is sharp
-    enough, and answers an index past n or past the guard from that rest.
+    and segment_masses), and families with closed forms ignore it.
+    Numerically summed families answer from their block table (module
+    docstring). Cosine sums only up to an index n of order
+    (target)^(-2/3), where its closed-form rest is sharp enough, and
+    answers an index past n or past the guard from that rest.
     """
     if k < 1:
         raise ValueError("index k must be >= 1")
