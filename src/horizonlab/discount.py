@@ -289,7 +289,8 @@ class _Base:
 
     def variation(self, m: int) -> Optional[Interval]:
         """An interval whose upper end bounds sum_{i>m} |gamma_i - gamma_{i+1}|,
-        or None. For nonincreasing gamma the sum telescopes to gamma_{m+1}."""
+        or None. For nonincreasing gamma the sum telescopes to gamma_{m+1},
+        which callers already hold from gamma_iv."""
         return self.gamma_iv(m + 1) if self.monotone else None
 
     def even_view(self) -> Optional["_Base"]:

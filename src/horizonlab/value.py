@@ -236,7 +236,7 @@ def _rest_enclosure(
     g = fam.gamma_iv(m + 1)
     t2 = fam.tail(m + 2, hint)
     t1 = g + t2
-    s0 = fam.variation(m)
+    s0 = g if fam.monotone else fam.variation(m)  # variation(m) is g then
     if env.p == 0.0:
         s = s0
     elif env.p == 1.0:
