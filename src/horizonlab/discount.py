@@ -220,11 +220,32 @@ def _pow_iv(base, expo: float) -> Interval:
     return _rel_pad_iv(*_pow_parts(base, expo))
 
 
-def _pow_arrays(bases: Sequence, expo: float) -> Tuple[np.ndarray, np.ndarray]:
+def _pow_arrays(
+    bases: Sequence, expo: float, logs: Optional[Sequence[float]] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """lo and hi of _pow_iv(b, expo) for each b, bit for bit: one scalar
-    pow per base, then the padding in numpy."""
-    parts = [_pow_parts(b, expo) for b in bases]
-    return _rel_pad_arrays(np.array([y for y, _ in parts]), np.array([r for _, r in parts]))
+    pow per base (exp past 2**1000), then the padding in numpy. logs, the
+    math.log of each base, lets several exponents share the log that each
+    error bound takes: math.log of an int below 2**1024 is math.log of
+    its float, as _pow_rel takes it."""
+    if logs is None:
+        logs = [math.log(b) for b in bases]
+    ys, rels = [], []
+    for b, ln in zip(bases, logs):
+        if isinstance(b, int) and b >= 1 << 1000:
+            x = expo * ln
+            ys.append(math.exp(x))
+            rels.append(_U * (8.0 + 4.0 * abs(x)))
+        else:
+            ys.append(float(b) ** expo)
+            rels.append(_U * (8.0 + 2.0 * abs(ln)))
+    return _rel_pad_arrays(np.array(ys), np.array(rels))
+
+
+def _subnormal_iv(y: float) -> Interval:
+    """Enclosure of a positive real whose correct rounding y is a subnormal
+    or 0: it lies within 2**-1075 of y."""
+    return Interval(max(y - 5e-324, 0.0), y + 5e-324)
 
 
 def _log_iv(x) -> Interval:
@@ -237,8 +258,8 @@ class _Base:
     """One discount family. Capabilities are per-class constants:
 
     mass_form: how V's runs path gets the mass of a reward's 1-runs.
-        "tails" (default): segment_masses as tail differences.
-        "blocks": segment_masses(bounds, target) summed directly (from a
+        "tails" (default): segment_mass_arrays as tail differences.
+        "blocks": segment_mass_arrays(bounds, target) summed directly (from a
             block table near k, in closed form far from it), plus
             tail_crude(k), an analytic sandwich of Gamma_k that sets the
             target, and rest(x), an enclosure of Gamma_x without summing.
@@ -304,15 +325,24 @@ class _Base:
         padded by V's dense sum on top of its flat pads; 0 by default."""
         return 0.0
 
-    def segment_masses(self, bounds: Sequence[int], target: Optional[float] = None) -> List[Interval]:
-        """Mass over each [bounds[j], bounds[j+1]): tail differences, clamped at 0."""
+    def segment_mass_arrays(
+        self, bounds: Sequence[int], target: Optional[float] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """lo and hi of the mass over each [bounds[j], bounds[j+1]): the
+        tail differences Gamma_a - Gamma_b of tail_batch, widened as
+        Interval subtraction widens and clamped at 0, on float64 arrays."""
         tails = self.tail_batch(bounds, target)
-        diffs = [a - b for a, b in zip(tails, tails[1:])]
-        return [Interval(max(d.lo, 0.0), max(d.hi, 0.0)) for d in diffs]
+        t_lo = np.array([t.lo for t in tails])
+        t_hi = np.array([t.hi for t in tails])
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN, refused by segment_masses
+            lo, hi = widened_arrays(t_lo[:-1] - t_hi[1:], t_hi[:-1] - t_lo[1:])
+        return np.maximum(lo, 0.0), np.maximum(hi, 0.0)
 
     def effective_horizon(self, k: int) -> IntegerInterval:
         """[first h with Gamma_{k+h} possibly <= Gamma_k / 2, first h with
-        it certainly so], found by doubling and bisection over the tails."""
+        it certainly so], found by doubling and bisection over the tails.
+        The two searches probe many of the same h, so each tail is taken
+        once per call."""
         tail_k = self.tail(k)
         if not tail_k.lo > 0.0:
             raise UndefinedMetric(f"tail enclosure not positive at k={k}")
@@ -323,8 +353,12 @@ class _Base:
         guard = guard_index()
         target = tail_k.lo * 5e-4  # keeps summed tails sharp enough to halve
 
+        seen: dict = {}
+
         def tail_at(h: int) -> Interval:
-            return self.tail(k + h, target)
+            if h not in seen:
+                seen[h] = self.tail(k + h, target)
+            return seen[h]
 
         def first_with(pred) -> int:
             hi = 1
@@ -525,16 +559,35 @@ class _Geometric(_Base):
 
 
 class _Quadratic(_Base):
+    """gamma_k = 1 / (k (k+1)), Gamma_k = 1/k.
+
+    Once k (k+1) (from k of about 1.34e154) or k (from 2**1024) no longer
+    converts to float, the int quotient 1 / n is taken instead: Python
+    rounds it correctly, to a subnormal or to 0, so it lies within half
+    the least subnormal (2**-1075) of the true value, and [y - 5e-324,
+    y + 5e-324] cut at 0 encloses it. From k of about 2**1074 on, Gamma_k
+    reads [0, 5e-324] and V is undefined there (tail not positive).
+    """
+
     name = "quadratic"
 
     def gamma(self, k: int) -> float:
-        return 1.0 / (k * (k + 1))
+        try:
+            return 1.0 / (k * (k + 1))
+        except OverflowError:
+            return 1 / (k * (k + 1))
 
     def gamma_iv(self, k: int) -> Interval:
-        return _rel_pad_iv(self.gamma(k), 4 * _U)
+        try:
+            return _rel_pad_iv(1.0 / (k * (k + 1)), 4 * _U)
+        except OverflowError:
+            return _subnormal_iv(1 / (k * (k + 1)))
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
-        return Interval.rounded(1.0 / k)
+        try:
+            return Interval.rounded(1.0 / k)
+        except OverflowError:
+            return _subnormal_iv(1 / k)
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
         kf = ks.astype(np.float64)
@@ -573,24 +626,23 @@ class _Integrable(_Base):
     def integral_tail(self, k: int) -> Interval:
         raise NotImplementedError
 
-    def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """lo and hi of gamma_iv(k) for each k, bit for bit."""
+    def bound_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """lo and hi of gamma_iv(k), then lo and hi of integral_tail(k),
+        for each k of an increasing list, bit for bit; each k's
+        transcendentals are taken once."""
         raise NotImplementedError
 
-    def integral_tail_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """lo and hi of integral_tail(k) for each k, bit for bit."""
-        raise NotImplementedError
-
-    def segment_masses(self, bounds: Sequence[int], target: Optional[float] = None) -> List[Interval]:
+    def segment_mass_arrays(
+        self, bounds: Sequence[int], target: Optional[float] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """The sandwich above over each gap, in float64 lo/hi arrays that
         replay the interval operations of gamma_iv and integral_tail."""
         with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
-            glo, ghi = self.gamma_arrays(bounds)
-            tlo, thi = self.integral_tail_arrays(bounds)
+            glo, ghi, tlo, thi = self.bound_arrays(bounds)
             # both brackets are >= 0, so each of the four roundings errs by
             # at most half an ulp of the result; widening adds four
             lo, hi = widened_arrays(tlo[:-1] - thi[1:], (thi[:-1] - tlo[1:]) + (ghi[:-1] - glo[1:]))
-        return [Interval(a, b) for a, b in zip(np.maximum(lo, 0.0).tolist(), np.maximum(hi, 0.0).tolist())]
+        return np.maximum(lo, 0.0), np.maximum(hi, 0.0)
 
 
 class _Power(_Integrable):
@@ -609,13 +661,13 @@ class _Power(_Integrable):
         """int_k^inf x^(-1-eps) dx = k^(-eps) / eps."""
         return _pow_iv(k, -self.eps) / Interval.exact(self.eps)
 
-    def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        return _pow_arrays(ks, -1.0 - self.eps)
-
-    def integral_tail_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        lo, hi = _pow_arrays(ks, -self.eps)
+    def bound_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Both pows of each k share the log of their error bound."""
+        logs = [math.log(k) for k in ks]
+        glo, ghi = _pow_arrays(ks, -1.0 - self.eps, logs)
+        lo, hi = _pow_arrays(ks, -self.eps, logs)
         # the four quotients by the point eps > 0 keep lo's and hi's order
-        return widened_arrays(lo / self.eps, hi / self.eps)
+        return (glo, ghi) + widened_arrays(lo / self.eps, hi / self.eps)
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         # integral sandwich: int_k^inf x^(-1-eps) dx <= Gamma_k <= gamma_k + integral
@@ -680,24 +732,35 @@ class _HarmonicLike(_Integrable):
             return self.gamma_iv(1) + self.integral_tail(2)
         return Interval.exact(1.0) / _log_iv(k)
 
-    def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        gs = np.array([self.gamma(k) for k in ks])
-        lo, hi = _rel_pad_arrays(gs, np.array([self._gamma_rel(k) for k in ks]))
+    def bound_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One ln k = ln max(k, 2) serves gamma (which takes k = 2 at k = 1),
+        its error bound (_gamma_rel, whose ln max(k, 3) is ln k from k = 3
+        on) and 1 / ln k. An int k converts to float and logs as its float,
+        so the products and quotients of gamma run in numpy with the same
+        roundings; past the float range, where gamma falls back to logs,
+        every k takes the scalar calls."""
+        try:
+            kf = [float(max(k, 2)) for k in ks]
+        except OverflowError:
+            ivs = [(self.gamma_iv(k), self.integral_tail(k)) for k in ks]
+            return tuple(np.array([getattr(iv[j], end) for iv in ivs])
+                         for j in (0, 1) for end in ("lo", "hi"))
+        lns = [math.log(x) for x in kf]
+        kf, logs, rel = np.array(kf), np.array(lns), np.array([math.log(ln) for ln in lns])
+        for j, k in enumerate(ks[:2]):  # ks increase: only these can be below 3
+            if k < 3:
+                rel[j] = math.log(math.log(3))
+        gs = 1.0 / (kf * logs * logs)  # may overflow to inf and give 0, as gamma does
+        glo, ghi = _rel_pad_arrays(gs, _U * (8.0 + 2.0 * rel))
         zero = gs == 0.0
-        lo[zero] = 0.0
-        hi[zero] = 5e-324
-        return lo, hi
-
-    def integral_tail_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        logs = np.array([math.log(max(k, 2)) for k in ks])
+        glo[zero] = 0.0
+        ghi[zero] = 5e-324
         log_lo, log_hi = widened_arrays(logs, logs)
-        lo, hi = widened_arrays(1.0 / log_hi, 1.0 / log_lo)  # ln k > 0.69: 1 / [lo, hi]
-        if 1 in ks:
+        tlo, thi = widened_arrays(1.0 / log_hi, 1.0 / log_lo)  # ln k > 0.69: 1 / [lo, hi]
+        if ks[0] == 1:
             iv = self.integral_tail(1)
-            for j, k in enumerate(ks):
-                if k == 1:
-                    lo[j], hi[j] = iv.lo, iv.hi
-        return lo, hi
+            tlo[0], thi[0] = iv.lo, iv.hi
+        return glo, ghi, tlo, thi
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
         kf = np.where(ks == 1, 2, ks).astype(np.float64)
@@ -932,6 +995,11 @@ class _BlockSums:
 
     def masses(self, bounds: Sequence[int]) -> List[Interval]:
         """Enclosures of sum_{a <= i < b} w_i for consecutive bounds a, b."""
+        lo, hi = self.mass_arrays(bounds)
+        return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+
+    def mass_arrays(self, bounds: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """masses as lo and hi arrays."""
         size, o = self.SIZE, self._origin
         cap = min(guard_index(), 1 << 52) // size  # blocks the table may hold
         if bounds[-1] - o > (cap + 2) * size:
@@ -957,8 +1025,7 @@ class _BlockSums:
             pad += self._term_rel(c + float(o)) * p1 + self._term_rel(b + float(o)) * p2
             if f.size:
                 pad[whole] += self._rel_pads(f, e)
-        lo, hi = widened_arrays(np.maximum(s - pad, 0.0), s + pad)
-        return [Interval(lo_j, hi_j) for lo_j, hi_j in zip(lo.tolist(), hi.tolist())]
+        return widened_arrays(np.maximum(s - pad, 0.0), s + pad)
 
 
 class _AlternatingZero(_Base):
@@ -1246,7 +1313,7 @@ class _CosineModulated(_Base):
         h = cls._EM_C * r + 1.5 / xx
         return f, pad, h * (1.0 - 2.0**-48), h * (1.0 + 2.0**-48)
 
-    def _closed_masses(self, bounds: Sequence[int]) -> List[Interval]:
+    def _closed_mass_arrays(self, bounds: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Mass over each [bounds[j], bounds[j+1]) as F(a) - F(b) +-
         (H(a) - H(b)), for 1 <= bounds < _FAR.
 
@@ -1260,8 +1327,7 @@ class _CosineModulated(_Base):
         mid = f[:-1] - f[1:]
         cancel = _U * (np.abs(f[:-1]) + np.abs(f[1:]))
         rad = ((h_hi[:-1] - h_lo[1:]) + (p[:-1] + p[1:]) + cancel) * (1.0 + 2.0**-48)
-        lo, hi = widened_arrays(np.maximum(mid - rad, 0.0), mid + rad)
-        return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        return widened_arrays(np.maximum(mid - rad, 0.0), mid + rad)
 
     def rest(self, x: int) -> Interval:
         """Enclosure of Gamma_x = sum_{i >= x} gamma_i with no summation:
@@ -1284,26 +1350,33 @@ class _CosineModulated(_Base):
         n = max((2.0 * cls._EM_C / h) ** (2.0 / 3.0), math.sqrt(3.0 / h)) if h > 0.0 else math.inf
         return max(int(math.ceil(min(n, float(min(guard_index(), 1 << 52))))), 1)
 
-    def segment_masses(self, bounds: Sequence[int], target: Optional[float] = None) -> List[Interval]:
+    def segment_mass_arrays(
+        self, bounds: Sequence[int], target: Optional[float] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Masses over consecutive bounds. With a target, pieces below the cut
         P = _reach(target / 16) come from the block table and pieces from P
-        on in closed form (_closed_masses; a piece across P is split there),
-        so the closed-form pieces err by at most H(P) <= target / 16 in
-        total. Without a target, or with bounds from _FAR on, every piece
-        comes from the table."""
+        on in closed form (_closed_mass_arrays; a piece across P is split
+        there, and its two parts are added as Intervals add), so the
+        closed-form pieces err by at most H(P) <= target / 16 in total.
+        Without a target, or with bounds from _FAR on, every piece comes
+        from the table."""
         if target is None or bounds[-1] >= self._FAR:
-            return self._sums.masses(bounds)
+            return self._sums.mass_arrays(bounds)
         cut = self._reach(target / 16.0)
         j = bisect.bisect_left(bounds, cut)  # bounds[:j] < cut <= bounds[j:]
         if j == 0:
-            return self._closed_masses(bounds)
+            return self._closed_mass_arrays(bounds)
         if j == len(bounds):
-            return self._sums.masses(bounds)
+            return self._sums.mass_arrays(bounds)
         if bounds[j] == cut:
-            return self._sums.masses(bounds[: j + 1]) + self._closed_masses(bounds[j:])
-        near = self._sums.masses(bounds[:j] + [cut])
-        far = self._closed_masses([cut] + bounds[j:])
-        return near[:-1] + [near[-1] + far[0]] + far[1:]
+            near, far = self._sums.mass_arrays(bounds[: j + 1]), self._closed_mass_arrays(bounds[j:])
+        else:
+            near = self._sums.mass_arrays(bounds[:j] + [cut])
+            far = self._closed_mass_arrays([cut] + bounds[j:])
+            both = Interval(near[0][-1], near[1][-1]) + Interval(far[0][0], far[1][0])
+            near = (np.append(near[0][:-1], both.lo), np.append(near[1][:-1], both.hi))
+            far = (far[0][1:], far[1][1:])
+        return np.concatenate([near[0], far[0]]), np.concatenate([near[1], far[1]])
 
     def tail_batch(self, ks: Sequence[int], target: Optional[float] = None) -> List[Interval]:
         """Gamma_k for each k: the block-table mass over [k, n) plus rest(n),
@@ -1614,24 +1687,41 @@ def gamma_tail_batch(
 
 
 def segment_masses(
-    spec: DiscountSpec, bounds: Sequence[int], target: Optional[float] = None
-) -> List[Interval]:
+    spec: DiscountSpec,
+    bounds: Sequence[int],
+    target: Optional[float] = None,
+    *,
+    arrays: bool = False,
+):
     """Enclosures of the gamma mass over [bounds[j], bounds[j+1]) for each j.
+
+    Every family answers with lo and hi float64 arrays
+    (_Base.segment_mass_arrays), and this is the one place that turns
+    them into Intervals; arrays=True returns the two arrays instead, as
+    V's runs path sums them unboxed (value._runs_value). A scale
+    multiplies both ends as Interval * scale does, bit for bit.
 
     Cosine sums these directly from its block table (module docstring),
     so no truncation term is shared and differences stay sharp; with a
     target, pieces far from the first bound come in closed form, whose
-    errors add up to at most target / 16. The other families take tail
-    differences.
+    errors add up to at most target / 16. Power and harmonic-like take
+    their integral sandwich, and the other families tail differences.
     """
     bounds = [int(b) for b in bounds]
     if len(bounds) < 2 or any(b <= a for a, b in zip(bounds, bounds[1:])):
         raise ValueError("bounds must be strictly increasing, length >= 2")
     _check_target(target)
-    out = _impl(spec).segment_masses(bounds, target)
+    lo, hi = _impl(spec).segment_mass_arrays(bounds, target)
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError("interval endpoints must not be NaN")
     if spec.scale != 1.0:
-        out = [iv * spec.scale for iv in out]
-    return out
+        # the ends are >= 0 and the scale positive and finite: the product
+        # of Interval * scale takes lo * scale and hi * scale
+        with np.errstate(over="ignore"):
+            lo, hi = widened_arrays(lo * spec.scale, hi * spec.scale)
+    if arrays:
+        return lo, hi
+    return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def effective_horizon(spec: DiscountSpec, k: int) -> IntegerInterval:

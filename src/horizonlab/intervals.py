@@ -20,7 +20,7 @@ the repr.
 
 widened_arrays is the array form of Interval.widened for kernels that
 replay a chain of interval operations over float64 lo/hi arrays (see
-value._dense_relative and discount._Integrable.segment_masses). numpy is
+value._dense_relative and discount._Integrable.segment_mass_arrays). numpy is
 trusted there only with correctly rounded elementwise operations
 (+ - * /, abs, minimum/maximum, spacing), which give the same bits as
 the scalar code. Its transcendentals are not: numpy's vectorised power

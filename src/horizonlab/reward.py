@@ -325,24 +325,42 @@ class WindowEnvelope:
     """A bound on how far the partial sums of a reward stray from a mean.
 
     With e_j = sum_{i<=j} (r_i - mean), every j >= 0 obeys
-    |e_j| <= a j^p + b. a encloses its constant, p is 0, 1/2 or 1, and
-    mean and b are exact. value._rest_enclosure turns this into an
-    enclosure of the discounted rewards past any index.
+    |e_j| <= a j^p + b. a encloses its constant and p is 0, 1/2 or 1.
+    mean, b and every e_j are exact rationals over one denominator den,
+    kept as int numerators: mean_num / den, b_num / den and
+    excess_num(j) / den, so value._rest_enclosure, which turns this into
+    an enclosure of the discounted rewards past any index, does no
+    Fraction arithmetic. A periodic reward keeps den e_j for the phases
+    j = 0 .. P - 1 in a table (phases); a binary sequence counts its ones.
+    mean, b and excess give the same numbers as Fractions.
     """
 
     spec: RewardSpec
-    mean: Fraction
     a: Interval
     p: float
-    b: Fraction
+    den: int
+    mean_num: int
+    b_num: int
+    phases: Tuple[int, ...] = ()
+
+    @property
+    def mean(self) -> Fraction:
+        return Fraction(self.mean_num, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.b_num, self.den)
+
+    def excess_num(self, j: int) -> int:
+        """den e_j, exactly: a whole period adds zero to e, and a binary
+        sequence has den e_j = den ones(j) - mean_num j."""
+        if self.phases:
+            return self.phases[j % len(self.phases)]
+        return self.den * ones_count(self.spec, j) - self.mean_num * j
 
     def excess(self, j: int) -> Fraction:
         """e_j, exactly."""
-        if is_binary_runs(self.spec):
-            return ones_count(self.spec, j) - self.mean * j
-        pat = [Fraction(x) for x in self.spec.params[0]]
-        # whole periods add exactly zero
-        return sum(pat[: j % len(pat)], Fraction(0)) - self.mean * (j % len(pat))
+        return Fraction(self.excess_num(j), self.den)
 
 
 def window_envelope(spec: RewardSpec) -> Optional[WindowEnvelope]:
@@ -366,23 +384,27 @@ def window_envelope(spec: RewardSpec) -> Optional[WindowEnvelope]:
 
     Periodic, mean = pattern sum / period, a = 0, p = 0: a whole period
     adds zero to e, so e_j = e_{j mod P}, and b = max over one period of
-    |e_j| is exact.
+    |e_j| is exact. Each float entry is a dyadic rational n_i / L over
+    the largest denominator L among them, so den = L P makes every
+    den e_j = P (n_1 + ... + n_j) - j (n_1 + ... + n_P) an int.
     """
     if spec.family == "periodic":
         pat = [Fraction(x) for x in spec.params[0]]
-        mean = sum(pat, Fraction(0)) / len(pat)
-        e, b = Fraction(0), Fraction(0)
-        for x in pat:
-            e += x - mean
-            b = max(b, abs(e))
-        return WindowEnvelope(spec, mean, Interval.exact(0.0), 0.0, b)
+        size = math.lcm(*(x.denominator for x in pat))
+        nums = [int(x * size) for x in pat]
+        total, acc, phases = sum(nums), 0, []
+        for j, n in enumerate(nums):
+            phases.append(len(nums) * acc - total * j)
+            acc += n
+        b_num = max(abs(e) for e in phases)
+        return WindowEnvelope(spec, Interval.exact(0.0), 0.0, size * len(nums), total, b_num,
+                              tuple(phases))
     if not is_binary_runs(spec) or spec.params[0] == "explicit":
         return None
-    half = Fraction(1, 2)
     if spec.params[0] == "linear":
         # sqrt is correctly rounded, so 1/sqrt 8 = sqrt(0.125) within one ulp
-        return WindowEnvelope(spec, half, Interval.rounded(math.sqrt(0.125)), 0.5, Fraction(1))
-    return WindowEnvelope(spec, half, Interval.rounded(1.0 / 6.0), 1.0, Fraction(1, 3))
+        return WindowEnvelope(spec, Interval.rounded(math.sqrt(0.125)), 0.5, 2, 1, 2)
+    return WindowEnvelope(spec, Interval.rounded(1.0 / 6.0), 1.0, 6, 3, 2)
 
 
 @dataclass(frozen=True)

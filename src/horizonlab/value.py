@@ -28,7 +28,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,12 +98,23 @@ class ValueDetail:
     attained: bool
 
 
-def _interval_sum(ivs: Sequence[Interval]) -> Interval:
-    if not ivs:
+def _interval_sum(lo: Sequence[float], hi: Sequence[float]) -> Interval:
+    """Enclosure of the sum of the intervals [lo[j], hi[j]]: one math.fsum
+    per end, exactly 0 for none. fsum is correctly rounded whatever the
+    order of its terms, and the widening by 4 ulp covers that rounding."""
+    if not len(lo):
         return Interval.exact(0.0)
-    lo = math.fsum(iv.lo for iv in ivs)
-    hi = math.fsum(iv.hi for iv in ivs)
-    return Interval.widened(lo, hi)  # fsum is correctly rounded; 4 ulp covers it
+    return Interval.widened(math.fsum(lo), math.fsum(hi))
+
+
+def _tail_target(tol: float, k: int) -> float:
+    """tol * 0.3 / (k + 1), the resolution asked of Gamma_k. Past the
+    float range of k + 1 the least positive float stands in: a target is
+    only a hint, and every tail is an enclosure whatever it asks."""
+    try:
+        return tol * 0.3 / (k + 1)
+    except OverflowError:
+        return 5e-324
 
 
 def _product_is_zero(rspec: _r.RewardSpec, dspec: _d.DiscountSpec) -> bool:
@@ -188,10 +199,19 @@ def _int_times(n: int, iv: Interval) -> Interval:
     return Interval.widened(lo, hi)
 
 
-def _q_times(q: Fraction, iv: Interval) -> Interval:
-    """Enclosure of q x for x in iv, iv >= 0, q an exact rational of any size."""
-    prod = _int_times(abs(q.numerator), iv) / _int_times(q.denominator, _ONE)
-    return -prod if q < 0 else prod
+@lru_cache(maxsize=64)
+def _den_iv(den: int) -> Interval:
+    """_int_times(den, 1), kept per denominator."""
+    return _int_times(den, _ONE)
+
+
+def _q_times(num: int, den: int, iv: Interval) -> Interval:
+    """Enclosure of (num / den) x for x in iv, iv >= 0, den >= 1 and num
+    ints of any size. The fraction is reduced first, as Fraction reduces
+    it, so equal rationals give equal bits."""
+    g = math.gcd(num, den)
+    prod = _int_times(abs(num) // g, iv) / _den_iv(den // g)
+    return -prod if num < 0 else prod
 
 
 def _sqrt_iv(n: int) -> Interval:
@@ -244,8 +264,10 @@ def _rest_enclosure(
     else:
         root = _sqrt_iv(m + 1)
         s = root * g + t2 / (root + root)
-    radius = (env.a * s + _q_times(env.b, s0)).hi
-    iv = _q_times(env.mean, t1) - _q_times(env.excess(m), g) + Interval(-radius, radius)
+    den = env.den
+    radius = (env.a * s + _q_times(env.b_num, den, s0)).hi
+    iv = (_q_times(env.mean_num, den, t1) - _q_times(env.excess_num(m), den, g)
+          + Interval(-radius, radius))
     return Interval(max(iv.lo, 0.0), min(iv.hi, t1.hi))
 
 
@@ -389,10 +411,11 @@ def _runs_value(
         if budget_end is not None and n_trunc > budget_end:
             n_trunc, attained = budget_end, False
     else:
-        denom = _d.gamma_tail(dspec, k, tol * 0.3 / (k + 1))
+        denom = _d.gamma_tail(dspec, k, _tail_target(tol, k))
         if not denom.lo > 0.0:
             raise _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
-        target = tol * denom.lo
+        # the masses' resolution hint, kept positive where it underflows
+        target = max(tol * denom.lo, 5e-324)
         if last is not None:
             n_trunc, unseen = max(last - 1, k), Interval.exact(0.0)
         else:
@@ -401,39 +424,63 @@ def _runs_value(
                 cap = min(cap, budget_end)
             n_trunc, unseen, attained = _truncate(rspec, dspec, k, denom, tol, cap)
     segs = _r.one_segments(rspec, k, n_trunc)
-
-    bounds = {x for seg in segs for x in seg}
-    if form == "blocks":
-        end = n_trunc + 1  # k when the guard stopped the sum before k
-        if end > k:
-            bounds |= {k, end}
-    bounds = sorted(bounds)
+    # the pieces are ordered and never touch, so their ends are the sorted
+    # bounds and the 1-runs are every other gap from the first piece's
+    bounds = [x for seg in segs for x in seg]
+    first = 0
     finite_done = last is not None and last <= n_trunc + 1
     if form == "ratios":
         unseen = Interval(0.0, impl.tail_ratio(n_trunc + 1, k).hi)
-        ratios = [impl.tail_ratio(b, k) for b in bounds]
-        masses = [a - b for a, b in zip(ratios, ratios[1:])]
+        lo, hi = _ratio_masses(impl, k, bounds)
     elif form == "blocks":
+        end = n_trunc + 1  # k when the guard stopped the sum before k
+        if end > k:
+            if not bounds or bounds[0] > k:
+                bounds.insert(0, k)
+                first = 1
+            if bounds[-1] < end:
+                bounds.append(end)
         # with no 1s past the last piece (finite_done), the gaps up to its
         # end are summed without a target, so the numerator stays as sharp
         # as the table; only the gaps past it may take a coarser form
-        split = bounds.index(segs[-1][1]) if finite_done and segs else 0
-        masses = _d.segment_masses(dspec, bounds[: split + 1]) if split else []
+        split = first + 2 * len(segs) - 1 if finite_done and segs else 0
+        lo, hi = [], []
+        if split:
+            lo, hi = _masses(dspec, bounds[: split + 1])
         if len(bounds) > split + 1:
-            masses += _d.segment_masses(dspec, bounds[split:], target)
+            far_lo, far_hi = _masses(dspec, bounds[split:], target)
+            lo, hi = lo + far_lo, hi + far_hi
         rest = impl.rest(end)
-        denom = _interval_sum(masses) + rest
+        denom = _interval_sum(lo, hi) + rest
         unseen = Interval(0.0, rest.hi)
     else:
-        masses = _d.segment_masses(dspec, bounds, target) if bounds else []
-    gap = {a: j for j, a in enumerate(bounds)}
-    s = _interval_sum([masses[gap[a]] for a, _ in segs])
+        lo, hi = _masses(dspec, bounds, target) if bounds else ([], [])
+    s = _interval_sum(lo[first::2], hi[first::2])
     if finite_done:
         unseen = Interval.exact(0.0)
     # the division by the denominator widens by 4 ulp, which covers the
     # rounding of these two sums
     numerator = Interval(max(s.lo + unseen.lo, 0.0), s.hi + unseen.hi)
     return numerator, denom, n_trunc, attained or finite_done
+
+
+def _masses(
+    dspec: _d.DiscountSpec, bounds: List[int], target: Optional[float] = None
+) -> Tuple[List[float], List[float]]:
+    """The lo and hi ends of discount.segment_masses, as lists."""
+    lo, hi = _d.segment_masses(dspec, bounds, target, arrays=True)
+    return lo.tolist(), hi.tolist()
+
+
+def _ratio_masses(impl: "_d._Base", k: int, bounds: List[int]) -> Tuple[List[float], List[float]]:
+    """The lo and hi ends of tail_ratio(a, k) - tail_ratio(b, k) over each
+    gap [a, b) of the bounds, replayed on the arrays of tail_ratio_arrays
+    (offsets past int64 go in as Python ints)."""
+    if not bounds:
+        return [], []
+    r_lo, r_hi = impl.tail_ratio_arrays(np.array([b - k for b in bounds]))
+    lo, hi = widened_arrays(r_lo[:-1] - r_hi[1:], r_hi[:-1] - r_lo[1:])
+    return lo.tolist(), hi.tolist()
 
 
 def _ratio_truncation(impl: "_d._Base", k: int, tol: float) -> int:
@@ -517,7 +564,7 @@ def disc_value_detail(
         numerator, n_trunc = _dense_relative(rspec, impl, k, tol)
     else:
         path = "dense"
-        tail_k = _d.gamma_tail(dspec, k, tol * 0.3 / (k + 1))
+        tail_k = _d.gamma_tail(dspec, k, _tail_target(tol, k))
         if not tail_k.lo > 0.0:
             raise _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
         n_trunc, unseen, attained = _truncate(rspec, dspec, k, tail_k, tol, guard_index())

@@ -164,6 +164,21 @@ def test_eval_periodic_nonmonotone_truncation_is_short(reward, discount, k, most
     assert payload["hi"] - payload["lo"] <= 1e-4
 
 
+@pytest.mark.parametrize("digits, exit_code", [(155, 0), (300, 0), (400, 2)])
+def test_eval_quadratic_past_the_float_range(digits, exit_code, capsys) -> None:
+    # k (k+1) no longer converts to float from about 1.34e154; Gamma_k = 1/k
+    # underflows from about 2^1074, where V is undefined
+    code, out, err = run_main(
+        ["eval", "--reward", "periodic:1,0,1", "--discount", "quadratic",
+         "--v-at", "1" + "0" * digits, "--format", "json"], capsys)
+    assert code == exit_code
+    if exit_code:
+        assert err.startswith("error: tail enclosure not positive")
+    else:
+        payload = json.loads(out)["V"]
+        assert payload["attained"] and payload["lo"] <= 2 / 3 <= payload["hi"]
+
+
 def test_eval_average_only(capsys) -> None:
     code, out, _ = run_main(
         ["eval", "--reward", "constant:0.7", "--u-to", "100",

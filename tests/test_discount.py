@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -553,7 +554,7 @@ def test_block_tables_answer_independently_of_history() -> None:
     # a query on a fresh family object, the same query after other queries
     # grew the table in another order, and after one sweep: same bits
     cos_queries = [
-        lambda f: f.segment_masses([5, 900, 1 + 16 * _S, 100_000]),
+        lambda f: np.concatenate(f.segment_mass_arrays([5, 900, 1 + 16 * _S, 100_000])).tolist(),
         lambda f: f.tail_batch([3, 1500, 70_000], 3e-6),
         lambda f: f.tail(150),
     ]
@@ -726,3 +727,29 @@ def test_alternating_even_view_is_its_even_weights_and_tails() -> None:
     # an alternating discount over a non-monotone base has no such view
     assert d._impl(h.alternating_zero(h.cosine_modulated())).even_view() is None
     assert d._impl(h.quadratic()).even_view() is None
+
+
+# -- quadratic past the float range ----------------------------------------------
+
+
+@pytest.mark.parametrize("e", [155, 200, 300, 400])
+def test_quadratic_past_the_float_range_encloses_the_exact_values(e: int) -> None:
+    # k (k+1) stops converting to float from k of about 1.34e154, k itself
+    # from 2^1024: the int quotients take over, correctly rounded
+    k = 10**e
+    q = h.quadratic()
+    g, tail = Fraction(1, k * (k + 1)), Fraction(1, k)
+    assert abs(Fraction(d.gamma(q, k)) - g) <= Fraction(1, 2**1075)
+    iv = d.gamma_iv(q, k)
+    assert 0.0 <= iv.lo and Fraction(iv.lo) <= g <= Fraction(iv.hi)
+    t = d.gamma_tail(q, k)
+    assert 0.0 <= t.lo and Fraction(t.lo) <= tail <= Fraction(t.hi)
+    assert t.width <= 2 * math.ulp(float(tail))  # as sharp as a rounded 1/k
+
+
+def test_quadratic_keeps_its_bits_inside_the_float_range() -> None:
+    # values of the parent, which answered here
+    q = h.quadratic()
+    assert repr(d.gamma_iv(q, 10**154)) == "[9.99999999999997e-309, 1.000000000000003e-308]"
+    assert repr(d.gamma_tail(q, 10**300)) == "[9.999999999999999e-301, 1.0000000000000002e-300]"
+    assert d.gamma(q, 10**154) == 1e-308

@@ -133,7 +133,7 @@ def test_sum_enclosure_contains_exact_sum(values: list) -> None:
     # value._interval_sum of degenerate intervals: math.fsum is correctly
     # rounded, so the exact sum lies within an ulp of it
     exact = sum(Fraction(v) for v in values)
-    iv = _interval_sum([Interval.exact(x) for x in values])
+    iv = _interval_sum(values, values)
     assert Fraction(iv.lo) <= exact <= Fraction(iv.hi)
 
 

@@ -1,16 +1,20 @@
 """Array kernels against the scalar interval code they replaced.
 
-value._dense_relative and discount._Integrable.segment_masses replay a
-chain of Interval operations over float64 lo/hi arrays. The scalar
-loops they replaced stay here as references, and every endpoint must
-match them bit for bit: a kernel that differs by one ulp has changed
-an enclosure, however harmless the change looks.
+value._dense_relative, value._runs_value and every family's
+discount segment_mass_arrays replay a chain of Interval operations over
+float64 lo/hi arrays, and value._rest_enclosure reads its rationals as
+ints. The scalar loops, Interval lists and Fraction code they replaced
+stay here as references, and every endpoint must match them bit for
+bit: a kernel that differs by one ulp has changed an enclosure, however
+harmless the change looks.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +45,13 @@ def outcome(fn, *args):
         return f"ValueError: {exc}"
 
 
+def interval_sum_reference(ivs):
+    """value._interval_sum before it took lo and hi sequences."""
+    if not ivs:
+        return Interval.exact(0.0)
+    return Interval.widened(math.fsum(iv.lo for iv in ivs), math.fsum(iv.hi for iv in ivs))
+
+
 def dense_relative_reference(rspec, impl, k, tol):
     """The per-index loop of value._dense_relative before its array form."""
     n_trunc = v._ratio_truncation(impl, k, tol)
@@ -49,7 +60,7 @@ def dense_relative_reference(rspec, impl, k, tol):
         r_i = r.reward_at(rspec, i)
         if r_i != 0.0:
             parts.append(impl.tail_ratio(i, k) * impl.one_minus_g * r_i)
-    s = v._interval_sum(parts)
+    s = interval_sum_reference(parts)
     numerator = Interval(max(s.lo, 0.0), s.hi + impl.tail_ratio(n_trunc + 1, k).hi)
     return numerator, n_trunc
 
@@ -154,13 +165,12 @@ _BOUNDS = [
                                                  "10^500", "dense"])
 def test_segment_masses_match_the_scalar_loop(dspec, bounds) -> None:
     impl = d._impl(dspec)
-    got = impl.segment_masses(bounds)
+    got = d.segment_masses(dspec, bounds)
     want = segment_masses_reference(impl, bounds)
     assert len(got) == len(want)
     for j, (a, b) in enumerate(zip(got, want)):
         assert same_bits(a, b), (j, a, b)
-    glo, ghi = impl.gamma_arrays(bounds)
-    tlo, thi = impl.integral_tail_arrays(bounds)
+    glo, ghi, tlo, thi = impl.bound_arrays(bounds)
     for j, b in enumerate(bounds):
         assert same_bits(Interval(glo[j].item(), ghi[j].item()), impl.gamma_iv(b)), b
         assert same_bits(Interval(tlo[j].item(), thi[j].item()), impl.integral_tail(b)), b
@@ -172,8 +182,9 @@ def test_segment_masses_raise_as_the_scalar_loop_does() -> None:
     impl = d._impl(d.power(5e-324))
     with pytest.raises(ValueError, match="^interval endpoints must not be NaN$"):
         segment_masses_reference(impl, [1, 2, 3])
-    with pytest.raises(ValueError, match="^interval endpoints must not be NaN$"):
-        impl.segment_masses([1, 2, 3])
+    for arrays in (False, True):
+        with pytest.raises(ValueError, match="^interval endpoints must not be NaN$"):
+            d.segment_masses(d.power(5e-324), [1, 2, 3], arrays=arrays)
 
 
 def test_pow_arrays_keep_libm_pow_per_element() -> None:
@@ -379,3 +390,269 @@ def test_block_table_stops_at_the_guard(monkeypatch) -> None:
         table.masses([10, end + 1])
     with pytest.raises(d.GuardExceeded):
         table.masses([2**63, 2**63 + 5])
+
+
+# -- segment mass arrays ---------------------------------------------------
+#
+# Every family answers segment_mass_arrays with lo and hi arrays, and
+# discount.segment_masses is the one place that turns them into
+# Intervals. The Interval-list bodies they replaced stay here.
+
+
+def tail_difference_reference(impl, bounds, target=None):
+    """_Base.segment_masses before its array form: tail differences, clamped at 0."""
+    tails = impl.tail_batch(bounds, target)
+    diffs = [a - b for a, b in zip(tails, tails[1:])]
+    return [Interval(max(x.lo, 0.0), max(x.hi, 0.0)) for x in diffs]
+
+
+def cosine_masses_reference(impl, bounds, target=None):
+    """_CosineModulated.segment_masses before its array form."""
+    def closed(bs):
+        lo, hi = impl._closed_mass_arrays(bs)
+        return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+
+    if target is None or bounds[-1] >= impl._FAR:
+        return impl._sums.masses(bounds)
+    cut = impl._reach(target / 16.0)
+    j = bisect.bisect_left(bounds, cut)
+    if j == 0:
+        return closed(bounds)
+    if j == len(bounds):
+        return impl._sums.masses(bounds)
+    if bounds[j] == cut:
+        return impl._sums.masses(bounds[: j + 1]) + closed(bounds[j:])
+    near = impl._sums.masses(bounds[:j] + [cut])
+    far = closed([cut] + bounds[j:])
+    return near[:-1] + [near[-1] + far[0]] + far[1:]
+
+
+def masses_reference(dspec, bounds, target=None):
+    """The Interval list that discount.segment_masses returned before."""
+    impl = d._impl(dspec.unscaled())
+    if isinstance(impl, d._Integrable):
+        out = segment_masses_reference(impl, bounds)
+    elif isinstance(impl, d._CosineModulated):
+        out = cosine_masses_reference(impl, bounds, target)
+    else:
+        out = tail_difference_reference(impl, bounds, target)
+    return out if dspec.scale == 1.0 else [iv * dspec.scale for iv in out]
+
+
+def any_outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_MASS_FAMILIES = {
+    "quadratic": d.quadratic(),
+    "power0.5": d.power(0.5),
+    "power1.3": d.power(1.3),
+    "harmonic_like": d.harmonic_like(),
+    "cosine": d.cosine_modulated(),
+    "alternating": d.alternating_zero(),
+    "step_log": d.step_log(),
+    "patched": d.build_patched([1, 2]),
+    "finite": d.finite(50),
+    "geometric": d.geometric(0.9),
+    "custom_tail": d.custom([1.0 / (i * (i + 1)) for i in range(1, 300)], ("power", 1.0)),
+    "custom_bare": d.custom([0.5, 0.25, 0.125]),
+    "scaled_harmonic": d.harmonic_like().with_scale(3.0),
+    "scaled_cosine": d.cosine_modulated().with_scale(0.7),
+}
+
+_MASS_BOUNDS = {
+    "1,2,3": [1, 2, 3],
+    "block edges": [1 + 4 * _S - 1, 1 + 4 * _S, 1 + 4 * _S + 1, 1 + 9 * _S - 1, 1 + 9 * _S,
+                    1 + 9 * _S + 1],
+    "2^53": [2**53 - 1, 2**53, 2**53 + 1],
+    "2^300": [2**300, 2**300 + 1, 2**301],
+    "10^400": [10**400, 10**400 + 1, 10**401],
+    "mixed": [1, 2, 3, 1 + 4 * _S, 5000, 70_000, 2**53 + 1, 2**300, 10**400],
+}
+
+
+@pytest.mark.parametrize("target", [None, 1e-6, 1e-3])
+@pytest.mark.parametrize("bounds", list(_MASS_BOUNDS.values()), ids=list(_MASS_BOUNDS))
+@pytest.mark.parametrize("dspec", list(_MASS_FAMILIES.values()), ids=list(_MASS_FAMILIES))
+def test_segment_mass_arrays_match_the_interval_lists(dspec, bounds, target) -> None:
+    want = any_outcome(masses_reference, dspec, bounds, target)
+    got = any_outcome(d.segment_masses, dspec, bounds, target)
+    arrays = any_outcome(lambda: d.segment_masses(dspec, bounds, target, arrays=True))
+    if isinstance(want, str):  # past a table or the guard: the same error
+        assert got == want and arrays == want
+        return
+    assert len(got) == len(want) == arrays[0].size == len(bounds) - 1
+    for j, (g, w) in enumerate(zip(got, want)):
+        assert same_bits(g, w), (j, g, w)
+        assert same_bits(Interval(arrays[0][j].item(), arrays[1][j].item()), w), j
+
+
+def test_cosine_masses_split_across_the_closed_form_cut() -> None:
+    # a piece across the cut adds its table part and its closed-form part
+    impl = d._impl(d.cosine_modulated())
+    target = 1e-3
+    cut = impl._reach(target / 16.0)
+    for bounds in ([5, cut - 3, cut + 10, cut + 500], [cut - 70, cut, cut + 1], [cut + 1, cut + 9]):
+        got = d.segment_masses(d.cosine_modulated(), bounds, target)
+        want = cosine_masses_reference(impl, bounds, target)
+        assert all(same_bits(g, w) for g, w in zip(got, want)), bounds
+
+
+# -- V's runs path ---------------------------------------------------------------
+
+
+def runs_value_reference(rspec, dspec, k, tol):
+    """value._runs_value with its set, sort, dict and Interval lists."""
+    impl = d._impl(dspec)
+    form = impl.mass_form
+    pts = rspec.params[1] if rspec.params[0] == "explicit" else ()
+    last = pts[-1] if pts and len(pts) % 2 == 0 else None
+    budget_end = None if form == "ratios" else v._budget_end(rspec, k)
+    attained = True
+    guard = v.guard_index()
+    if form == "ratios":
+        denom = Interval.exact(1.0)
+        n_trunc = v._ratio_truncation(impl, k, tol)
+        if last is not None:
+            n_trunc = max(n_trunc, last - 1)
+    elif form == "blocks":
+        target = tol * impl.tail_crude(k).lo
+        n_trunc = max(k, impl.index_for_tail_bound(target, k))
+        if n_trunc > guard:
+            n_trunc, attained = max(guard, k - 1), False
+        if budget_end is not None and n_trunc > budget_end:
+            n_trunc, attained = budget_end, False
+    else:
+        denom = d.gamma_tail(dspec, k, tol * 0.3 / (k + 1))
+        if not denom.lo > 0.0:
+            raise d.UndefinedMetric(f"tail enclosure not positive at k={k}")
+        target = tol * denom.lo
+        if last is not None:
+            n_trunc, unseen = max(last - 1, k), Interval.exact(0.0)
+        else:
+            cap = guard if impl.sums_terms else v._N_CAP
+            if budget_end is not None:
+                cap = min(cap, budget_end)
+            n_trunc, unseen, attained = v._truncate(rspec, dspec, k, denom, tol, cap)
+    segs = r.one_segments(rspec, k, n_trunc)
+    bounds = {x for seg in segs for x in seg}
+    if form == "blocks":
+        end = n_trunc + 1
+        if end > k:
+            bounds |= {k, end}
+    bounds = sorted(bounds)
+    finite_done = last is not None and last <= n_trunc + 1
+    if form == "ratios":
+        unseen = Interval(0.0, impl.tail_ratio(n_trunc + 1, k).hi)
+        ratios = [impl.tail_ratio(b, k) for b in bounds]
+        masses = [a - b for a, b in zip(ratios, ratios[1:])]
+    elif form == "blocks":
+        split = bounds.index(segs[-1][1]) if finite_done and segs else 0
+        masses = masses_reference(dspec, bounds[: split + 1]) if split else []
+        if len(bounds) > split + 1:
+            masses += masses_reference(dspec, bounds[split:], target)
+        rest = impl.rest(end)
+        denom = interval_sum_reference(masses) + rest
+        unseen = Interval(0.0, rest.hi)
+    else:
+        masses = masses_reference(dspec, bounds, target) if bounds else []
+    gap = {a: j for j, a in enumerate(bounds)}
+    s = interval_sum_reference([masses[gap[a]] for a, _ in segs])
+    if finite_done:
+        unseen = Interval.exact(0.0)
+    numerator = Interval(max(s.lo + unseen.lo, 0.0), s.hi + unseen.hi)
+    return numerator, denom, n_trunc, attained or finite_done
+
+
+_RUNS_REWARDS = [
+    h.linear_runs(),
+    h.exponential_runs(),
+    h.explicit_change_points([2, 5, 9, 30]),
+    h.explicit_change_points([3, 4, 50]),
+    h.explicit_change_points([5, 10**6, 10**7, 10**30]),
+]
+
+
+@pytest.mark.parametrize("dspec", [d.harmonic_like(), d.power(0.5), d.quadratic(), d.step_log(),
+                                   d.cosine_modulated(), d.geometric(0.5), d.geometric(0.9)],
+                         ids=["harmonic_like", "power", "quadratic", "step_log", "cosine",
+                              "geometric0.5", "geometric0.9"])
+@pytest.mark.parametrize("rspec", _RUNS_REWARDS, ids=["linear", "exponential", "explicit4",
+                                                      "explicit3", "explicit_far"])
+def test_runs_value_matches_the_interval_lists(rspec, dspec) -> None:
+    ks = [1, 2, 3, 7, 64, 101, 600, 3600]
+    if dspec.family != "cosine_modulated":
+        ks += [12_345, 2**53 + 1, 10**22, 2**200]
+    for k in ks:
+        for tol in (1e-3, 1e-5):
+            got = any_outcome(v._runs_value, rspec, dspec, k, tol)
+            want = any_outcome(runs_value_reference, rspec, dspec, k, tol)
+            if isinstance(want, str):
+                assert got == want, (k, tol)
+                continue
+            assert got[2:] == want[2:], (k, tol, got, want)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (k, tol, got, want)
+
+
+# -- the rest probe ----------------------------------------------------------------
+
+
+def q_times_reference(q, iv):
+    """value._q_times on a Fraction, before it took ints."""
+    prod = v._int_times(abs(q.numerator), iv) / v._int_times(q.denominator, Interval.exact(1.0))
+    return -prod if q < 0 else prod
+
+
+def rest_enclosure_reference(fam, env, m, hint):
+    """value._rest_enclosure with Fraction arithmetic on the envelope."""
+    g = fam.gamma_iv(m + 1)
+    t2 = fam.tail(m + 2, hint)
+    t1 = g + t2
+    s0 = g if fam.monotone else fam.variation(m)
+    if env.p == 0.0:
+        s = s0
+    elif env.p == 1.0:
+        s = v._int_times(m + 1, g) + t2
+    else:
+        root = v._sqrt_iv(m + 1)
+        s = root * g + t2 / (root + root)
+    radius = (env.a * s + q_times_reference(env.b, s0)).hi
+    iv = q_times_reference(env.mean, t1) - q_times_reference(env.excess(m), g) + Interval(-radius, radius)
+    return Interval(max(iv.lo, 0.0), min(iv.hi, t1.hi))
+
+
+_PATTERNS = [[1.0, 0.0, 1.0], [0.1, 0.7, 0.2], [0.0, 0.0, 1.0, 0.25], [1.0], [0.3, 0.7, 0.1, 0.9, 0.5]]
+_REST_MS = [1, 2, 3, 7, 100, 1001, 2**53 - 1, 2**53, 2**53 + 1, 2**100 + 3, 2**300, 2**480]
+
+
+def _rest_cases():
+    monotone = {"power": d.power(0.5), "harmonic_like": d.harmonic_like(),
+                "quadratic": d.quadratic()}
+    for name, dspec in monotone.items():
+        for rspec in [h.linear_runs(), h.exponential_runs()] + [h.periodic(p) for p in _PATTERNS]:
+            yield name, d._impl(dspec), rspec
+    for rspec in [h.periodic(p) for p in _PATTERNS]:
+        yield "cosine", d._impl(d.cosine_modulated()), rspec
+        view = d._impl(d.alternating_zero()).even_view()
+        yield "alternating even view", view, r.even_rewards(rspec)
+
+
+@pytest.mark.parametrize("name, fam, rspec", list(_rest_cases()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_rest_enclosure_matches_the_fraction_code(name, fam, rspec) -> None:
+    env = r.window_envelope(rspec)
+    for m in _REST_MS:
+        for hint in (1e-9, 3e-4):
+            got = v._rest_enclosure(fam, env, m, hint)
+            want = rest_enclosure_reference(fam, env, m, hint)
+            assert same_bits(got, want), (name, rspec, m, hint, got, want)
+
+
+def test_q_times_reduces_as_fraction_does() -> None:
+    iv = Interval(0.3, 0.30000000000000004)
+    for num, den in [(3, 6), (0, 7), (-4, 6), (2**70 + 2, 2**55), (-(3**40), 3**41), (5, 1)]:
+        assert same_bits(v._q_times(num, den, iv), q_times_reference(Fraction(num, den), iv))

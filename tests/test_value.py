@@ -635,3 +635,47 @@ def test_cosine_periodic_value_past_the_closed_form_stays_unattained() -> None:
     det = v.disc_value_detail(h.periodic([1.0, 0.0]), h.cosine_modulated(), k, 1e-3, strict=False)
     assert (det.truncation, det.attained) == (k - 1, False)
     assert det.interval.contains(0.5)
+
+
+@pytest.mark.parametrize("k", [10**155, 10**200, 10**300])
+@pytest.mark.parametrize("dspec", [h.quadratic(), h.alternating_zero()], ids=["quadratic", "alternating"])
+def test_periodic_values_past_the_quadratic_float_range(k, dspec) -> None:
+    # |V - 2/3| <= 3/k for this pattern under either discount
+    det = v.disc_value_detail(h.periodic([1.0, 0.0, 1.0]), dspec, k, 1e-3)
+    assert det.attained and det.interval.width <= 1e-3
+    assert Fraction(det.interval.lo) <= Fraction(2, 3) - Fraction(3, k)
+    assert Fraction(2, 3) + Fraction(3, k) <= Fraction(det.interval.hi)
+
+
+def test_quadratic_value_where_the_tail_underflows_is_undefined() -> None:
+    for rspec in (h.periodic([1.0, 0.0, 1.0]), _LIN):
+        with pytest.raises(d.UndefinedMetric, match="tail enclosure not positive"):
+            v.disc_value_detail(rspec, h.quadratic(), 10**400, 1e-3)
+
+
+# the work behind four runs-path values, recorded before the runs path
+# moved to arrays: the rest probes (value._rest_enclosure calls) and the
+# segment bounds passed to discount.segment_masses
+@pytest.mark.parametrize("rspec, dspec, k, tol, probes, bounds", [
+    (_LIN, h.harmonic_like(), 600, 1e-3, 15, 582),
+    (_LIN, h.power(0.5), 330, 1e-3, 13, 204),
+    (_LIN, h.quadratic(), 25_000, 1e-3, 12, 312),
+    (h.exponential_runs(), h.harmonic_like(), 1024, 5e-2 / 3, 25, 392),
+], ids=["lin-harm", "lin-pow", "lin-quad", "exp-harm"])
+def test_runs_path_work_is_pinned(monkeypatch, rspec, dspec, k, tol, probes, bounds) -> None:
+    seen = {"probes": 0, "bounds": 0}
+    rest, masses = v._rest_enclosure, d.segment_masses
+
+    def counted_rest(*args):
+        seen["probes"] += 1
+        return rest(*args)
+
+    def counted_masses(spec, bs, *args, **kwargs):
+        seen["bounds"] += len(bs)
+        return masses(spec, bs, *args, **kwargs)
+
+    monkeypatch.setattr(v, "_rest_enclosure", counted_rest)
+    monkeypatch.setattr(d, "segment_masses", counted_masses)
+    det = v.disc_value_detail(rspec, dspec, k, tol, strict=False)
+    assert det.attained and det.path == "runs"
+    assert seen == {"probes": probes, "bounds": bounds}
