@@ -332,7 +332,6 @@ class WindowEnvelope:
     an enclosure of the discounted rewards past any index, does no
     Fraction arithmetic. A periodic reward keeps den e_j for the phases
     j = 0 .. P - 1 in a table (phases); a binary sequence counts its ones.
-    mean, b and excess give the same numbers as Fractions.
     """
 
     spec: RewardSpec
@@ -343,24 +342,12 @@ class WindowEnvelope:
     b_num: int
     phases: Tuple[int, ...] = ()
 
-    @property
-    def mean(self) -> Fraction:
-        return Fraction(self.mean_num, self.den)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self.b_num, self.den)
-
     def excess_num(self, j: int) -> int:
         """den e_j, exactly: a whole period adds zero to e, and a binary
         sequence has den e_j = den ones(j) - mean_num j."""
         if self.phases:
             return self.phases[j % len(self.phases)]
         return self.den * ones_count(self.spec, j) - self.mean_num * j
-
-    def excess(self, j: int) -> Fraction:
-        """e_j, exactly."""
-        return Fraction(self.excess_num(j), self.den)
 
 
 def window_envelope(spec: RewardSpec) -> Optional[WindowEnvelope]:

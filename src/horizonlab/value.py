@@ -184,12 +184,14 @@ def _int_times(n: int, iv: Interval) -> Interval:
 
     n lies in [top, top + 1) 2^s with top < 2^53 exact, and scaling by 2^s
     is exact short of overflow, where the bounds go to inf and to the
-    largest float.
+    largest float. Below 2^53 (s = 0) that is n x at both ends.
     """
-    shift = max(n.bit_length() - 53, 0)
+    if n < 1 << 53:
+        return Interval.widened(min(n * iv.lo, sys.float_info.max), n * iv.hi)
+    shift = n.bit_length() - 53
     top = n >> shift
     try:
-        hi = (top + (shift > 0)) * math.ldexp(iv.hi, shift)
+        hi = (top + 1) * math.ldexp(iv.hi, shift)
     except OverflowError:
         hi = math.inf
     try:
@@ -371,10 +373,15 @@ def _runs_value(
     """(numerator, denominator, truncation, attained) for binary runs.
 
     The numerator is the mass of the 1-run pieces in [k, N] plus the rest
-    past N. Runs never touch, so each piece is one gap of the sorted piece
-    bounds, whose masses come in the family's mass_form: tails (over
-    Gamma_k), blocks (gaps over [k, N+1) also sum to a sharp denominator)
-    or ratios to Gamma_k (over 1, immune to underflow).
+    past N. The pieces are ordered and never touch, so their ends,
+    flattened, are the sorted bounds (with k and N + 1 in the blocks
+    form), and the pieces are every other gap from the first. The gap
+    masses come as lo and hi arrays in the family's mass_form: tails
+    (discount.segment_masses; over Gamma_k), blocks (gaps over [k, N+1)
+    also sum to a sharp denominator) or ratios to Gamma_k
+    (tail_ratio_arrays; over 1, immune to underflow). Each end is summed
+    by one math.fsum, which is correctly rounded whatever the order, so
+    the sums keep the bits of the Interval sums they replace.
 
     The rest is [0, Gamma_{N+1}], except in the tails form for a reward
     with a WindowEnvelope (linear and exponential runs) and a

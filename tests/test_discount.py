@@ -732,7 +732,7 @@ def test_alternating_even_view_is_its_even_weights_and_tails() -> None:
 # -- quadratic past the float range ----------------------------------------------
 
 
-@pytest.mark.parametrize("e", [155, 200, 300, 400])
+@pytest.mark.parametrize("e", [155, 200, 300, 310, 400])
 def test_quadratic_past_the_float_range_encloses_the_exact_values(e: int) -> None:
     # k (k+1) stops converting to float from k of about 1.34e154, k itself
     # from 2^1024: the int quotients take over, correctly rounded

@@ -608,7 +608,8 @@ def q_times_reference(q, iv):
 
 
 def rest_enclosure_reference(fam, env, m, hint):
-    """value._rest_enclosure with Fraction arithmetic on the envelope."""
+    """value._rest_enclosure with Fraction arithmetic on the envelope's
+    mean, b and excess."""
     g = fam.gamma_iv(m + 1)
     t2 = fam.tail(m + 2, hint)
     t1 = g + t2
@@ -620,8 +621,9 @@ def rest_enclosure_reference(fam, env, m, hint):
     else:
         root = v._sqrt_iv(m + 1)
         s = root * g + t2 / (root + root)
-    radius = (env.a * s + q_times_reference(env.b, s0)).hi
-    iv = q_times_reference(env.mean, t1) - q_times_reference(env.excess(m), g) + Interval(-radius, radius)
+    mean, b, excess = (Fraction(x, env.den) for x in (env.mean_num, env.b_num, env.excess_num(m)))
+    radius = (env.a * s + q_times_reference(b, s0)).hi
+    iv = q_times_reference(mean, t1) - q_times_reference(excess, g) + Interval(-radius, radius)
     return Interval(max(iv.lo, 0.0), min(iv.hi, t1.hi))
 
 

@@ -232,6 +232,11 @@ def test_one_segments_match_the_oracle_bits(spec, bits, k, n) -> None:
 # -- window envelopes ---------------------------------------------------
 
 
+def _q(env, num: int) -> Fraction:
+    """An envelope quantity from its numerator over env.den."""
+    return Fraction(num, env.den)
+
+
 def _twice_excess(bits: np.ndarray) -> np.ndarray:
     """2 e_j = 2 (ones among r_1..r_j) - j for j = 1..len(bits), exact ints."""
     j = np.arange(1, bits.size + 1, dtype=np.int64)
@@ -240,7 +245,7 @@ def _twice_excess(bits: np.ndarray) -> np.ndarray:
 
 def test_linear_runs_envelope_holds_up_to_a_million() -> None:
     env = r.window_envelope(h.linear_runs())
-    assert (env.mean, env.p, env.b) == (Fraction(1, 2), 0.5, 1)
+    assert (_q(env, env.mean_num), env.p, _q(env, env.b_num)) == (Fraction(1, 2), 0.5, 1)
     assert env.a.lo ** 2 <= 0.125 <= env.a.hi ** 2
     ks = np.arange(1, 10**6 + 1, dtype=np.int64)
     two_e = _twice_excess(oracles.linear_bits(ks))
@@ -248,12 +253,12 @@ def test_linear_runs_envelope_holds_up_to_a_million() -> None:
     over = np.maximum(np.abs(two_e) - 2, 0)
     assert np.all(2 * over * over <= ks)
     for j in (1, 2, 3, 7, 1000, 99_999, 10**6):
-        assert env.excess(j) == Fraction(int(two_e[j - 1]), 2)
+        assert _q(env, env.excess_num(j)) == Fraction(int(two_e[j - 1]), 2)
 
 
 def test_exponential_runs_envelope_holds_up_to_a_million() -> None:
     env = r.window_envelope(h.exponential_runs())
-    assert (env.mean, env.p, env.b) == (Fraction(1, 2), 1.0, Fraction(1, 3))
+    assert (_q(env, env.mean_num), env.p, _q(env, env.b_num)) == (Fraction(1, 2), 1.0, Fraction(1, 3))
     assert env.a.lo <= 1 / Fraction(6) <= env.a.hi
     ks = np.arange(1, 10**6 + 1, dtype=np.int64)
     two_e = _twice_excess(oracles.exponential_bits(ks))
@@ -262,7 +267,7 @@ def test_exponential_runs_envelope_holds_up_to_a_million() -> None:
     ends = [2 * 4**n - 1 for n in range(9)]
     assert all(3 * two_e[j - 1] == j + 2 for j in ends)
     for j in (1, 5, 4**9, 10**6):
-        assert env.excess(j) == Fraction(int(two_e[j - 1]), 2)
+        assert _q(env, env.excess_num(j)) == Fraction(int(two_e[j - 1]), 2)
 
 
 @pytest.mark.parametrize("pattern", [
@@ -272,11 +277,11 @@ def test_periodic_envelope_is_exact_over_every_phase(pattern) -> None:
     env = r.window_envelope(h.periodic(pattern))
     pat = [Fraction(x) for x in pattern]
     mean = sum(pat) / len(pat)
-    assert (env.mean, env.p) == (mean, 0.0) and env.a.hi == 0.0
+    assert (_q(env, env.mean_num), env.p) == (mean, 0.0) and env.a.hi == 0.0
     excess = [sum(pat[:j % len(pat)]) + (j // len(pat)) * sum(pat) - mean * j
               for j in range(4 * len(pat))]
-    assert env.b == max(abs(e) for e in excess)
-    assert [env.excess(j) for j in range(4 * len(pat))] == excess
+    assert _q(env, env.b_num) == max(abs(e) for e in excess)
+    assert [_q(env, env.excess_num(j)) for j in range(4 * len(pat))] == excess
 
 
 def test_explicit_lists_and_custom_rewards_have_no_envelope() -> None:
