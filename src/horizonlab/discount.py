@@ -198,21 +198,22 @@ def _pow_rel(base: float) -> float:
     return _U * (8.0 + 2.0 * abs(math.log(base)))
 
 
-def _pow_parts(base, expo: float) -> Tuple[float, float]:
+def _pow_parts(base, expo: float, ln: Optional[float] = None) -> Tuple[float, float]:
     """(base**expo, its relative error bound): _pow_iv before the padding.
 
     pow is assumed faithful to 1 ulp; the exponent itself may carry one
     rounding whose effect scales with |ln base|, hence the log factor. An
     int past 2**1000 goes through exp(expo ln base): ln of an int is good
     to an ulp, so the product errs by at most 2u |expo ln base|, which exp
-    turns into a relative error.
+    turns into a relative error. ln is math.log(base) (of an int below
+    2**1024, the log of its float), which several exponents may share.
     """
-    if isinstance(base, int):
-        if base >= 1 << 1000:
-            x = expo * math.log(base)
-            return math.exp(x), _U * (8.0 + 4.0 * abs(x))
-        base = float(base)
-    return base**expo, _pow_rel(base)
+    if ln is None:
+        ln = math.log(base)
+    if isinstance(base, int) and base >= 1 << 1000:
+        x = expo * ln
+        return math.exp(x), _U * (8.0 + 4.0 * abs(x))
+    return float(base) ** expo, _U * (8.0 + 2.0 * abs(ln))
 
 
 def _pow_iv(base, expo: float) -> Interval:
@@ -224,22 +225,12 @@ def _pow_arrays(
     bases: Sequence, expo: float, logs: Optional[Sequence[float]] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """lo and hi of _pow_iv(b, expo) for each b, bit for bit: one scalar
-    pow per base (exp past 2**1000), then the padding in numpy. logs, the
-    math.log of each base, lets several exponents share the log that each
-    error bound takes: math.log of an int below 2**1024 is math.log of
-    its float, as _pow_rel takes it."""
+    pow per base, then the padding in numpy. logs, the math.log of each
+    base, lets several exponents share them."""
     if logs is None:
         logs = [math.log(b) for b in bases]
-    ys, rels = [], []
-    for b, ln in zip(bases, logs):
-        if isinstance(b, int) and b >= 1 << 1000:
-            x = expo * ln
-            ys.append(math.exp(x))
-            rels.append(_U * (8.0 + 4.0 * abs(x)))
-        else:
-            ys.append(float(b) ** expo)
-            rels.append(_U * (8.0 + 2.0 * abs(ln)))
-    return _rel_pad_arrays(np.array(ys), np.array(rels))
+    parts = [_pow_parts(b, expo, ln) for b, ln in zip(bases, logs)]
+    return _rel_pad_arrays(np.array([y for y, _ in parts]), np.array([r for _, r in parts]))
 
 
 def _subnormal_iv(y: float) -> Interval:
