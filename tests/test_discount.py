@@ -748,8 +748,24 @@ def test_quadratic_past_the_float_range_encloses_the_exact_values(e: int) -> Non
 
 
 def test_quadratic_keeps_its_bits_inside_the_float_range() -> None:
-    # values of the parent, which answered here
+    # values recorded before the int fallback, where the float formula answers
     q = h.quadratic()
     assert repr(d.gamma_iv(q, 10**154)) == "[9.99999999999997e-309, 1.000000000000003e-308]"
     assert repr(d.gamma_tail(q, 10**300)) == "[9.999999999999999e-301, 1.0000000000000002e-300]"
     assert d.gamma(q, 10**154) == 1e-308
+
+
+def test_effective_horizon_takes_each_tail_once(monkeypatch) -> None:
+    # the two searches of the generic effective_horizon probe many of the
+    # same h; without the shared tails they took 33 here
+    impl = d._CosineModulated()
+    calls = []
+    tail = impl.tail
+
+    def counted(k, target=None):
+        calls.append(k)
+        return tail(k, target)
+
+    monkeypatch.setattr(impl, "tail", counted)
+    assert impl.effective_horizon(141) == d.effective_horizon(h.cosine_modulated(), 141)
+    assert len(calls) == len(set(calls)) == 17
