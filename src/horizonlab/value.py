@@ -431,8 +431,6 @@ def _runs_value(
                 cap = min(cap, budget_end)
             n_trunc, unseen, attained = _truncate(rspec, dspec, k, denom, tol, cap)
     segs = _r.one_segments(rspec, k, n_trunc)
-    # the pieces are ordered and never touch, so their ends are the sorted
-    # bounds and the 1-runs are every other gap from the first piece's
     bounds = [x for seg in segs for x in seg]
     first = 0
     finite_done = last is not None and last <= n_trunc + 1
