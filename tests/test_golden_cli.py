@@ -2,6 +2,8 @@
 
 tests/golden/cli.json holds the recorded output of every case below. A
 refactor that must not change results has to reproduce it byte for byte.
+Every case runs from tests/golden, so the spec files under specs/ are
+named by relative paths, as the error messages print them.
 To record it afresh after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden_cli.py --capture
@@ -111,6 +113,57 @@ CASES = {
     "verify_needs_selector": (["verify"], None),
 }
 
+# the mini-language names and aliases of every discount family, in text
+# format, the one with footer notes
+TABLE_NAMES = (
+    "finite:300", "geometric:0.9", "quadratic", "power:0.5", "harmonic-like", "harmonic",
+    "Harmonic_Like", "step-log", "steplog", "alternating", "alternating:geometric:0.5",
+    "alternating:@specs/geometric.json", "cosine", "cosine-modulated", "patched:1,2",
+    "patched:",
+)
+# discount spec files, good and bad, each in a table
+DISCOUNT_FILES = (
+    "finite", "finite_float_m", "geometric", "geometric_string_g", "quadratic_scaled",
+    "quadratic_no_params", "power", "harmonic_like", "step_log", "alternating_zero",
+    "cosine_modulated", "patched", "custom_geometric_tail", "custom_no_tail",
+    "bad_unknown_family", "bad_no_family", "bad_finite_no_m", "bad_finite_fractional",
+    "bad_geometric_range", "bad_geometric_text", "bad_power_negative",
+    "bad_alternating_nested", "bad_alternating_base", "bad_patched_open", "bad_custom_tail",
+    "bad_custom_negative", "bad_scale", "bad_not_json", "missing",
+)
+# reward spec files, good and bad, each in an eval
+REWARD_FILES = (
+    "reward_constant", "reward_periodic", "reward_custom", "reward_linear",
+    "reward_exponential", "reward_explicit", "bad_reward_unknown_family",
+    "bad_reward_generator", "bad_reward_no_alpha", "bad_reward_constant_range",
+    "bad_reward_periodic_empty", "bad_reward_explicit_order",
+)
+# unknown families and bad arguments in the mini-language
+BAD_DISCOUNTS = (
+    "bogus:1", "custom:1,2", "finite:abc", "finite", "finite:0", "finite:2.5",
+    "geometric:1.5", "geometric:abc", "geometric", "power:-1", "power:inf", "patched:a",
+    "patched:0", "patched:100", "alternating:bogus", "alternating:alternating",
+    "alternating:geometric:2", "alternating:patched:a", "alternating:@specs/missing.json",
+)
+BAD_REWARDS = (
+    "bogus", "constant:2", "constant:x", "constant", "periodic:a,b", "periodic:",
+    "periodic:2", "explicit:1", "explicit:3,2", "explicit:1.5,3", "custom:", "custom:a",
+    "custom:1.5",
+)
+for _name in TABLE_NAMES:
+    CASES[f"table_name_{_name}"] = (
+        ["table", "--discount", _name, "--k", "1,10,100"], None)
+CASES["table_custom_file_text"] = (["table", "--discount", CUSTOM_SPEC, "--k", "1,9"], None)
+for _name in DISCOUNT_FILES:
+    CASES[f"table_file_{_name}"] = (
+        ["table", "--discount", f"@specs/{_name}.json", "--k", "1,2"], None)
+for _name in REWARD_FILES:
+    CASES[f"eval_file_{_name}"] = (_window(f"@specs/{_name}.json", 2, 4), None)
+for _name in BAD_DISCOUNTS:
+    CASES[f"discount_error_{_name}"] = (["table", "--discount", _name, "--k", "1"], None)
+for _name in BAD_REWARDS:
+    CASES[f"reward_error_{_name}"] = (["eval", "--reward", _name, "--m", "3"], None)
+
 
 def run_case(argv, guard):
     """(exit code, stdout, stderr) of an in-process cli.main call."""
@@ -118,10 +171,13 @@ def run_case(argv, guard):
     if guard is not None:
         os.environ["HORIZONLAB_GUARD"] = guard
     out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
     try:
+        os.chdir(GOLDEN_DIR)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(argv))
     finally:
+        os.chdir(cwd)
         if old is None:
             os.environ.pop("HORIZONLAB_GUARD", None)
         else:
@@ -139,6 +195,7 @@ def test_cli_output_matches_golden(name, golden, monkeypatch, capsys) -> None:
     argv, guard = CASES[name]
     if guard is not None:
         monkeypatch.setenv("HORIZONLAB_GUARD", guard)
+    monkeypatch.chdir(GOLDEN_DIR)
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     want = golden[name]
