@@ -1,4 +1,4 @@
-"""Work guards and index checks shared across the package.
+"""Work guards and input checks shared across the package.
 
 Every potentially unbounded search (horizon walks, series truncation,
 switch-point searches) is capped by a guard index. The cap can be raised
@@ -38,3 +38,12 @@ def as_index(x, what: str) -> int:
     if isinstance(x, float) and not x.is_integer():
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)
+
+
+def json_list(d: dict, key: str) -> list:
+    """d[key], which must be a list: a string would be read one character
+    at a time."""
+    value = d[key]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {type(value).__name__}")
+    return value

@@ -7,11 +7,14 @@ limit (or an aborted construction search); 6 construction premises not
 met. Output is deterministic for a fixed command line and seed.
 
 Spec mini-language (also accepts @file.json with a serialized spec):
-  discounts  finite:M  geometric:G  quadratic  power:EPS
-             harmonic-like  step-log  alternating[:BASE]  cosine
-             patched:T1,T2,...
-  rewards    constant:X  periodic:X1,X2,...  linear-runs
+  discounts  finite:M  geometric:G  quadratic  power:EPS  harmonic-like
+             harmonic  step-log  steplog  alternating[:BASE]  cosine
+             cosine-modulated  patched:T1,T2,...
+  rewards    constant:X  alternating  periodic:X1,X2,...  linear-runs
              exponential-runs  explicit:P1,P2,...  custom:X1,X2,...
+harmonic, steplog and cosine-modulated are aliases, and the reward
+alternating is periodic:1,0. Names ignore case and read _ as -. A
+family written without an argument takes none.
 
 The HORIZONLAB_GUARD environment variable bounds per-call index work
 for searches without closed-form tails (default 1e8).
@@ -23,7 +26,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -61,92 +63,56 @@ def _load_json_file(path: str) -> dict:
         raise SpecParseError(f"cannot read spec file {path!r}: {exc}") from exc
 
 
-def _floats(text: str, what: str) -> List[float]:
+def _numbers(text: str, kind: type, what: str) -> list:
+    """The comma-separated numbers of text, each read by kind (int or float)."""
     try:
-        return [float(p) for p in text.split(",") if p != ""]
+        return [kind(p) for p in text.split(",") if p != ""]
     except ValueError as exc:
         raise SpecParseError(f"bad {what} list {text!r}") from exc
 
 
-def _ints(text: str, what: str) -> List[int]:
+def _parse_spec(text: str, kind: str, forms: Sequence[tuple], from_dict: Callable) -> object:
+    """The spec of @file.json (through from_dict) or of a mini-language term
+    NAME[:ARG]. forms holds each family's names, constructor and argument,
+    which says what ARG holds: nothing (None), the constructor's one
+    argument as text (str), a comma-separated list (element type, what
+    errors call it) or a nested spec, whose absence leaves the default.
+    Errors of a list or a nested spec come as they are; the constructor's
+    errors name the whole term."""
+    if text.startswith("@"):
+        try:
+            return from_dict(_load_json_file(text[1:]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SpecParseError(f"bad {kind} spec file {text[1:]!r}: {exc}") from exc
+    name, _, arg = text.partition(":")
+    name = name.strip().lower().replace("_", "-")
+    found = [(make, form) for names, make, form in forms if name in names]
+    if not found:
+        expected = ", ".join(names[0] for names, _, _ in forms)
+        raise SpecParseError(f"unknown {kind} family {name!r}; expected {expected}, or @file.json")
+    make, form = found[0]
+    if form is None and arg.strip():
+        raise SpecParseError(f"bad {kind} spec {text!r}: {name} takes no argument, got {arg!r}")
+    if form is None or form is str:
+        args = () if form is None else (arg,)
+    elif isinstance(form, tuple):
+        args = (_numbers(arg, *form),)
+    else:
+        args = (_parse_spec(arg, kind, forms, from_dict) if arg else None,)
     try:
-        return [int(p) for p in text.split(",") if p != ""]
-    except ValueError as exc:
-        raise SpecParseError(f"bad {what} list {text!r}") from exc
+        return make(*args)
+    except (ValueError, TypeError) as exc:
+        raise SpecParseError(f"bad {kind} spec {text!r}: {exc}") from exc
 
 
 def parse_discount(text: str) -> _d.DiscountSpec:
     """Parse the discount mini-language or an @file.json reference."""
-    if text.startswith("@"):
-        try:
-            return _d.spec_from_dict(_load_json_file(text[1:]))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SpecParseError(f"bad discount spec file {text[1:]!r}: {exc}") from exc
-    name, _, rest = text.partition(":")
-    name = name.strip().lower().replace("_", "-")
-    try:
-        if name == "finite":
-            return _d.finite(int(rest))
-        if name == "geometric":
-            return _d.geometric(float(rest))
-        if name == "quadratic":
-            return _d.quadratic()
-        if name == "power":
-            return _d.power(float(rest))
-        if name in ("harmonic-like", "harmonic"):
-            return _d.harmonic_like()
-        if name in ("step-log", "steplog"):
-            return _d.step_log()
-        if name == "alternating":
-            return _d.alternating_zero(parse_discount(rest) if rest else None)
-        if name in ("cosine", "cosine-modulated"):
-            return _d.cosine_modulated()
-        if name == "patched":
-            return _d.build_patched(_ints(rest, "patched threshold"))
-    except SpecParseError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise SpecParseError(f"bad discount spec {text!r}: {exc}") from exc
-    raise SpecParseError(
-        f"unknown discount family {name!r}; expected finite, geometric, "
-        "quadratic, power, harmonic-like, step-log, alternating, cosine, "
-        "patched, or @file.json"
-    )
+    return _parse_spec(text, "discount", _d.CLI_FORMS, _d.spec_from_dict)
 
 
 def parse_reward(text: str) -> _r.RewardSpec:
     """Parse the reward mini-language or an @file.json reference."""
-    if text.startswith("@"):
-        try:
-            return _r.reward_from_dict(_load_json_file(text[1:]))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SpecParseError(f"bad reward spec file {text[1:]!r}: {exc}") from exc
-    name, _, rest = text.partition(":")
-    name = name.strip().lower().replace("_", "-")
-    try:
-        if name == "constant":
-            return _r.constant(float(rest))
-        if name == "alternating":
-            return _r.periodic([1.0, 0.0])
-        if name == "periodic":
-            return _r.periodic(_floats(rest, "periodic pattern"))
-        if name == "linear-runs":
-            return _r.linear_runs()
-        if name == "exponential-runs":
-            return _r.exponential_runs()
-        if name == "explicit":
-            return _r.explicit_change_points(_ints(rest, "change point"))
-        if name == "custom":
-            return _r.custom_table(_floats(rest, "reward table"))
-    except SpecParseError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise SpecParseError(f"bad reward spec {text!r}: {exc}") from exc
-    raise SpecParseError(
-        f"unknown reward family {name!r}; expected constant, alternating, "
-        "periodic, linear-runs, exponential-runs, explicit, custom, or "
-        "@file.json"
-    )
+    return _parse_spec(text, "reward", _r.CLI_FORMS, _r.reward_from_dict)
 
 
 def parse_schedule(text: str) -> List[int]:
@@ -161,7 +127,7 @@ def parse_schedule(text: str) -> List[int]:
             raise SpecParseError("dyadic schedule limit must be >= 1")
         return _v.dyadic_schedule(limit)
     if kind == "list":
-        pts = _ints(rest, "schedule")
+        pts = _numbers(rest, int, "schedule")
         if not pts or any(b <= a for a, b in zip(pts, pts[1:])) or pts[0] < 1:
             raise SpecParseError("schedule list must be strictly increasing, >= 1")
         return pts
@@ -234,43 +200,6 @@ def _write_out(text: str, out: Optional[str]) -> None:
 # table
 # ---------------------------------------------------------------------------
 
-_ASYMPTOTIC: Dict[str, Callable[[_d.DiscountSpec], str]] = {
-    "finite": lambda s: (
-        f"Gamma_k = {s.params[0]}-k+1 and eh_k = ceil((m-k+1)/2) for k <= {s.params[0]}; "
-        "undefined beyond"
-    ),
-    "geometric": lambda s: (
-        f"Gamma_k = g^k/(1-g) with g={s.params[0]}; eh constant "
-        f"(~ln 2/ln(1/g) = {math.log(2.0) / -math.log(s.params[0]):.4g}); "
-        f"quasi-horizon constant 1/(1-g); ratio grows like (1-g)k"
-    ),
-    "quadratic": lambda s: "Gamma_k = 1/k exactly; eh_k = k; quasi-horizon k+1; ratio k/(k+1) -> 1",
-    "power": lambda s: (
-        f"gamma_k = k^-(1+eps) with eps={s.params[0]}; Gamma_k ~ k^-eps/eps; "
-        "eh and quasi-horizon grow linearly; ratio -> eps"
-    ),
-    "harmonic_like": lambda s: (
-        "gamma_k ~ 1/(k ln^2 k); Gamma_k ~ 1/ln k; eh_k ~ k^2; ratio -> 0"
-    ),
-    "step_log": lambda s: (
-        "gamma = 4^-n on each block 2^(n-1) < k <= 2^n; the step ratio drops to "
-        "1/4 at block ends while the weight share still vanishes"
-    ),
-    "alternating_zero": lambda s: (
-        "gamma vanishes at every odd index; tails and horizons follow the "
-        "even-index base weights"
-    ),
-    "cosine_modulated": lambda s: (
-        "gamma_k = (2 + cos(pi sqrt(2k)))/k^2; Gamma_k within [1/(k+1), 3/k]"
-    ),
-    "patched": lambda s: (
-        "harmonic-shaped segments re-anchored at geometric weights on a "
-        "doubling threshold ladder"
-    ),
-    "custom": lambda s: "finite weight table with an attached tail model",
-}
-
-
 # column names of the table, CSV and JSON renderings alike
 _TABLE_HEADERS = (
     "family", "k", "gamma_k", "Gamma_k", "eff_horizon", "quasi_horizon", "k*gamma/Gamma",
@@ -306,7 +235,7 @@ def _table_cells(dspec: _d.DiscountSpec, k: int) -> Tuple[dict, List[str]]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    k_list = _ints(args.k, "index")
+    k_list = _numbers(args.k, int, "index")
     if not k_list or any(k < 1 for k in k_list):
         raise SpecParseError("--k indices must be >= 1")
     discounts = [parse_discount(t) for t in args.discount]
@@ -318,8 +247,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             record, cells = _table_cells(dspec, k)
             records.append(record)
             rows.append(cells)
-        note = _ASYMPTOTIC[dspec.family](dspec)
-        footer.append(f"{dspec.family}: {note}")
+        footer.append(f"{dspec.family}: {_d.asymptotic_note(dspec)}")
     if args.fmt == "json":
         text = _render_json({"rows": records, "footer": footer})
     elif args.fmt == "csv":

@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._guards import GuardExceeded, as_index, guard_index
+from ._guards import GuardExceeded, as_index, guard_index, json_list
 from .intervals import Interval, IntegerInterval, widened_arrays
 
 _U = 2.0**-53  # binary64 unit roundoff
@@ -63,6 +64,9 @@ class DiscountSpec:
         step_log, alternating_zero, cosine_modulated, patched, custom.
     params: family-specific tuple (see constructors below).
     scale: positive multiplier applied to gamma and Gamma only.
+
+    A family's outside forms (mini-language names, JSON keys of params and
+    table note) live on its class in _FAMILIES (see _Base).
     """
 
     family: str
@@ -100,9 +104,10 @@ def finite(m: int) -> DiscountSpec:
 def geometric(g: float) -> DiscountSpec:
     """gamma_k = g**k with 0 < g < 1. g = 0 is rejected: the total mass
     would be zero and every normalized quantity undefined."""
+    g = float(g)
     if not (0.0 < g < 1.0):
         raise ValueError("geometric parameter must satisfy 0 < g < 1")
-    return DiscountSpec("geometric", (float(g),))
+    return DiscountSpec("geometric", (g,))
 
 
 def quadratic() -> DiscountSpec:
@@ -112,9 +117,10 @@ def quadratic() -> DiscountSpec:
 
 def power(eps: float) -> DiscountSpec:
     """gamma_k = k**(-1-eps) with eps > 0."""
+    eps = float(eps)
     if not (eps > 0.0) or math.isinf(eps):
         raise ValueError("power parameter eps must be > 0")
-    return DiscountSpec("power", (float(eps),))
+    return DiscountSpec("power", (eps,))
 
 
 def harmonic_like() -> DiscountSpec:
@@ -239,6 +245,11 @@ def _subnormal_iv(y: float) -> Interval:
     return Interval(max(y - 5e-324, 0.0), y + 5e-324)
 
 
+def _dyadic_iv(e: int) -> Interval:
+    """2**e, exact, or [0, 5e-324] below the least subnormal."""
+    return Interval(0.0, 5e-324) if e < -1074 else Interval.exact(math.ldexp(1.0, e))
+
+
 def _log_iv(x) -> Interval:
     """Enclosure of ln x for x > 1 (accepts arbitrarily large ints)."""
     y = math.log(x)
@@ -274,12 +285,35 @@ class _Base:
     are defaults that search and divide the tail enclosures; a family with
     a closed form overrides them. _build finds a family's class by its
     name.
+
+    Each class is also the one row of its family's outside forms: its
+    mini-language names (cli_names, the first one listed in errors; none
+    for custom) and argument (cli_arg, as cli._parse_spec reads it; by
+    default the text itself with one key, nothing without), the JSON keys
+    of its params (keys, its constructor's argument names), that
+    constructor (make, which to_json and from_json invert and call), and
+    the asymptotic note that `table` prints under its rows (note, a format
+    string over the family object's attributes).
     """
 
     name = "?"
+    cli_names: Tuple[str, ...] = ()
+    cli_arg: object = None
+    keys: Tuple[str, ...] = ()
+    note = ""
     monotone = True
     mass_form: Optional[str] = "tails"
     sums_terms = False
+
+    @classmethod
+    def to_json(cls, params: tuple) -> dict:
+        """The params of a spec as the JSON object of spec_to_dict."""
+        return dict(zip(cls.keys, params))
+
+    @classmethod
+    def from_json(cls, params: dict) -> DiscountSpec:
+        """The spec whose to_json is params (keys already checked)."""
+        return cls.make(*(params[key] for key in cls.keys))
 
     def gamma(self, k: int) -> float:
         raise NotImplementedError
@@ -399,6 +433,10 @@ class _Base:
 
 class _Finite(_Base):
     name = "finite"
+    cli_names = ("finite",)
+    keys = ("m",)
+    make = staticmethod(finite)
+    note = "Gamma_k = {m}-k+1 and eh_k = ceil((m-k+1)/2) for k <= {m}; undefined beyond"
 
     def __init__(self, m: int) -> None:
         self.m = m
@@ -441,10 +479,16 @@ class _Finite(_Base):
 
 class _Geometric(_Base):
     name = "geometric"
+    cli_names = ("geometric",)
+    keys = ("g",)
+    make = staticmethod(geometric)
+    note = ("Gamma_k = g^k/(1-g) with g={g}; eh constant (~ln 2/ln(1/g) = {half_life:.4g}); "
+            "quasi-horizon constant 1/(1-g); ratio grows like (1-g)k")
     mass_form = "ratios"
 
     def __init__(self, g: float) -> None:
         self.g = g
+        self.half_life = math.log(2.0) / -math.log(g)
         mant, expo = math.frexp(g)
         # g an exact power of two: all weights and tails are exact dyadics
         self.dyadic_exp = expo - 1 if mant == 0.5 else None
@@ -455,8 +499,6 @@ class _Geometric(_Base):
 
     def gamma(self, k: int) -> float:
         if self.dyadic_exp is not None:
-            if self.dyadic_exp * k < -1100:
-                return 0.0
             return math.ldexp(1.0, self.dyadic_exp * k)
         try:
             return self.g**k
@@ -465,13 +507,13 @@ class _Geometric(_Base):
 
     def gamma_iv(self, k: int) -> Interval:
         if self.dyadic_exp is not None:
-            return Interval.exact(self.gamma(k))
+            return _dyadic_iv(self.dyadic_exp * k)
         y = self.gamma(k)
         return _rel_pad_iv(y, _U * (8.0 + 2.0 * k * _U / max(1.0 - self.g, _U)))
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         if self.g == 0.5:
-            return Interval.exact(self.gamma(k) * 2.0)  # exact dyadic scaling
+            return _dyadic_iv(1 - k)
         return self.gamma_iv(k) / self.one_minus_g
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
@@ -481,8 +523,7 @@ class _Geometric(_Base):
         # Gamma_{k+h} / Gamma_k = g**h; smallest integer h with g**h <= 1/2.
         if self.dyadic_exp is not None:
             return IntegerInterval(1, 1)  # g <= 1/2, and g**0 = 1 > 1/2
-        approx = math.log(2.0) / -math.log(self.g)
-        h = max(int(math.floor(approx)) - 1, 0)
+        h = max(int(math.floor(self.half_life)) - 1, 0)
         half = Interval.exact(0.5)
         while True:
             p = _pow_iv(self.g, float(h))
@@ -519,10 +560,7 @@ class _Geometric(_Base):
         if d < 0:
             raise ValueError("need j >= k")
         if self.dyadic_exp is not None:
-            e = self.dyadic_exp * d
-            if e < -1074:
-                return Interval(0.0, 5e-324)  # positive but below subnormals
-            return Interval.exact(math.ldexp(1.0, e))
+            return _dyadic_iv(self.dyadic_exp * d)
         if d == 0:
             return Interval.exact(1.0)
         r = _pow_iv(self.g, float(d))
@@ -561,6 +599,9 @@ class _Quadratic(_Base):
     """
 
     name = "quadratic"
+    cli_names = ("quadratic",)
+    make = staticmethod(quadratic)
+    note = "Gamma_k = 1/k exactly; eh_k = k; quasi-horizon k+1; ratio k/(k+1) -> 1"
 
     def gamma(self, k: int) -> float:
         try:
@@ -589,7 +630,13 @@ class _Quadratic(_Base):
         return IntegerInterval(k, k)
 
     def quasi_horizon(self, k: int) -> Interval:
-        return Interval.exact(float(k + 1))
+        """k + 1: exact below 2**53, then its correctly rounded float
+        widened by an ulp, and past the float range [max float, inf]."""
+        try:
+            q = float(k + 1)
+        except OverflowError:
+            return Interval(sys.float_info.max, math.inf)
+        return Interval.exact(q) if k < 1 << 53 else Interval.rounded(q)
 
     def horizon_ratio(self, k: int) -> Interval:
         return Interval.rounded(k / (k + 1))
@@ -638,6 +685,11 @@ class _Integrable(_Base):
 
 class _Power(_Integrable):
     name = "power"
+    cli_names = ("power",)
+    keys = ("eps",)
+    make = staticmethod(power)
+    note = ("gamma_k = k^-(1+eps) with eps={eps}; Gamma_k ~ k^-eps/eps; "
+            "eh and quasi-horizon grow linearly; ratio -> eps")
 
     def __init__(self, eps: float) -> None:
         self.eps = eps
@@ -682,6 +734,9 @@ class _Power(_Integrable):
 
 class _HarmonicLike(_Integrable):
     name = "harmonic_like"
+    cli_names = ("harmonic-like", "harmonic")
+    make = staticmethod(harmonic_like)
+    note = "gamma_k ~ 1/(k ln^2 k); Gamma_k ~ 1/ln k; eh_k ~ k^2; ratio -> 0"
 
     def gamma(self, k: int) -> float:
         if k == 1:
@@ -774,22 +829,20 @@ class _HarmonicLike(_Integrable):
 
 class _StepLog(_Base):
     name = "step_log"
+    cli_names = ("step-log", "steplog")
+    make = staticmethod(step_log)
+    note = ("gamma = 4^-n on each block 2^(n-1) < k <= 2^n; the step ratio drops to "
+            "1/4 at block ends while the weight share still vanishes")
 
     @staticmethod
     def _block(k: int) -> int:
         return (k - 1).bit_length()
 
     def gamma(self, k: int) -> float:
-        n = self._block(k)
-        if 2 * n > 1100:
-            return 0.0
-        return math.ldexp(1.0, -2 * n)
+        return math.ldexp(1.0, -2 * self._block(k))
 
     def gamma_iv(self, k: int) -> Interval:
-        g = self.gamma(k)
-        if g == 0.0:
-            return Interval(0.0, 5e-324)
-        return Interval.exact(g)
+        return _dyadic_iv(-2 * self._block(k))
 
     def tail_scaled(self, k: int) -> Tuple[int, int]:
         """Gamma_k = num / 2**shift with exact integers.
@@ -805,10 +858,8 @@ class _StepLog(_Base):
         num, shift = self.tail_scaled(k)
         if num.bit_length() <= 53 and shift < 1000:
             return Interval.exact(math.ldexp(float(num), -shift))
-        y = math.ldexp(float(num), -shift) if shift < 1000 else 0.0
-        if y == 0.0:
-            return Interval(0.0, 5e-324)
-        return Interval.rounded(y)
+        y = num / (1 << shift)  # correctly rounded, a subnormal or 0 included
+        return Interval.rounded(y) if y > 0.0 else Interval(0.0, 5e-324)
 
     def effective_horizon(self, k: int) -> IntegerInterval:
         # exact integer bisection: Gamma(k+h) <= Gamma(k)/2 compared via
@@ -1021,6 +1072,12 @@ class _BlockSums:
 
 class _AlternatingZero(_Base):
     name = "alternating_zero"
+    cli_names = ("alternating",)
+    cli_arg = DiscountSpec
+    keys = ("base",)
+    make = staticmethod(alternating_zero)
+    note = ("gamma vanishes at every odd index; tails and horizons follow the "
+            "even-index base weights")
     monotone = False
     mass_form = None
     sums_terms = True
@@ -1029,6 +1086,14 @@ class _AlternatingZero(_Base):
         self.base = _impl(base)
         self._evens = _BlockSums(self._even_terms)  # w_j = base gamma at 2j
         self._view = _EvenWeights(self) if self.base.monotone else None
+
+    @classmethod
+    def to_json(cls, params: tuple) -> dict:
+        return {"base": spec_to_dict(params[0])}
+
+    @classmethod
+    def from_json(cls, params: dict) -> DiscountSpec:
+        return alternating_zero(spec_from_dict(params["base"]))
 
     def gamma(self, k: int) -> float:
         return 0.0 if k % 2 == 1 else self.base.gamma(k)
@@ -1172,6 +1237,9 @@ class _CosineModulated(_Base):
     """
 
     name = "cosine_modulated"
+    cli_names = ("cosine", "cosine-modulated")
+    make = staticmethod(cosine_modulated)
+    note = "gamma_k = (2 + cos(pi sqrt(2k)))/k^2; Gamma_k within [1/(k+1), 3/k]"
     monotone = False
     mass_form = "blocks"
     sums_terms = True
@@ -1434,7 +1502,30 @@ def _seg_gamma(seg: PatchedSegment, k: int) -> float:
 
 class _Patched(_Base):
     name = "patched"
+    cli_names = ("patched",)
+    cli_arg = (int, "patched threshold")
+    keys = ("segments",)
+    note = ("harmonic-shaped segments re-anchored at geometric weights on a "
+            "doubling threshold ladder")
     sums_terms = True
+
+    @staticmethod
+    def make(thresholds: Sequence[int]) -> DiscountSpec:
+        return build_patched(thresholds)
+
+    @classmethod
+    def to_json(cls, params: tuple) -> dict:
+        return {"segments": [asdict(s) for s in params[0]]}
+
+    @classmethod
+    def from_json(cls, params: dict) -> DiscountSpec:
+        segs = tuple(
+            PatchedSegment(s["kind"], as_index(s["start"], "segment start"),
+                           as_index(s["end"], "segment end"), float(s["g"]),
+                           float(s["gamma_start"]))
+            for s in params["segments"]
+        )
+        return DiscountSpec("patched", (segs,))
 
     def __init__(self, segments: Tuple[PatchedSegment, ...]) -> None:
         if not segments or segments[-1].end != 0:
@@ -1540,6 +1631,19 @@ class _Custom(_Base):
     """
 
     name = "custom"
+    keys = ("table", "tail")
+    note = "finite weight table with an attached tail model"
+
+    @classmethod
+    def to_json(cls, params: tuple) -> dict:
+        table, tail = params
+        model = None if tail is None else {"type": tail[0], "param": tail[1]}
+        return {"table": list(table), "tail": model}
+
+    @classmethod
+    def from_json(cls, params: dict) -> DiscountSpec:
+        tail, table = params.get("tail"), json_list(params, "table")
+        return custom(table, None if tail is None else (tail["type"], tail["param"]))
 
     def __init__(self, gammas: Tuple[float, ...], tail_model: Optional[Tuple]) -> None:
         self.gammas = gammas
@@ -1604,6 +1708,10 @@ _FAMILIES = {
     for cls in (_Finite, _Geometric, _Quadratic, _Power, _HarmonicLike, _StepLog,
                 _AlternatingZero, _CosineModulated, _Patched, _Custom)
 }
+
+# the discount mini-language (cli module docstring), as cli._parse_spec reads it
+CLI_FORMS = tuple((c.cli_names, c.make, c.cli_arg or (str if c.keys else None))
+                  for c in _FAMILIES.values() if c.cli_names)
 
 
 @lru_cache(maxsize=256)
@@ -1938,77 +2046,36 @@ def patched_witnesses(spec: DiscountSpec) -> Tuple[List[int], List[int]]:
 
 
 def spec_to_dict(spec: DiscountSpec) -> dict:
-    fam = spec.family
-    p = spec.params
-    if fam == "finite":
-        params = {"m": p[0]}
-    elif fam == "geometric":
-        params = {"g": p[0]}
-    elif fam == "power":
-        params = {"eps": p[0]}
-    elif fam == "alternating_zero":
-        params = {"base": spec_to_dict(p[0])}
-    elif fam == "patched":
-        params = {
-            "segments": [
-                {
-                    "kind": s.kind,
-                    "start": s.start,
-                    "end": s.end,
-                    "g": s.g,
-                    "gamma_start": s.gamma_start,
-                }
-                for s in p[0]
-            ]
-        }
-    elif fam == "custom":
-        params = {"table": list(p[0]), "tail": None if p[1] is None else {"type": p[1][0], "param": p[1][1]}}
-    else:
-        params = {}
-    return {"family": fam, "params": params, "scale": spec.scale}
+    """The JSON form of a spec: family, params under the family's keys, scale."""
+    params = _FAMILIES[spec.family].to_json(spec.params)
+    return {"family": spec.family, "params": params, "scale": spec.scale}
 
 
 def spec_from_dict(d: dict) -> DiscountSpec:
+    """The spec of spec_to_dict's form, refusing a param the family does not
+    take; params, a custom tail and scale may be left out where not needed."""
     fam = d["family"]
-    params = d.get("params", {})
+    params = d.get("params") or {}
     scale = float(d.get("scale", 1.0))
-    if fam == "finite":
-        spec = finite(params["m"])
-    elif fam == "geometric":
-        spec = geometric(float(params["g"]))
-    elif fam == "quadratic":
-        spec = quadratic()
-    elif fam == "power":
-        spec = power(float(params["eps"]))
-    elif fam == "harmonic_like":
-        spec = harmonic_like()
-    elif fam == "step_log":
-        spec = step_log()
-    elif fam == "alternating_zero":
-        spec = alternating_zero(spec_from_dict(params["base"]))
-    elif fam == "cosine_modulated":
-        spec = cosine_modulated()
-    elif fam == "patched":
-        segs = tuple(
-            PatchedSegment(s["kind"], as_index(s["start"], "segment start"),
-                           as_index(s["end"], "segment end"), float(s["g"]), float(s["gamma_start"]))
-            for s in params["segments"]
-        )
-        spec = DiscountSpec("patched", (segs,))
-    elif fam == "custom":
-        tail = params.get("tail")
-        if not isinstance(params["table"], (list, tuple)):
-            # a string would be read one character at a time
-            raise ValueError(f"table must be a list, got {type(params['table']).__name__}")
-        spec = custom(params["table"], None if tail is None else (tail["type"], tail["param"]))
-    else:
+    if fam not in _FAMILIES:
         raise ValueError(f"unknown discount family {fam!r}")
+    cls = _FAMILIES[fam]
+    stray = next((key for key in params if key not in cls.keys), None)
+    if stray is not None:
+        raise ValueError(f"discount family {fam!r} takes no parameter {stray!r}")
+    spec = cls.from_json(params)
     return spec.with_scale(scale) if scale != 1.0 else spec
 
 
 def is_monotone_family(spec: DiscountSpec) -> bool:
     """Documented monotonicity flag (scan-verifiable for the monotone ones)."""
     return _impl(spec).monotone
+
+
+def asymptotic_note(spec: DiscountSpec) -> str:
+    """The family's asymptotic note, which `table` prints under its rows."""
+    fam = _impl(spec)
+    return fam.note.format(**vars(fam))
 
 
 def premise_note(spec: DiscountSpec) -> Optional[Tuple[bool, bool, str]]:

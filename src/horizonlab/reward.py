@@ -23,12 +23,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import discount as _disc
-from ._guards import as_index
+from ._guards import as_index, json_list
 from .intervals import Interval
 
 
@@ -38,6 +39,9 @@ class RewardSpec:
 
     family: constant | periodic | binary_runs | custom.
     params: family-specific tuple (see constructors).
+
+    A family's mini-language forms are rows of CLI_FORMS, and its JSON form
+    is written by reward_to_dict and read back by reward_from_dict.
     """
 
     family: str
@@ -102,6 +106,19 @@ def custom_table(values: Sequence[float]) -> RewardSpec:
     if any(not (0.0 <= x <= 1.0) for x in vals):
         raise ValueError("custom rewards must lie in [0,1]")
     return RewardSpec("custom", (vals,))
+
+
+# The reward mini-language (cli module docstring): each family's names,
+# constructor and argument, as cli._parse_spec reads them.
+CLI_FORMS = (
+    (("constant",), constant, str),
+    (("alternating",), partial(periodic, (1.0, 0.0)), None),
+    (("periodic",), periodic, (float, "periodic pattern")),
+    (("linear-runs",), linear_runs, None),
+    (("exponential-runs",), exponential_runs, None),
+    (("explicit",), explicit_change_points, (int, "change point")),
+    (("custom",), custom_table, (float, "reward table")),
+)
 
 
 def is_binary_runs(spec: RewardSpec) -> bool:
@@ -518,30 +535,29 @@ def reward_to_dict(spec: RewardSpec) -> dict:
     return out
 
 
-def _json_list(d: dict, key: str) -> list:
-    """d[key], which must be a list: a string would be read one character
-    at a time."""
-    value = d[key]
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} must be a list, got {type(value).__name__}")
-    return value
-
-
 def reward_from_dict(d: dict) -> RewardSpec:
+    """The spec of reward_to_dict's form, refusing a key it would not write."""
     fam = d["family"]
     if fam == "constant":
-        return constant(d["alpha"])
-    if fam == "periodic":
-        return periodic(_json_list(d, "pattern"))
-    if fam == "custom":
-        return custom_table(_json_list(d, "table"))
-    if fam == "binary_runs":
+        spec = constant(d["alpha"])
+    elif fam == "periodic":
+        spec = periodic(json_list(d, "pattern"))
+    elif fam == "custom":
+        spec = custom_table(json_list(d, "table"))
+    elif fam == "binary_runs":
         gen = d["generator"]
         if gen == "linear":
-            return linear_runs()
-        if gen == "exponential":
-            return exponential_runs()
-        if gen == "explicit":
-            return explicit_change_points(_json_list(d, "change_points"))
-        raise ValueError(f"unknown run generator {gen!r}")
-    raise ValueError(f"unknown reward family {fam!r}")
+            spec = linear_runs()
+        elif gen == "exponential":
+            spec = exponential_runs()
+        elif gen == "explicit":
+            spec = explicit_change_points(json_list(d, "change_points"))
+        else:
+            raise ValueError(f"unknown run generator {gen!r}")
+    else:
+        raise ValueError(f"unknown reward family {fam!r}")
+    known = reward_to_dict(spec)
+    stray = next((key for key in d if key not in known), None)
+    if stray is not None:
+        raise ValueError(f"reward family {fam!r} takes no key {stray!r}")
+    return spec

@@ -598,25 +598,3 @@ def lemma4_diagnostics(
     return RatioDiagnostics(
         grid, tuple(step), tuple(share), tuple(tail_ratio), labels, pattern
     )
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def report_to_dict(rep: VerificationReport) -> dict:
-    def est(e: Optional[_v.LimitEstimate]) -> Optional[dict]:
-        return None if e is None else _v.limit_estimate_to_dict(e)
-
-    return {
-        "theorem": rep.theorem,
-        "premises": [
-            {"name": p.name, "status": p.status, "evidence": p.evidence}
-            for p in rep.premises
-        ],
-        "hypothesis": est(rep.hypothesis),
-        "conclusion": est(rep.conclusion),
-        "consistent": rep.consistent,
-        "log": list(rep.log),
-    }

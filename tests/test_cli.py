@@ -408,6 +408,50 @@ def test_spec_file_fractional_index_exits_2(kind, payload, entry, tmp_path, caps
     assert f"bad {kind} spec file" in err and f"{entry} must be an integer" in err
 
 
+@pytest.mark.parametrize("option, text, family, stray", [
+    ("--discount", "cosine:9", "cosine", "'9'"),
+    ("--discount", "quadratic:junk", "quadratic", "'junk'"),
+    ("--discount", "steplog:2", "steplog", "'2'"),
+    ("--discount", "alternating:harmonic:1", "harmonic", "'1'"),
+    ("--reward", "linear-runs:7", "linear-runs", "'7'"),
+    ("--reward", "exponential-runs:1", "exponential-runs", "'1'"),
+    ("--reward", "alternating:0.3", "alternating", "'0.3'"),
+])
+def test_stray_mini_language_argument_exits_2(option, text, family, stray, capsys) -> None:
+    # a family without a parameter refuses an argument instead of dropping it
+    argv = ["eval", "--reward", "constant:0.5", "--discount", text, "--v-at", "1"]
+    if option == "--reward":
+        argv = ["eval", "--reward", text, "--m", "3"]
+    code, _, err = run_main(argv, capsys)
+    assert code == 2
+    assert f"{family} takes no argument, got {stray}" in err
+
+
+@pytest.mark.parametrize("kind, payload, family, stray", [
+    ("discount", {"family": "quadratic", "params": {"x": 1}}, "quadratic", "x"),
+    ("discount", {"family": "geometric", "params": {"g": 0.5, "m": 3}}, "geometric", "m"),
+    ("discount", {"family": "custom", "params": {"table": [0.5], "model": None}}, "custom",
+     "model"),
+    ("discount", {"family": "alternating_zero", "params": {
+        "base": {"family": "power", "params": {"eps": 1.0, "g": 0.5}}}}, "power", "g"),
+    ("reward", {"family": "constant", "alpha": 0.3, "beta": 0.1}, "constant", "beta"),
+    ("reward", {"family": "binary_runs", "generator": "linear", "change_points": [1, 2]},
+     "binary_runs", "change_points"),
+    ("reward", {"family": "periodic", "pattern": [1, 0], "scale": 2.0}, "periodic", "scale"),
+], ids=["quadratic", "geometric", "custom", "alternating_base", "constant", "linear_runs",
+        "periodic"])
+def test_spec_file_stray_key_exits_2(kind, payload, family, stray, tmp_path, capsys) -> None:
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(payload))
+    argv = ["eval", "--reward", f"@{spec_path}", "--m", "3"]
+    if kind == "discount":
+        argv = ["eval", "--reward", "constant:0.5", "--discount", f"@{spec_path}",
+                "--v-at", "1"]
+    code, _, err = run_main(argv, capsys)
+    assert code == 2
+    assert f"family {family!r} takes no" in err and repr(stray) in err
+
+
 def test_alternating_reward_is_period_two_alias(capsys) -> None:
     code_a, out_a, _ = run_main(
         ["eval", "--reward", "alternating", "--u-to", "7",
