@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._guards import GuardExceeded, as_index, guard_index, json_list
-from .intervals import Interval, IntegerInterval, widened_arrays
+from .intervals import Interval, IntegerInterval, Pair, widened_arrays, widened_pair
 
 _U = 2.0**-53  # binary64 unit roundoff
 
@@ -187,10 +187,14 @@ def custom(table: Sequence[float], tail: Optional[Tuple] = None) -> DiscountSpec
 # ---------------------------------------------------------------------------
 
 
-def _rel_pad_iv(value: float, rel: float) -> Interval:
-    """Interval value * (1 +/- rel), outward rounded."""
+def _rel_pad_pair(value: float, rel: float) -> Pair:
+    """value * (1 +/- rel), outward rounded; _rel_pad_iv boxes it."""
     pad = abs(value) * rel + 5e-324
-    return Interval.widened(value - pad, value + pad)
+    return widened_pair(value - pad, value + pad)
+
+
+def _rel_pad_iv(value: float, rel: float) -> Interval:
+    return Interval(*_rel_pad_pair(value, rel))
 
 
 def _rel_pad_arrays(values: np.ndarray, rel) -> Tuple[np.ndarray, np.ndarray]:
@@ -239,21 +243,15 @@ def _pow_arrays(
     return _rel_pad_arrays(np.array([y for y, _ in parts]), np.array([r for _, r in parts]))
 
 
-def _subnormal_iv(y: float) -> Interval:
-    """Enclosure of a positive real whose correct rounding y is a subnormal
-    or 0: it lies within 2**-1075 of y."""
-    return Interval(max(y - 5e-324, 0.0), y + 5e-324)
+def _subnormal_pair(y: float) -> Pair:
+    """Enclosure of a positive real whose correct rounding y is below
+    2**-1021 (a subnormal or 0 included): it lies within 2**-1075 of y."""
+    return max(y - 5e-324, 0.0), y + 5e-324
 
 
 def _dyadic_iv(e: int) -> Interval:
     """2**e, exact, or [0, 5e-324] below the least subnormal."""
     return Interval(0.0, 5e-324) if e < -1074 else Interval.exact(math.ldexp(1.0, e))
-
-
-def _log_iv(x) -> Interval:
-    """Enclosure of ln x for x > 1 (accepts arbitrarily large ints)."""
-    y = math.log(x)
-    return Interval.widened(y, y)
 
 
 class _Base:
@@ -327,6 +325,13 @@ class _Base:
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         raise NotImplementedError
 
+    def gamma_pair(self, k: int) -> Pair:
+        """gamma_iv(k) unboxed (a family that computes pairs boxes them)."""
+        return self.gamma_iv(k).pair
+
+    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
+        return self.tail(k, target).pair
+
     def tail_batch(self, ks: Sequence[int], target: Optional[float] = None) -> List[Interval]:
         return [self.tail(k, target) for k in ks]
 
@@ -356,12 +361,15 @@ class _Base:
         """lo and hi of the mass over each [bounds[j], bounds[j+1]): the
         tail differences Gamma_a - Gamma_b of tail_batch, widened as
         Interval subtraction widens and clamped at 0, on float64 arrays."""
-        tails = self.tail_batch(bounds, target)
-        t_lo = np.array([t.lo for t in tails])
-        t_hi = np.array([t.hi for t in tails])
+        t_lo, t_hi = self.tail_arrays(bounds, target)
         with np.errstate(invalid="ignore"):  # inf - inf: NaN, refused by segment_masses
             lo, hi = widened_arrays(t_lo[:-1] - t_hi[1:], t_hi[:-1] - t_lo[1:])
         return np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+
+    def tail_arrays(self, ks: Sequence[int], target: Optional[float] = None) -> Tuple[np.ndarray, ...]:
+        """lo and hi of tail_batch as float64 arrays."""
+        tails = self.tail_batch(ks, target)
+        return np.array([t.lo for t in tails]), np.array([t.hi for t in tails])
 
     def effective_horizon(self, k: int) -> IntegerInterval:
         """[first h with Gamma_{k+h} possibly <= Gamma_k / 2, first h with
@@ -508,12 +516,18 @@ class _Geometric(_Base):
     def gamma_iv(self, k: int) -> Interval:
         if self.dyadic_exp is not None:
             return _dyadic_iv(self.dyadic_exp * k)
-        y = self.gamma(k)
-        return _rel_pad_iv(y, _U * (8.0 + 2.0 * k * _U / max(1.0 - self.g, _U)))
+        y = self.gamma(k)  # 0 past underflow, where the pad is 5e-324 whatever rel is
+        return _rel_pad_iv(y, _U * (8.0 + 2.0 * k * _U / max(1.0 - self.g, _U)) if y else 0.0)
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         if self.g == 0.5:
             return _dyadic_iv(1 - k)
+        if self.dyadic_exp is not None and self.dyadic_exp * k < -1022:
+            # g = 2^-d past the normal range, where dividing widens below 0: the
+            # int quotient 1 / ((2^d - 1) 2^(d (k-1))), correctly rounded
+            d = -self.dyadic_exp
+            y = 1 / (((1 << d) - 1) << d * (k - 1)) if d * (k - 1) < 1100 else 0.0
+            return Interval(*_subnormal_pair(y))
         return self.gamma_iv(k) / self.one_minus_g
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
@@ -609,17 +623,33 @@ class _Quadratic(_Base):
         except OverflowError:
             return 1 / (k * (k + 1))
 
-    def gamma_iv(self, k: int) -> Interval:
+    def gamma_pair(self, k: int) -> Pair:
         try:
-            return _rel_pad_iv(1.0 / (k * (k + 1)), 4 * _U)
+            return _rel_pad_pair(1.0 / (k * (k + 1)), 4 * _U)
         except OverflowError:
-            return _subnormal_iv(1 / (k * (k + 1)))
+            return _subnormal_pair(1 / (k * (k + 1)))
+
+    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
+        try:
+            y = 1.0 / k
+        except OverflowError:
+            return _subnormal_pair(1 / k)
+        return y - math.ulp(y), y + math.ulp(y)  # Interval.rounded
+
+    def gamma_iv(self, k: int) -> Interval:
+        return Interval(*self.gamma_pair(k))
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
+        return Interval(*self.tail_pair(k))
+
+    def tail_arrays(self, ks: Sequence[int], target: Optional[float] = None) -> Tuple[np.ndarray, ...]:
+        """tail_pair from one numpy 1.0 / k, correctly rounded as the scalar
+        one, and np.spacing, which is math.ulp at 1/k <= 1."""
         try:
-            return Interval.rounded(1.0 / k)
+            y = 1.0 / np.array(ks, dtype=np.float64)
         except OverflowError:
-            return _subnormal_iv(1 / k)
+            return super().tail_arrays(ks, target)
+        return y - np.spacing(y), y + np.spacing(y)
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
         kf = ks.astype(np.float64)
@@ -650,7 +680,7 @@ class _Quadratic(_Base):
 
 class _Integrable(_Base):
     """A family with gamma_i = f(i) for a nonincreasing f whose integral
-    tail F(x) = int_x^inf f has a closed form (integral_tail).
+    tail F(x) = int_x^inf f has a closed form (integral_pair).
 
     As f(i+1) <= int_i^{i+1} f <= f(i), for a < b
 
@@ -661,11 +691,22 @@ class _Integrable(_Base):
     gamma_a + gamma_b each.
     """
 
-    def integral_tail(self, k: int) -> Interval:
+    def integral_pair(self, k: int) -> Pair:
         raise NotImplementedError
 
+    def gamma_iv(self, k: int) -> Interval:
+        return Interval(*self.gamma_pair(k))
+
+    def tail(self, k: int, target: Optional[float] = None) -> Interval:
+        return Interval(*self.tail_pair(k))
+
+    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
+        """The sandwich F(k) <= Gamma_k <= gamma_k + F(k)."""
+        (glo, ghi), (lo, hi) = self.gamma_pair(k), self.integral_pair(k)
+        return lo, widened_pair(glo + lo, ghi + hi)[1]
+
     def bound_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """lo and hi of gamma_iv(k), then lo and hi of integral_tail(k),
+        """lo and hi of gamma_pair(k), then lo and hi of integral_pair(k),
         for each k of an increasing list, bit for bit; each k's
         transcendentals are taken once."""
         raise NotImplementedError
@@ -674,7 +715,7 @@ class _Integrable(_Base):
         self, bounds: Sequence[int], target: Optional[float] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The sandwich above over each gap, in float64 lo/hi arrays that
-        replay the interval operations of gamma_iv and integral_tail."""
+        replay the interval operations of gamma_pair and integral_pair."""
         with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
             glo, ghi, tlo, thi = self.bound_arrays(bounds)
             # both brackets are >= 0, so each of the four roundings errs by
@@ -697,12 +738,14 @@ class _Power(_Integrable):
     def gamma(self, k: int) -> float:
         return float(k) ** (-1.0 - self.eps)
 
-    def gamma_iv(self, k: int) -> Interval:
-        return _pow_iv(k, -1.0 - self.eps)
+    def gamma_pair(self, k: int) -> Pair:
+        return _rel_pad_pair(*_pow_parts(k, -1.0 - self.eps))
 
-    def integral_tail(self, k: int) -> Interval:
-        """int_k^inf x^(-1-eps) dx = k^(-eps) / eps."""
-        return _pow_iv(k, -self.eps) / Interval.exact(self.eps)
+    def integral_pair(self, k: int) -> Pair:
+        """int_k^inf x^(-1-eps) dx = k^(-eps) / eps; the quotients by the
+        point eps > 0 keep lo's and hi's order."""
+        lo, hi = _rel_pad_pair(*_pow_parts(k, -self.eps))
+        return widened_pair(lo / self.eps, hi / self.eps)
 
     def bound_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Both pows of each k share the log of their error bound."""
@@ -711,12 +754,6 @@ class _Power(_Integrable):
         lo, hi = _pow_arrays(ks, -self.eps, logs)
         # the four quotients by the point eps > 0 keep lo's and hi's order
         return (glo, ghi) + widened_arrays(lo / self.eps, hi / self.eps)
-
-    def tail(self, k: int, target: Optional[float] = None) -> Interval:
-        # integral sandwich: int_k^inf x^(-1-eps) dx <= Gamma_k <= gamma_k + integral
-        integral = self.integral_tail(k)
-        hi = (self.gamma_iv(k) + integral).hi
-        return Interval(integral.lo, hi)
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
         return ks.astype(np.float64) ** (-1.0 - self.eps)
@@ -749,11 +786,11 @@ class _HarmonicLike(_Integrable):
             expo = -(ln + 2.0 * math.log(ln))
             return math.exp(expo) if expo > -745.0 else 0.0
 
-    def gamma_iv(self, k: int) -> Interval:
+    def gamma_pair(self, k: int) -> Pair:
         g = self.gamma(k)
         if g == 0.0:
-            return Interval(0.0, 5e-324)
-        return _rel_pad_iv(g, self._gamma_rel(k))
+            return 0.0, 5e-324
+        return _rel_pad_pair(g, self._gamma_rel(k))
 
     @staticmethod
     def _gamma_rel(k: int) -> float:
@@ -761,22 +798,22 @@ class _HarmonicLike(_Integrable):
         of its reciprocal grows with ln ln k."""
         return _U * (8.0 + 2.0 * math.log(math.log(max(k, 3))))
 
-    def tail(self, k: int, target: Optional[float] = None) -> Interval:
-        # integral sandwich for the decreasing integrand 1/(x ln^2 x):
-        # 1/ln k <= Gamma_k <= gamma_k + 1/ln k    (k >= 2)
-        if k == 1:
-            return self.gamma_iv(1) + self.tail(2)
-        inv_ln = self.integral_tail(k)
-        hi = (self.gamma_iv(k) + inv_ln).hi
-        return Interval(inv_ln.lo, hi)
+    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
+        if k > 1:
+            return super().tail_pair(k)
+        (a, b), (c, d) = self.gamma_pair(1), self.tail_pair(2)  # gamma_1 + Gamma_2
+        return widened_pair(a + c, b + d)
 
-    def integral_tail(self, k: int) -> Interval:
-        """int_k^inf dx / (x ln^2 x) = 1 / ln k for k >= 2. At k = 1 it is
-        gamma_1 + 1/ln 2: with gamma_1 = gamma_2 the segment sandwich then
-        holds from a = 1 as well."""
+    def integral_pair(self, k: int) -> Pair:
+        """int_k^inf dx / (x ln^2 x) = 1 / ln k for k >= 2, ln k enclosed by
+        its widened float. At k = 1 it is gamma_1 + 1/ln 2: with
+        gamma_1 = gamma_2 the segment sandwich then holds from a = 1 as well."""
         if k == 1:
-            return self.gamma_iv(1) + self.integral_tail(2)
-        return Interval.exact(1.0) / _log_iv(k)
+            (a, b), (c, d) = self.gamma_pair(1), self.integral_pair(2)
+            return widened_pair(a + c, b + d)
+        y = math.log(k)  # ln k > 0.69: 1 / [lo, hi] is [1 / hi, 1 / lo]
+        lo, hi = widened_pair(y, y)
+        return widened_pair(1.0 / hi, 1.0 / lo)
 
     def bound_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One ln k = ln max(k, 2) serves gamma (which takes k = 2 at k = 1),
@@ -788,9 +825,8 @@ class _HarmonicLike(_Integrable):
         try:
             kf = [float(max(k, 2)) for k in ks]
         except OverflowError:
-            ivs = [(self.gamma_iv(k), self.integral_tail(k)) for k in ks]
-            return tuple(np.array([getattr(iv[j], end) for iv in ivs])
-                         for j in (0, 1) for end in ("lo", "hi"))
+            pairs = [self.gamma_pair(k) + self.integral_pair(k) for k in ks]
+            return tuple(np.array(col) for col in zip(*pairs))
         lns = [math.log(x) for x in kf]
         kf, logs, rel = np.array(kf), np.array(lns), np.array([math.log(ln) for ln in lns])
         for j, k in enumerate(ks[:2]):  # ks increase: only these can be below 3
@@ -804,8 +840,7 @@ class _HarmonicLike(_Integrable):
         log_lo, log_hi = widened_arrays(logs, logs)
         tlo, thi = widened_arrays(1.0 / log_hi, 1.0 / log_lo)  # ln k > 0.69: 1 / [lo, hi]
         if ks[0] == 1:
-            iv = self.integral_tail(1)
-            tlo[0], thi[0] = iv.lo, iv.hi
+            tlo[0], thi[0] = self.integral_pair(1)
         return glo, ghi, tlo, thi
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
@@ -1254,16 +1289,22 @@ class _CosineModulated(_Base):
         self._sums = _BlockSums(self.gamma_vec, self._term_rel)
 
     def gamma(self, k: int) -> float:
-        x = math.sqrt(2.0 * k)
-        return (2.0 + math.cos(math.pi * x)) / (k * k)
+        c = 2.0 + math.cos(math.pi * math.sqrt(2.0 * k))
+        try:
+            return c / (k * k)
+        except OverflowError:  # k * k past the float range: the int quotient
+            num, den = c.as_integer_ratio()
+            return num / (den * k * k)
 
     def gamma_iv(self, k: int) -> Interval:
+        kk = float(k) * float(k) if k < 1 << 1023 else math.inf
+        if kk == math.inf:  # k past 1.34e154, where cos(arg) is noise: [1/k^2, 3/k^2]
+            return Interval(_subnormal_pair(1 / (k * k))[0], _subnormal_pair(3 / (k * k))[1])
         x = math.sqrt(2.0 * k)
         arg = math.pi * x
         c = math.cos(arg)
         # cos argument carries ~3 roundings scaled by the argument size
         pad_c = 4.0 * math.ulp(arg) + 4.0 * _U
-        kk = float(k) * float(k)
         lo = (2.0 + c - pad_c) / kk
         hi = (2.0 + c + pad_c) / kk
         return Interval.widened(lo, hi)
@@ -1277,7 +1318,7 @@ class _CosineModulated(_Base):
         and sum_{i>=k} i^-2 lies in [1/k, 1/(k-1)] (in [1, pi^2/6] at k = 1)."""
         if k <= 1:
             return Interval.widened(1.0, 3.0 * math.pi * math.pi / 6.0)
-        return Interval.widened(1.0 / k, 3.0 / (k - 1))
+        return Interval.widened(1 / k, 3 / (k - 1))  # int quotients, correctly rounded
 
     def variation(self, m: int) -> Interval:
         """[0, V] with V >= sum_{i>m} |gamma_i - gamma_{i+1}|.
@@ -1496,7 +1537,8 @@ def _harmonic_shape(k: int) -> float:
 def _seg_gamma(seg: PatchedSegment, k: int) -> float:
     """The weight that a patched stretch's formula gives at k (also past its end)."""
     if seg.kind == "geometric":
-        return seg.gamma_start * seg.g ** (k - seg.start)
+        # g**(2**1023) is 0 for every float g < 1, and the exponent stays a float
+        return seg.gamma_start * seg.g ** min(k - seg.start, 1 << 1023)
     return seg.gamma_start * _harmonic_shape(k) / _harmonic_shape(seg.start)
 
 
@@ -1549,6 +1591,10 @@ class _Patched(_Base):
 
     def gamma(self, k: int) -> float:
         return _seg_gamma(self.segments[self._seg_index(k)], k)
+
+    def gamma_iv(self, k: int) -> Interval:  # a weight that rounds to 0 is below 2^-1074
+        iv = super().gamma_iv(k)
+        return iv if iv.hi > 0.0 else Interval(0.0, 5e-324)
 
     def _joins_descend(self) -> bool:
         """Whether gamma is provably nonincreasing.

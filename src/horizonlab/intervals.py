@@ -18,9 +18,9 @@ or deleted (FrozenInstanceError), == and hash on (lo, hi), == only
 between Intervals, the ValueErrors for NaN and inverted endpoints, and
 the repr.
 
-widened_arrays is the array form of Interval.widened for kernels that
-replay a chain of interval operations over float64 lo/hi arrays (see
-value._dense_relative and discount._Integrable.segment_mass_arrays). numpy is
+widened_pair and widened_arrays are Interval.widened on a (lo, hi) pair of
+floats and on float64 lo/hi arrays, for kernels that replay a chain of
+interval operations (value._rest_enclosure, value._dense_relative). numpy is
 trusted there only with correctly rounded elementwise operations
 (+ - * /, abs, minimum/maximum, spacing), which give the same bits as
 the scalar code. Its transcendentals are not: numpy's vectorised power
@@ -40,6 +40,7 @@ import numpy as np
 WIDEN_ULPS = 4
 
 _Number = Union[int, float, "Interval"]
+Pair = Tuple[float, float]  # (lo, hi) of an enclosure, unboxed
 
 _WIDEN = float(WIDEN_ULPS)
 _INF = math.inf
@@ -111,6 +112,10 @@ class Interval:
     @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
+
+    @property
+    def pair(self) -> Pair:
+        return self.lo, self.hi
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -225,6 +230,15 @@ class Interval:
 # the slot descriptors' setters, which __setattr__ no longer reaches
 _set_lo = Interval.lo.__set__
 _set_hi = Interval.hi.__set__
+
+
+def widened_pair(lo: float, hi: float) -> Pair:
+    """Interval.widened(lo, hi) as a pair, bit for bit."""
+    if lo - lo == 0.0:
+        lo -= _WIDEN * _ulp(lo)
+    if hi - hi == 0.0:
+        hi += _WIDEN * _ulp(hi)
+    return lo, hi
 
 
 def widened_arrays(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -184,12 +184,13 @@ def run_index(spec: RewardSpec, k: int) -> int:
     raise ValueError("run index is defined for generated run families only")
 
 
-def _linear_k(n: int) -> int:
-    return (2 * n - 1) * (n - 1) + 1
-
-
-def _linear_m(n: int) -> int:
-    return (2 * n - 1) * n + 1
+def _generated_runs(gen: str, first: int, last: int) -> List[Tuple[int, int]]:
+    """(k_j, m_j) for j = first .. last, in closed form: (2j - 1)(j - 1) + 1
+    and (2j - 1) j + 1 for linear runs, 4^(j-1) and 2 4^(j-1) for exponential."""
+    js = range(first, last + 1)
+    if gen == "linear":
+        return [((2 * j - 1) * (j - 1) + 1, (2 * j - 1) * j + 1) for j in js]
+    return [(1 << (2 * j - 2), 1 << (2 * j - 1)) for j in js]
 
 
 def change_points(spec: RewardSpec, n: int) -> Tuple[int, int]:
@@ -198,11 +199,8 @@ def change_points(spec: RewardSpec, n: int) -> Tuple[int, int]:
         raise ValueError("change points are defined for binary run specs only")
     if n < 1:
         raise ValueError("run index n must be >= 1")
-    gen = spec.params[0]
-    if gen == "linear":
-        return _linear_k(n), _linear_m(n)
-    if gen == "exponential":
-        return 1 << (2 * n - 2), 1 << (2 * n - 1)
+    if spec.params[0] != "explicit":
+        return _generated_runs(spec.params[0], n, n)[0]
     pts = spec.params[1]
     if 2 * n > len(pts):
         raise ValueError(f"run {n} beyond stored change points")
@@ -227,21 +225,28 @@ def run_count(spec: RewardSpec) -> Optional[int]:
 def one_segments(spec: RewardSpec, k: int, n: int) -> List[Tuple[int, int]]:
     """The 1-runs [k_j, m_j) cut to [k, n + 1), as half-open pieces in order.
 
-    Generated runs start from the run holding k, explicit lists from their
-    first run; an odd-length list ends in a 1-run that reaches n.
+    Generated runs are listed in closed form from run_index(k) to
+    run_index(n) (the runs that start by n), and only the first and the
+    last can be cut. Explicit lists are walked from their first run; an
+    odd-length list ends in a 1-run that reaches n.
     """
     end = n + 1
     stored = run_count(spec)
-    j = 1 if stored is not None else run_index(spec, k)
-    segs: List[Tuple[int, int]] = []
-    while stored is None or j <= stored:
+    if stored is None:
+        if n < k:
+            return []
+        segs = _generated_runs(spec.params[0], run_index(spec, k), run_index(spec, n))
+        segs[0] = (max(segs[0][0], k), segs[0][1])
+        segs[-1] = (segs[-1][0], min(segs[-1][1], end))
+        return [seg for seg in segs if seg[0] < seg[1]]
+    segs = []
+    for j in range(1, stored + 1):
         a, b = change_points(spec, j)
         if a >= end:
             return segs
         a, b = max(a, k), min(b, end)
         if a < b:
             segs.append((a, b))
-        j += 1
     pts = spec.params[1]
     a = max(pts[-1], k)
     if len(pts) % 2 == 1 and a < end:

@@ -36,7 +36,7 @@ import numpy as np
 from . import discount as _d
 from . import reward as _r
 from ._guards import guard_index
-from .intervals import Interval, hull_of, widened_arrays
+from .intervals import Interval, Pair, hull_of, widened_arrays, widened_pair
 
 _U = 2.0**-53
 
@@ -138,8 +138,6 @@ _N_CAP = 10**500
 # runs-path work bound: 1-run pieces (closed-form mass evaluations) per value
 _SEG_CAP = 200_000
 
-_ONE = Interval.exact(1.0)
-
 
 def _truncation_index(
     dspec: _d.DiscountSpec, k: int, tail_k: Interval, tol: float, cap: int
@@ -179,49 +177,74 @@ def _truncation_index(
     return lo, tail_at(lo + 1), True
 
 
-def _int_times(n: int, iv: Interval) -> Interval:
-    """Enclosure of n x for x in iv, iv >= 0, n >= 0 an integer of any size.
+def _add(x: Pair, y: Pair) -> Pair:
+    """x + y as Interval.__add__ computes it, on (lo, hi) float pairs."""
+    return widened_pair(x[0] + y[0], x[1] + y[1])
+
+
+def _mul(x: Pair, y: Pair) -> Pair:
+    """x * y as Interval.__mul__ computes it, every sign case included."""
+    (a, b), (c, d) = x, y
+    if 0.0 <= a and 0.0 <= c and b < math.inf and d < math.inf:
+        return widened_pair(a * c, b * d)
+    products = (a * c, a * d, b * c, b * d)
+    return widened_pair(min(products), max(products))
+
+
+def _div(x: Pair, y: Pair) -> Pair:
+    """x / y as Interval.__truediv__ computes it, for y > 0."""
+    (a, b), (c, d) = x, y
+    if 0.0 <= a and b < math.inf and d < math.inf:
+        return widened_pair(a / d, b / c)
+    quotients = (a / c, a / d, b / c, b / d)
+    return widened_pair(min(quotients), max(quotients))
+
+
+def _int_times(n: int, x: Pair) -> Pair:
+    """Enclosure of n x for x in the pair x, n >= 0 an integer of any size.
 
     n lies in [top, top + 1) 2^s with top < 2^53 exact, and scaling by 2^s
     is exact short of overflow, where the bounds go to inf and to the
     largest float. Below 2^53 (s = 0) that is n x at both ends.
     """
     if n < 1 << 53:
-        return Interval.widened(min(n * iv.lo, sys.float_info.max), n * iv.hi)
+        return widened_pair(min(n * x[0], sys.float_info.max), n * x[1])
     shift = n.bit_length() - 53
     top = n >> shift
     try:
-        hi = (top + 1) * math.ldexp(iv.hi, shift)
+        hi = (top + 1) * math.ldexp(x[1], shift)
     except OverflowError:
         hi = math.inf
     try:
-        lo = min(top * math.ldexp(iv.lo, shift), sys.float_info.max)
+        lo = min(top * math.ldexp(x[0], shift), sys.float_info.max)
     except OverflowError:
         lo = sys.float_info.max
-    return Interval.widened(lo, hi)
+    return widened_pair(lo, hi)
 
 
 @lru_cache(maxsize=64)
-def _den_iv(den: int) -> Interval:
+def _den_iv(den: int) -> Pair:
     """_int_times(den, 1), kept per denominator."""
-    return _int_times(den, _ONE)
+    return _int_times(den, (1.0, 1.0))
 
 
-def _q_times(num: int, den: int, iv: Interval) -> Interval:
-    """Enclosure of (num / den) x for x in iv, iv >= 0, den >= 1 and num
-    ints of any size. The fraction is reduced first, as Fraction reduces
-    it, so equal rationals give equal bits."""
+def _q_times(num: int, den: int, x: Pair) -> Pair:
+    """Enclosure of (num / den) x for den >= 1 and num ints of any size.
+    The fraction is reduced first, as Fraction reduces it, so equal
+    rationals give equal bits. num = 0 gives a pair that straddles 0, and
+    a negative num negates."""
     g = math.gcd(num, den)
-    prod = _int_times(abs(num) // g, iv) / _den_iv(den // g)
-    return -prod if num < 0 else prod
+    lo, hi = _div(_int_times(abs(num) // g, x), _den_iv(den // g))
+    return (-hi, -lo) if num < 0 else (lo, hi)
 
 
-def _sqrt_iv(n: int) -> Interval:
+def _sqrt_iv(n: int) -> Pair:
     """Enclosure of sqrt(n) for an integer n >= 1."""
     if n < 1 << 53:
-        return Interval.rounded(math.sqrt(n))  # n exact, sqrt correctly rounded
+        y = math.sqrt(n)  # n exact, sqrt correctly rounded: Interval.rounded
+        return y - math.ulp(y), y + math.ulp(y)
     r = math.isqrt(n)
-    return Interval.widened(float(r), float(r + 1))
+    return widened_pair(float(r), float(r + 1))
 
 
 def _rest_enclosure(
@@ -254,23 +277,26 @@ def _rest_enclosure(
     as sqrt i - sqrt(i-1) <= 1 / (2 sqrt(i-1)). Beyond variation(m) only
     gamma_{m+1} and Gamma_{m+2} are evaluated; Gamma_{m+1} is their sum.
     As 0 <= r_i <= 1 the result is also clipped to [0, Gamma_{m+1}].
+    Each step runs on (lo, hi) float pairs with the bits of the Interval
+    operation it stands for; one Interval is built at the end.
     """
-    g = fam.gamma_iv(m + 1)
-    t2 = fam.tail(m + 2, hint)
-    t1 = g + t2
-    s0 = g if fam.monotone else fam.variation(m)  # variation(m) is g then
+    g = fam.gamma_pair(m + 1)
+    t2 = fam.tail_pair(m + 2, hint)
+    t1 = _add(g, t2)
+    s0 = g if fam.monotone else fam.variation(m).pair  # variation(m) is g then
     if env.p == 0.0:
         s = s0
     elif env.p == 1.0:
-        s = _int_times(m + 1, g) + t2
+        s = _add(_int_times(m + 1, g), t2)
     else:
         root = _sqrt_iv(m + 1)
-        s = root * g + t2 / (root + root)
+        s = _add(_mul(root, g), _div(t2, _add(root, root)))
     den = env.den
-    radius = (env.a * s + _q_times(env.b_num, den, s0)).hi
-    iv = (_q_times(env.mean_num, den, t1) - _q_times(env.excess_num(m), den, g)
-          + Interval(-radius, radius))
-    return Interval(max(iv.lo, 0.0), min(iv.hi, t1.hi))
+    radius = _add(_mul(env.a.pair, s), _q_times(env.b_num, den, s0))[1]
+    mean, excess = _q_times(env.mean_num, den, t1), _q_times(env.excess_num(m), den, g)
+    lo, hi = widened_pair(mean[0] - excess[1], mean[1] - excess[0])
+    lo, hi = _add((lo, hi), (-radius, radius))
+    return Interval(max(lo, 0.0), min(hi, t1[1]))
 
 
 def _enveloped_truncation(

@@ -59,3 +59,35 @@ def test_dyadic_geometric_weights_stay_positive(g, k) -> None:
 def test_half_geometric_tail_is_exact_down_to_the_least_subnormal() -> None:
     assert d.gamma_tail(h.geometric(0.5), 1075) == h.Interval.exact(5e-324)
     assert d.gamma_iv(h.geometric(0.5), 1074) == h.Interval.exact(5e-324)
+
+
+@pytest.mark.parametrize("g, k", [(0.25, 512), (0.25, 537), (0.25, 538), (0.25, 551), (0.25, 600),
+                                  (0.125, 342), (0.125, 359), (0.0625, 300)])
+def test_dyadic_geometric_tails_past_the_normal_range_stay_at_or_above_zero(g, k) -> None:
+    # Gamma_k = g^k / (1 - g), here a subnormal or below: a correctly rounded int quotient
+    exact = Fraction(g) ** k / (1 - Fraction(g))
+    tail = d.gamma_tail(h.geometric(g), k)
+    assert 0.0 <= tail.lo <= exact <= tail.hi and tail.hi - tail.lo <= 1e-323
+
+
+@pytest.mark.parametrize("k", [30_154, 31_182, 31_183, 40_000, 10**6])
+def test_patched_weights_that_underflow_stay_positive(k) -> None:
+    spec = d.build_patched([1, 2])
+    last = d._impl(spec).segments[-1]  # the final stretch, geometric with g = 1/2
+    exact = Fraction(last.gamma_start) * Fraction(last.g) ** (k - last.start)
+    iv = d.gamma_iv(spec, k)
+    assert iv.lo <= exact <= iv.hi and iv.hi > 0.0
+
+
+@pytest.mark.parametrize("k", [2 * 10**154, 10**155, 10**200, 10**300],
+                         ids=["2e154", "1e155", "1e200", "1e300"])
+def test_cosine_weight_past_the_float_range_of_k_squared(k) -> None:
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(400):
+        exact = (2 + mpmath.cos(mpmath.pi * mpmath.sqrt(2 * mpmath.mpf(k)))) / mpmath.mpf(k) ** 2
+        iv = d.gamma_iv(h.cosine_modulated(), k)
+        assert 0.0 <= iv.lo <= exact <= iv.hi
+        assert iv.lo <= d.gamma(h.cosine_modulated(), k) <= iv.hi
+    # [1/k^2, 3/k^2], each end within 1.5 subnormal ulps, positive where 1/k^2 is
+    assert Fraction(iv.hi) <= 3 * Fraction(1, k * k) + Fraction(1e-323)
+    assert iv.lo > 0.0 or k * k > 2**1074

@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -137,7 +138,7 @@ def test_dense_relative_custom_table_names_its_first_missing_index() -> None:
 
 def segment_masses_reference(impl, bounds):
     """The per-boundary loop of _Integrable.segment_masses before its array form."""
-    big = [impl.integral_tail(b) for b in bounds]
+    big = [Interval(*impl.integral_pair(b)) for b in bounds]
     g = [impl.gamma_iv(b) for b in bounds]
     out = []
     for j in range(len(bounds) - 1):
@@ -173,7 +174,7 @@ def test_segment_masses_match_the_scalar_loop(dspec, bounds) -> None:
     glo, ghi, tlo, thi = impl.bound_arrays(bounds)
     for j, b in enumerate(bounds):
         assert same_bits(Interval(glo[j].item(), ghi[j].item()), impl.gamma_iv(b)), b
-        assert same_bits(Interval(tlo[j].item(), thi[j].item()), impl.integral_tail(b)), b
+        assert same_bits(Interval(tlo[j].item(), thi[j].item()), Interval(*impl.integral_pair(b))), b
 
 
 def test_segment_masses_raise_as_the_scalar_loop_does() -> None:
@@ -469,6 +470,9 @@ _MASS_BOUNDS = {
     "block edges": [1 + 4 * _S - 1, 1 + 4 * _S, 1 + 4 * _S + 1, 1 + 9 * _S - 1, 1 + 9 * _S,
                     1 + 9 * _S + 1],
     "2^53": [2**53 - 1, 2**53, 2**53 + 1],
+    "2^63": [2**63 - 1, 2**63, 2**63 + 1],
+    "below 2^1024": [2**1023, 2**1024 - 2**971, 2**1024 - 2**970 - 1],
+    "2^1024": [2**1024 - 2**970, 2**1024 - 1, 2**1024, 2**1024 + 1],
     "2^300": [2**300, 2**300 + 1, 2**301],
     "10^400": [10**400, 10**400 + 1, 10**401],
     "mixed": [1, 2, 3, 1 + 4 * _S, 5000, 70_000, 2**53 + 1, 2**300, 10**400],
@@ -601,9 +605,36 @@ def test_runs_value_matches_the_interval_lists(rspec, dspec) -> None:
 # -- the rest probe ----------------------------------------------------------------
 
 
+def int_times_reference(n, iv):
+    """value._int_times on Intervals, before it took float pairs."""
+    if n < 1 << 53:
+        return Interval.widened(min(n * iv.lo, sys.float_info.max), n * iv.hi)
+    shift = n.bit_length() - 53
+    top = n >> shift
+    try:
+        hi = (top + 1) * math.ldexp(iv.hi, shift)
+    except OverflowError:
+        hi = math.inf
+    try:
+        lo = min(top * math.ldexp(iv.lo, shift), sys.float_info.max)
+    except OverflowError:
+        lo = sys.float_info.max
+    return Interval.widened(lo, hi)
+
+
+def sqrt_iv_reference(n):
+    """value._sqrt_iv on Intervals, before it took float pairs."""
+    if n < 1 << 53:
+        return Interval.rounded(math.sqrt(n))
+    r = math.isqrt(n)
+    return Interval.widened(float(r), float(r + 1))
+
+
 def q_times_reference(q, iv):
-    """value._q_times on a Fraction, before it took ints."""
-    prod = v._int_times(abs(q.numerator), iv) / v._int_times(q.denominator, Interval.exact(1.0))
+    """value._q_times on a Fraction and Intervals, before it took ints and
+    float pairs."""
+    prod = int_times_reference(abs(q.numerator), iv) / int_times_reference(q.denominator,
+                                                                           Interval.exact(1.0))
     return -prod if q < 0 else prod
 
 
@@ -617,9 +648,9 @@ def rest_enclosure_reference(fam, env, m, hint):
     if env.p == 0.0:
         s = s0
     elif env.p == 1.0:
-        s = v._int_times(m + 1, g) + t2
+        s = int_times_reference(m + 1, g) + t2
     else:
-        root = v._sqrt_iv(m + 1)
+        root = sqrt_iv_reference(m + 1)
         s = root * g + t2 / (root + root)
     mean, b, excess = (Fraction(x, env.den) for x in (env.mean_num, env.b_num, env.excess_num(m)))
     radius = (env.a * s + q_times_reference(b, s0)).hi
@@ -628,12 +659,15 @@ def rest_enclosure_reference(fam, env, m, hint):
 
 
 _PATTERNS = [[1.0, 0.0, 1.0], [0.1, 0.7, 0.2], [0.0, 0.0, 1.0, 0.25], [1.0], [0.3, 0.7, 0.1, 0.9, 0.5]]
-_REST_MS = [1, 2, 3, 7, 100, 1001, 2**53 - 1, 2**53, 2**53 + 1, 2**100 + 3, 2**300, 2**480]
+_REST_MS = [1, 2, 3, 7, 100, 1001, 2**53 - 1, 2**53, 2**53 + 1, 2**100 + 3, 2**300, 2**480,
+            2**1024 - 1, 2**1024, 2**1024 + 1]
 
 
 def _rest_cases():
     monotone = {"power": d.power(0.5), "harmonic_like": d.harmonic_like(),
-                "quadratic": d.quadratic()}
+                "quadratic": d.quadratic(), "step_log": d.step_log(),
+                "geometric0.5": d.geometric(0.5), "geometric0.9": d.geometric(0.9),
+                "finite": d.finite(300), "patched": d.build_patched([1])}
     for name, dspec in monotone.items():
         for rspec in [h.linear_runs(), h.exponential_runs()] + [h.periodic(p) for p in _PATTERNS]:
             yield name, d._impl(dspec), rspec
@@ -654,7 +688,108 @@ def test_rest_enclosure_matches_the_fraction_code(name, fam, rspec) -> None:
             assert same_bits(got, want), (name, rspec, m, hint, got, want)
 
 
+_SIGNED = [(0.0, 0.0), (-2e-323, 2e-323), (5e-324, 1e-300), (0.3, 0.7), (-5.0, -1.0), (-1.0, 3.0),
+           (2.0, math.inf), (0.0, math.inf), (-math.inf, 1.0), (1e308, 1.7e308)]
+
+
+def test_pair_arithmetic_matches_the_interval_operators() -> None:
+    # every sign case, infinities and 0 * inf included, with the same bits or the same error
+    for x in _SIGNED:
+        for y in _SIGNED:
+            ops = [(v._add, Interval.__add__), (v._mul, Interval.__mul__)]
+            if y[0] > 0.0:
+                ops.append((v._div, Interval.__truediv__))
+            for pair_op, interval_op in ops:
+                got = any_outcome(lambda: Interval(*pair_op(x, y)))
+                want = any_outcome(interval_op, Interval(*x), Interval(*y))
+                assert got == want if isinstance(want, str) else same_bits(got, want), (x, y)
+
+
 def test_q_times_reduces_as_fraction_does() -> None:
     iv = Interval(0.3, 0.30000000000000004)
     for num, den in [(3, 6), (0, 7), (-4, 6), (2**70 + 2, 2**55), (-(3**40), 3**41), (5, 1)]:
-        assert same_bits(v._q_times(num, den, iv), q_times_reference(Fraction(num, den), iv))
+        got = Interval(*v._q_times(num, den, (iv.lo, iv.hi)))
+        assert same_bits(got, q_times_reference(Fraction(num, den), iv))
+
+
+# -- family float pairs ------------------------------------------------------------
+# Quadratic, power and harmonic-like compute gamma_k and Gamma_k as float
+# pairs and box them; their Interval forms before that stay here.
+
+
+def rel_pad_reference(value, rel):
+    pad = abs(value) * rel + 5e-324
+    return Interval.widened(value - pad, value + pad)
+
+
+def subnormal_reference(y):
+    return Interval(max(y - 5e-324, 0.0), y + 5e-324)
+
+
+def quadratic_reference(impl, k):
+    """(gamma_iv, tail) of _Quadratic before its float pairs."""
+    try:
+        g = rel_pad_reference(1.0 / (k * (k + 1)), 4 * d._U)
+    except OverflowError:
+        g = subnormal_reference(1 / (k * (k + 1)))
+    try:
+        t = Interval.rounded(1.0 / k)
+    except OverflowError:
+        t = subnormal_reference(1 / k)
+    return g, t
+
+
+def power_reference(impl, k):
+    """(gamma_iv, tail) of _Power before its float pairs."""
+    g = rel_pad_reference(*d._pow_parts(k, -1.0 - impl.eps))
+    integral = rel_pad_reference(*d._pow_parts(k, -impl.eps)) / Interval.exact(impl.eps)
+    return g, Interval(integral.lo, (g + integral).hi)
+
+
+def harmonic_reference(impl, k):
+    """(gamma_iv, tail) of _HarmonicLike before its float pairs."""
+    def gamma_iv(k):
+        g = impl.gamma(k)
+        return Interval(0.0, 5e-324) if g == 0.0 else rel_pad_reference(g, impl._gamma_rel(k))
+
+    if k == 1:
+        return gamma_iv(1), gamma_iv(1) + harmonic_reference(impl, 2)[1]
+    y = math.log(k)
+    inv_ln = Interval.exact(1.0) / Interval.widened(y, y)
+    return gamma_iv(k), Interval(inv_ln.lo, (gamma_iv(k) + inv_ln).hi)
+
+
+_PAIR_KS = [1, 2, 3, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1,
+            2**1024 - 1, 2**1024, 2**1024 + 1, 10**400]
+_PAIR_IDS = ["1", "2", "3", "2^53-1", "2^53", "2^53+1", "2^63-1", "2^63", "2^63+1",
+             "2^1024-1", "2^1024", "2^1024+1", "10^400"]
+
+
+@pytest.mark.parametrize("k", _PAIR_KS, ids=_PAIR_IDS)
+@pytest.mark.parametrize("dspec, reference", [
+    (d.quadratic(), quadratic_reference), (d.power(0.5), power_reference),
+    (d.power(1.3), power_reference), (d.harmonic_like(), harmonic_reference),
+], ids=["quadratic", "power0.5", "power1.3", "harmonic_like"])
+def test_family_pairs_match_the_interval_forms(dspec, reference, k) -> None:
+    impl = d._impl(dspec)
+    g, t = reference(impl, k)
+    for hint in (None, 1e-9):
+        assert same_bits(Interval(*impl.gamma_pair(k)), g) and same_bits(impl.gamma_iv(k), g)
+        assert same_bits(Interval(*impl.tail_pair(k, hint)), t) and same_bits(impl.tail(k, hint), t)
+
+
+@pytest.mark.parametrize("k", _PAIR_KS, ids=_PAIR_IDS)
+@pytest.mark.parametrize("dspec", [
+    d.quadratic(), d.power(0.5), d.harmonic_like(), d.step_log(), d.geometric(0.5),
+    d.geometric(0.9), d.finite(300), d.build_patched([1, 2]), d.cosine_modulated(),
+    d.alternating_zero(), d.custom([0.5, 0.25], ("geometric", 0.5)),
+], ids=["quadratic", "power", "harmonic_like", "step_log", "geometric0.5", "geometric0.9",
+        "finite", "patched", "cosine", "alternating", "custom"])
+def test_family_pairs_unbox_their_intervals(dspec, k) -> None:
+    impl = d._impl(dspec)
+    for pair, boxed in [(impl.gamma_pair, impl.gamma_iv), (impl.tail_pair, impl.tail)]:
+        got, want = any_outcome(pair, k), any_outcome(boxed, k)
+        if isinstance(want, str):  # OverflowError past the float range: the same error
+            assert got == want
+        else:
+            assert same_bits(Interval(*got), want)

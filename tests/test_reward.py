@@ -229,6 +229,36 @@ def test_one_segments_match_the_oracle_bits(spec, bits, k, n) -> None:
     assert np.array_equal(got, bits(np.arange(k, n + 1, dtype=np.int64)))
 
 
+def one_segments_reference(spec, k, n):
+    """reward.one_segments on generated runs before their closed-form ends:
+    one change_points call per run from run_index(k)."""
+    end, j, segs = n + 1, r.run_index(spec, k), []
+    while True:
+        a, b = r.change_points(spec, j)
+        if a >= end:
+            return segs
+        if max(a, k) < min(b, end):
+            segs.append((max(a, k), min(b, end)))
+        j += 1
+
+
+def _ends_near(spec, k):
+    """N < k, N = k, N on and next to the run boundaries around k, and far past k."""
+    j = r.run_index(spec, k)
+    edges = [x for i in (j, j + 1, j + 3) for x in r.change_points(spec, i)]
+    ns = [k - 3, k - 1, k, k + 1, k + 2**20] + [e + dx for e in edges for dx in (-2, -1, 0, 1)]
+    return sorted({n for n in ns if n >= 0})
+
+
+@pytest.mark.parametrize("spec", [h.linear_runs(), h.exponential_runs()],
+                         ids=["linear", "exponential"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 15, 16, 17, 100, 4**9 - 1, 4**9, 10**6,
+                               10**12 + 1, 2**63 + 1, 10**30 - 1, 10**30])
+def test_closed_form_run_ends_match_the_per_run_loop(spec, k) -> None:
+    for n in _ends_near(spec, k):
+        assert r.one_segments(spec, k, n) == one_segments_reference(spec, k, n), n
+
+
 # -- window envelopes ---------------------------------------------------
 
 

@@ -655,16 +655,20 @@ def test_quadratic_value_where_the_tail_underflows_is_undefined() -> None:
 
 # the work behind four runs-path values, recorded before the runs path
 # moved to arrays: the rest probes (value._rest_enclosure calls) and the
-# segment bounds passed to discount.segment_masses
-@pytest.mark.parametrize("rspec, dspec, k, tol, probes, bounds", [
-    (_LIN, h.harmonic_like(), 600, 1e-3, 15, 582),
-    (_LIN, h.power(0.5), 330, 1e-3, 13, 204),
-    (_LIN, h.quadratic(), 25_000, 1e-3, 12, 312),
-    (h.exponential_runs(), h.harmonic_like(), 1024, 5e-2 / 3, 25, 392),
+# segment bounds passed to discount.segment_masses; and the
+# reward.change_points calls, one per probe (its ones count) and two for
+# the run budget, none per run since one_segments lists runs in closed
+# form (it made 309, 119, 172 and 224 calls before)
+@pytest.mark.parametrize("rspec, dspec, k, tol, probes, bounds, points", [
+    (_LIN, h.harmonic_like(), 600, 1e-3, 15, 582, 17),
+    (_LIN, h.power(0.5), 330, 1e-3, 13, 204, 15),
+    (_LIN, h.quadratic(), 25_000, 1e-3, 12, 312, 14),
+    (h.exponential_runs(), h.harmonic_like(), 1024, 5e-2 / 3, 25, 392, 27),
 ], ids=["lin-harm", "lin-pow", "lin-quad", "exp-harm"])
-def test_runs_path_work_is_pinned(monkeypatch, rspec, dspec, k, tol, probes, bounds) -> None:
-    seen = {"probes": 0, "bounds": 0}
-    rest, masses = v._rest_enclosure, d.segment_masses
+def test_runs_path_work_is_pinned(monkeypatch, rspec, dspec, k, tol, probes, bounds,
+                                  points) -> None:
+    seen = {"probes": 0, "bounds": 0, "points": 0}
+    rest, masses, change_points = v._rest_enclosure, d.segment_masses, r.change_points
 
     def counted_rest(*args):
         seen["probes"] += 1
@@ -674,8 +678,13 @@ def test_runs_path_work_is_pinned(monkeypatch, rspec, dspec, k, tol, probes, bou
         seen["bounds"] += len(bs)
         return masses(spec, bs, *args, **kwargs)
 
+    def counted_points(*args):
+        seen["points"] += 1
+        return change_points(*args)
+
     monkeypatch.setattr(v, "_rest_enclosure", counted_rest)
     monkeypatch.setattr(d, "segment_masses", counted_masses)
+    monkeypatch.setattr(r, "change_points", counted_points)
     det = v.disc_value_detail(rspec, dspec, k, tol, strict=False)
     assert det.attained and det.path == "runs"
-    assert seen == {"probes": probes, "bounds": bounds}
+    assert seen == {"probes": probes, "bounds": bounds, "points": points}
