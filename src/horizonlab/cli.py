@@ -59,7 +59,9 @@ def _load_json_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:  # the message of _parse_spec names the path
+        raise SpecParseError(f"[Errno {exc.errno}] {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
         raise SpecParseError(f"cannot read spec file {path!r}: {exc}") from exc
 
 

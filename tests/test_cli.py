@@ -499,3 +499,18 @@ def test_repeat_runs_are_byte_identical() -> None:
     second = subprocess.run(argv, capture_output=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("kind, term", [("reward", "@{}"), ("discount", "@{}"),
+                                        ("discount", "alternating:@{}")],
+                         ids=["reward", "discount", "nested"])
+def test_missing_spec_file_is_named_once(kind, term, tmp_path, capsys) -> None:
+    missing = tmp_path / "missing.json"
+    spec = term.format(missing)
+    if kind == "reward":
+        argv = ["eval", "--reward", spec, "--m", "4"]
+    else:
+        argv = ["eval", "--reward", "constant:0.5", "--discount", spec, "--v-at", "1"]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad {kind} spec file {str(missing)!r}: [Errno 2] No such file or directory\n"
