@@ -303,7 +303,7 @@ def ones_count(spec: RewardSpec, m: int) -> int:
     # runs before n hold sum_{j<n} A_j ones: (n-1)^2 for A_j = 2j - 1,
     # (4^(n-1) - 1)/3 for A_j = 4^(j-1)
     n = run_index(spec, m)
-    kn, mn = change_points(spec, n)
+    kn, mn = _generated_runs(gen, n, n)[0]
     before = (n - 1) ** 2 if gen == "linear" else (kn - 1) // 3
     return before + min(mn, m + 1) - kn
 

@@ -656,14 +656,14 @@ def test_quadratic_value_where_the_tail_underflows_is_undefined() -> None:
 # the work behind four runs-path values, recorded before the runs path
 # moved to arrays: the rest probes (value._rest_enclosure calls) and the
 # segment bounds passed to discount.segment_masses; and the
-# reward.change_points calls, one per probe (its ones count) and two for
-# the run budget, none per run since one_segments lists runs in closed
-# form (it made 309, 119, 172 and 224 calls before)
+# reward.change_points calls, two for the run budget: none per run since
+# one_segments and ones_count take generated runs in closed form (the
+# four values made 309, 119, 172 and 224 calls before)
 @pytest.mark.parametrize("rspec, dspec, k, tol, probes, bounds, points", [
-    (_LIN, h.harmonic_like(), 600, 1e-3, 15, 582, 17),
-    (_LIN, h.power(0.5), 330, 1e-3, 13, 204, 15),
-    (_LIN, h.quadratic(), 25_000, 1e-3, 12, 312, 14),
-    (h.exponential_runs(), h.harmonic_like(), 1024, 5e-2 / 3, 25, 392, 27),
+    (_LIN, h.harmonic_like(), 600, 1e-3, 15, 582, 2),
+    (_LIN, h.power(0.5), 330, 1e-3, 13, 204, 2),
+    (_LIN, h.quadratic(), 25_000, 1e-3, 12, 312, 2),
+    (h.exponential_runs(), h.harmonic_like(), 1024, 5e-2 / 3, 25, 392, 2),
 ], ids=["lin-harm", "lin-pow", "lin-quad", "exp-harm"])
 def test_runs_path_work_is_pinned(monkeypatch, rspec, dspec, k, tol, probes, bounds,
                                   points) -> None:
