@@ -56,13 +56,13 @@ class SpecParseError(ValueError):
 
 
 def _load_json_file(path: str) -> dict:
+    """The JSON of a spec file. Its errors leave the path to the message of
+    _parse_spec, which wraps a json.JSONDecodeError (a ValueError) as is."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:  # the message of _parse_spec names the path
+    except OSError as exc:
         raise SpecParseError(f"[Errno {exc.errno}] {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"cannot read spec file {path!r}: {exc}") from exc
 
 
 def _numbers(text: str, kind: type, what: str) -> list:

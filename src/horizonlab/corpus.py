@@ -25,11 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
+import numpy as np
+
 from . import discount as _d
 from . import reward as _r
 from . import theorems as _t
 from . import value as _v
-from .intervals import Interval
+from .intervals import Pair, widened_arrays, widened_pair
 
 
 @dataclass(frozen=True)
@@ -327,10 +329,11 @@ class _Tally:
         self.checks = 0
         self.failures: List[str] = []
 
-    def expect(self, cond: bool, msg: str) -> None:
+    def expect(self, cond: bool, fmt: str, *args) -> None:
+        """Count one check; format fmt with args only if it fails."""
         self.checks += 1
         if not cond and len(self.failures) < _MAX_STORED_FAILURES:
-            self.failures.append(msg)
+            self.failures.append(fmt.format(*args))
 
 
 def _dyadic_table(rng: random.Random, length: int) -> List[int]:
@@ -356,6 +359,14 @@ def _trial_averages(rng: random.Random, tally: _Tally, label: str) -> None:
     The package sums these tables exactly, so its averages must equal
     the nearest float of the true rational: equality, not closeness.
     An explicit list has r_i = 1 on [p_{2j}, p_{2j+1}).
+
+    The running-average recurrence (m+1) U_{1,m+1} = m U_1m + r_{m+1} and
+    the window decomposition (m-k+1) U_km = m U_1m - (k-1) U_{1,k-1} add
+    one entry r_j to the windows above: the package's one-entry window
+    U_jj must be the table's r_j. The paper's future-window bound
+    |U_km - U_1m| <= |U_1m - U_1,k-1| / (m/(k-1) - 1), both sides times
+    den m (m-k+1), checks the bound itself on the mirror's integers, where
+    it holds with equality, and not the package.
     """
     if rng.random() < 0.5:
         length = rng.randint(8, 200)
@@ -372,33 +383,20 @@ def _trial_averages(rng: random.Random, tally: _Tally, label: str) -> None:
     pre = list(itertools.accumulate(nums, initial=0))
     m = rng.randint(2, length - 1)
     k = rng.randint(1, m)
-    u_m = _v.avg_value(rspec, m)
-    u_mp = _v.avg_value(rspec, m + 1)
-    u_km = _v.avg_value_from(rspec, k, m)
-    tally.expect(u_m == pre[m] / (den * m), f"{label}: U(1..{m}) != nearest rational")
-    tally.expect(u_mp == pre[m + 1] / (den * (m + 1)),
-                 f"{label}: U(1..{m+1}) != nearest rational")
-    tally.expect(
-        u_km == (pre[m] - pre[k - 1]) / (den * (m - k + 1)),
-        f"{label}: U({k}..{m}) != nearest rational",
-    )
-    # recurrence and window decomposition, exactly in rationals
-    um, ump = Fraction(pre[m], den * m), Fraction(pre[m + 1], den * (m + 1))
-    ukm = Fraction(pre[m] - pre[k - 1], den * (m - k + 1))
-    tally.expect((m + 1) * ump == m * um + Fraction(nums[m], den),
-                 f"{label}: running-average recurrence broke")
-    uk1 = Fraction(pre[k - 1], den * (k - 1)) if k > 1 else Fraction(0)
-    tally.expect(
-        (m - k + 1) * ukm == m * um - (k - 1) * uk1,
-        f"{label}: window decomposition broke",
-    )
+    p_m, p_k = pre[m], pre[k - 1]  # m U_1m = p_m / den, (k-1) U_{1,k-1} = p_k / den
+    tally.expect(_v.avg_value(rspec, m) == p_m / (den * m),
+                 "{}: U(1..{}) != nearest rational", label, m)
+    tally.expect(_v.avg_value(rspec, m + 1) == pre[m + 1] / (den * (m + 1)),
+                 "{}: U(1..{}) != nearest rational", label, m + 1)
+    tally.expect(_v.avg_value_from(rspec, k, m) == (p_m - p_k) / (den * (m - k + 1)),
+                 "{}: U({}..{}) != nearest rational", label, k, m)
+    tally.expect(_v.avg_value_from(rspec, m + 1, m + 1) == nums[m] / den,
+                 "{}: r_{} of the running-average recurrence != table", label, m + 1)
+    tally.expect(_v.avg_value_from(rspec, k, k) == nums[k - 1] / den,
+                 "{}: r_{} of the window decomposition != table", label, k)
     if k >= 2:
-        # |U_km - U_1m| <= |U_1m - U_1,k-1| / (m/(k-1) - 1), literally
-        bound = abs(um - uk1) / (Fraction(m, k - 1) - 1)
-        tally.expect(
-            abs(ukm - um) <= bound,
-            f"{label}: future-window deviation bound broke",
-        )
+        tally.expect(abs(m * (p_m - p_k) - (m - k + 1) * p_m) <= abs((k - 1) * p_m - m * p_k),
+                     "{}: future-window deviation bound broke", label)
 
 
 def _random_discount(rng: random.Random) -> _d.DiscountSpec:
@@ -424,36 +422,39 @@ def _trial_tail_recurrence(rng: random.Random, tally: _Tally, label: str) -> Non
         k = rng.randint(1, max(hi, 1))
         t_k = _d.gamma_tail(dspec, k)
         rebuilt = _d.gamma_iv(dspec, k) + _d.gamma_tail(dspec, k + 1)
-        tally.expect(
-            t_k.intersects(rebuilt),
-            f"{label}: tail recurrence disjoint for {dspec.family} at k={k}",
-        )
+        tally.expect(t_k.intersects(rebuilt), "{}: tail recurrence disjoint for {} at k={}",
+                     label, dspec.family, k)
+
+
+def _window_sums(lo, hi) -> Tuple[Pair, Pair]:
+    """Both sides of summation by parts, as (lo, hi) pairs, over the weights
+    gamma_k..gamma_{n+1} with ends lo[j], hi[j] for gamma_{k+j}:
+    sum_{j=k}^{n} (gamma_j - gamma_{j+1}) (j-k+1) + gamma_{n+1} (n-k+1) and
+    sum_{j=k}^{n} gamma_j. The differences and products replay Interval's
+    - and * (by c > 0: lo c and hi c) on the arrays; each side is one
+    math.fsum per end and one widening, as value._interval_sum sums."""
+    n1 = lo.size - 1  # n - k + 1
+    d_lo, d_hi = widened_arrays(lo[:-1] - hi[1:], hi[:-1] - lo[1:])
+    c = np.arange(1.0, n1 + 1.0)
+    t_lo, t_hi = widened_arrays(np.append(d_lo * c, lo[-1] * n1), np.append(d_hi * c, hi[-1] * n1))
+    return (widened_pair(math.fsum(t_lo.tolist()), math.fsum(t_hi.tolist())),
+            widened_pair(math.fsum(lo[:-1].tolist()), math.fsum(hi[:-1].tolist())))
 
 
 def _trial_telescope(rng: random.Random, tally: _Tally, label: str) -> None:
-    """Summation by parts over a window, in enclosures and (for the
-    quadratic family) exactly, in integers over one common denominator:
-    D = lcm of j(j+1) over the window makes every gamma_j = G_j / D with
-    G_j = D / (j(j+1))."""
+    """Summation by parts over a window, in enclosures (_window_sums, from
+    one gamma_arrays call) and (for the quadratic family) exactly, in
+    integers over one common denominator: D = lcm of j(j+1) over the
+    window makes every gamma_j = G_j / D with G_j = D / (j(j+1))."""
     dspec = _random_discount(rng)
     if dspec.family == "finite":
         dspec = _d.quadratic()
     k = rng.randint(1, 2000)
     w = rng.randint(8, 48)
     n = k + w
-    gam = [_d.gamma_iv(dspec, j) for j in range(k, n + 2)]
-    lhs = Interval.exact(0.0)
-    for j in range(k, n + 1):
-        delta = gam[j - k] - gam[j - k + 1]
-        lhs = lhs + delta * float(j - k + 1)
-    lhs = lhs + gam[n + 1 - k] * float(n - k + 1)
-    rhs = Interval.exact(0.0)
-    for j in range(k, n + 1):
-        rhs = rhs + gam[j - k]
-    tally.expect(
-        lhs.intersects(rhs),
-        f"{label}: telescoped window sum disjoint for {dspec.family} at k={k} w={w}",
-    )
+    (l_lo, l_hi), (r_lo, r_hi) = _window_sums(*_d.gamma_arrays(dspec, range(k, n + 2)))
+    tally.expect(l_lo <= r_hi and r_lo <= l_hi,
+                 "{}: telescoped window sum disjoint for {} at k={} w={}", label, dspec.family, k, w)
     if dspec.family == "quadratic":
         den = math.lcm(*(j * (j + 1) for j in range(k, n + 2)))
         gq = [den // (j * (j + 1)) for j in range(k, n + 2)]
@@ -461,49 +462,50 @@ def _trial_telescope(rng: random.Random, tally: _Tally, label: str) -> None:
             (gq[j - k] - gq[j - k + 1]) * (j - k + 1) for j in range(k, n + 1)
         ) + gq[n + 1 - k] * (n - k + 1)
         rhs_q = sum(gq[: n + 1 - k])
-        tally.expect(lhs_q == rhs_q, f"{label}: exact telescope broke at k={k} w={w}")
+        tally.expect(lhs_q == rhs_q, "{}: exact telescope broke at k={} w={}", label, k, w)
 
 
 def _trial_mixture(rng: random.Random, tally: _Tally, label: str) -> None:
-    """V under dyadic geometric weights is a convex mixture of the
+    """V under dyadic geometric weights g = 1/q is a convex mixture of the
     windowed averages U_{k..j}, so it must land inside their hull,
-    widened by the weight of the windows that end past the table; the
-    comparison is exact in rationals. Rounding is monotone, so the exact
-    extremes are among the windows whose float average is extreme.
+    widened by the weight g^(L-k) (1 + (L-k)(1-g)) of the windows that end
+    past the table (L its length). A window average is a / b with
+    b = 8 (j-k+1) <= 728; two that differ do so by at least 1/728^2, far
+    more than a rounding, so the first window whose float is extreme
+    holds the exact extreme.
 
-    V must also enclose every value the table allows: with L its length,
+    V must also enclose every value the table allows:
     S_L = sum_{i=k}^{L} (1-g) g^(i-k) r_i plus anything in [0, g^(L+1-k)]
-    for the rewards past it. For g = 1/q that is [s, s + 8] / (8 q^(L+1-k))
-    with s = (q-1) sum_i nums_i q^(L-i), exact in integers; this side of
-    the check sees an error in V down to the enclosure's own width."""
-    g = Fraction(1, 2) if rng.random() < 0.7 else Fraction(1, 4)
+    for the rewards past it, that is [s, s + 8] / (8 q^(L+1-k)) with
+    s = (q-1) sum_i nums_i q^(L-i) (by Horner); this side of the check
+    sees an error in V down to the enclosure's own width. Every
+    comparison is exact, cross-multiplied in integers, with V's ends read
+    by float.as_integer_ratio()."""
+    q = 2 if rng.random() < 0.7 else 4
     k = rng.randint(1, 60)
     length = k + rng.randint(45, 90)
     nums = _dyadic_table(rng, length)
     rspec = _r.custom_table([x / 8 for x in nums])
-    iv = _v.disc_value(rspec, _d.geometric(float(g)), k, tol=1e-9)
+    iv = _v.disc_value(rspec, _d.geometric(1 / q), k, tol=1e-9)
     pre = list(itertools.accumulate(nums, initial=0))
-    ends = range(k, length + 1)
-    u_vals = [(pre[j] - pre[k - 1]) / (8 * (j - k + 1)) for j in ends]
-
-    def exact(x: float) -> List[Fraction]:
-        return [Fraction(pre[j] - pre[k - 1], 8 * (j - k + 1))
-                for j, u in zip(ends, u_vals) if u == x]
-
-    # mixture weight of all windows ending past the table
-    w_tail = g ** (length - k) * (1 + (length - k) * (1 - g))
-    lo = min(exact(min(u_vals))) - w_tail
-    hi = max(exact(max(u_vals))) + w_tail
-    q = g.denominator
-    s = (q - 1) * sum(nums[i - 1] * q ** (length - i) for i in range(k, length + 1))
-    den = 8 * q ** (length + 1 - k)
-    s_lo, s_hi = Fraction(s, den), Fraction(s + 8, den)
-    v_lo, v_hi = Fraction(iv.lo), Fraction(iv.hi)
+    u_vals = [(pre[j] - pre[k - 1]) / (8 * (j - k + 1)) for j in range(k, length + 1)]
+    j_lo, j_hi = u_vals.index(min(u_vals)), u_vals.index(max(u_vals))
+    a_lo, b_lo = pre[k + j_lo] - pre[k - 1], 8 * (j_lo + 1)
+    a_hi, b_hi = pre[k + j_hi] - pre[k - 1], 8 * (j_hi + 1)
+    big_q = q ** (length + 1 - k)
+    w_num = q + (length - k) * (q - 1)  # the tail weight times q^(L+1-k)
+    acc = 0
+    for x in nums[k - 1:]:
+        acc = acc * q + x
+    s, den = (q - 1) * acc, 8 * big_q
+    (p_lo, r_lo), (p_hi, r_hi) = iv.lo.as_integer_ratio(), iv.hi.as_integer_ratio()
+    lo_num, hi_num = a_lo * big_q - w_num * b_lo, a_hi * big_q + w_num * b_hi
     tally.expect(
-        lo <= v_lo and v_hi <= hi and v_lo <= s_lo and s_hi <= v_hi,
-        f"{label}: V=[{iv.lo:.9f},{iv.hi:.9f}] outside mixture hull "
-        f"[{float(lo):.9f},{float(hi):.9f}] or not enclosing the table's "
-        f"values [{float(s_lo):.12f},{float(s_hi):.12f}] (g={g}, k={k})",
+        lo_num * r_lo <= p_lo * b_lo * big_q and p_hi * b_hi * big_q <= hi_num * r_hi
+        and p_lo * den <= s * r_lo and (s + 8) * r_hi <= p_hi * den,
+        "{}: V=[{:.9f},{:.9f}] outside mixture hull [{:.9f},{:.9f}] or not enclosing the "
+        "table's values [{:.12f},{:.12f}] (g=1/{}, k={})", label, iv.lo, iv.hi,
+        lo_num / (b_lo * big_q), hi_num / (b_hi * big_q), s / den, (s + 8) / den, q, k,
     )
 
 

@@ -329,6 +329,12 @@ class _Base:
         """gamma_iv(k) unboxed (a family that computes pairs boxes them)."""
         return self.gamma_iv(k).pair
 
+    def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """lo and hi of gamma_pair(k) for each k of an increasing list, as
+        float64 arrays, bit for bit."""
+        pairs = [self.gamma_pair(k) for k in ks]
+        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
     def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
         return self.tail(k, target).pair
 
@@ -516,8 +522,11 @@ class _Geometric(_Base):
     def gamma_iv(self, k: int) -> Interval:
         if self.dyadic_exp is not None:
             return _dyadic_iv(self.dyadic_exp * k)
-        y = self.gamma(k)  # 0 past underflow, where the pad is 5e-324 whatever rel is
-        return _rel_pad_iv(y, _U * (8.0 + 2.0 * k * _U / max(1.0 - self.g, _U)) if y else 0.0)
+        y = self.gamma(k)  # 0 past underflow: pow is faithful, so g^k < 5e-324
+        if y == 0.0:
+            return Interval(0.0, 5e-324)
+        lo, hi = _rel_pad_pair(y, _U * (8.0 + 2.0 * k * _U / max(1.0 - self.g, _U)))
+        return Interval(max(lo, 0.0), hi)
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         if self.g == 0.5:
@@ -531,6 +540,8 @@ class _Geometric(_Base):
         return self.gamma_iv(k) / self.one_minus_g
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
+        if self.dyadic_exp is not None:  # 2^(d k) exactly (0 below 2^-1074), as gamma
+            return np.ldexp(1.0, self.dyadic_exp * ks)
         return self.g ** ks.astype(np.float64)
 
     def effective_horizon(self, k: int) -> IntegerInterval:
@@ -639,6 +650,14 @@ class _Quadratic(_Base):
     def gamma_iv(self, k: int) -> Interval:
         return Interval(*self.gamma_pair(k))
 
+    def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """gamma_pair from one numpy 1.0 / (k (k+1)) below 2**26, where
+        k (k+1) < 2**53 is exact in float64 as the scalar int product is."""
+        if not ks or ks[-1] >= 1 << 26:
+            return super().gamma_arrays(ks)
+        kf = np.array(ks, dtype=np.float64)
+        return _rel_pad_arrays(1.0 / (kf * (kf + 1.0)), 4 * _U)
+
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         return Interval(*self.tail_pair(k))
 
@@ -704,6 +723,10 @@ class _Integrable(_Base):
         """The sandwich F(k) <= Gamma_k <= gamma_k + F(k)."""
         (glo, ghi), (lo, hi) = self.gamma_pair(k), self.integral_pair(k)
         return lo, widened_pair(glo + lo, ghi + hi)[1]
+
+    def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        with np.errstate(over="ignore", invalid="ignore"):  # as segment_mass_arrays
+            return self.bound_arrays(ks)[:2]
 
     def bound_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """lo and hi of gamma_pair(k), then lo and hi of integral_pair(k),
@@ -1220,7 +1243,7 @@ class _AlternatingZero(_Base):
         return self.base.index_for_tail_bound(target, start)
 
     def _even_terms(self, js: np.ndarray) -> np.ndarray:
-        vec = self.base.gamma_vec(2.0 * js)
+        vec = self.base.gamma_vec(2 * js.astype(np.int64))
         return vec if vec is not None else np.array([self.base.gamma(2 * int(j)) for j in js])
 
 
@@ -1289,6 +1312,8 @@ class _CosineModulated(_Base):
         self._sums = _BlockSums(self.gamma_vec, self._term_rel)
 
     def gamma(self, k: int) -> float:
+        if k >> 537 and 3 / (k * k) == 0.0:  # rounds to 0 whatever the phase
+            return 0.0
         c = 2.0 + math.cos(math.pi * math.sqrt(2.0 * k))
         try:
             return c / (k * k)
@@ -1318,7 +1343,10 @@ class _CosineModulated(_Base):
         and sum_{i>=k} i^-2 lies in [1/k, 1/(k-1)] (in [1, pi^2/6] at k = 1)."""
         if k <= 1:
             return Interval.widened(1.0, 3.0 * math.pi * math.pi / 6.0)
-        return Interval.widened(1 / k, 3 / (k - 1))  # int quotients, correctly rounded
+        lo, hi = 1 / k, 3 / (k - 1)  # int quotients, correctly rounded
+        if hi < 2.0**-1021:
+            return Interval(_subnormal_pair(lo)[0], _subnormal_pair(hi)[1])
+        return Interval.widened(lo, hi)
 
     def variation(self, m: int) -> Interval:
         """[0, V] with V >= sum_{i>m} |gamma_i - gamma_{i+1}|.
@@ -1800,6 +1828,19 @@ def gamma_iv(spec: DiscountSpec, k: int) -> Interval:
         raise ValueError("index k must be >= 1")
     iv = _impl(spec).gamma_iv(k)
     return iv if spec.scale == 1.0 else iv * spec.scale
+
+
+def gamma_arrays(spec: DiscountSpec, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """lo and hi float64 arrays whose element j is gamma_iv(spec, ks[j]),
+    bit for bit, for increasing indices ks >= 1: one batch call where the
+    family has one (quadratic, power, harmonic-like)."""
+    if ks and ks[0] < 1:
+        raise ValueError("index k must be >= 1")
+    lo, hi = _impl(spec).gamma_arrays(ks)
+    if spec.scale != 1.0:  # Interval * scale > 0 takes lo * scale and hi * scale
+        with np.errstate(over="ignore"):
+            lo, hi = widened_arrays(lo * spec.scale, hi * spec.scale)
+    return lo, hi
 
 
 def gamma_tail(spec: DiscountSpec, k: int, target: Optional[float] = None) -> Interval:

@@ -24,6 +24,7 @@ disc_value_detail says how the path is picked.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from collections import Counter
@@ -701,12 +702,20 @@ class LimitEstimate:
 
 
 def _thin_run_indices(ns: List[int], cap: int = 48) -> List[int]:
+    """At most cap of the increasing ns: for each of cap log-spaced targets
+    t, the first n whose |ln n - t| is least, found by bisection."""
     if len(ns) <= cap:
         return ns
-    lo, hi = math.log(ns[0]), math.log(ns[-1])
-    picked = sorted({min(ns, key=lambda n: abs(math.log(n) - t)) for t in
-                     [lo + (hi - lo) * j / (cap - 1) for j in range(cap)]})
-    return picked
+    logs = [math.log(n) for n in ns]
+    picked = set()
+    for t in [logs[0] + (logs[-1] - logs[0]) * j / (cap - 1) for j in range(cap)]:
+        i = bisect.bisect_left(logs, t)  # |ln n - t| falls up to i, then rises
+        if i == len(logs) or (i and abs(logs[i - 1] - t) <= abs(logs[i] - t)):
+            i -= 1
+            while i and abs(logs[i - 1] - t) == abs(logs[i] - t):
+                i -= 1
+        picked.add(ns[i])
+    return sorted(picked)
 
 
 def _augment_schedule(

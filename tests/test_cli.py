@@ -514,3 +514,20 @@ def test_missing_spec_file_is_named_once(kind, term, tmp_path, capsys) -> None:
     code, out, err = run_main(argv, capsys)
     assert (code, out) == (2, "")
     assert err == f"error: bad {kind} spec file {str(missing)!r}: [Errno 2] No such file or directory\n"
+
+
+@pytest.mark.parametrize("kind, term", [("reward", "@{}"), ("discount", "@{}"),
+                                        ("discount", "alternating:@{}")],
+                         ids=["reward", "discount", "nested"])
+def test_spec_file_that_is_not_json_is_named_once(kind, term, tmp_path, capsys) -> None:
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\n")
+    spec = term.format(bad)
+    if kind == "reward":
+        argv = ["eval", "--reward", spec, "--m", "4"]
+    else:
+        argv = ["eval", "--reward", "constant:0.5", "--discount", spec, "--v-at", "1"]
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad {kind} spec file {str(bad)!r}: Expecting property name "
+                   "enclosed in double quotes: line 2 column 1 (char 2)\n")

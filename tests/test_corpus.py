@@ -17,6 +17,7 @@ import pytest
 
 import horizonlab.corpus as c
 import horizonlab.discount as d
+import horizonlab.reward as r
 import horizonlab.value as v
 from horizonlab.intervals import Interval
 
@@ -109,3 +110,87 @@ def test_tail_raised_past_its_recurrence_is_caught(monkeypatch) -> None:
 
     monkeypatch.setattr(d, "gamma_tail", raised)
     assert any("tail recurrence" in f for f in _failures())
+
+
+def test_one_entry_window_one_ulp_high_is_caught(monkeypatch) -> None:
+    # the recurrence and decomposition checks read r_j as the package's U_jj
+    real = v.avg_value_from
+
+    def high(spec, k, m):
+        u = real(spec, k, m)
+        return math.nextafter(u, math.inf) if k == m else u
+
+    monkeypatch.setattr(v, "avg_value_from", high)
+    failures = _failures()
+    assert any("recurrence != table" in f for f in failures)
+    assert any("decomposition != table" in f for f in failures)
+
+
+def mixture_reference(rng, tally, label) -> None:
+    """corpus._trial_mixture in Fractions, before its integer mirror."""
+    g = Fraction(1, 2) if rng.random() < 0.7 else Fraction(1, 4)
+    k = rng.randint(1, 60)
+    length = k + rng.randint(45, 90)
+    nums = c._dyadic_table(rng, length)
+    rspec = r.custom_table([x / 8 for x in nums])
+    iv = v.disc_value(rspec, d.geometric(float(g)), k, tol=1e-9)
+    pre = [0]
+    for x in nums:
+        pre.append(pre[-1] + x)
+    ends = range(k, length + 1)
+    u_vals = [(pre[j] - pre[k - 1]) / (8 * (j - k + 1)) for j in ends]
+
+    def exact(x):
+        return [Fraction(pre[j] - pre[k - 1], 8 * (j - k + 1))
+                for j, u in zip(ends, u_vals) if u == x]
+
+    w_tail = g ** (length - k) * (1 + (length - k) * (1 - g))
+    lo = min(exact(min(u_vals))) - w_tail
+    hi = max(exact(max(u_vals))) + w_tail
+    q = g.denominator
+    s = (q - 1) * sum(nums[i - 1] * q ** (length - i) for i in range(k, length + 1))
+    den = 8 * q ** (length + 1 - k)
+    s_lo, s_hi = Fraction(s, den), Fraction(s + 8, den)
+    v_lo, v_hi = Fraction(iv.lo), Fraction(iv.hi)
+    tally.expect(
+        lo <= v_lo and v_hi <= hi and v_lo <= s_lo and s_hi <= v_hi,
+        "{}: V=[{:.9f},{:.9f}] outside mixture hull [{:.9f},{:.9f}] or not enclosing the "
+        "table's values [{:.12f},{:.12f}] (g={}, k={})", label, iv.lo, iv.hi,
+        float(lo), float(hi), float(s_lo), float(s_hi), g, k,
+    )
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-6, -1e-6, 1e-3, 0.1, -0.1])
+def test_mixture_mirror_decides_as_the_fraction_code(monkeypatch, shift) -> None:
+    # same draws, same verdicts, same messages, under faults of each size
+    real = v.disc_value
+
+    def shifted(*a, **kw):
+        iv = real(*a, **kw)
+        return Interval(iv.lo + shift, iv.hi + shift)
+
+    monkeypatch.setattr(v, "disc_value", shifted)
+    fast, slow = c._Tally(), c._Tally()
+    rng_fast, rng_slow = random.Random(17), random.Random(17)
+    for i in range(120):
+        c._trial_mixture(rng_fast, fast, f"trial {i}")
+        mixture_reference(rng_slow, slow, f"trial {i}")
+    assert (fast.checks, fast.failures) == (slow.checks, slow.failures)
+    assert rng_fast.getstate() == rng_slow.getstate()
+    assert bool(fast.failures) == (abs(shift) >= 1e-6)
+
+
+def test_deviation_bound_in_ints_is_the_fraction_bound() -> None:
+    # |U_km - U_1m| <= |U_1m - U_1,k-1| / (m/(k-1) - 1), which holds with equality
+    rng = random.Random(3)
+    for _ in range(2000):
+        m = rng.randint(2, 300)
+        k = rng.randint(2, m)
+        den = rng.choice([1, 8])
+        b = rng.randint(0, den * (k - 1))
+        a = b + rng.randint(0, den * (m - k + 1))
+        um, uk1, ukm = Fraction(a, den * m), Fraction(b, den * (k - 1)), Fraction(a - b, den * (m - k + 1))
+        lhs, rhs = abs(ukm - um), abs(um - uk1) / (Fraction(m, k - 1) - 1)
+        assert lhs == rhs
+        scale = den * m * (m - k + 1)
+        assert (lhs * scale, rhs * scale) == (abs(m * (a - b) - (m - k + 1) * a), abs((k - 1) * a - m * b))

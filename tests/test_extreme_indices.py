@@ -91,3 +91,32 @@ def test_cosine_weight_past_the_float_range_of_k_squared(k) -> None:
     # [1/k^2, 3/k^2], each end within 1.5 subnormal ulps, positive where 1/k^2 is
     assert Fraction(iv.hi) <= 3 * Fraction(1, k * k) + Fraction(1e-323)
     assert iv.lo > 0.0 or k * k > 2**1074
+
+
+@pytest.mark.parametrize("k", [2**539, 2**1023, 2**1024 + 1, 10**400],
+                         ids=["2^539", "2^1023", "2^1024+1", "10^400"])
+def test_cosine_weight_that_rounds_to_zero_is_zero(k) -> None:
+    # 3/k^2 rounds to 0, so does gamma_k <= 3/k^2: no phase is taken
+    assert 3 / (k * k) == 0.0
+    assert d.gamma(h.cosine_modulated(), k) == 0.0
+    assert d.gamma_iv(h.cosine_modulated(), k) == h.Interval(0.0, 5e-324)
+
+
+@pytest.mark.parametrize("k", [617, 618, 619, 700, 2000])
+def test_geometric_weight_past_underflow_stays_at_or_above_zero(k) -> None:
+    exact = Fraction(0.3) ** k
+    iv = d.gamma_iv(h.geometric(0.3), k)
+    assert 0.0 <= iv.lo <= exact <= iv.hi and iv.hi > 0.0
+    if k >= 700:  # g^k rounds to 0: [0, 5e-324]
+        assert iv == h.Interval(0.0, 5e-324)
+    lo, hi = d.gamma_arrays(h.geometric(0.3), [k])
+    assert (lo[0], hi[0]) == (iv.lo, iv.hi)
+
+
+@pytest.mark.parametrize("k", [2**1030, 2**1024 + 1, 10**400], ids=["2^1030", "2^1024+1", "10^400"])
+def test_cosine_tail_past_the_normal_range_stays_at_or_above_zero(k) -> None:
+    # Gamma_k lies in [1/k, 3/(k-1)] (1 <= 2 + cos <= 3), whose ends are
+    # correctly rounded int quotients: within half a subnormal ulp
+    lo, hi = Fraction(1, k), Fraction(3, k - 1)
+    iv = d.gamma_tail(h.cosine_modulated(), k)
+    assert 0.0 <= iv.lo <= lo and hi <= iv.hi <= 3 / (k - 1) + 5e-324

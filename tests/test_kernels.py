@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import random
 import struct
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import horizonlab as h
+import horizonlab.corpus as corpus
 import horizonlab.discount as d
 import horizonlab.reward as r
 import horizonlab.value as v
@@ -793,3 +795,116 @@ def test_family_pairs_unbox_their_intervals(dspec, k) -> None:
             assert got == want
         else:
             assert same_bits(Interval(*got), want)
+
+
+# -- batch window weights ------------------------------------------------------
+# discount.gamma_arrays answers gamma_iv for a list of indices at once;
+# the telescope of corpus.identity_trials sums them with one fsum per end
+# where it added one Interval per step.
+
+
+_ARRAY_FAMILIES = {
+    "finite": d.finite(2**26),
+    "geometric0.9": d.geometric(0.9),
+    "geometric0.3": d.geometric(0.3),
+    "geometric0.5": d.geometric(0.5),
+    "quadratic": d.quadratic(),
+    "power0.5": d.power(0.5),
+    "power1.3": d.power(1.3),
+    "harmonic_like": d.harmonic_like(),
+    "step_log": d.step_log(),
+    "alternating": d.alternating_zero(),
+    "cosine": d.cosine_modulated(),
+    "patched": d.build_patched([1, 2]),
+    "custom": d.custom([0.5, 0.25], ("geometric", 0.5)),
+    "scaled_quadratic": d.quadratic().with_scale(3.0),
+    "scaled_harmonic": d.harmonic_like().with_scale(0.7),
+}
+
+_ARRAY_KS = {
+    "1-3": [1, 2, 3],
+    "window": list(range(1990, 2040)),
+    "below 2^26": [2**26 - 3, 2**26 - 1],
+    "2^26": [2**26 - 1, 2**26, 2**26 + 1],
+    "2^53": [2**53 - 1, 2**53, 2**53 + 1],
+    "block edges": [e for n in (1, 5, 6, 20, 40) for e in (2**n, 2**n + 1)],
+    "underflow": [600, 617, 618, 700, 1074, 1075, 1076],
+    "2^1024": [2**1024 - 1, 2**1024, 2**1024 + 1],
+    "10^400": [10**400],
+    "mixed": [1, 2, 3, 700, 2000, 2**26 + 1, 2**53, 2**1024 + 1, 10**400],
+}
+
+
+def test_every_family_has_a_batch_weight_case() -> None:
+    assert {s.family for s in _ARRAY_FAMILIES.values()} == set(d._FAMILIES)
+
+
+@pytest.mark.parametrize("ks", list(_ARRAY_KS.values()), ids=list(_ARRAY_KS))
+@pytest.mark.parametrize("dspec", list(_ARRAY_FAMILIES.values()), ids=list(_ARRAY_FAMILIES))
+def test_gamma_arrays_match_gamma_iv(dspec, ks) -> None:
+    want = [any_outcome(d.gamma_iv, dspec, k) for k in ks]
+    got = any_outcome(d.gamma_arrays, dspec, ks)
+    errors = [w for w in want if isinstance(w, str)]
+    if errors:  # past a table or the float range: the first index's error
+        assert got == errors[0]
+        return
+    lo, hi = got
+    assert lo.dtype == hi.dtype == np.float64 and lo.size == hi.size == len(ks)
+    for k, a, b, w in zip(ks, lo.tolist(), hi.tolist(), want):
+        assert (bits(a), bits(b)) == (bits(w.lo), bits(w.hi)), (k, a, b, w)
+
+
+def test_gamma_arrays_take_no_index_below_one() -> None:
+    with pytest.raises(ValueError, match="index k must be >= 1"):
+        d.gamma_arrays(d.quadratic(), [0, 1])
+    lo, hi = d.gamma_arrays(d.quadratic(), [])
+    assert lo.size == hi.size == 0
+
+
+@pytest.mark.parametrize("g", [0.5, 0.25, 0.125])
+def test_dyadic_gamma_vec_is_gamma_past_underflow(g) -> None:
+    impl = d._impl(d.geometric(g))
+    ks = np.arange(1, 3300, dtype=np.int64)  # 2^-3299 is 0 for each g
+    assert [bits(x) for x in impl.gamma_vec(ks).tolist()] == [bits(impl.gamma(k)) for k in ks.tolist()]
+    # the even weights of alternating pass int indices, as ldexp needs
+    alt = d._impl(d.alternating_zero(d.geometric(g)))
+    js = np.arange(1, 1700, dtype=np.float64)  # as _BlockSums passes them
+    assert alt._even_terms(js).tolist() == [impl.gamma(2 * j) for j in range(1, 1700)]
+
+
+def telescope_reference(gam):
+    """corpus._trial_telescope's per-step Interval chain before _window_sums."""
+    n1 = len(gam) - 1
+    lhs = Interval.exact(0.0)
+    for j in range(n1):
+        lhs = lhs + (gam[j] - gam[j + 1]) * float(j + 1)
+    lhs = lhs + gam[n1] * float(n1)
+    rhs = Interval.exact(0.0)
+    for j in range(n1):
+        rhs = rhs + gam[j]
+    return lhs, rhs
+
+
+def test_window_sums_hold_the_exact_sums_of_their_ends() -> None:
+    # each end of both sides, summed exactly in ints (every finite float
+    # times 2^1100 is one); the fsum form is also inside the per-step chain
+    def fixed(x):
+        p, q = x.as_integer_ratio()
+        return (p << 1100) // q
+
+    rng = random.Random(2006)
+    for trial in range(10_000):
+        dspec = corpus._random_discount(rng)
+        if dspec.family == "finite":
+            dspec = d.quadratic()
+        k, w = rng.randint(1, 2000), rng.randint(8, 48)
+        lo, hi = d.gamma_arrays(dspec, range(k, k + w + 2))
+        (l_lo, l_hi), (r_lo, r_hi) = corpus._window_sums(lo, hi)
+        a, b = [fixed(x) for x in lo.tolist()], [fixed(x) for x in hi.tolist()]
+        lhs_lo = sum((a[j] - b[j + 1]) * (j + 1) for j in range(w + 1)) + a[-1] * (w + 1)
+        lhs_hi = sum((b[j] - a[j + 1]) * (j + 1) for j in range(w + 1)) + b[-1] * (w + 1)
+        assert fixed(l_lo) <= lhs_lo and lhs_hi <= fixed(l_hi), (dspec, k, w)
+        assert fixed(r_lo) <= sum(a[:-1]) and sum(b[:-1]) <= fixed(r_hi), (dspec, k, w)
+        if trial % 10 == 0:
+            lhs, rhs = telescope_reference([d.gamma_iv(dspec, j) for j in range(k, k + w + 2)])
+            assert lhs.encloses(Interval(l_lo, l_hi)) and rhs.encloses(Interval(r_lo, r_hi))

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import pathlib
+import random
 from fractions import Fraction
 
 import mpmath
@@ -236,6 +237,27 @@ def test_scan_notes_name_the_limit_that_was_hit(monkeypatch) -> None:
     at_budget = v.ValueDetail(Interval(0.0, 1.0), Interval(0.0, 1.0),
                               v._budget_end(h.linear_runs(), k), "runs", False)
     assert v._miss_cause(h.linear_runs(), k, at_budget) == "run budget of 200000 pieces"
+
+
+def thin_run_indices_reference(ns, cap=48):
+    """value._thin_run_indices before it bisected: one min over ns per target."""
+    if len(ns) <= cap:
+        return ns
+    lo, hi = math.log(ns[0]), math.log(ns[-1])
+    return sorted({min(ns, key=lambda n: abs(math.log(n) - t)) for t in
+                   [lo + (hi - lo) * j / (cap - 1) for j in range(cap)]})
+
+
+def test_thin_run_indices_pick_as_min_did() -> None:
+    rng = random.Random(48)
+    cases = [list(range(1, 1000)), list(range(1, 50)), list(range(5, 53)), [1, 2, 3],
+             [2**60 + j for j in range(100)]]
+    for _ in range(300):
+        start, spread = rng.choice([1, 2, 10**6, 2**60]), rng.choice([50, 1000, 10**9])
+        cases.append(sorted({start + rng.randint(0, spread) for _ in range(rng.randint(1, 300))}))
+    for ns in cases:
+        for cap in (2, 3, 10, 48):
+            assert v._thin_run_indices(ns, cap) == thin_run_indices_reference(ns, cap), (ns, cap)
 
 
 def test_scan_serialization_helpers_are_consistent() -> None:
