@@ -1243,7 +1243,9 @@ class _AlternatingZero(_Base):
         return self.base.index_for_tail_bound(target, start)
 
     def _even_terms(self, js: np.ndarray) -> np.ndarray:
-        vec = self.base.gamma_vec(2 * js.astype(np.int64))
+        ks = js.astype(np.int64)
+        ks *= 2
+        vec = self.base.gamma_vec(ks)
         return vec if vec is not None else np.array([self.base.gamma(2 * int(j)) for j in js])
 
 
@@ -1312,9 +1314,10 @@ class _CosineModulated(_Base):
         self._sums = _BlockSums(self.gamma_vec, self._term_rel)
 
     def gamma(self, k: int) -> float:
-        if k >> 537 and 3 / (k * k) == 0.0:  # rounds to 0 whatever the phase
+        try:
+            c = 2.0 + math.cos(math.pi * math.sqrt(2.0 * k))
+        except (OverflowError, ValueError):  # k >= 2^1023: 3/k^2 rounds to 0
             return 0.0
-        c = 2.0 + math.cos(math.pi * math.sqrt(2.0 * k))
         try:
             return c / (k * k)
         except OverflowError:  # k * k past the float range: the int quotient
