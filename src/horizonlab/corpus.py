@@ -426,7 +426,7 @@ def _trial_tail_recurrence(rng: random.Random, tally: _Tally, label: str) -> Non
                      label, dspec.family, k)
 
 
-def _window_sums(lo, hi) -> Tuple[Pair, Pair]:
+def _window_sums(lo: np.ndarray, hi: np.ndarray) -> Tuple[Pair, Pair]:
     """Both sides of summation by parts, as (lo, hi) pairs, over the weights
     gamma_k..gamma_{n+1} with ends lo[j], hi[j] for gamma_{k+j}:
     sum_{j=k}^{n} (gamma_j - gamma_{j+1}) (j-k+1) + gamma_{n+1} (n-k+1) and
