@@ -443,26 +443,24 @@ def _window_sums(lo: np.ndarray, hi: np.ndarray) -> Tuple[Pair, Pair]:
 
 def _trial_telescope(rng: random.Random, tally: _Tally, label: str) -> None:
     """Summation by parts over a window, in enclosures (_window_sums, from
-    one gamma_arrays call) and (for the quadratic family) exactly, in
-    integers over one common denominator: D = lcm of j(j+1) over the
-    window makes every gamma_j = G_j / D with G_j = D / (j(j+1))."""
+    one gamma_arrays call); for the quadratic family each weight of the
+    window must also hold the exact gamma_j = 1 / (j (j+1)), compared in
+    integers with the ends read by float.as_integer_ratio()."""
     dspec = _random_discount(rng)
     if dspec.family == "finite":
         dspec = _d.quadratic()
     k = rng.randint(1, 2000)
     w = rng.randint(8, 48)
     n = k + w
-    (l_lo, l_hi), (r_lo, r_hi) = _window_sums(*_d.gamma_arrays(dspec, range(k, n + 2)))
+    lo, hi = _d.gamma_arrays(dspec, range(k, n + 2))
+    (l_lo, l_hi), (r_lo, r_hi) = _window_sums(lo, hi)
     tally.expect(l_lo <= r_hi and r_lo <= l_hi,
                  "{}: telescoped window sum disjoint for {} at k={} w={}", label, dspec.family, k, w)
     if dspec.family == "quadratic":
-        den = math.lcm(*(j * (j + 1) for j in range(k, n + 2)))
-        gq = [den // (j * (j + 1)) for j in range(k, n + 2)]
-        lhs_q = sum(
-            (gq[j - k] - gq[j - k + 1]) * (j - k + 1) for j in range(k, n + 1)
-        ) + gq[n + 1 - k] * (n - k + 1)
-        rhs_q = sum(gq[: n + 1 - k])
-        tally.expect(lhs_q == rhs_q, "{}: exact telescope broke at k={} w={}", label, k, w)
+        ends = [(j * (j + 1), a.as_integer_ratio(), b.as_integer_ratio())
+                for j, a, b in zip(range(k, n + 2), lo.tolist(), hi.tolist())]
+        tally.expect(all(p * m <= q and s <= r * m for m, (p, q), (r, s) in ends),
+                     "{}: window weight misses 1/(j(j+1)) at k={} w={}", label, k, w)
 
 
 def _trial_mixture(rng: random.Random, tally: _Tally, label: str) -> None:

@@ -249,9 +249,38 @@ def _subnormal_pair(y: float) -> Pair:
     return max(y - 5e-324, 0.0), y + 5e-324
 
 
-def _dyadic_iv(e: int) -> Interval:
+def _dyadic_pair(e: int) -> Pair:
     """2**e, exact, or [0, 5e-324] below the least subnormal."""
-    return Interval(0.0, 5e-324) if e < -1074 else Interval.exact(math.ldexp(1.0, e))
+    return (0.0, 5e-324) if e < -1074 else (math.ldexp(1.0, e),) * 2
+
+
+def _narrow(passes, lo: int, hi: int) -> Tuple[int, int]:
+    """(h - 1, h) for the least h in (lo, hi] that passes (monotone in h),
+    by bisection: hi passes or is taken to, lo (-1: none) does not."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return lo, hi
+
+
+def _least_passing(passes, top: Optional[int]) -> int:
+    """The least h >= 0 that passes (monotone in h). Under a hint top it
+    bisects over j for the first min(2**j, top) that passes (a loose hint
+    costs the log of its bit length) and probes top only if the search ends
+    there, as a custom table cannot evaluate its own hint. Without a hint,
+    or if top fails, h doubles from 1 (or top) and is bisected."""
+    guard, lo, hi = guard_index(), -1, 1
+    if top is not None and 1 < top <= guard:
+        a, b = -1, (top - 1).bit_length()  # min(2**b, top) is top
+        while b - a > 1:
+            m = (a + b) // 2
+            a, b = (a, m) if passes(1 << m) else (m, b)
+        lo, hi = _narrow(passes, 1 << a if a >= 0 else -1, min(1 << b, top))
+    while not passes(hi):
+        lo, hi = hi, 2 * hi
+        if hi > guard:
+            raise GuardExceeded("effective horizon search exceeded guard")
+    return _narrow(passes, lo, hi)[1]
 
 
 class _Base:
@@ -377,21 +406,27 @@ class _Base:
         tails = self.tail_batch(ks, target)
         return np.array([t.lo for t in tails]), np.array([t.hi for t in tails])
 
+    _last_tail: tuple = (None, None)  # ((k, guard), tail(k)) of default_tail
+
+    def default_tail(self, k: int) -> Interval:
+        """tail(k), kept for the last k and guard: `table` reads it four times."""
+        key = (k, guard_index())
+        if self._last_tail[0] != key:
+            self._last_tail = (key, self.tail(k))
+        return self._last_tail[1]
+
     def effective_horizon(self, k: int) -> IntegerInterval:
-        """[first h with Gamma_{k+h} possibly <= Gamma_k / 2, first h with
-        it certainly so], found by doubling and bisection over the tails.
-        The two searches probe many of the same h, so each tail is taken
-        once per call."""
-        tail_k = self.tail(k)
+        """[first h with Gamma_{k+h} possibly <= Gamma_k / 2, first h with it
+        certainly so]: the certain one by _least_passing under the family's
+        hint, the possible one (no larger) bisected between the tails taken."""
+        tail_k = self.default_tail(k)
         if not tail_k.lo > 0.0:
             raise UndefinedMetric(f"tail enclosure not positive at k={k}")
         if tail_k.width > 0.5 * tail_k.lo:
             raise EnclosureAmbiguous("tail enclosure too wide to halve certainly")
-        half_hi = Interval.exact(0.5 * tail_k.hi + 2 * math.ulp(tail_k.hi))
-        half_lo = Interval.exact(0.5 * tail_k.lo - 2 * math.ulp(tail_k.lo))
-        guard = guard_index()
+        half_hi = 0.5 * tail_k.hi + 2 * math.ulp(tail_k.hi)
+        half_lo = 0.5 * tail_k.lo - 2 * math.ulp(tail_k.lo)
         target = tail_k.lo * 5e-4  # keeps summed tails sharp enough to halve
-
         seen: dict = {}
 
         def tail_at(h: int) -> Interval:
@@ -399,41 +434,36 @@ class _Base:
                 seen[h] = self.tail(k + h, target)
             return seen[h]
 
-        def first_with(pred) -> int:
-            hi = 1
-            while not pred(tail_at(hi)):
-                hi *= 2
-                if hi > guard:
-                    raise GuardExceeded("effective horizon search exceeded guard")
-            lo = 0 if hi == 1 else hi // 2
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if pred(tail_at(mid)):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return lo
-
-        h_possible = first_with(lambda iv: iv.lo <= half_hi.hi)
-        h_certain = first_with(lambda iv: iv.hi <= half_lo.lo)
-        if h_certain < h_possible:  # can happen only through enclosure noise
-            h_possible = h_certain
+        hint = self.index_for_tail_bound(half_lo, k) if half_lo > 0.0 else None
+        h_certain = _least_passing(lambda h: tail_at(h).hi <= half_lo, hint and hint - k)
+        # certainly halved implies possibly halved, as half_lo <= half_hi
+        hi = min(h for h, iv in seen.items() if iv.lo <= half_hi)
+        lo = max((h for h in seen if h < hi), default=-1)
+        h_possible = _narrow(lambda h: tail_at(h).lo <= half_hi, lo, hi)[1]
         return IntegerInterval(h_possible, h_certain)
 
     def quasi_horizon(self, k: int) -> Interval:
         g = self.gamma_iv(k)
         if not g.lo > 0.0:
             raise UndefinedMetric(f"gamma is zero (or indistinguishable from it) at k={k}")
-        return self.tail(k) / g
+        return self.default_tail(k) / g
 
     def horizon_ratio(self, k: int) -> Interval:
-        tail_k = self.tail(k)
+        tail_k = self.default_tail(k)
         if not tail_k.lo > 0.0:
             raise UndefinedMetric(f"tail is zero (or indistinguishable from it) at k={k}")
         g = self.gamma_iv(k)
         if g.lo == 0.0 and g.hi == 0.0:
             return Interval.exact(0.0)  # k * 0 / Gamma is exactly zero
-        return (g * Interval.exact(float(k))) / tail_k
+        try:
+            kg = g * Interval.exact(float(k))
+        except OverflowError:  # k past the float range, where gamma_k underflows
+            kg = self.k_gamma(k)
+        return kg / tail_k
+
+    def k_gamma(self, k: int) -> Interval:
+        """k gamma_k for k past the float range: [0, inf] without a closed form."""
+        return Interval(0.0, math.inf)
 
     def index_for_tail_bound(self, target: float, start: int) -> Optional[int]:
         """Some index N >= start with tail(N).hi <= target, if cheaply
@@ -519,18 +549,21 @@ class _Geometric(_Base):
         except OverflowError:
             return 0.0
 
-    def gamma_iv(self, k: int) -> Interval:
+    def gamma_pair(self, k: int) -> Pair:
         if self.dyadic_exp is not None:
-            return _dyadic_iv(self.dyadic_exp * k)
+            return _dyadic_pair(self.dyadic_exp * k)
         y = self.gamma(k)  # 0 past underflow: pow is faithful, so g^k < 5e-324
         if y == 0.0:
-            return Interval(0.0, 5e-324)
+            return 0.0, 5e-324
         lo, hi = _rel_pad_pair(y, _U * (8.0 + 2.0 * k * _U / max(1.0 - self.g, _U)))
-        return Interval(max(lo, 0.0), hi)
+        return max(lo, 0.0), hi
+
+    def gamma_iv(self, k: int) -> Interval:
+        return Interval(*self.gamma_pair(k))
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         if self.g == 0.5:
-            return _dyadic_iv(1 - k)
+            return Interval(*_dyadic_pair(1 - k))
         if self.dyadic_exp is not None and self.dyadic_exp * k < -1022:
             # g = 2^-d past the normal range, where dividing widens below 0: the
             # int quotient 1 / ((2^d - 1) 2^(d (k-1))), correctly rounded
@@ -567,9 +600,16 @@ class _Geometric(_Base):
         return Interval.exact(1.0) / self.one_minus_g
 
     def horizon_ratio(self, k: int) -> Interval:
+        try:
+            kf = float(k)
+        except OverflowError:  # each end of k (1 - g) an int quotient, one float outward
+            top = int(sys.float_info.max)  # past it the quotient would round to inf
+            lo, hi = (k * p / q if k * p <= top * q else math.inf
+                      for p, q in (x.as_integer_ratio() for x in self.one_minus_g.pair))
+            return Interval(math.nextafter(lo, 0.0), math.nextafter(hi, math.inf))
         if self.g == 0.5:
-            return Interval.exact(math.ldexp(float(k), -1))  # k/2 exact
-        return Interval.exact(float(k)) * self.one_minus_g
+            return Interval.exact(math.ldexp(kf, -1))  # k/2 exact
+        return Interval.exact(kf) * self.one_minus_g
 
     def index_for_tail_bound(self, target: float, start: int) -> int:
         # smallest-ish N with g**N / (1-g) <= target
@@ -585,7 +625,7 @@ class _Geometric(_Base):
         if d < 0:
             raise ValueError("need j >= k")
         if self.dyadic_exp is not None:
-            return _dyadic_iv(self.dyadic_exp * d)
+            return Interval(*_dyadic_pair(self.dyadic_exp * d))
         if d == 0:
             return Interval.exact(1.0)
         r = _pow_iv(self.g, float(d))
@@ -759,7 +799,10 @@ class _Power(_Integrable):
         self.eps = eps
 
     def gamma(self, k: int) -> float:
-        return float(k) ** (-1.0 - self.eps)
+        try:
+            return float(k) ** (-1.0 - self.eps)
+        except OverflowError:  # k past the float range: through logs, as gamma_pair
+            return _pow_parts(k, -1.0 - self.eps)[0]
 
     def gamma_pair(self, k: int) -> Pair:
         return _rel_pad_pair(*_pow_parts(k, -1.0 - self.eps))
@@ -769,6 +812,12 @@ class _Power(_Integrable):
         point eps > 0 keep lo's and hi's order."""
         lo, hi = _rel_pad_pair(*_pow_parts(k, -self.eps))
         return widened_pair(lo / self.eps, hi / self.eps)
+
+    def k_gamma(self, k: int) -> Interval:
+        return _pow_iv(k, -self.eps)  # k gamma_k = k^(-eps)
+
+    def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        return _pow_arrays(ks, -1.0 - self.eps)  # bound_arrays' first two, without the second pow
 
     def bound_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Both pows of each k share the log of their error bound."""
@@ -820,6 +869,10 @@ class _HarmonicLike(_Integrable):
         """Relative error bound of gamma(k): the rounding of k ln^2 k and
         of its reciprocal grows with ln ln k."""
         return _U * (8.0 + 2.0 * math.log(math.log(max(k, 3))))
+
+    def k_gamma(self, k: int) -> Interval:
+        ln = math.log(k)  # k gamma_k = 1 / ln^2 k: gamma's roundings, less the product by k
+        return _rel_pad_iv(1.0 / (ln * ln), self._gamma_rel(k))
 
     def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
         if k > 1:
@@ -899,8 +952,11 @@ class _StepLog(_Base):
     def gamma(self, k: int) -> float:
         return math.ldexp(1.0, -2 * self._block(k))
 
+    def gamma_pair(self, k: int) -> Pair:
+        return _dyadic_pair(-2 * self._block(k))
+
     def gamma_iv(self, k: int) -> Interval:
-        return _dyadic_iv(-2 * self._block(k))
+        return Interval(*self.gamma_pair(k))
 
     def tail_scaled(self, k: int) -> Tuple[int, int]:
         """Gamma_k = num / 2**shift with exact integers.
@@ -929,26 +985,18 @@ class _StepLog(_Base):
             # num_h / 2**sh_h <= num_k / 2**(sh_k + 1)
             return num_h * (1 << (sh_k + 1)) <= num_k * (1 << sh_h)
 
-        hi = 1
-        while not satisfied(hi):
-            hi *= 2
-            if hi > guard_index():
-                raise GuardExceeded("effective horizon search exceeded guard")
-        lo = hi // 2 if hi > 1 else 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if satisfied(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return IntegerInterval(lo, lo)
+        h = _least_passing(satisfied, None)
+        return IntegerInterval(h, h)
 
     def quasi_horizon(self, k: int) -> Interval:
         num, _ = self.tail_scaled(k)
         # Gamma_k / gamma_k = num / 2: dyadic, exact for num < 2**54
         if num.bit_length() <= 54:
             return Interval.exact(num / 2)
-        return Interval.rounded(num / 2)
+        try:
+            return Interval.rounded(num / 2)
+        except OverflowError:  # num / 2 past the float range
+            return Interval(sys.float_info.max, math.inf)
 
     def horizon_ratio(self, k: int) -> Interval:
         num, _ = self.tail_scaled(k)
@@ -987,8 +1035,9 @@ def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Sums of x[lo[j]:hi[j]] for nonempty ranges in ascending order that
     do not overlap, by one np.add.reduceat; the segments between ranges
     are summed too and dropped."""
-    idx = np.column_stack([lo, hi]).ravel()[:-1]
-    return np.add.reduceat(x[: hi[-1]], idx)[::2]
+    idx = np.empty(2 * lo.size, dtype=np.int64)
+    idx[0::2], idx[1::2] = lo, hi
+    return np.add.reduceat(x[: hi[-1]], idx[:-1])[::2]
 
 
 class _BlockSums:
@@ -1034,14 +1083,15 @@ class _BlockSums:
 
     SIZE = 1 << 6
     CHUNK = 1 << 15
+    _END_DEPTH = int(_sum_depth(3 * SIZE))  # of a fresh end's terms
 
     def __init__(self, terms, term_rel=None, origin: int = 1, stop: Optional[int] = None) -> None:
         self._terms, self._term_rel, self._origin = terms, term_rel, origin
         self._max_blocks = math.inf if stop is None else (stop - origin) // self.SIZE
         self._sums = np.zeros(0)
         # runs of blocks of equal term_rel: the first block of each, its rel
-        self._cuts: List[int] = []
-        self._rels: List[float] = []
+        self._cuts = np.zeros(0, dtype=np.int64)
+        self._rels = np.zeros(0)
 
     def _grow(self, blocks: int, cap: int) -> None:
         """Fill the table to at least min(blocks, cap) blocks, in whole
@@ -1060,13 +1110,13 @@ class _BlockSums:
             j += n
         self._sums = np.concatenate(parts)
         if self._term_rel is not None:
-            kept = bisect.bisect_left(self._cuts, first)
-            del self._cuts[kept:], self._rels[kept:]
+            kept = np.searchsorted(self._cuts, first)
+            cuts, rels = self._cuts[:kept], self._rels[:kept]
             ends = self._origin + size * np.arange(first + 1, goal + 1, dtype=np.float64)
             rel = self._term_rel(ends)
-            new = np.flatnonzero(np.diff(rel, prepend=self._rels[-1] if self._rels else -1.0))
-            self._cuts += (first + new).tolist()
-            self._rels += rel[new].tolist()
+            new = np.flatnonzero(np.diff(rel, prepend=rels[-1] if rels.size else -1.0))
+            self._cuts = np.concatenate([cuts, first + new])
+            self._rels = np.concatenate([rels, rel[new]])
 
     def _fresh(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Reduceat sums of the terms over each offset range [lo, hi) of
@@ -1083,14 +1133,14 @@ class _BlockSums:
     def _rel_pads(self, f: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Sum of rho_j T_j over the blocks j of each range [f, e), in
         ascending order: one reduceat sum per run of equal rho inside it."""
-        cuts = np.array(self._cuts)
+        cuts = self._cuts
         first = np.searchsorted(cuts, f, "right") - 1
         count = np.searchsorted(cuts, e, "left") - first
         rng = np.repeat(np.arange(f.size), count)
         run = np.arange(rng.size) - np.repeat(np.cumsum(count) - count, count) + first[rng]
         lo = np.maximum(f[rng], cuts[run])
         hi = np.minimum(e[rng], np.append(cuts[1:], e[-1])[run])
-        parts = np.array(self._rels)[run] * _range_sums(self._sums, lo, hi)
+        parts = self._rels[run] * _range_sums(self._sums, lo, hi)
         return np.bincount(rng, weights=parts, minlength=f.size)
 
     def masses(self, bounds: Sequence[int]) -> List[Interval]:
@@ -1104,7 +1154,7 @@ class _BlockSums:
         cap = min(guard_index(), 1 << 52) // size  # blocks the table may hold
         if bounds[-1] - o > (cap + 2) * size:
             raise GuardExceeded("block sums past the work guard")
-        x = np.array([v - o for v in bounds], dtype=np.int64)
+        x = np.array(bounds, dtype=np.int64) - o
         a, b = x[:-1], x[1:]
         f, e = -(-a // size), np.minimum(b // size, cap)  # whole blocks [f, e) of [a, b)
         whole = f < e
@@ -1113,7 +1163,7 @@ class _BlockSums:
         ends = self._fresh(np.concatenate([a, np.where(whole, e * size, b)]),
                            np.concatenate([c, b]))
         p1, p2 = ends[: a.size], ends[a.size :]
-        w, depth = np.zeros(a.size), np.full(a.size, _sum_depth(3 * size))
+        w, depth = np.zeros(a.size), np.full(a.size, self._END_DEPTH)
         f, e = f[whole], e[whole]
         if f.size:
             self._grow(int(e[-1]), cap)
@@ -1122,7 +1172,8 @@ class _BlockSums:
         s = (w + p1) + p2
         pad = (depth + 204) * _U * s  # (d + 202) u s, d = depth + 2
         if self._term_rel is not None:
-            pad += self._term_rel(c + float(o)) * p1 + self._term_rel(b + float(o)) * p2
+            rel = self._term_rel(np.concatenate([c, b]) + float(o))
+            pad += rel[: a.size] * p1 + rel[a.size :] * p2
             if f.size:
                 pad[whole] += self._rel_pads(f, e)
         return widened_arrays(np.maximum(s - pad, 0.0), s + pad)
@@ -1193,7 +1244,8 @@ class _AlternatingZero(_Base):
         terms at most), else the first with gamma_{n+1} <= 2^-20
         Gamma_start (or 2 target, if smaller): the rest is at most 2^-20
         of the tail wide. n never passes the work guard or 64 start; past
-        the guard the rest alone answers.
+        the guard the rest alone answers. One gamma_arrays call reads the
+        gamma_{n+1} of every candidate n (bit for bit gamma_iv).
 
         Any other base keeps the crude rest 0 <= E <= Gamma_{n+1}, with n
         grown fourfold from start + 4096 until that rest is below 1e-3 of
@@ -1210,16 +1262,19 @@ class _AlternatingZero(_Base):
                 goal = min(goal, 2.0 * target)
             fine = 2.0 * _U * scale
 
-            def first(limit: float, last: int) -> int:
-                n, step = start - 2, 2
-                while n < last and base.gamma_iv(n + 1).hi > limit:
-                    n, step = min(start - 2 + step, last), 2 * step
-                return n
+            ns = [start - 2]  # then start - 2 + 2^j, j >= 1, up to cap
+            while ns[-1] < cap:
+                ns.append(min(start - 2 + (2 << len(ns) - 1), cap))
+            g_lo, g_hi = (a.tolist() for a in base.gamma_arrays([n + 1 for n in ns]))
 
-            n = first(fine, min(start + 4094, cap))
-            if base.gamma_iv(n + 1).hi > fine:
-                n = first(max(goal, 1e-300), cap)
-            t, g = base.tail(n + 1), base.gamma_iv(n + 1)
+            def first(limit: float, last: int) -> int:
+                return next(i for i, n in enumerate(ns) if n >= last or g_hi[i] <= limit)
+
+            i = first(fine, min(start + 4094, cap))
+            if g_hi[i] > fine:
+                i = first(max(goal, 1e-300), cap)
+            n = ns[i]
+            t, g = base.tail(n + 1), Interval(g_lo[i], g_hi[i])
             tail = Interval(max(((t - g) * 0.5).lo, 0.0), (t * 0.5).hi)
             if n >= start:
                 tail = self._evens.masses([start // 2, n // 2 + 1])[0] + tail
@@ -1237,6 +1292,9 @@ class _AlternatingZero(_Base):
         if base is None:
             return None
         return np.where(ks % 2 == 1, 0.0, base)
+
+    def k_gamma(self, k: int) -> Interval:
+        return Interval.exact(0.0) if k % 2 == 1 else self.base.k_gamma(k)
 
     def index_for_tail_bound(self, target: float, start: int) -> Optional[int]:
         # the even-index tail is bounded by the full base tail
@@ -1305,6 +1363,7 @@ class _CosineModulated(_Base):
     sums_terms = True
 
     _DEFAULT_TARGET = 3.0 * 2.0**-23  # default tail resolution
+    _last_rest: tuple = (None, None)  # (n, rest(n)) of tail_batch
     _EM_C = 1.1907  # >= sqrt(2) pi / 6 + sqrt(2) / pi
     _VAR_C = 1.4810  # >= sqrt(2) pi / 3
     _SQRT2_PI = math.sqrt(2.0) / math.pi  # sqrt(2) / pi within 2.2 u
@@ -1525,7 +1584,9 @@ class _CosineModulated(_Base):
         far = [self.rest(k) for k in ks[len(summed) :]]
         if not summed:
             return far
-        acc = self.rest(n)
+        if self._last_rest[0] != n:  # n depends on the target only: a search shares it
+            self._last_rest = (n, self.rest(n))
+        acc = self._last_rest[1]
         head: List[Interval] = []
         for m in reversed(self._sums.masses(summed + [n])):
             acc = m + acc
@@ -1860,7 +1921,8 @@ def gamma_tail(spec: DiscountSpec, k: int, target: Optional[float] = None) -> In
     if k < 1:
         raise ValueError("index k must be >= 1")
     _check_target(target)
-    iv = _impl(spec).tail(k, target)
+    impl = _impl(spec)
+    iv = impl.default_tail(k) if target is None else impl.tail(k, target)
     return iv if spec.scale == 1.0 else iv * spec.scale
 
 

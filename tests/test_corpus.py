@@ -126,6 +126,23 @@ def test_one_entry_window_one_ulp_high_is_caught(monkeypatch) -> None:
     assert any("decomposition != table" in f for f in failures)
 
 
+def test_quadratic_window_weight_one_ulp_high_is_caught(monkeypatch) -> None:
+    # the telescope's exact check reads the window's gamma_arrays: one
+    # weight whose enclosure sits one ulp above the correctly rounded
+    # 1 / (j (j+1)) must be named
+    real = d.gamma_arrays
+
+    def high(spec, ks):
+        lo, hi = real(spec, ks)
+        if spec.family == "quadratic":
+            j = ks[len(ks) // 2]
+            lo[len(ks) // 2] = hi[len(ks) // 2] = math.nextafter(1 / (j * (j + 1)), math.inf)
+        return lo, hi
+
+    monkeypatch.setattr(d, "gamma_arrays", high)
+    assert any("window weight misses 1/(j(j+1))" in f for f in _failures())
+
+
 def mixture_reference(rng, tally, label) -> None:
     """corpus._trial_mixture in Fractions, before its integer mirror."""
     g = Fraction(1, 2) if rng.random() < 0.7 else Fraction(1, 4)

@@ -757,7 +757,8 @@ def test_quadratic_keeps_its_bits_inside_the_float_range() -> None:
 
 def test_effective_horizon_takes_each_tail_once(monkeypatch) -> None:
     # the two searches of the generic effective_horizon probe many of the
-    # same h; without the shared tails they took 33 here
+    # same h; without the shared tails they took 33 here, and the doubling
+    # search with shared tails 17 (effective_horizon_reference)
     impl = d._CosineModulated()
     calls = []
     tail = impl.tail
@@ -768,4 +769,176 @@ def test_effective_horizon_takes_each_tail_once(monkeypatch) -> None:
 
     monkeypatch.setattr(impl, "tail", counted)
     assert impl.effective_horizon(141) == d.effective_horizon(h.cosine_modulated(), 141)
-    assert len(calls) == len(set(calls)) == 17
+    assert len(calls) == len(set(calls)) == 12
+
+
+def effective_horizon_reference(impl, k: int) -> IntegerInterval:
+    """_Base.effective_horizon before it searched under the tail-bound
+    hint: h doubles from 1 and is then bisected, once per test."""
+    tail_k = impl.tail(k)
+    if not tail_k.lo > 0.0:
+        raise UndefinedMetric(f"tail enclosure not positive at k={k}")
+    if tail_k.width > 0.5 * tail_k.lo:
+        raise EnclosureAmbiguous("tail enclosure too wide to halve certainly")
+    half_hi = 0.5 * tail_k.hi + 2 * math.ulp(tail_k.hi)
+    half_lo = 0.5 * tail_k.lo - 2 * math.ulp(tail_k.lo)
+    target = tail_k.lo * 5e-4
+    seen: dict = {}
+
+    def tail_at(step: int) -> Interval:
+        if step not in seen:
+            seen[step] = impl.tail(k + step, target)
+        return seen[step]
+
+    def first_with(pred) -> int:
+        hi = 1
+        while not pred(tail_at(hi)):
+            hi *= 2
+            if hi > d.guard_index():
+                raise d.GuardExceeded("effective horizon search exceeded guard")
+        lo = 0 if hi == 1 else hi // 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if pred(tail_at(mid)):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    h_possible = first_with(lambda iv: iv.lo <= half_hi)
+    h_certain = first_with(lambda iv: iv.hi <= half_lo)
+    return IntegerInterval(min(h_possible, h_certain), h_certain)
+
+
+_TABLE = [1.0 / (i * (i + 1)) for i in range(1, 201)]
+_SEARCHED = {
+    "cosine": h.cosine_modulated(),
+    "alternating": h.alternating_zero(),
+    "alternating:power": h.alternating_zero(h.power(0.5)),
+    "alternating:geometric": h.alternating_zero(h.geometric(0.9)),
+    "patched": d.build_patched([1, 2]),
+    "custom:power": h.custom(_TABLE, ("power", 1.0)),
+    "custom": h.custom(_TABLE),
+    "power": h.power(0.5),
+    "harmonic": h.harmonic_like(),
+    "scaled": h.power(1.0).with_scale(3.0),
+}
+
+
+def _counted_search(spec, k: int, search):
+    """(search's answer or its error type, the (index, target) of each tail
+    it took), on a fresh family object."""
+    impl = d._FAMILIES[spec.family](*spec.params)
+    calls = []
+    tail = impl.tail
+
+    def counted(i, target=None):
+        calls.append((i, target))
+        return tail(i, target)
+
+    impl.tail = counted
+    try:
+        answer = search(impl, k)
+    except (UndefinedMetric, EnclosureAmbiguous, ValueError, d.GuardExceeded) as exc:
+        answer = type(exc)
+    return answer, calls
+
+
+@pytest.mark.parametrize("name", list(_SEARCHED))
+def test_effective_horizon_search_equals_the_doubling_search(name) -> None:
+    # the search under the tail-bound hint gives the same answers with fewer
+    # tails over the grid; where the hint is loose (patched's sits at its
+    # final geometric stretch) and h is small, one case may take two more,
+    # the cost of bisecting over the hint's bit length
+    spec = _SEARCHED[name]
+    ks = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 150, 199, 200, 233, 377, 610, 987]
+    new_total = ref_total = 0
+    for k in ks:
+        want, ref_calls = _counted_search(spec, k, effective_horizon_reference)
+        got, calls = _counted_search(spec, k, type(d._impl(spec)).effective_horizon)
+        assert got == want, (name, k)
+        assert len(calls) == len(set(calls)) <= len(ref_calls) + 2, (name, k)
+        if isinstance(want, IntegerInterval):
+            assert d.effective_horizon(spec, k) == want
+        new_total += len(calls)
+        ref_total += len(ref_calls)
+    assert new_total <= ref_total
+    if name not in ("custom", "custom:power"):  # no hint inside the table, or none at all
+        assert new_total < ref_total
+
+
+def test_custom_table_without_tail_model_is_not_probed_past_its_end() -> None:
+    # the hint K + 1 lies past the table, where tail raises
+    spec = h.custom([0.5, 0.3, 0.2])
+    assert d.effective_horizon(spec, 1) == IntegerInterval(1, 2)
+    assert d.effective_horizon(spec, 2) == IntegerInterval(1, 1)
+
+
+def test_shared_tail_follows_the_work_guard(monkeypatch) -> None:
+    # default_tail keeps the last tail of a family, keyed by k and the
+    # guard: a cosine tail past the guard is its closed-form rest alone
+    spec, k = h.cosine_modulated(), 3000
+    monkeypatch.setenv("HORIZONLAB_GUARD", "100000000")
+    summed = d.gamma_tail(spec, k)
+    assert d.gamma_tail(spec, k) is summed
+    monkeypatch.setenv("HORIZONLAB_GUARD", "1000")
+    rest = d.gamma_tail(spec, k)
+    assert rest == d._impl(spec).rest(k) != summed
+    assert d.quasi_horizon(spec, k) == rest / d.gamma_iv(spec, k)
+    monkeypatch.setenv("HORIZONLAB_GUARD", "100000000")
+    assert d.gamma_tail(spec, k) == summed
+    assert d.horizon_ratio(spec, k) == (d.gamma_iv(spec, k) * Interval.exact(k)) / summed
+
+
+def test_reused_cosine_rest_is_a_fresh_rest() -> None:
+    # tail_batch keeps its last rest(n): n depends on the target only, so a
+    # second batch at the same target reads the kept one
+    impl, fresh = d._CosineModulated(), d._CosineModulated()
+    first = impl.tail_batch([100, 200], 1e-9)
+    n, rest = impl._last_rest
+    assert n == impl._reach(0.25e-9) and rest == fresh.rest(n)
+    again = impl.tail_batch([150, 300], 1e-9)
+    assert impl._last_rest[1] is rest
+    assert again == fresh.tail_batch([150, 300], 1e-9)
+    assert first == d._CosineModulated().tail_batch([100, 200], 1e-9)
+
+
+def alternating_rest_index_reference(base, start: int, cap: int, fine: float, goal: float) -> int:
+    """_AlternatingZero.tail's rest index before it read the candidate
+    weights through one gamma_arrays call: one gamma_iv per step."""
+
+    def first(limit: float, last: int) -> int:
+        n, step = start - 2, 2
+        while n < last and base.gamma_iv(n + 1).hi > limit:
+            n, step = min(start - 2 + step, last), 2 * step
+        return n
+
+    n = first(fine, min(start + 4094, cap))
+    if base.gamma_iv(n + 1).hi > fine:
+        n = first(max(goal, 1e-300), cap)
+    return n
+
+
+@pytest.mark.parametrize("base", [h.quadratic(), h.power(0.5), h.geometric(0.9), h.step_log(),
+                                  h.harmonic_like()], ids=lambda s: s.family)
+@pytest.mark.parametrize("k", [1, 2, 7, 150, 4000, 99_999, 10**7])
+@pytest.mark.parametrize("target", [None, 1e-12])
+def test_batched_alternating_search_equals_the_per_step_loop(monkeypatch, base, k, target) -> None:
+    monkeypatch.setenv("HORIZONLAB_GUARD", "50000000")
+    impl = d._AlternatingZero(base)
+    start = k + k % 2
+    cap = min(d.guard_index(), max(start * 64, 1 << 22))
+    cap -= cap % 2
+    scale = impl.base.tail(start).lo
+    goal = impl._SHARP * scale if target is None else min(impl._SHARP * scale, 2.0 * target)
+    n = alternating_rest_index_reference(impl.base, start, cap, 2.0 * d._U * scale, goal)
+    rests = []
+    real = impl.base.tail
+    monkeypatch.setattr(impl.base, "tail", lambda i, t=None: rests.append(i) or real(i, t))
+    got = impl.tail(k, target)
+    assert rests[-1] == n + 1
+    t, g = real(n + 1), impl.base.gamma_iv(n + 1)
+    want = Interval(max(((t - g) * 0.5).lo, 0.0), (t * 0.5).hi)
+    if n >= start:
+        want = impl._evens.masses([start // 2, n // 2 + 1])[0] + want
+    assert got == Interval(max(want.lo, 0.0), want.hi)

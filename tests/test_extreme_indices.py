@@ -4,6 +4,9 @@ hold the true value, and a positive value never comes back as [0, 0]."""
 
 from __future__ import annotations
 
+import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -120,3 +123,89 @@ def test_cosine_tail_past_the_normal_range_stays_at_or_above_zero(k) -> None:
     lo, hi = Fraction(1, k), Fraction(3, k - 1)
     iv = d.gamma_tail(h.cosine_modulated(), k)
     assert 0.0 <= iv.lo <= lo and hi <= iv.hi <= 3 / (k - 1) + 5e-324
+
+
+def _ratio_range(k: int, spec) -> tuple:
+    """[lo, hi] holding k gamma_k / Gamma_k from the integral sandwich
+    F(k) <= Gamma_k <= F(k) + gamma_k (F the integral of the weight past
+    k), in mpmath at 60 digits: power (and its even weights, which are
+    2^(-1-eps) times the power weights at k/2) and harmonic-like."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        x = mpmath.mpf(k)
+        if spec.family == "harmonic_like":
+            ln = mpmath.log(x)
+            kg, f, g = 1 / ln**2, 1 / ln, 1 / (x * ln**2)
+        else:
+            eps = mpmath.mpf(0.5)
+            kg = x**-eps
+            if spec.family == "power":
+                f, g = x**-eps / eps, x ** (-1 - eps)
+            else:  # alternating over power, k even: the weights (2j)^(-1-eps), j >= k/2
+                m, c = x / 2, mpmath.mpf(2) ** (-1 - eps)
+                f, g = c * m**-eps / eps, c * m ** (-1 - eps)
+        return kg / (f + g), kg / f
+
+
+@pytest.mark.parametrize("spec", [h.power(0.5), h.harmonic_like(), h.alternating_zero(h.power(0.5)),
+                                  h.power(0.5).with_scale(4.0)],
+                         ids=["power", "harmonic-like", "alternating-power", "scaled-power"])
+@pytest.mark.parametrize("k", [2**1024 + 2, 10**400], ids=["2^1024+2", "10^400"])
+def test_horizon_ratio_past_the_float_range_holds_the_ratio(spec, k) -> None:
+    # k gamma_k from its closed form where k has no float (was OverflowError)
+    lo, hi = _ratio_range(k, spec)
+    iv = d.horizon_ratio(spec, k)
+    assert iv.lo <= lo and hi <= iv.hi
+    assert iv.hi - iv.lo <= 1e-11 * iv.hi
+
+
+@pytest.mark.parametrize("g, k", [(0.9, 10**400), (0.5, 10**400), (0.3, 2**1030),
+                                  (1 - 2**-53, 2**1024 + 1), (0.75, 2**1025 - 1)],
+                         ids=["0.9-10^400", "0.5-10^400", "0.3-2^1030", "1-2^-53-2^1024+1",
+                              "0.75-2^1025-1"])
+def test_geometric_horizon_ratio_past_the_float_range(g, k) -> None:
+    exact = k * (1 - Fraction(g))
+    iv = d.horizon_ratio(h.geometric(g), k)
+    assert iv.lo <= exact <= iv.hi
+    if exact > Fraction(sys.float_info.max):
+        assert iv == h.Interval(sys.float_info.max, math.inf)
+    else:  # (1 - 2^-53) and 0.75 at 2^1024 + 1 and 2^1025 - 1: inside the float range
+        assert iv.hi < math.inf and iv.hi - iv.lo <= 4 * math.ulp(float(exact))
+
+
+@pytest.mark.parametrize("k", [2**1023 + 1, 2**1024, 2**1024 + 1, 10**400],
+                         ids=["2^1023+1", "2^1024", "2^1024+1", "10^400"])
+def test_step_log_quasi_horizon_past_the_float_range(k) -> None:
+    # Gamma_k / gamma_k = num / 2 in integers (_step_log_tail over 4^-n)
+    n = (k - 1).bit_length()
+    exact = _step_log_tail(k) * 4**n
+    iv = d.quasi_horizon(h.step_log(), k)
+    assert iv.lo <= exact <= iv.hi
+    if exact > Fraction(sys.float_info.max):
+        assert iv == h.Interval(sys.float_info.max, math.inf)
+
+
+def test_power_weight_past_the_float_range_is_its_pair() -> None:
+    k = 10**400
+    assert d.gamma(h.power(0.5), k) == 0.0  # k^-1.5 = 1e-600 rounds to 0
+    assert d.gamma(h.power(1e-3), k) == math.exp(-1.001 * math.log(k))
+
+
+def test_table_past_the_float_range_ends_in_exit_codes(capsys) -> None:
+    # geometric answers every cell; power's effective horizon (about 3e400)
+    # passes the work guard, a typed error with its documented exit code
+    k = str(10**400)
+    assert cli.main(["table", "--discount", "geometric:0.9", "--k", k, "--format", "csv"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.endswith('"[1.7976931348623157e+308, inf]"')
+    assert cli.main(["table", "--discount", "power:0.5", "--k", k]) == cli.EXIT_LIMIT_INCONCLUSIVE
+    assert "work guard exceeded: effective horizon search exceeded guard" in capsys.readouterr().err
+
+
+def test_power_value_past_the_float_range(capsys) -> None:
+    k = 10**400
+    code = cli.main(["eval", "--reward", "periodic:1,0", "--discount", "power:0.5",
+                     "--v-at", str(k), "--format", "json"])
+    assert code == 0
+    v = json.loads(capsys.readouterr().out)["V"]
+    assert v["lo"] <= 0.5 <= v["hi"] and v["hi"] - v["lo"] < 1e-9
