@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import corpus as _c
@@ -493,7 +494,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and the append action copies its default list."""
     parser = argparse.ArgumentParser(
         prog="horizonlab",
         description=__doc__,

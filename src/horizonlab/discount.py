@@ -33,7 +33,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -203,6 +203,24 @@ def _rel_pad_arrays(values: np.ndarray, rel) -> Tuple[np.ndarray, np.ndarray]:
     return widened_arrays(values - pad, values + pad)
 
 
+def _positive_pad_pair(value: float, rel: float) -> Pair:
+    """_rel_pad_pair of a positive quantity, under the underflow policy: cut
+    at 0, and [0, 5e-324] where the value rounded to 0 (it lies below the
+    least subnormal then)."""
+    if value == 0.0:
+        return 0.0, 5e-324
+    lo, hi = _rel_pad_pair(value, rel)
+    return max(lo, 0.0), hi
+
+
+def _positive_pad_arrays(values: np.ndarray, rel) -> Tuple[np.ndarray, np.ndarray]:
+    """_positive_pad_pair on each value, bit for bit."""
+    lo, hi = _rel_pad_arrays(values, rel)
+    zero = values == 0.0
+    hi[zero] = 5e-324
+    return np.maximum(lo, 0.0), hi
+
+
 def _pow_rel(base: float) -> float:
     """Relative error bound of base**expo for a float base > 0 (_pow_iv)."""
     return _U * (8.0 + 2.0 * abs(math.log(base)))
@@ -234,13 +252,14 @@ def _pow_iv(base, expo: float) -> Interval:
 def _pow_arrays(
     bases: Sequence, expo: float, logs: Optional[Sequence[float]] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """lo and hi of _pow_iv(b, expo) for each b, bit for bit: one scalar
-    pow per base, then the padding in numpy. logs, the math.log of each
-    base, lets several exponents share them."""
+    """_positive_pad_pair(*_pow_parts(b, expo)) for each b, as lo and hi
+    arrays, bit for bit: one scalar pow per base, then the padding in
+    numpy. logs, the math.log of each base, lets several exponents share
+    them."""
     if logs is None:
         logs = [math.log(b) for b in bases]
     parts = [_pow_parts(b, expo, ln) for b, ln in zip(bases, logs)]
-    return _rel_pad_arrays(np.array([y for y, _ in parts]), np.array([r for _, r in parts]))
+    return _positive_pad_arrays(np.array([y for y, _ in parts]), np.array([r for _, r in parts]))
 
 
 def _subnormal_pair(y: float) -> Pair:
@@ -296,6 +315,12 @@ class _Base:
         None: no runs path; V is summed densely.
     sums_terms: False (default) when tails cost O(polylog k), so truncation
         indices may pass the work guard; True when tails sum terms.
+    target_free: True (default) when tail(k, target) is a closed form in
+        k alone, so a tail, and whatever is built from tails alone, may
+        serve several targets: V at several indices shares its rest probes
+        and mass ends (value.disc_value_details, segment_masses' picks).
+        False for the families that sum their tails (alternating and cosine
+        read the target) and for alternating's even view.
     monotone: True only when gamma is provably nonincreasing. V's rest
         enclosure by summation by parts (value._rest_enclosure) relies on
         it or on variation; the cosine and alternating families are False,
@@ -331,6 +356,7 @@ class _Base:
     monotone = True
     mass_form: Optional[str] = "tails"
     sums_terms = False
+    target_free = True
 
     @classmethod
     def to_json(cls, params: tuple) -> dict:
@@ -393,10 +419,22 @@ class _Base:
     def segment_mass_arrays(
         self, bounds: Sequence[int], target: Optional[float] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """lo and hi of the mass over each [bounds[j], bounds[j+1]): the
-        tail differences Gamma_a - Gamma_b of tail_batch, widened as
-        Interval subtraction widens and clamped at 0, on float64 arrays."""
-        t_lo, t_hi = self.tail_arrays(bounds, target)
+        """lo and hi of the mass over each [bounds[j], bounds[j+1]), on
+        float64 arrays: gap_masses of mass_ends. Each end is a function of
+        its bound alone, so ends taken over more bounds and gathered give
+        the same bits (segment_masses' picks)."""
+        return self.gap_masses(self.mass_ends(bounds, target))
+
+    def mass_ends(self, bounds: Sequence[int], target: Optional[float] = None) -> Tuple[np.ndarray, ...]:
+        """The per-bound arrays whose gaps gap_masses takes: lo and hi of
+        tail_batch by default."""
+        return self.tail_arrays(bounds, target)
+
+    def gap_masses(self, ends: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        """The tail differences Gamma_a - Gamma_b over each gap of the
+        bounds of ends, widened as Interval subtraction widens and clamped
+        at 0."""
+        t_lo, t_hi = ends
         with np.errstate(invalid="ignore"):  # inf - inf: NaN, refused by segment_masses
             lo, hi = widened_arrays(t_lo[:-1] - t_hi[1:], t_hi[:-1] - t_lo[1:])
         return np.maximum(lo, 0.0), np.maximum(hi, 0.0)
@@ -570,7 +608,10 @@ class _Geometric(_Base):
             d = -self.dyadic_exp
             y = 1 / (((1 << d) - 1) << d * (k - 1)) if d * (k - 1) < 1100 else 0.0
             return Interval(*_subnormal_pair(y))
-        return self.gamma_iv(k) / self.one_minus_g
+        if k >> 1023:  # g^k <= g^(2^1023) < 2^-1074 (1 - g) for every float g < 1
+            return Interval(0.0, 5e-324)
+        iv = self.gamma_iv(k) / self.one_minus_g
+        return iv if iv.lo >= 0.0 else Interval(0.0, iv.hi)  # a weight that underflowed
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
         if self.dyadic_exp is not None:  # 2^(d k) exactly (0 below 2^-1074), as gamma
@@ -774,13 +815,16 @@ class _Integrable(_Base):
         transcendentals are taken once."""
         raise NotImplementedError
 
-    def segment_mass_arrays(
-        self, bounds: Sequence[int], target: Optional[float] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def mass_ends(self, bounds: Sequence[int], target: Optional[float] = None) -> Tuple[np.ndarray, ...]:
+        """bound_arrays: gamma and the integral tail at each bound."""
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+            return self.bound_arrays(bounds)
+
+    def gap_masses(self, ends: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
         """The sandwich above over each gap, in float64 lo/hi arrays that
         replay the interval operations of gamma_pair and integral_pair."""
-        with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
-            glo, ghi, tlo, thi = self.bound_arrays(bounds)
+        glo, ghi, tlo, thi = ends
+        with np.errstate(over="ignore", invalid="ignore"):
             # both brackets are >= 0, so each of the four roundings errs by
             # at most half an ulp of the result; widening adds four
             lo, hi = widened_arrays(tlo[:-1] - thi[1:], (thi[:-1] - tlo[1:]) + (ghi[:-1] - glo[1:]))
@@ -805,12 +849,12 @@ class _Power(_Integrable):
             return _pow_parts(k, -1.0 - self.eps)[0]
 
     def gamma_pair(self, k: int) -> Pair:
-        return _rel_pad_pair(*_pow_parts(k, -1.0 - self.eps))
+        return _positive_pad_pair(*_pow_parts(k, -1.0 - self.eps))
 
     def integral_pair(self, k: int) -> Pair:
         """int_k^inf x^(-1-eps) dx = k^(-eps) / eps; the quotients by the
         point eps > 0 keep lo's and hi's order."""
-        lo, hi = _rel_pad_pair(*_pow_parts(k, -self.eps))
+        lo, hi = _positive_pad_pair(*_pow_parts(k, -self.eps))
         return widened_pair(lo / self.eps, hi / self.eps)
 
     def k_gamma(self, k: int) -> Interval:
@@ -1190,6 +1234,7 @@ class _AlternatingZero(_Base):
     monotone = False
     mass_form = None
     sums_terms = True
+    target_free = False
 
     def __init__(self, base: DiscountSpec) -> None:
         self.base = _impl(base)
@@ -1313,7 +1358,11 @@ class _EvenWeights(_Base):
     weight at 2j, so w is nonincreasing too, and its tail
     W_j = sum_{j' >= j} w_{j'} is the alternating tail Gamma_{2j}. As the
     odd weights vanish, sum_{i > 2m} gamma_i r_i = sum_{j > m} w_j r_{2j}
-    exactly (value._truncate)."""
+    exactly (value._truncate). Its tails are alternating's, which read the
+    target; sums_terms stays False, as _enveloped_truncation takes no tail
+    hint here."""
+
+    target_free = False
 
     def __init__(self, alternating: _AlternatingZero) -> None:
         self._alt = alternating
@@ -1361,6 +1410,7 @@ class _CosineModulated(_Base):
     monotone = False
     mass_form = "blocks"
     sums_terms = True
+    target_free = False
 
     _DEFAULT_TARGET = 3.0 * 2.0**-23  # default tail resolution
     _last_rest: tuple = (None, None)  # (n, rest(n)) of tail_batch
@@ -1642,6 +1692,7 @@ class _Patched(_Base):
     note = ("harmonic-shaped segments re-anchored at geometric weights on a "
             "doubling threshold ladder")
     sums_terms = True
+    target_free = False
 
     @staticmethod
     def make(thresholds: Sequence[int]) -> DiscountSpec:
@@ -1713,6 +1764,8 @@ class _Patched(_Base):
     def _seg_mass(self, seg: PatchedSegment, k: int) -> Interval:
         """Mass of gamma over [k, seg.end], or [k, inf) for the final segment."""
         if seg.kind == "geometric":
+            if seg.end == 0 and (k - seg.start) >> 1023:
+                return Interval(0.0, 5e-324)  # g^(2^1023) is below 2^-2^969 for every float g < 1
             gk = _rel_pad_iv(_seg_gamma(seg, k), 16 * _U)
             one_minus = Interval.rounded(1.0 - seg.g) if seg.g < 0.5 else Interval.exact(1.0 - seg.g)
             if seg.end == 0:
@@ -1738,10 +1791,10 @@ class _Patched(_Base):
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         j = self._seg_index(k)
         seg = self.segments[j]
-        if seg.end == 0:
-            return self._seg_mass(seg, k)
-        rest = self._suffix[j + 1]
-        return self._seg_mass(seg, k) + rest
+        iv = self._seg_mass(seg, k)
+        if seg.end != 0:
+            iv = iv + self._suffix[j + 1]
+        return iv if iv.lo >= 0.0 else Interval(0.0, iv.hi)  # weights that underflowed
 
     def index_for_tail_bound(self, target: float, start: int) -> int:
         final = self.segments[-1]
@@ -1801,11 +1854,37 @@ class _Custom(_Base):
             return self.gammas[k - 1]
         if self.tail_model is None:
             raise ValueError(f"index {k} beyond custom table without a tail model")
+        return self._model_weight(k)[0]
+
+    def gamma_iv(self, k: int) -> Interval:
+        if k <= self.K or self.tail_model is None:
+            return super().gamma_iv(k)
+        g, rel = self._model_weight(k)
+        return Interval(*_positive_pad_pair(g, max(rel, 8 * _U)))
+
+    def _model_weight(self, k: int) -> Tuple[float, float]:
+        """The tail model's weight at k > K, and a relative error bound
+        beyond the pads that gamma_iv and _model_tail give it (0 where
+        k / K has a float). A geometric weight is 0 past 2^1023 steps
+        (p^(2^1023) rounds to 0 for every float p < 1); a power weight
+        past the float range of k / K is _ratio_pow's, through logs."""
         kind, p = self.tail_model
         anchor = self.gammas[-1]
         if kind == "geometric":
-            return anchor * p ** (k - self.K)
-        return anchor * (k / self.K) ** (-1.0 - p)
+            return anchor * p ** min(k - self.K, 1 << 1023), 0.0
+        try:
+            return anchor * (k / self.K) ** (-1.0 - p), 0.0
+        except OverflowError:
+            return self._ratio_pow(k, -1.0 - p, anchor)
+
+    def _ratio_pow(self, k: int, expo: float, scale: float = 1.0) -> Pair:
+        """scale (k / K)^expo for k / K past the float range, scale > 0, and
+        its relative error bound: one exp of a sum of logs, each log good to
+        an ulp as in _pow_parts, so that only the exp's rounding can
+        underflow."""
+        logs = math.log(scale), math.log(k), math.log(self.K)
+        x = logs[0] + expo * (logs[1] - logs[2])
+        return math.exp(x), _U * (8.0 + 4.0 * (abs(logs[0]) + abs(expo) * (logs[1] + logs[2])))
 
     def _model_tail(self, k: int) -> Interval:
         """Enclosure of the continuation mass from max(k, K+1) onward."""
@@ -1813,15 +1892,23 @@ class _Custom(_Base):
             return Interval.exact(0.0)
         kind, p = self.tail_model
         start = max(k, self.K + 1)
-        gk_iv = _rel_pad_iv(self.gamma(start), 16 * _U)
+        g, rel = self._model_weight(start)
+        gk_iv = _rel_pad_iv(g, max(rel, 16 * _U))
         if kind == "geometric":
+            if (start - self.K) >> 1023:
+                return Interval(0.0, 5e-324)  # p^(2^1023) is below 2^-2^969 for every float p < 1
             one_minus = Interval.rounded(1.0 - p) if p < 0.5 else Interval.exact(1.0 - p)
-            return gk_iv / one_minus
+            iv = gk_iv / one_minus
+            return iv if iv.lo >= 0.0 else Interval(0.0, iv.hi)  # a weight that underflowed
         # power continuation anchored at the table edge:
         # sum_{i>=s} A (i/K)^(-1-p) sandwiched by the integral
         # A K/p (s/K)^(-p) from below and that plus gamma_s from above.
         anchor_iv = _rel_pad_iv(self.gammas[-1], 8 * _U)
-        integral = anchor_iv * _pow_iv(start / self.K, -p) * Interval.rounded(self.K / p)
+        try:
+            ratio = _pow_iv(start / self.K, -p)
+        except OverflowError:  # start / K past the float range
+            ratio = _rel_pad_iv(*self._ratio_pow(start, -p))
+        integral = anchor_iv * ratio * Interval.rounded(self.K / p)
         hi = (integral + gk_iv).hi
         return Interval(max(integral.lo, 0.0), hi)
 
@@ -1943,14 +2030,22 @@ def segment_masses(
     target: Optional[float] = None,
     *,
     arrays: bool = False,
+    picks: Optional[Iterable[np.ndarray]] = None,
 ):
     """Enclosures of the gamma mass over [bounds[j], bounds[j+1]) for each j.
 
     Every family answers with lo and hi float64 arrays
     (_Base.segment_mass_arrays), and this is the one place that turns
     them into Intervals; arrays=True returns the two arrays instead, as
-    V's runs path sums them unboxed (value._runs_value). A scale
+    V's runs path sums them unboxed (value._runs_values). A scale
     multiplies both ends as Interval * scale does, bit for bit.
+
+    picks, increasing index arrays into bounds, each of length >= 2, ask
+    instead for the masses over the gaps of each bounds[pick], one
+    result per pick, made as it is read: the ends (mass_ends) are taken
+    once over bounds and gathered per pick, which gives the bits of
+    segment_masses(spec, bounds[pick]). Only a target_free family shares
+    its ends so.
 
     Cosine sums these directly from its block table (module docstring),
     so no truncation term is shared and differences stay sharp; with a
@@ -1962,7 +2057,19 @@ def segment_masses(
     if len(bounds) < 2 or any(b <= a for a, b in zip(bounds, bounds[1:])):
         raise ValueError("bounds must be strictly increasing, length >= 2")
     _check_target(target)
-    lo, hi = _impl(spec).segment_mass_arrays(bounds, target)
+    impl = _impl(spec)
+    if picks is None:
+        return _boxed_masses(spec, impl.segment_mass_arrays(bounds, target), arrays)
+    if not impl.target_free:
+        raise ValueError(f"{spec.family} masses cannot share their ends between picks")
+    ends = impl.mass_ends(bounds, target)
+    return (_boxed_masses(spec, impl.gap_masses(tuple(e[p] for e in ends)), arrays)
+            for p in picks)
+
+
+def _boxed_masses(spec: DiscountSpec, masses: Tuple[np.ndarray, np.ndarray], arrays: bool):
+    """segment_masses' answer from the lo and hi arrays of a family."""
+    lo, hi = masses
     if np.isnan(lo).any() or np.isnan(hi).any():
         raise ValueError("interval endpoints must not be NaN")
     if spec.scale != 1.0:

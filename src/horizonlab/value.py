@@ -20,6 +20,12 @@ mass of the 1-runs (reward.one_segments), read in the family's mass_form
 Families with no mass_form, and other rewards, are summed densely
 (geometric in ratio form) over reward.reward_at or reward.reward_vec;
 disc_value_detail says how the path is picked.
+
+disc_value_details takes V at several indices in one pass, with the bits
+of one disc_value_detail call per index: the indices share their runs,
+and under a target_free family their rest probes and the ends of their
+segment masses. disc_value_detail is its batch of one, and limit_scan
+calls it once per V scan.
 """
 
 from __future__ import annotations
@@ -301,7 +307,12 @@ def _rest_enclosure(
 
 
 def _enveloped_truncation(
-    fam: "_d._Base", env: _r.WindowEnvelope, k: int, target: float, cap: int
+    fam: "_d._Base",
+    env: _r.WindowEnvelope,
+    k: int,
+    target: float,
+    cap: int,
+    probes: Optional[dict] = None,
 ) -> Tuple[int, Interval, bool]:
     """(M, rest, attained): an M in [k - 1, max(cap, k)] whose _rest_enclosure
     is at most target/2 wide, the rest past M, and whether the target was
@@ -315,16 +326,24 @@ def _enveloped_truncation(
     its tails first tries its tail hint, taken as-is when it passes (as in
     _truncation_index); cosine's hint, about 3/target, would pass far past
     the least index.
-    """
-    seen: dict = {}
 
-    def ok(m: int) -> bool:
+    probes, keyed by M, holds the rest enclosures already taken. A
+    target_free family's probe is a function of M alone, so V at several
+    indices may share one table (disc_value_details); by default each
+    search keeps its own.
+    """
+    seen = {} if probes is None else probes
+
+    def probe(m: int) -> Interval:
         if m not in seen:
             seen[m] = _rest_enclosure(fam, env, m, 0.25 * target)
-        return seen[m].width <= 0.5 * target
+        return seen[m]
+
+    def ok(m: int) -> bool:
+        return probe(m).width <= 0.5 * target
 
     if cap < k and not ok(k):
-        return k - 1, _rest_enclosure(fam, env, k - 1, 0.25 * target), False
+        return k - 1, probe(k - 1), False
     cap = max(cap, k)
     if fam.sums_terms and fam.monotone:
         hint = fam.index_for_tail_bound(0.5 * target, k)
@@ -351,6 +370,7 @@ def _truncate(
     tail_k: Interval,
     tol: float,
     cap: int,
+    probes: Optional[dict] = None,
 ) -> Tuple[int, Interval, bool]:
     """(N, rest, attained): the truncation index, an enclosure of
     sum_{i>N} gamma_i r_i and whether its width met the target of the
@@ -365,7 +385,10 @@ def _truncate(
     N = 2M >= k. A guard
     below that start leaves M = floor((k-1)/2): nothing is summed, and as
     gamma_{k-1} = 0 for even k the rest is the one past N = k - 1. The
-    others get [0, Gamma_{N+1}] (_truncation_index)."""
+    others get [0, Gamma_{N+1}] (_truncation_index). probes is a
+    rest-probe table of _enveloped_truncation that the indices of one
+    pass share where the family is target_free; the even view and the
+    other families keep one per search."""
     fam = _d._impl(dspec)
     target = tol * tail_k.lo
     view = fam.even_view()
@@ -378,7 +401,8 @@ def _truncate(
     else:
         env = _r.window_envelope(rspec)
         if env is not None and (fam.monotone or env.p == 0.0 and fam.variation(k) is not None):
-            return _enveloped_truncation(fam, env, k, target, cap)
+            return _enveloped_truncation(fam, env, k, target, cap,
+                                         probes if fam.target_free else None)
     n_trunc, tail, attained = _truncation_index(dspec, k, tail_k, tol, cap)
     return n_trunc, Interval(0.0, tail.hi), attained
 
@@ -397,7 +421,18 @@ def _budget_end(rspec: _r.RewardSpec, k: int) -> Optional[int]:
 def _runs_value(
     rspec: _r.RewardSpec, dspec: _d.DiscountSpec, k: int, tol: float
 ) -> Tuple[Interval, Interval, int, bool]:
-    """(numerator, denominator, truncation, attained) for binary runs.
+    """_runs_values at the one index k, raising what it records."""
+    part = _runs_values(rspec, dspec, [k], tol)[0]
+    if isinstance(part, _d.UndefinedMetric):
+        raise part
+    return part
+
+
+def _runs_values(
+    rspec: _r.RewardSpec, dspec: _d.DiscountSpec, ks: Sequence[int], tol: float
+) -> List:
+    """(numerator, denominator, truncation, attained) for binary runs at
+    each of the increasing indices ks, or the UndefinedMetric met there.
 
     The numerator is the mass of the 1-run pieces in [k, N] plus the rest
     past N. The pieces are ordered and never touch, so their ends,
@@ -421,14 +456,52 @@ def _runs_value(
     is dropped and the value attained. Generated runs stop N before the
     run that would pass _SEG_CAP pieces (closed form, _budget_end); a
     tolerance out of reach there is not attained.
+
+    The indices share three things, none of which moves a bit: the rest
+    probes of a target_free family (one table, keyed by M), the runs (one
+    enumeration per stretch of overlapping [k, N], _run_bounds) and, in
+    the tails form of a target_free family, the mass ends (one
+    segment_masses call over the union of the bounds, gathered per k).
     """
     impl = _d._impl(dspec)
-    form = impl.mass_form
     # an even-length explicit list has no 1s past its last change point
     pts = rspec.params[1] if rspec.params[0] == "explicit" else ()
     last = pts[-1] if pts and len(pts) % 2 == 0 else None
+    probes: dict = {}
+    plans: List = []
+    for k in ks:
+        try:
+            plans.append(_runs_plan(rspec, dspec, impl, k, tol, last, probes))
+        except _d.UndefinedMetric as exc:
+            plans.append(exc)
+    live = [p for p in plans if not isinstance(p, _d.UndefinedMetric)]
+    cuts = _run_bounds(rspec, [(p[0], p[1]) for p in live])
+    if impl.mass_form == "tails" and impl.target_free:
+        masses = _shared_masses(dspec, cuts)
+    else:
+        masses = (None for _ in cuts)
+    out = iter([_runs_finish(dspec, impl, plan, bounds, last, m)
+                for plan, bounds, m in zip(live, cuts, masses)])
+    return [p if isinstance(p, _d.UndefinedMetric) else next(out) for p in plans]
+
+
+def _runs_plan(
+    rspec: _r.RewardSpec,
+    dspec: _d.DiscountSpec,
+    impl: "_d._Base",
+    k: int,
+    tol: float,
+    last: Optional[int],
+    probes: dict,
+) -> tuple:
+    """The per-index half of _runs_values before the runs are listed:
+    (k, N, denominator, target, rest past N, attained); the blocks form
+    leaves the denominator and the rest to _runs_finish, and the ratios
+    form the rest."""
+    form = impl.mass_form
     budget_end = None if form == "ratios" else _budget_end(rspec, k)
     attained = True
+    denom = target = unseen = None
     if form == "ratios":
         denom = Interval.exact(1.0)
         n_trunc = _ratio_truncation(impl, k, tol)
@@ -456,9 +529,61 @@ def _runs_value(
             cap = guard_index() if impl.sums_terms else _N_CAP
             if budget_end is not None:
                 cap = min(cap, budget_end)
-            n_trunc, unseen, attained = _truncate(rspec, dspec, k, denom, tol, cap)
-    segs = _r.one_segments(rspec, k, n_trunc)
-    bounds = [x for seg in segs for x in seg]
+            n_trunc, unseen, attained = _truncate(rspec, dspec, k, denom, tol, cap, probes)
+    return k, n_trunc, denom, target, unseen, attained
+
+
+def _run_bounds(rspec: _r.RewardSpec, spans: List[Tuple[int, int]]) -> List[List[int]]:
+    """The flattened reward.one_segments(rspec, k, n) of each span (k, n),
+    for increasing k: one enumeration per stretch of overlapping spans,
+    then per span the pieces that meet [k, n + 1), found by bisection,
+    with the first and the last cut to it."""
+    out: List[List[int]] = []
+    j = 0
+    while j < len(spans):
+        group, (lo, hi) = j, spans[j]
+        while j + 1 < len(spans) and spans[j + 1][0] <= hi + 1:
+            j += 1
+            hi = max(hi, spans[j][1])
+        flat = [x for seg in _r.one_segments(rspec, lo, hi) for x in seg]
+        starts, ends = flat[0::2], flat[1::2]
+        for k, n in spans[group : j + 1]:
+            a, b = bisect.bisect_right(ends, k), bisect.bisect_left(starts, n + 1)
+            bounds = flat[2 * a : 2 * b] if n >= k else []
+            if bounds:
+                bounds[0], bounds[-1] = max(bounds[0], k), min(bounds[-1], n + 1)
+            out.append(bounds)
+        j += 1
+    return out
+
+
+def _shared_masses(dspec: _d.DiscountSpec, cuts: List[List[int]]):
+    """The masses over the gaps of each nonempty bound list of cuts, from
+    one segment_masses call over their union (empty lists get empty
+    ones), as lo and hi lists, made as they are read."""
+    union = sorted({x for bounds in cuts for x in bounds})
+    if not union:
+        return (([], []) for _ in cuts)
+    pos = {x: j for j, x in enumerate(union)}
+    picks = (np.array([pos[x] for x in bounds]) for bounds in cuts if bounds)
+    masses = _d.segment_masses(dspec, union, arrays=True, picks=picks)
+    return (([], []) if not bounds else tuple(a.tolist() for a in next(masses))
+            for bounds in cuts)
+
+
+def _runs_finish(
+    dspec: _d.DiscountSpec,
+    impl: "_d._Base",
+    plan: tuple,
+    bounds: List[int],
+    last: Optional[int],
+    masses: Optional[Tuple[List[float], List[float]]],
+) -> Tuple[Interval, Interval, int, bool]:
+    """The per-index half of _runs_values once the bounds of k are listed:
+    masses holds the tails form's shared masses, if any."""
+    k, n_trunc, denom, target, unseen, attained = plan
+    form = impl.mass_form
+    pieces = len(bounds) // 2
     first = 0
     finite_done = last is not None and last <= n_trunc + 1
     if form == "ratios":
@@ -475,7 +600,7 @@ def _runs_value(
         # with no 1s past the last piece (finite_done), the gaps up to its
         # end are summed without a target, so the numerator stays as sharp
         # as the table; only the gaps past it may take a coarser form
-        split = first + 2 * len(segs) - 1 if finite_done and segs else 0
+        split = first + 2 * pieces - 1 if finite_done and pieces else 0
         lo, hi = [], []
         if split:
             lo, hi = _masses(dspec, bounds[: split + 1])
@@ -485,6 +610,8 @@ def _runs_value(
         rest = impl.rest(end)
         denom = _interval_sum(lo, hi) + rest
         unseen = Interval(0.0, rest.hi)
+    elif masses is not None:
+        lo, hi = masses
     else:
         lo, hi = _masses(dspec, bounds, target) if bounds else ([], [])
     s = _interval_sum(lo[first::2], hi[first::2])
@@ -560,10 +687,11 @@ def disc_value_detail(
     tol: float = 1e-3,
     strict: bool = True,
 ) -> ValueDetail:
-    """V_{kg} as an enclosure with diagnostics.
+    """V_{kg} as an enclosure with diagnostics: disc_value_details at the
+    one index k, raising the UndefinedMetric it records.
 
     Paths: constant and product_zero are exact. Binary-run rewards take
-    the runs path (_runs_value) when the family has a mass_form (tails,
+    the runs path (_runs_values) when the family has a mass_form (tails,
     blocks or ratios); the rest are summed densely, in ratio form for a
     ratios family. On the dense branch a periodic reward gets the rest of
     _rest_enclosure under a monotone discount, under cosine and under
@@ -574,44 +702,82 @@ def disc_value_detail(
     within the work guard; strict=False returns the best achieved
     enclosure with attained=False.
     """
-    if k < 1:
-        raise ValueError("index k must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    dspec = dspec.unscaled()  # V is scale-free; identical bits either way
-    if rspec.family == "constant":
-        a = rspec.params[0]
-        iv = Interval.exact(a)
-        return ValueDetail(iv, iv, 0, "constant", True)
-    if _product_is_zero(rspec, dspec):
-        iv = Interval.exact(0.0)
-        return ValueDetail(iv, iv, 0, "product_zero", True)
-
-    impl = _d._impl(dspec)
-    if _r.is_binary_runs(rspec) and impl.mass_form is not None:
-        path = "runs"
-        numerator, denom, n_trunc, attained = _runs_value(rspec, dspec, k, tol)
-    elif impl.mass_form == "ratios":
-        path, denom, attained = "dense", Interval.exact(1.0), True
-        numerator, n_trunc = _dense_relative(rspec, impl, k, tol)
-    else:
-        path = "dense"
-        tail_k = _d.gamma_tail(dspec, k, _tail_target(tol, k))
-        if not tail_k.lo > 0.0:
-            raise _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
-        n_trunc, unseen, attained = _truncate(rspec, dspec, k, tail_k, tol, guard_index())
-        s = _dense_sum(rspec, dspec, k, n_trunc, tail_k)
-        numerator = Interval(max(s.lo + unseen.lo, 0.0), s.hi + unseen.hi)
-        denom = tail_k
-
-    raw = numerator / denom
-    clamped = raw.clamp(0.0, 1.0)
-    detail = ValueDetail(clamped, raw, n_trunc, path, attained)
-    if strict and not attained:
+    detail = disc_value_details(rspec, dspec, [k], tol)[0]
+    if isinstance(detail, _d.UndefinedMetric):
+        raise detail
+    if strict and not detail.attained:
         raise InconclusiveEnclosure(
             f"tolerance {tol} unattainable within the work guard at k={k}", detail
         )
     return detail
+
+
+def disc_value_details(
+    rspec: _r.RewardSpec, dspec: _d.DiscountSpec, ks: Sequence[int], tol: float = 1e-3
+) -> List:
+    """V_{kg} at each of the increasing indices ks in one pass: the
+    ValueDetail that disc_value_detail(k, strict=False) returns, bit for
+    bit, or the UndefinedMetric it raises where V is undefined.
+
+    The runs path shares its runs, and for a target_free family its rest
+    probes and mass ends, between the indices (_runs_values); the dense
+    path shares the rest probes. Each V keeps its own sums.
+    """
+    ks = list(ks)
+    if not ks or ks[0] < 1:
+        raise ValueError("index k must be >= 1")
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("indices must be strictly increasing")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    dspec = dspec.unscaled()  # V is scale-free; identical bits either way
+    if rspec.family == "constant":
+        iv = Interval.exact(rspec.params[0])
+        return [ValueDetail(iv, iv, 0, "constant", True)] * len(ks)
+    if _product_is_zero(rspec, dspec):
+        iv = Interval.exact(0.0)
+        return [ValueDetail(iv, iv, 0, "product_zero", True)] * len(ks)
+
+    impl = _d._impl(dspec)
+    if _r.is_binary_runs(rspec) and impl.mass_form is not None:
+        path, parts = "runs", _runs_values(rspec, dspec, ks, tol)
+    else:
+        path, probes, parts = "dense", {}, []
+        for k in ks:
+            try:
+                parts.append(_dense_value(rspec, dspec, impl, k, tol, probes))
+            except _d.UndefinedMetric as exc:
+                parts.append(exc)
+    out: List = []
+    for part in parts:
+        if isinstance(part, _d.UndefinedMetric):
+            out.append(part)
+            continue
+        numerator, denom, n_trunc, attained = part
+        raw = numerator / denom
+        out.append(ValueDetail(raw.clamp(0.0, 1.0), raw, n_trunc, path, attained))
+    return out
+
+
+def _dense_value(
+    rspec: _r.RewardSpec,
+    dspec: _d.DiscountSpec,
+    impl: "_d._Base",
+    k: int,
+    tol: float,
+    probes: dict,
+) -> Tuple[Interval, Interval, int, bool]:
+    """(numerator, denominator, truncation, attained) of the dense path."""
+    if impl.mass_form == "ratios":
+        numerator, n_trunc = _dense_relative(rspec, impl, k, tol)
+        return numerator, Interval.exact(1.0), n_trunc, True
+    tail_k = _d.gamma_tail(dspec, k, _tail_target(tol, k))
+    if not tail_k.lo > 0.0:
+        raise _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
+    n_trunc, unseen, attained = _truncate(rspec, dspec, k, tail_k, tol, guard_index(), probes)
+    s = _dense_sum(rspec, dspec, k, n_trunc, tail_k)
+    numerator = Interval(max(s.lo + unseen.lo, 0.0), s.hi + unseen.hi)
+    return numerator, tail_k, n_trunc, attained
 
 
 def disc_value(
@@ -783,7 +949,8 @@ def limit_scan(
     rewards (tagged lo / hi) and, for V of a periodic reward, with
     phase-offset probes m+1..m+p-1 at each schedule point (tagged
     sched). The result lists every evaluated point; its requested flags
-    mark the points of the caller's schedule, whatever their tag.
+    mark the points of the caller's schedule, whatever their tag. V is
+    taken at every point in one disc_value_details pass.
     """
     if quantity not in ("U", "V"):
         raise ValueError("quantity must be 'U' or 'V'")
@@ -819,13 +986,14 @@ def limit_scan(
     kept_tags: List[str] = []
     misses: Counter = Counter()
     skipped = 0
-    for m, tag in zip(indices, tags):
+    if quantity == "V":
+        details = disc_value_details(rspec, dspec, indices, tol / 3.0)
+    for j, (m, tag) in enumerate(zip(indices, tags)):
         if quantity == "U":
             values.append(Interval.rounded(avg_value(rspec, m)))
         else:
-            try:
-                det = disc_value_detail(rspec, dspec, m, tol / 3.0, strict=False)
-            except _d.UndefinedMetric:
+            det = details[j]
+            if isinstance(det, _d.UndefinedMetric):
                 skipped += 1  # V undefined there (discount tail is zero)
                 continue
             if not det.attained:

@@ -209,3 +209,71 @@ def test_power_value_past_the_float_range(capsys) -> None:
     assert code == 0
     v = json.loads(capsys.readouterr().out)["V"]
     assert v["lo"] <= 0.5 <= v["hi"] and v["hi"] - v["lo"] < 1e-9
+
+
+# ROADMAP item 8's underflow policy: a positive quantity that underflows
+# is [0, 5e-324], or tighter from an int quotient, never below 0. These
+# three reached below 0 at 10^400 ([-2e-323, 7e-323], [-7e-323, 7e-323]
+# and [-2.5e-323, 2.5e-323]); the true values are below 1e-600.
+@pytest.mark.parametrize("quantity", [
+    lambda k: d.gamma_tail(h.geometric(0.9), k),
+    lambda k: d.gamma_tail(h.build_patched([1, 2]), k),
+    lambda k: d.gamma_iv(h.power(0.5), k),
+], ids=["geometric:0.9 tail", "patched:1,2 tail", "power:0.5 weight"])
+def test_underflowed_positive_quantities_stay_at_or_above_zero(quantity) -> None:
+    assert quantity(10**400) == h.Interval(0.0, 5e-324)
+
+
+@pytest.mark.parametrize("k", [10**300, 10**400, 2**1024 + 1, 10**215, 10**214],
+                         ids=["10^300", "10^400", "2^1024+1", "10^215", "10^214"])
+def test_power_weight_past_underflow_and_its_batch_mirror(k) -> None:
+    # k^-1.5 rounds to 0 from about 10^216 on, and is a subnormal just below
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = mpmath.mpf(k) ** mpmath.mpf(-1.5)
+    iv = d.gamma_iv(h.power(0.5), k)
+    assert 0.0 <= iv.lo <= exact <= iv.hi
+    impl = d._impl(h.power(0.5))
+    glo, ghi, _, _ = impl.bound_arrays([k])
+    lo, hi = d.gamma_arrays(h.power(0.5), [k])
+    assert (glo[0], ghi[0]) == (lo[0], hi[0]) == iv.pair
+
+
+def _custom_spec_file(tmp_path, kind: str, param: float) -> str:
+    path = tmp_path / f"custom_{kind}.json"
+    path.write_text(json.dumps({"family": "custom", "params": {
+        "table": [0.5, 0.25], "tail": {"type": kind, "param": param}}}))
+    return f"@{path}"
+
+
+def test_custom_tail_models_past_the_float_range(tmp_path, capsys) -> None:
+    # k / K and p^(k - K) raised OverflowError in every primitive (exit 1).
+    # The geometric model's weight and tail, and the power 1 model's tail
+    # (1e-400), are below the least subnormal, so every horizon cell reads
+    # "-"; the power 0.01 model's effective horizon (about k) passes the
+    # work guard, as power's does
+    k = str(10**400)
+    for kind, param, tail in [("geometric", 0.5, "[0.0, 5e-324]"), ("power", 1.0, "[0.0, 1.14e-322]")]:
+        spec = _custom_spec_file(tmp_path, kind, param)
+        assert cli.main(["table", "--discount", spec, "--k", k, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(f'custom,{k},0.0,"{tail}",-,-,-')
+    spec = _custom_spec_file(tmp_path, "power", 0.01)
+    assert cli.main(["table", "--discount", spec, "--k", k]) == cli.EXIT_LIMIT_INCONCLUSIVE
+    assert "work guard exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [2**1024 * 2, 10**400, 10**1000], ids=["2^1025", "10^400", "10^1000"])
+@pytest.mark.parametrize("p", [1.0, 0.01])
+def test_custom_power_model_past_the_float_range_holds_its_weight_and_tail(k, p) -> None:
+    # gamma_k = A (k/K)^(-1-p) and A K/p (k/K)^-p <= Gamma_k <= that + gamma_k
+    mpmath = pytest.importorskip("mpmath")
+    spec = h.custom([0.5, 0.25], ("power", p))
+    with mpmath.workdps(60):
+        ratio = mpmath.mpf(k) / 2
+        weight = mpmath.mpf(0.25) * ratio ** (-1 - mpmath.mpf(p))
+        integral = mpmath.mpf(0.25) * 2 / mpmath.mpf(p) * ratio ** -mpmath.mpf(p)
+    g = d.gamma_iv(spec, k)
+    assert 0.0 <= g.lo <= weight <= g.hi and g.hi > 0.0
+    tail = d.gamma_tail(spec, k)
+    assert 0.0 <= tail.lo <= integral and integral + weight <= tail.hi
+    assert tail.hi - tail.lo <= 1e-9 * tail.hi + 1e-300

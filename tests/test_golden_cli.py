@@ -202,6 +202,30 @@ def test_cli_output_matches_golden(name, golden, monkeypatch, capsys) -> None:
     assert (code, captured.out, captured.err) == (want["exit"], want["stdout"], want["stderr"])
 
 
+def test_back_to_back_calls_print_the_golden_bytes(golden, monkeypatch, capsys) -> None:
+    # cli.main builds its parser once per process; argparse errors and the
+    # help print what a parser built afresh prints
+    monkeypatch.chdir(GOLDEN_DIR)
+
+    def exits(parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    for _ in range(2):
+        for name in ("table_custom_file", "limits_exponential_harmonic"):
+            argv, _guard = CASES[name]
+            code = cli.main(list(argv))
+            captured = capsys.readouterr()
+            want = golden[name]
+            assert (code, captured.out, captured.err) == (want["exit"], want["stdout"], want["stderr"])
+        for argv in (["table", "--bogus"], ["--help"], ["limits", "--help"]):
+            fresh = exits(cli._build_parser.__wrapped__().parse_args, argv)
+            assert exits(cli.main, argv) == fresh and fresh[0] in (0, 2)
+    assert cli._build_parser() is cli._build_parser()
+
+
 def _capture() -> None:
     record = {}
     for name in sorted(CASES):

@@ -192,12 +192,13 @@ def test_segment_masses_raise_as_the_scalar_loop_does() -> None:
 
 def test_pow_arrays_keep_libm_pow_per_element() -> None:
     # numpy's vectorised power may differ from pow in the last bit; the
-    # kernels call pow per element, so they agree with _pow_iv exactly
+    # kernels call pow per element, so they agree with the scalar form
+    # exactly (_pow_iv under the underflow policy, which 10^400^-1.5 meets)
     bases = list(range(1, 5000)) + [2**1000 + 5, 10**400]
     for expo in (-1.5, -0.5, -1.001, -2.3):
         lo, hi = d._pow_arrays(bases, expo)
         for j, b in enumerate(bases):
-            want = d._pow_iv(b, expo)
+            want = Interval(*d._positive_pad_pair(*d._pow_parts(b, expo)))
             assert bits(lo[j]) == bits(want.lo) and bits(hi[j]) == bits(want.hi), (b, expo)
     assert math.isfinite(lo[-1])
 
@@ -741,10 +742,20 @@ def quadratic_reference(impl, k):
     return g, t
 
 
+def positive_reference(value, rel):
+    """rel_pad_reference of a positive quantity under the underflow policy:
+    cut at 0, and [0, 5e-324] where the value rounded to 0."""
+    if value == 0.0:
+        return Interval(0.0, 5e-324)
+    iv = rel_pad_reference(value, rel)
+    return Interval(max(iv.lo, 0.0), iv.hi)
+
+
 def power_reference(impl, k):
-    """(gamma_iv, tail) of _Power before its float pairs."""
-    g = rel_pad_reference(*d._pow_parts(k, -1.0 - impl.eps))
-    integral = rel_pad_reference(*d._pow_parts(k, -impl.eps)) / Interval.exact(impl.eps)
+    """(gamma_iv, tail) of _Power before its float pairs; its powers
+    follow the underflow policy."""
+    g = positive_reference(*d._pow_parts(k, -1.0 - impl.eps))
+    integral = positive_reference(*d._pow_parts(k, -impl.eps)) / Interval.exact(impl.eps)
     return g, Interval(integral.lo, (g + integral).hi)
 
 
@@ -908,3 +919,45 @@ def test_window_sums_hold_the_exact_sums_of_their_ends() -> None:
         if trial % 10 == 0:
             lhs, rhs = telescope_reference([d.gamma_iv(dspec, j) for j in range(k, k + w + 2)])
             assert lhs.encloses(Interval(l_lo, l_hi)) and rhs.encloses(Interval(r_lo, r_hi))
+
+
+# -- shared mass ends ------------------------------------------------------------
+#
+# V at several indices takes the mass ends once over the union of their
+# bounds and gathers them per index (segment_masses' picks). Each end is a
+# function of its bound alone, so the gap arithmetic over gathered ends must
+# give the bits of segment_mass_arrays over the sub-list itself, also where
+# the union, and not the sub-list, takes a scalar fallback.
+
+_END_POOL = ([1, 2, 3, 4, 5] + list(range(6, 5000, 37)) + [2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1,
+             2**63, 2**63 + 1, 2**200, 2**1023, 2**1024 - 1, 2**1024, 2**1024 + 1, 10**400])
+
+
+@pytest.mark.parametrize("name", ["quadratic", "power0.5", "power1.3", "harmonic_like", "step_log",
+                                  "finite", "geometric", "custom_tail", "scaled_harmonic"])
+def test_gathered_ends_give_the_masses_of_each_sub_list(name) -> None:
+    dspec = _MASS_FAMILIES[name]
+    impl = d._impl(dspec.unscaled())
+    assert impl.target_free
+    rng = random.Random(name)
+    for _ in range(40):
+        union = sorted(rng.sample(_END_POOL, rng.randint(2, 24)))
+        picks = [sorted(rng.sample(range(len(union)), rng.randint(2, len(union)))) for _ in range(3)]
+        ends = impl.mass_ends(union)
+        shared = d.segment_masses(dspec, union, arrays=True, picks=[np.array(p) for p in picks])
+        for pick, (lo, hi) in zip(picks, shared):
+            sub = [union[j] for j in pick]
+            want = d.segment_masses(dspec, sub, arrays=True)
+            if dspec.scale == 1.0:
+                gathered = impl.gap_masses(tuple(e[np.array(pick)] for e in ends))
+                direct = impl.segment_mass_arrays(sub)
+                assert all(bits(a) == bits(b) for x, y in zip(gathered, direct)
+                           for a, b in zip(x.tolist(), y.tolist())), (union, pick)
+            assert all(bits(a) == bits(b) for x, y in zip((lo, hi), want)
+                       for a, b in zip(x.tolist(), y.tolist())), (union, pick)
+
+
+def test_summed_families_do_not_share_their_ends() -> None:
+    for dspec in (d.cosine_modulated(), d.alternating_zero(), d.build_patched([1, 2])):
+        with pytest.raises(ValueError, match="cannot share their ends"):
+            d.segment_masses(dspec, [1, 2, 3], picks=[np.array([0, 2])])

@@ -710,3 +710,95 @@ def test_runs_path_work_is_pinned(monkeypatch, rspec, dspec, k, tol, probes, bou
     det = v.disc_value_detail(rspec, dspec, k, tol, strict=False)
     assert det.attained and det.path == "runs"
     assert seen == {"probes": probes, "bounds": bounds, "points": points}
+
+
+# -- V at several indices in one pass -------------------------------------------------
+#
+# disc_value_details shares the runs, and for a target_free family the rest
+# probes and the mass ends, between its indices; limit_scan calls it once per
+# V scan. Every value keeps the bits of disc_value_detail at its index.
+
+
+def _same_detail(got, want) -> bool:
+    return (got.truncation, got.path, got.attained) == (want.truncation, want.path, want.attained) \
+        and all(math.copysign(1.0, a) == math.copysign(1.0, b) and a == b
+                for a, b in zip(got.raw.pair + got.interval.pair, want.raw.pair + want.interval.pair))
+
+
+_BATCH_REWARDS = [h.linear_runs(), h.exponential_runs(), h.explicit_change_points([2, 5, 9, 30]),
+                  h.explicit_change_points([3, 4, 50])]
+_BATCH_REWARD_IDS = ["linear", "exponential", "explicit-even", "explicit-odd"]
+
+
+@pytest.mark.parametrize("dspec, sched", [
+    (h.power(0.5), [3, 64, 600, 5000]),
+    (h.harmonic_like(), [3, 64, 600, 5000]),
+    (h.quadratic(), [3, 64, 600, 5000]),
+    (h.step_log(), [3, 64, 600, 5000]),
+    (h.alternating_zero(), [3, 40, 120]),
+    (h.cosine_modulated(), [3, 40, 300]),
+], ids=["power", "harmonic_like", "quadratic", "step_log", "alternating", "cosine"])
+@pytest.mark.parametrize("rspec", _BATCH_REWARDS, ids=_BATCH_REWARD_IDS)
+def test_scan_values_are_the_single_index_values(rspec, dspec, sched) -> None:
+    for tol in (1e-3, 5e-2):
+        est = v.limit_scan(rspec, dspec, "V", sched, tol)
+        details = v.disc_value_details(rspec, dspec, est.indices, tol / 3.0)
+        for m, value, det in zip(est.indices, est.values, details):
+            want = v.disc_value_detail(rspec, dspec, m, tol / 3.0, strict=False)
+            assert _same_detail(det, want), (m, tol, det, want)
+            assert value.pair == want.interval.pair, (m, tol)
+
+
+@pytest.mark.parametrize("rspec, dspec, ks, tol", [
+    # truncations at the 10^500 ceiling: bounds past the float range, where
+    # harmonic-like's bound_arrays takes its scalar fallback for the union
+    (h.exponential_runs(), h.harmonic_like(), [100, 2**53 + 1, 2**70, 10**22, 2**200], 5e-2 / 3),
+    # power's truncations pass 2^63 from k of about 2^60 on
+    (h.linear_runs(), h.power(0.5), [100, 2**53 + 1, 2**70, 10**22], 1e-3),
+    (h.exponential_runs(), h.quadratic(), [7, 2**53 + 1, 2**64 + 3, 10**22], 1e-3),
+    (h.explicit_change_points([5, 10**6, 10**7, 10**30]), h.harmonic_like(), [3, 10**5, 10**8], 1e-3),
+], ids=["exp-harm", "lin-pow", "exp-quad", "explicit-harm"])
+def test_batch_past_int64_and_the_float_range_keeps_every_bit(rspec, dspec, ks, tol) -> None:
+    details = v.disc_value_details(rspec, dspec, ks, tol)
+    assert max(det.truncation for det in details) >= 2**63
+    for k, det in zip(ks, details):
+        assert _same_detail(det, v.disc_value_detail(rspec, dspec, k, tol, strict=False)), k
+
+
+def test_batch_records_undefined_values_in_place() -> None:
+    # quadratic's tail underflows from k of about 2^1074: V is undefined
+    # there, and the scan skips the point (it raised before the batch)
+    ks = [10, 2**1080]
+    got = v.disc_value_details(h.linear_runs(), h.quadratic(), ks, 1e-3)
+    assert isinstance(got[1], d.UndefinedMetric) and not isinstance(got[0], Exception)
+    with pytest.raises(d.UndefinedMetric, match=str(got[1])):
+        v.disc_value_detail(h.linear_runs(), h.quadratic(), 2**1080)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        v.disc_value_details(h.linear_runs(), h.quadratic(), [10, 10], 1e-3)
+
+
+def test_slow_tails_scan_work_is_pinned(monkeypatch, capsys) -> None:
+    # the benchmark's one-shot `limits` scan (exponential runs x harmonic-like,
+    # 16 points, tol 0.05 / 3): the points share one rest-probe table and one
+    # segment_masses call over the union of their bounds; one call per point
+    # took 372 probes and sent 4,250 bounds through 16 segment_masses calls
+    import horizonlab.cli as cli
+
+    seen = {"probes": 0, "bounds": 0, "calls": 0}
+    rest, masses = v._rest_enclosure, d.segment_masses
+
+    def counted_rest(*args):
+        seen["probes"] += 1
+        return rest(*args)
+
+    def counted_masses(spec, bs, *args, **kwargs):
+        seen["bounds"] += len(bs)
+        seen["calls"] += 1
+        return masses(spec, bs, *args, **kwargs)
+
+    monkeypatch.setattr(v, "_rest_enclosure", counted_rest)
+    monkeypatch.setattr(d, "segment_masses", counted_masses)
+    code = cli.main(["limits", "--reward", "exponential-runs", "--discount", "harmonic-like",
+                     "--schedule", "list:100,1000,8000", "--tol", "0.05"])
+    assert code == cli.EXIT_LIMIT_INCONCLUSIVE
+    assert seen["probes"] <= 302 and seen["bounds"] <= 526 and seen["calls"] == 1, seen
