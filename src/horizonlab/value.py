@@ -461,7 +461,8 @@ def _runs_values(
     probes of a target_free family (one table, keyed by M), the runs (one
     enumeration per stretch of overlapping [k, N], _run_bounds) and, in
     the tails form of a target_free family, the mass ends (one
-    segment_masses call over the union of the bounds, gathered per k).
+    segment_masses call over the union of the bounds, gathered per k,
+    _shared_masses).
     """
     impl = _d._impl(dspec)
     # an even-length explicit list has no 1s past its last change point
@@ -480,8 +481,8 @@ def _runs_values(
         masses = _shared_masses(dspec, cuts)
     else:
         masses = (None for _ in cuts)
-    out = iter([_runs_finish(dspec, impl, plan, bounds, last, m)
-                for plan, bounds, m in zip(live, cuts, masses)])
+    out = iter([_runs_finish(dspec, impl, plan, cut, last, m)
+                for plan, cut, m in zip(live, cuts, masses)])
     return [p if isinstance(p, _d.UndefinedMetric) else next(out) for p in plans]
 
 
@@ -533,12 +534,13 @@ def _runs_plan(
     return k, n_trunc, denom, target, unseen, attained
 
 
-def _run_bounds(rspec: _r.RewardSpec, spans: List[Tuple[int, int]]) -> List[List[int]]:
+def _run_bounds(rspec: _r.RewardSpec, spans: List[Tuple[int, int]]) -> List[tuple]:
     """The flattened reward.one_segments(rspec, k, n) of each span (k, n),
-    for increasing k: one enumeration per stretch of overlapping spans,
-    then per span the pieces that meet [k, n + 1), found by bisection,
-    with the first and the last cut to it."""
-    out: List[List[int]] = []
+    for increasing k, as a cut (flat, a, b, first, last): the pieces a to
+    b - 1 of flat, one enumeration per stretch of overlapping spans, that
+    meet [k, n + 1) (found by bisection), the first starting at first and
+    the last ending at last (_cut_bounds lists them)."""
+    out: List[tuple] = []
     j = 0
     while j < len(spans):
         group, (lo, hi) = j, spans[j]
@@ -549,40 +551,59 @@ def _run_bounds(rspec: _r.RewardSpec, spans: List[Tuple[int, int]]) -> List[List
         starts, ends = flat[0::2], flat[1::2]
         for k, n in spans[group : j + 1]:
             a, b = bisect.bisect_right(ends, k), bisect.bisect_left(starts, n + 1)
-            bounds = flat[2 * a : 2 * b] if n >= k else []
-            if bounds:
-                bounds[0], bounds[-1] = max(bounds[0], k), min(bounds[-1], n + 1)
-            out.append(bounds)
+            if a >= b or n < k:
+                out.append((flat, 0, 0, None, None))
+            else:
+                out.append((flat, a, b, max(flat[2 * a], k), min(flat[2 * b - 1], n + 1)))
         j += 1
     return out
 
 
-def _shared_masses(dspec: _d.DiscountSpec, cuts: List[List[int]]):
-    """The masses over the gaps of each nonempty bound list of cuts, from
-    one segment_masses call over their union (empty lists get empty
-    ones), as lo and hi lists, made as they are read."""
-    union = sorted({x for bounds in cuts for x in bounds})
+def _cut_bounds(cut: tuple) -> List[int]:
+    """The bounds of a cut of _run_bounds, as a new list."""
+    flat, a, b, first, last = cut
+    bounds = flat[2 * a : 2 * b]
+    if bounds:
+        bounds[0], bounds[-1] = first, last
+    return bounds
+
+
+def _shared_masses(dspec: _d.DiscountSpec, cuts: List[tuple]):
+    """The masses over the gaps of the bounds of each cut, from one
+    segment_masses call over the union of the enumerated bounds and the
+    cut ends (an empty cut gets empty ones), as lo and hi lists, made as
+    they are read."""
+    flats = {id(cut[0]): cut[0] for cut in cuts}.values()
+    union = sorted({x for flat in flats for x in flat}
+                   | {x for cut in cuts if cut[2] for x in cut[3:]})
     if not union:
         return (([], []) for _ in cuts)
     pos = {x: j for j, x in enumerate(union)}
-    picks = (np.array([pos[x] for x in bounds]) for bounds in cuts if bounds)
-    masses = _d.segment_masses(dspec, union, arrays=True, picks=picks)
-    return (([], []) if not bounds else tuple(a.tolist() for a in next(masses))
-            for bounds in cuts)
+    at = {id(flat): np.array([pos[x] for x in flat], dtype=np.int64) for flat in flats}
+
+    def pick(cut: tuple) -> np.ndarray:
+        flat, a, b, first, last = cut
+        p = at[id(flat)][2 * a : 2 * b].copy()
+        p[0], p[-1] = pos[first], pos[last]
+        return p
+
+    masses = _d.segment_masses(dspec, union, arrays=True, picks=(pick(c) for c in cuts if c[2]))
+    return (tuple(a.tolist() for a in next(masses)) if cut[2] else ([], []) for cut in cuts)
 
 
 def _runs_finish(
     dspec: _d.DiscountSpec,
     impl: "_d._Base",
     plan: tuple,
-    bounds: List[int],
+    cut: tuple,
     last: Optional[int],
     masses: Optional[Tuple[List[float], List[float]]],
 ) -> Tuple[Interval, Interval, int, bool]:
-    """The per-index half of _runs_values once the bounds of k are listed:
-    masses holds the tails form's shared masses, if any."""
+    """The per-index half of _runs_values once the runs of k are cut
+    (_run_bounds): masses holds the tails form's shared masses, if any."""
     k, n_trunc, denom, target, unseen, attained = plan
     form = impl.mass_form
+    bounds = [] if masses is not None else _cut_bounds(cut)
     pieces = len(bounds) // 2
     first = 0
     finite_done = last is not None and last <= n_trunc + 1
