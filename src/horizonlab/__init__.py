@@ -54,7 +54,6 @@ from .reward import (
     reward_at,
     reward_from_dict,
     reward_to_dict,
-    run_stats,
 )
 from .theorems import (
     PremiseFailure,
@@ -131,7 +130,6 @@ __all__ = [
     "reward_at",
     "reward_from_dict",
     "reward_to_dict",
-    "run_stats",
     "spec_from_dict",
     "spec_to_dict",
     "step_log",

@@ -273,6 +273,16 @@ def _dyadic_pair(e: int) -> Pair:
     return (0.0, 5e-324) if e < -1074 else (math.ldexp(1.0, e),) * 2
 
 
+def _ceil_quotient(c: float, target: float) -> int:
+    """ceil(c / target) for c, target > 0: of the float quotient, or of the
+    exact one where that passes the float range (a subnormal target)."""
+    q = c / target
+    if q < math.inf:
+        return int(math.ceil(q))
+    (a, b), (p, s) = c.as_integer_ratio(), target.as_integer_ratio()
+    return -(-a * s // (b * p))
+
+
 def _narrow(passes, lo: int, hi: int) -> Tuple[int, int]:
     """(h - 1, h) for the least h in (lo, hi] that passes (monotone in h),
     by bisection: hi passes or is taken to, lo (-1: none) does not."""
@@ -371,18 +381,20 @@ class _Base:
     def gamma(self, k: int) -> float:
         raise NotImplementedError
 
-    def gamma_iv(self, k: int) -> Interval:
+    def gamma_pair(self, k: int) -> Pair:
+        """An enclosure of gamma_k as a (lo, hi) pair: gamma(k) padded by
+        8 u, or exactly 0. Every family answers its weights here."""
         g = self.gamma(k)
         if g == 0.0:
-            return Interval.exact(0.0)
-        return _rel_pad_iv(g, 8 * _U)
+            return 0.0, 0.0
+        return _rel_pad_pair(g, 8 * _U)
+
+    def gamma_iv(self, k: int) -> Interval:
+        """gamma_pair(k) as an Interval: the one place weights are boxed."""
+        return Interval(*self.gamma_pair(k))
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         raise NotImplementedError
-
-    def gamma_pair(self, k: int) -> Pair:
-        """gamma_iv(k) unboxed (a family that computes pairs boxes them)."""
-        return self.gamma_iv(k).pair
 
     def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """lo and hi of gamma_pair(k) for each k of an increasing list, as
@@ -526,8 +538,9 @@ class _Finite(_Base):
     def gamma(self, k: int) -> float:
         return 1.0 if k <= self.m else 0.0
 
-    def gamma_iv(self, k: int) -> Interval:
-        return Interval.exact(self.gamma(k))
+    def gamma_pair(self, k: int) -> Pair:
+        g = self.gamma(k)
+        return g, g
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         return Interval.exact(float(max(self.m - k + 1, 0)))
@@ -595,9 +608,6 @@ class _Geometric(_Base):
             return 0.0, 5e-324
         lo, hi = _rel_pad_pair(y, _U * (8.0 + 2.0 * k * _U / max(1.0 - self.g, _U)))
         return max(lo, 0.0), hi
-
-    def gamma_iv(self, k: int) -> Interval:
-        return Interval(*self.gamma_pair(k))
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         if self.g == 0.5:
@@ -728,9 +738,6 @@ class _Quadratic(_Base):
             return _subnormal_pair(1 / k)
         return y - math.ulp(y), y + math.ulp(y)  # Interval.rounded
 
-    def gamma_iv(self, k: int) -> Interval:
-        return Interval(*self.gamma_pair(k))
-
     def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """gamma_pair from one numpy 1.0 / (k (k+1)) below 2**26, where
         k (k+1) < 2**53 is exact in float64 as the scalar int product is."""
@@ -772,7 +779,7 @@ class _Quadratic(_Base):
         return Interval.rounded(k / (k + 1))
 
     def index_for_tail_bound(self, target: float, start: int) -> int:
-        return max(start, int(math.ceil(1.0 / target)) + 1)
+        return max(start, _ceil_quotient(1.0, target) + 1)
 
     def premise_verdicts(self) -> Tuple[bool, bool, str]:
         return (True, True, "k gamma_k / Gamma_k = k/(k+1) in (1/2, 1); reciprocal in (1, 2)")
@@ -793,9 +800,6 @@ class _Integrable(_Base):
 
     def integral_pair(self, k: int) -> Pair:
         raise NotImplementedError
-
-    def gamma_iv(self, k: int) -> Interval:
-        return Interval(*self.gamma_pair(k))
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         return Interval(*self.tail_pair(k))
@@ -998,9 +1002,6 @@ class _StepLog(_Base):
 
     def gamma_pair(self, k: int) -> Pair:
         return _dyadic_pair(-2 * self._block(k))
-
-    def gamma_iv(self, k: int) -> Interval:
-        return Interval(*self.gamma_pair(k))
 
     def tail_scaled(self, k: int) -> Tuple[int, int]:
         """Gamma_k = num / 2**shift with exact integers.
@@ -1252,10 +1253,8 @@ class _AlternatingZero(_Base):
     def gamma(self, k: int) -> float:
         return 0.0 if k % 2 == 1 else self.base.gamma(k)
 
-    def gamma_iv(self, k: int) -> Interval:
-        if k % 2 == 1:
-            return Interval.exact(0.0)
-        return self.base.gamma_iv(k)
+    def gamma_pair(self, k: int) -> Pair:
+        return (0.0, 0.0) if k % 2 == 1 else self.base.gamma_pair(k)
 
     def even_view(self) -> Optional["_EvenWeights"]:
         return self._view
@@ -1367,8 +1366,8 @@ class _EvenWeights(_Base):
     def __init__(self, alternating: _AlternatingZero) -> None:
         self._alt = alternating
 
-    def gamma_iv(self, j: int) -> Interval:
-        return self._alt.base.gamma_iv(2 * j)
+    def gamma_pair(self, j: int) -> Pair:
+        return self._alt.base.gamma_pair(2 * j)
 
     def tail(self, j: int, target: Optional[float] = None) -> Interval:
         return self._alt.tail(2 * j, target)
@@ -1433,10 +1432,10 @@ class _CosineModulated(_Base):
             num, den = c.as_integer_ratio()
             return num / (den * k * k)
 
-    def gamma_iv(self, k: int) -> Interval:
+    def gamma_pair(self, k: int) -> Pair:
         kk = float(k) * float(k) if k < 1 << 1023 else math.inf
         if kk == math.inf:  # k past 1.34e154, where cos(arg) is noise: [1/k^2, 3/k^2]
-            return Interval(_subnormal_pair(1 / (k * k))[0], _subnormal_pair(3 / (k * k))[1])
+            return _subnormal_pair(1 / (k * k))[0], _subnormal_pair(3 / (k * k))[1]
         x = math.sqrt(2.0 * k)
         arg = math.pi * x
         c = math.cos(arg)
@@ -1444,7 +1443,7 @@ class _CosineModulated(_Base):
         pad_c = 4.0 * math.ulp(arg) + 4.0 * _U
         lo = (2.0 + c - pad_c) / kk
         hi = (2.0 + c + pad_c) / kk
-        return Interval.widened(lo, hi)
+        return widened_pair(lo, hi)
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
         kf = np.asarray(ks, dtype=np.float64)
@@ -1647,7 +1646,7 @@ class _CosineModulated(_Base):
         return self.tail_batch([k], target)[0]
 
     def index_for_tail_bound(self, target: float, start: int) -> int:
-        return max(start, int(math.ceil(3.0 / target)) + 1)
+        return max(start, _ceil_quotient(3.0, target) + 1)
 
     def premise_verdicts(self) -> Tuple[bool, bool, str]:
         return (True, True, "k gamma_k / Gamma_k oscillates inside [1/2, 3/2]-scale bands")
@@ -1735,9 +1734,9 @@ class _Patched(_Base):
     def gamma(self, k: int) -> float:
         return _seg_gamma(self.segments[self._seg_index(k)], k)
 
-    def gamma_iv(self, k: int) -> Interval:  # a weight that rounds to 0 is below 2^-1074
-        iv = super().gamma_iv(k)
-        return iv if iv.hi > 0.0 else Interval(0.0, 5e-324)
+    def gamma_pair(self, k: int) -> Pair:  # a weight that rounds to 0 is below 2^-1074
+        lo, hi = super().gamma_pair(k)
+        return (lo, hi) if hi > 0.0 else (0.0, 5e-324)
 
     def _joins_descend(self) -> bool:
         """Whether gamma is provably nonincreasing.
@@ -1856,11 +1855,11 @@ class _Custom(_Base):
             raise ValueError(f"index {k} beyond custom table without a tail model")
         return self._model_weight(k)[0]
 
-    def gamma_iv(self, k: int) -> Interval:
+    def gamma_pair(self, k: int) -> Pair:
         if k <= self.K or self.tail_model is None:
-            return super().gamma_iv(k)
+            return super().gamma_pair(k)
         g, rel = self._model_weight(k)
-        return Interval(*_positive_pad_pair(g, max(rel, 8 * _U)))
+        return _positive_pad_pair(g, max(rel, 8 * _U))
 
     def _model_weight(self, k: int) -> Tuple[float, float]:
         """The tail model's weight at k > K, and a relative error bound

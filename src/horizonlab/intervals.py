@@ -134,9 +134,6 @@ class Interval:
     def certainly_lt(self, other: "Interval") -> bool:
         return self.hi < other.lo
 
-    def possibly_le(self, other: "Interval") -> bool:
-        return self.lo <= other.hi
-
     # -- arithmetic (outward rounded) ------------------------------------
 
     @staticmethod

@@ -40,8 +40,8 @@ class RewardSpec:
     family: constant | periodic | binary_runs | custom.
     params: family-specific tuple (see constructors).
 
-    A family's mini-language forms are rows of CLI_FORMS, and its JSON form
-    is written by reward_to_dict and read back by reward_from_dict.
+    A family's mini-language forms are rows of CLI_FORMS, and its JSON forms
+    rows of _JSON_FORMS, which reward_to_dict and reward_from_dict read.
     """
 
     family: str
@@ -220,6 +220,15 @@ def run_count(spec: RewardSpec) -> Optional[int]:
     if gen == "explicit":
         return len(spec.params[1]) // 2
     return None
+
+
+def runs_started(spec: RewardSpec, m: int) -> int:
+    """The number of runs that start by m >= 1 (k_n <= m): run_index(m)
+    for generated runs, the stored starts up to m for an explicit list."""
+    stored = run_count(spec)
+    if stored is None:
+        return run_index(spec, m)
+    return min((bisect_right(spec.params[1], m) + 1) // 2, stored)
 
 
 def one_segments(spec: RewardSpec, k: int, n: int) -> List[Tuple[int, int]]:
@@ -416,27 +425,6 @@ def window_envelope(spec: RewardSpec) -> Optional[WindowEnvelope]:
     return WindowEnvelope(spec, Interval.rounded(1.0 / 6.0), 1.0, 6, 3, 2)
 
 
-@dataclass(frozen=True)
-class RunStats:
-    n: int
-    k_n: int
-    m_n: int
-    a_len: int  # A_n, ones in run n
-    b_len: int  # B_n, zeros after run n
-    a_mass: Interval  # Gamma_{k_n} - Gamma_{m_n}
-    b_mass: Interval  # Gamma_{m_n} - Gamma_{k_{n+1}}
-
-
-def run_stats(spec: RewardSpec, disc: _disc.DiscountSpec, n: int) -> RunStats:
-    """Lengths and discount masses of the nth run pair."""
-    kn, mn = change_points(spec, n)
-    k_next = next_run_start(spec, n)
-    g_k, g_m, g_next = _disc.gamma_tail_batch(disc, [kn, mn, k_next])
-    a = _nonneg(g_k - g_m)
-    b = _nonneg(g_m - g_next)
-    return RunStats(n, kn, mn, mn - kn, k_next - mn, a, b)
-
-
 def _nonneg(iv: Interval) -> Interval:
     if iv.hi < 0.0:
         return Interval.exact(0.0)
@@ -525,42 +513,40 @@ def lemma2_limits(
 # ---------------------------------------------------------------------------
 
 
+# The reward JSON forms, one row per (family, generator; None outside
+# binary runs): the constructor, the JSON key of its argument (None: it
+# takes none) and how that key is read, for reward_to_dict to write and
+# reward_from_dict to read back.
+_JSON_FORMS = {
+    ("constant", None): (constant, "alpha", dict.__getitem__),
+    ("periodic", None): (periodic, "pattern", json_list),
+    ("custom", None): (custom_table, "table", json_list),
+    ("binary_runs", "linear"): (linear_runs, None, None),
+    ("binary_runs", "exponential"): (exponential_runs, None, None),
+    ("binary_runs", "explicit"): (explicit_change_points, "change_points", json_list),
+}
+
+
 def reward_to_dict(spec: RewardSpec) -> dict:
-    fam = spec.family
-    if fam == "constant":
-        return {"family": fam, "alpha": spec.params[0]}
-    if fam == "periodic":
-        return {"family": fam, "pattern": list(spec.params[0])}
-    if fam == "custom":
-        return {"family": fam, "table": list(spec.params[0])}
-    gen = spec.params[0]
-    out = {"family": fam, "generator": gen}
-    if gen == "explicit":
-        out["change_points"] = list(spec.params[1])
+    gen = spec.params[0] if is_binary_runs(spec) else None
+    out = {"family": spec.family} if gen is None else {"family": spec.family, "generator": gen}
+    _, key, read = _JSON_FORMS[spec.family, gen]
+    if key is not None:  # the argument is the last param
+        out[key] = list(spec.params[-1]) if read is json_list else spec.params[-1]
     return out
 
 
 def reward_from_dict(d: dict) -> RewardSpec:
     """The spec of reward_to_dict's form, refusing a key it would not write."""
     fam = d["family"]
-    if fam == "constant":
-        spec = constant(d["alpha"])
-    elif fam == "periodic":
-        spec = periodic(json_list(d, "pattern"))
-    elif fam == "custom":
-        spec = custom_table(json_list(d, "table"))
-    elif fam == "binary_runs":
-        gen = d["generator"]
-        if gen == "linear":
-            spec = linear_runs()
-        elif gen == "exponential":
-            spec = exponential_runs()
-        elif gen == "explicit":
-            spec = explicit_change_points(json_list(d, "change_points"))
-        else:
-            raise ValueError(f"unknown run generator {gen!r}")
-    else:
-        raise ValueError(f"unknown reward family {fam!r}")
+    runs = fam == "binary_runs"
+    gen = d["generator"] if runs else None
+    try:
+        make, key, read = _JSON_FORMS[fam, gen]
+    except (KeyError, TypeError):  # TypeError: a JSON list or object as a name
+        raise ValueError(f"unknown run generator {gen!r}" if runs
+                         else f"unknown reward family {fam!r}") from None
+    spec = make() if key is None else make(read(d, key))
     known = reward_to_dict(spec)
     stray = next((key for key in d if key not in known), None)
     if stray is not None:

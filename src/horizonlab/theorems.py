@@ -66,10 +66,6 @@ class VerificationReport:
     consistent: bool
     log: Tuple[str, ...]
 
-    @property
-    def premises_satisfied(self) -> bool:
-        return all(p.status == "satisfied" for p in self.premises)
-
 
 # ---------------------------------------------------------------------------
 # Premise evaluation

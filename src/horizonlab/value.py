@@ -150,8 +150,11 @@ def _truncation_index(
     dspec: _d.DiscountSpec, k: int, tail_k: Interval, tol: float, cap: int
 ) -> Tuple[int, Interval, bool]:
     """Smallest N with Gamma_{N+1}.hi <= tol * Gamma_k.lo (capped), its
-    tail, and whether the target was met below the cap."""
+    tail, and whether the target was met below the cap. Where a quarter of
+    the target underflows no probe can ask for it: N = k - 1, not met."""
     target = tol * tail_k.lo
+    if not 0.25 * target > 0.0:
+        return k - 1, tail_k, False
 
     def tail_at(n: int) -> Interval:
         return _d.gamma_tail(dspec, n, 0.25 * target)
@@ -418,16 +421,6 @@ def _budget_end(rspec: _r.RewardSpec, k: int) -> Optional[int]:
     return _r.change_points(rspec, n + _SEG_CAP)[0] - 1
 
 
-def _runs_value(
-    rspec: _r.RewardSpec, dspec: _d.DiscountSpec, k: int, tol: float
-) -> Tuple[Interval, Interval, int, bool]:
-    """_runs_values at the one index k, raising what it records."""
-    part = _runs_values(rspec, dspec, [k], tol)[0]
-    if isinstance(part, _d.UndefinedMetric):
-        raise part
-    return part
-
-
 def _runs_values(
     rspec: _r.RewardSpec, dspec: _d.DiscountSpec, ks: Sequence[int], tol: float
 ) -> List:
@@ -511,7 +504,12 @@ def _runs_plan(
             # evaluations and makes the numerator exact (zero slack)
             n_trunc = max(n_trunc, last - 1)
     elif form == "blocks":
-        target = tol * impl.tail_crude(k).lo
+        crude_lo = impl.tail_crude(k).lo
+        if not crude_lo > 0.0:
+            raise _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
+        # kept positive where it underflows, and then out of reach
+        target = max(tol * crude_lo, 5e-324)
+        attained = target == tol * crude_lo
         n_trunc = max(k, impl.index_for_tail_bound(target, k))
         if n_trunc > guard_index():
             # a guard below k stops the sum before it starts: N = k - 1
@@ -770,7 +768,10 @@ def disc_value_details(
             except _d.UndefinedMetric as exc:
                 parts.append(exc)
     out: List = []
-    for part in parts:
+    for k, part in zip(ks, parts):
+        if not isinstance(part, _d.UndefinedMetric) and not part[1].lo > 0.0:
+            # the blocks form sums its denominator, which rounding may widen past 0
+            part = _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
         if isinstance(part, _d.UndefinedMetric):
             out.append(part)
             continue
@@ -888,20 +889,30 @@ class LimitEstimate:
     notes: Tuple[str, ...] = ()
 
 
-def _thin_run_indices(ns: List[int], cap: int = 48) -> List[int]:
-    """At most cap of the increasing ns: for each of cap log-spaced targets
-    t, the first n whose |ln n - t| is least, found by bisection."""
-    if len(ns) <= cap:
-        return ns
-    logs = [math.log(n) for n in ns]
-    picked = set()
-    for t in [logs[0] + (logs[-1] - logs[0]) * j / (cap - 1) for j in range(cap)]:
-        i = bisect.bisect_left(logs, t)  # |ln n - t| falls up to i, then rises
-        if i == len(logs) or (i and abs(logs[i - 1] - t) <= abs(logs[i] - t)):
-            i -= 1
-            while i and abs(logs[i - 1] - t) == abs(logs[i] - t):
-                i -= 1
-        picked.add(ns[i])
+def _first_log_at_least(t: float, top: int) -> int:
+    """The least n in 1..top with math.log(n) >= t, or top + 1 if none."""
+    lo, hi = 1, top + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if math.log(mid) >= t else (mid + 1, hi)
+    return lo
+
+
+def _thin_run_indices(n_max: int, cap: int = 48) -> List[int]:
+    """At most cap of the run indices 1..n_max: for each of cap log-spaced
+    targets t, the first n whose |ln n - t| is least, found by bisection
+    over the ints. Below t the distance falls as ln n rises, so the pick
+    is the first n with ln n >= t or the n before it, and that one is
+    taken at the first n sharing its float log (past 2**53 neighbours do)."""
+    if n_max <= cap:
+        return list(range(1, n_max + 1))
+    top, picked = math.log(n_max), set()
+    for j in range(cap):
+        t = top * j / (cap - 1)
+        n = _first_log_at_least(t, n_max)
+        if n > n_max or (n > 1 and abs(math.log(n - 1) - t) <= abs(math.log(n) - t)):
+            n = _first_log_at_least(math.log(n - 1), n - 1)
+        picked.add(n)
     return sorted(picked)
 
 
@@ -913,16 +924,7 @@ def _augment_schedule(
     hi_pts: List[int] = []
     if not _r.is_binary_runs(rspec):
         return lo_pts, hi_pts
-    stored = _r.run_count(rspec)
-    ns: List[int] = []
-    n = 1
-    while stored is None or n <= stored:
-        if _r.change_points(rspec, n)[0] > max_idx:
-            break
-        ns.append(n)
-        n += 1
-    ns = _thin_run_indices(ns)
-    for n in ns:
+    for n in _thin_run_indices(_r.runs_started(rspec, max_idx)):
         kn, mn = _r.change_points(rspec, n)
         if quantity == "U":
             # prefix ending after the previous 0-run tracks the liminf,

@@ -229,6 +229,21 @@ def test_limits_converged_exits_zero(capsys) -> None:
     assert payload["alpha"] == pytest.approx(0.25)
 
 
+def test_limits_of_linear_runs_at_2_to_the_100_converge(capsys) -> None:
+    # the scan's run picks are closed-form: walking the 8e14 runs up to
+    # 2^100 one by one never ended. At dyadic:100000 the same pair still
+    # reads oscillating (ROADMAP item 6)
+    start = time.perf_counter()
+    code, out, _ = run_main(
+        ["limits", "--reward", "linear-runs", "--discount", "quadratic",
+         "--schedule", f"dyadic:{2**100}", "--format", "json"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "converged"
+    assert abs(payload["alpha"] - 0.5) < 1e-9 and abs(payload["beta"] - 0.5) < 1e-9
+
+
 def test_limits_oscillating_exits_4(capsys) -> None:
     code, out, _ = run_main(
         ["limits", "--reward", "alternating", "--discount", "geometric:0.5",

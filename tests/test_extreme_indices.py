@@ -277,3 +277,58 @@ def test_custom_power_model_past_the_float_range_holds_its_weight_and_tail(k, p)
     tail = d.gamma_tail(spec, k)
     assert 0.0 <= tail.lo <= integral and integral + weight <= tail.hi
     assert tail.hi - tail.lo <= 1e-9 * tail.hi + 1e-300
+
+
+# The tail-bound hints took int(ceil(c / target)), which overflows to a
+# float infinity once the target is subnormal (c = 1 for quadratic, and so
+# alternating over it; c = 3 for cosine). Normal targets keep the float
+# quotient's ceiling, so every hint the benchmark takes is unchanged.
+@pytest.mark.parametrize("spec, c", [(h.quadratic(), 1), (h.cosine_modulated(), 3)],
+                         ids=["quadratic", "cosine"])
+def test_tail_bound_hints_past_the_float_range_of_their_quotient(spec, c) -> None:
+    for target in (1e-310, 5e-324, 2.0**-1050 * 3):
+        assert d.index_for_tail_bound(spec, target, 1) - 1 == math.ceil(c / Fraction(target))
+    for target in (1e-3, 1 / 3, 7.3e-200, sys.float_info.min):
+        assert d.index_for_tail_bound(spec, target, 1) - 1 == math.ceil(c / target)
+
+
+# Run rewards under alternating and cosine past the float range ended in
+# tracebacks: the hint's OverflowError at 10^310; under cosine at 10^400 a
+# ZeroDivisionError, as Gamma_k's crude lower end is 0 there; a target that
+# underflows in alternating's truncation search (10^321); and a cosine
+# denominator widened below 0 (10^323). Each now ends not attained or
+# undefined, with its documented exit code.
+_RUNS_PAST_THE_FLOAT_RANGE = [
+    ("alternating", 310, "not attained"),
+    ("alternating", 321, "not attained"),
+    ("cosine", 310, "not attained"),
+    ("cosine", 323, "undefined"),
+    ("cosine", 400, "undefined"),
+]
+
+
+@pytest.mark.parametrize("reward", [h.linear_runs(), h.exponential_runs()], ids=["linear", "exponential"])
+@pytest.mark.parametrize("discount, e, outcome", _RUNS_PAST_THE_FLOAT_RANGE,
+                         ids=[f"{name}-10^{e}" for name, e, _ in _RUNS_PAST_THE_FLOAT_RANGE])
+def test_run_values_past_the_float_range_end_in_typed_results(reward, discount, e, outcome) -> None:
+    spec = cli.parse_discount(discount)
+    if outcome == "undefined":
+        with pytest.raises(d.UndefinedMetric, match="tail enclosure not positive"):
+            h.disc_value_detail(reward, spec, 10**e, strict=False)
+    else:
+        det = h.disc_value_detail(reward, spec, 10**e, strict=False)
+        assert not det.attained and det.interval == h.Interval(0.0, 1.0)
+
+
+def test_run_values_past_the_float_range_exit_with_their_codes(capsys) -> None:
+    for reward in ("linear-runs", "exponential-runs"):
+        for discount, e, code in [("alternating", 310, cli.EXIT_EVAL_INCONCLUSIVE),
+                                  ("cosine", 310, cli.EXIT_EVAL_INCONCLUSIVE),
+                                  ("cosine", 400, cli.EXIT_PARSE)]:
+            argv = ["eval", "--reward", reward, "--discount", discount, "--v-at", str(10**e)]
+            assert cli.main(argv) == code, argv
+            out, err = capsys.readouterr()
+            if code == cli.EXIT_PARSE:
+                assert err.startswith("error: tail enclosure not positive at k=")
+            else:
+                assert "(best effort; tolerance not attained)" in out

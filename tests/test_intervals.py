@@ -75,11 +75,9 @@ def test_certain_comparisons_are_conservative() -> None:
     # Shared endpoint: <= certain, < not certain.
     assert a.certainly_le(b)
     assert not a.certainly_lt(b)
-    assert a.possibly_le(b)
     # Overlapping intervals decide nothing.
     c = Interval(0.4, 0.6)
     assert not a.certainly_le(c) or a.hi <= c.lo
-    assert c.possibly_le(a)
 
 
 @given(intervals, intervals, unit_points, unit_points)
@@ -154,8 +152,6 @@ def test_integer_interval_degenerate_flag() -> None:
 def test_interval_queries_are_mutually_consistent(x: Interval, y: Interval) -> None:
     if x.certainly_lt(y):
         assert x.certainly_le(y)
-    if x.certainly_le(y):
-        assert x.possibly_le(y)
     if x.encloses(y):
         assert x.intersects(y)
     assert x.hull(y).encloses(x) and x.hull(y).encloses(y)

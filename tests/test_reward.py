@@ -119,6 +119,17 @@ def test_run_index_matches_the_walk_up_to_a_million(spec) -> None:
         assert r.run_index(spec, k) == n, k
 
 
+@pytest.mark.parametrize("spec", [h.linear_runs(), h.exponential_runs(),
+                                  h.explicit_change_points([2, 5, 9, 30]),
+                                  h.explicit_change_points([3, 4, 50])],
+                         ids=["linear", "exponential", "explicit4", "explicit3"])
+def test_runs_started_counts_the_run_starts(spec) -> None:
+    stored = r.run_count(spec) or 200
+    starts = [r.change_points(spec, n)[0] for n in range(1, stored + 1)]
+    for m in range(1, 120):
+        assert r.runs_started(spec, m) == sum(1 for k in starts if k <= m), m
+
+
 @pytest.mark.parametrize("spec", [h.linear_runs(), h.exponential_runs()])
 @pytest.mark.parametrize("n", [10**6, 10**9 + 7, 10**20, 2**200 + 3])
 def test_run_index_at_huge_run_edges(spec, n: int) -> None:
@@ -322,33 +333,40 @@ def test_explicit_lists_and_custom_rewards_have_no_envelope() -> None:
 # -- run masses ---------------------------------------------------------
 
 
+def run_pair(rspec, dspec, n):
+    """(k_n, m_n, k_{n+1}) and the masses a_n = Gamma_{k_n} - Gamma_{m_n},
+    b_n = Gamma_{m_n} - Gamma_{k_{n+1}} of the nth run pair."""
+    bounds = [*r.change_points(rspec, n), r.change_points(rspec, n + 1)[0]]
+    return bounds, d.segment_masses(dspec, bounds)
+
+
 def test_run_mass_quadratic_closed_form() -> None:
     # a_n = A_n / (k_n * m_n); n=2 gives 3/28.
-    stats = r.run_stats(h.linear_runs(), h.quadratic(), 2)
-    assert stats.k_n == 4 and stats.m_n == 7
-    assert stats.a_len == 3 and stats.b_len == 4
-    assert stats.a_mass.contains(3.0 / 28.0)
-    assert stats.a_mass.width < 1e-12
+    (k_n, m_n, k_next), (a_mass, _) = run_pair(h.linear_runs(), h.quadratic(), 2)
+    assert k_n == 4 and m_n == 7
+    assert m_n - k_n == 3 and k_next - m_n == 4
+    assert a_mass.contains(3.0 / 28.0)
+    assert a_mass.width < 1e-12
 
 
 def test_run_mass_unit_discounts_count_steps() -> None:
     for n in (1, 2, 3, 5):
-        stats = r.run_stats(h.linear_runs(), h.finite(1000), n)
-        assert stats.a_mass.contains(float(stats.a_len))
-        assert stats.b_mass.contains(float(stats.b_len))
-        assert stats.a_mass.width < 1e-9 and stats.b_mass.width < 1e-9
+        (k_n, m_n, k_next), (a_mass, b_mass) = run_pair(h.linear_runs(), h.finite(1000), n)
+        assert a_mass.contains(float(m_n - k_n))
+        assert b_mass.contains(float(k_next - m_n))
+        assert a_mass.width < 1e-9 and b_mass.width < 1e-9
 
 
 def test_run_mass_ratio_for_log_decay_follows_n_over_n_minus_1() -> None:
     # The two adjacent run masses shrink like [4 n^2 ln 2]^-1 but their
     # ratio is n/(n-1) + o(1): at n=5 it is 1.25, not yet within 10%.
     for n in (5, 6, 7, 8):
-        stats = r.run_stats(h.exponential_runs(), h.harmonic_like(), n)
-        ratio = stats.a_mass.mid / stats.b_mass.mid
+        _, (a_mass, b_mass) = run_pair(h.exponential_runs(), h.harmonic_like(), n)
+        ratio = a_mass.mid / b_mass.mid
         assert abs(ratio - n / (n - 1.0)) < 5e-3, (n, ratio)
     # Magnitude sanity against the asymptotic law, to a crude factor.
-    stats = r.run_stats(h.exponential_runs(), h.harmonic_like(), 8)
-    scaled = stats.a_mass.mid * 4 * 8 * 8 * math.log(2)
+    _, (a_mass, _) = run_pair(h.exponential_runs(), h.harmonic_like(), 8)
+    scaled = a_mass.mid * 4 * 8 * 8 * math.log(2)
     assert 0.5 < scaled < 2.0
 
 
@@ -360,8 +378,8 @@ def test_run_mass_ratio_for_log_decay_follows_n_over_n_minus_1() -> None:
 def test_run_mass_conservation(rspec, dspec, n_top: int) -> None:
     total = Interval.exact(0.0)
     for n in range(1, n_top + 1):
-        stats = r.run_stats(rspec, dspec, n)
-        total = total + stats.a_mass + stats.b_mass
+        _, (a_mass, b_mass) = run_pair(rspec, dspec, n)
+        total = total + a_mass + b_mass
     k_1 = r.change_points(rspec, 1)[0]
     k_next = r.change_points(rspec, n_top + 1)[0]
     span = d.gamma_tail(dspec, k_1) - d.gamma_tail(dspec, k_next)

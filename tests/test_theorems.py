@@ -34,7 +34,7 @@ def premise_status(report, name_fragment: str) -> str:
 def test_bounded_ratio_harness_positive_case() -> None:
     rep = t.verify_U_implies_V(h.linear_runs(), h.quadratic(), scale=10**4)
     assert rep.theorem == "avg-to-disc"
-    assert rep.premises_satisfied
+    assert all(p.status == "satisfied" for p in rep.premises)
     assert rep.hypothesis.verdict == "converged"
     assert rep.conclusion.verdict == "converged"
     assert rep.hypothesis.band.contains(0.5)
@@ -46,7 +46,7 @@ def test_bounded_ratio_harness_violated_premise_is_not_a_contradiction() -> None
     rep = t.verify_U_implies_V(h.periodic([1.0, 0.0]), h.geometric(0.5),
                                scale=10**4)
     assert premise_status(rep, "k*gamma_k/Gamma_k") == "violated"
-    assert not rep.premises_satisfied
+    assert not all(p.status == "satisfied" for p in rep.premises)
     assert rep.hypothesis.verdict == "converged"       # U -> 1/2
     assert rep.conclusion.verdict == "oscillating"     # V splits to 1/3, 2/3
     assert abs(rep.conclusion.alpha - 1.0 / 3.0) < 1e-2
@@ -159,7 +159,7 @@ def test_future_average_harness_wide_window_straddles_half() -> None:
 def test_future_average_harness_identity_window_is_trivial() -> None:
     rep = t.verify_future_avg(h.constant(0.7), h.geometric(0.5),
                               lambda k: k, scale=10**4)
-    assert rep.premises_satisfied
+    assert all(p.status == "satisfied" for p in rep.premises)
     assert rep.hypothesis.band.contains(0.7)
     assert rep.conclusion.band.contains(0.7)
     assert rep.consistent

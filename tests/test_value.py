@@ -8,6 +8,7 @@ oracles.py for spot cross-checks of discounted enclosures.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -248,16 +249,73 @@ def thin_run_indices_reference(ns, cap=48):
                    [lo + (hi - lo) * j / (cap - 1) for j in range(cap)]})
 
 
+def thin_run_indices_walk_reference(ns, cap=48):
+    """value._thin_run_indices over the walked list of run indices, before
+    it took their count: one bisection over the logs of ns per target."""
+    if len(ns) <= cap:
+        return ns
+    logs = [math.log(n) for n in ns]
+    picked = set()
+    for t in [logs[0] + (logs[-1] - logs[0]) * j / (cap - 1) for j in range(cap)]:
+        i = bisect.bisect_left(logs, t)  # |ln n - t| falls up to i, then rises
+        if i == len(logs) or (i and abs(logs[i - 1] - t) <= abs(logs[i] - t)):
+            i -= 1
+            while i and abs(logs[i - 1] - t) == abs(logs[i] - t):
+                i -= 1
+        picked.add(ns[i])
+    return sorted(picked)
+
+
 def test_thin_run_indices_pick_as_min_did() -> None:
     rng = random.Random(48)
-    cases = [list(range(1, 1000)), list(range(1, 50)), list(range(5, 53)), [1, 2, 3],
-             [2**60 + j for j in range(100)]]
-    for _ in range(300):
-        start, spread = rng.choice([1, 2, 10**6, 2**60]), rng.choice([50, 1000, 10**9])
-        cases.append(sorted({start + rng.randint(0, spread) for _ in range(rng.randint(1, 300))}))
-    for ns in cases:
+    for n_max in [*range(60), 999, 1000, *(rng.randint(60, 3000) for _ in range(10))]:
+        ns = list(range(1, n_max + 1))
         for cap in (2, 3, 10, 48):
-            assert v._thin_run_indices(ns, cap) == thin_run_indices_reference(ns, cap), (ns, cap)
+            assert v._thin_run_indices(n_max, cap) == thin_run_indices_reference(ns, cap), (n_max, cap)
+
+
+def test_thin_run_indices_pick_as_the_walk_did() -> None:
+    rng = random.Random(2006)
+    n_maxes = [*range(2001), *(2**j + e for j in range(1, 21) for e in (-1, 1)),
+               *(rng.randint(10**5, 10**6) for _ in range(3))]
+    for n_max in n_maxes:
+        want = thin_run_indices_walk_reference(list(range(1, n_max + 1)))
+        assert v._thin_run_indices(n_max) == want, n_max
+
+
+def test_thin_run_indices_take_the_first_of_a_float_log_tie() -> None:
+    # past 2**53 thousands of neighbours share one float log, and each
+    # target's pick is the first n nearest to it, as min over the whole list
+    # takes it: min over a window that holds the nearest tie and its start.
+    # Here the top target rounds above ln n_max, whose tie then wins
+    n_max = 14_853_217_099_695_609_141
+    top, picks = math.log(n_max), v._thin_run_indices(n_max)
+    for j in range(42, 48):  # the targets past 2**53
+        t = top * j / 47
+        mid = min(int(math.exp(t)), n_max)
+        window = range(mid - 150_000, min(mid + 20_000, n_max) + 1)
+        first = min(window, key=lambda n: abs(math.log(n) - t))
+        assert math.log(window[0]) < math.log(first)
+        assert window[-1] == n_max or math.log(first) == t  # none nearer past it
+        assert picks[j - 48] == first, j
+
+
+def test_scan_to_10_22_picks_its_runs_without_walking_them(monkeypatch) -> None:
+    # the walk took one change_points call per run up to the last index:
+    # about 7e10 of them here
+    calls = []
+    change_points = r.change_points
+
+    def counted(spec, n):
+        calls.append(n)
+        if len(calls) > 2000:
+            raise AssertionError("walked the runs")
+        return change_points(spec, n)
+
+    monkeypatch.setattr(r, "change_points", counted)
+    est = v.limit_scan(h.linear_runs(), h.power(0.5), "V", [100, 2**53 + 1, 2**70, 10**22], 1e-3)
+    assert est.verdict == "converged"
+    assert abs(est.alpha - 0.5) < 1e-3 and abs(est.beta - 0.5) < 1e-3
 
 
 def test_scan_serialization_helpers_are_consistent() -> None:
