@@ -249,17 +249,25 @@ def _pow_iv(base, expo: float) -> Interval:
     return _rel_pad_iv(*_pow_parts(base, expo))
 
 
+def _int_list(ks: Sequence[int]) -> Sequence[int]:
+    """An array's indices as Python ints (np.int64 is not an int), for per-element code."""
+    return ks.tolist() if isinstance(ks, np.ndarray) else ks
+
+
 def _pow_arrays(
-    bases: Sequence, expo: float, logs: Optional[Sequence[float]] = None
+    bases: Sequence[int], expo: float, logs: Optional[Sequence[float]] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """_positive_pad_pair(*_pow_parts(b, expo)) for each b, as lo and hi
-    arrays, bit for bit: one scalar pow per base, then the padding in
-    numpy. logs, the math.log of each base, lets several exponents share
-    them."""
+    """_positive_pad_pair(*_pow_parts(b, expo)) for each of the increasing
+    int bases b as lo and hi arrays, bit for bit: one scalar pow per base,
+    the rest in numpy. logs, the math.log of each base, may be shared."""
+    bases = _int_list(bases)
     if logs is None:
-        logs = [math.log(b) for b in bases]
-    parts = [_pow_parts(b, expo, ln) for b, ln in zip(bases, logs)]
-    return _positive_pad_arrays(np.array([y for y, _ in parts]), np.array([r for _, r in parts]))
+        logs = list(map(math.log, bases))
+    if len(bases) and bases[-1] >= 1 << 1000:  # some base takes _pow_parts' logs
+        parts = [_pow_parts(b, expo, ln) for b, ln in zip(bases, logs)]
+        return _positive_pad_arrays(np.array([y for y, _ in parts]), np.array([r for _, r in parts]))
+    ys = np.array([b ** expo for b in bases])  # float(b) ** expo
+    return _positive_pad_arrays(ys, _U * (8.0 + 2.0 * np.abs(np.array(logs))))
 
 
 def _subnormal_pair(y: float) -> Pair:
@@ -281,6 +289,13 @@ def _ceil_quotient(c: float, target: float) -> int:
         return int(math.ceil(q))
     (a, b), (p, s) = c.as_integer_ratio(), target.as_integer_ratio()
     return -(-a * s // (b * p))
+
+
+def _log_product(a: float, b: float) -> float:
+    """ln(a b) for a, b > 0: the log of the float product, or where that
+    underflows to 0 (a subnormal target) the sum of the two logs."""
+    p = a * b
+    return math.log(p) if p > 0.0 else math.log(a) + math.log(b)
 
 
 def _narrow(passes, lo: int, hi: int) -> Tuple[int, int]:
@@ -339,9 +354,9 @@ class _Base:
     Two methods serve that rest where gamma is not monotone: variation(m)
     bounds sum_{i>m} |gamma_i - gamma_{i+1}| (cosine in closed form), and
     even_view() gives alternating's even-index weights as a monotone
-    family of their own. term_rel(hi) bounds the relative error of each
-    computed gamma and gamma_vec term below hi, beyond what V's dense sum
-    pads for every family.
+    family of their own. _term_rel(hi), where set (cosine), bounds the
+    relative error of each computed gamma_vec term below each index of an
+    array hi, which the block tables that sum gamma_vec pad by (_BlockSums).
 
     The horizon methods effective_horizon, quasi_horizon and horizon_ratio
     are defaults that search and divide the tail enclosures; a family with
@@ -367,6 +382,7 @@ class _Base:
     mass_form: Optional[str] = "tails"
     sums_terms = False
     target_free = True
+    _term_rel = None
 
     @classmethod
     def to_json(cls, params: tuple) -> dict:
@@ -397,9 +413,9 @@ class _Base:
         raise NotImplementedError
 
     def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """lo and hi of gamma_pair(k) for each k of an increasing list, as
-        float64 arrays, bit for bit."""
-        pairs = [self.gamma_pair(k) for k in ks]
+        """lo and hi of gamma_pair(k) for each k of an increasing sequence of
+        ints (a list, a range or an int array) as float64 arrays, bit for bit."""
+        pairs = [self.gamma_pair(k) for k in _int_list(ks)]
         return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
     def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
@@ -422,11 +438,6 @@ class _Base:
         odd weights vanish and the even ones do not increase (alternating
         over a monotone base); None elsewhere."""
         return None
-
-    def term_rel(self, hi: int) -> float:
-        """Relative error bound of gamma(i) and gamma_vec at every i < hi,
-        padded by V's dense sum on top of its flat pads; 0 by default."""
-        return 0.0
 
     def segment_mass_arrays(
         self, bounds: Sequence[int], target: Optional[float] = None
@@ -666,7 +677,7 @@ class _Geometric(_Base):
         # smallest-ish N with g**N / (1-g) <= target
         if target <= 0:
             raise ValueError("target must be positive")
-        n = math.log(target * (1.0 - self.g)) / math.log(self.g)
+        n = _log_product(target, 1.0 - self.g) / math.log(self.g)
         return max(start, int(math.ceil(n)) + 2)
 
     def tail_ratio(self, j: int, k: int) -> Interval:
@@ -741,7 +752,7 @@ class _Quadratic(_Base):
     def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """gamma_pair from one numpy 1.0 / (k (k+1)) below 2**26, where
         k (k+1) < 2**53 is exact in float64 as the scalar int product is."""
-        if not ks or ks[-1] >= 1 << 26:
+        if not len(ks) or ks[-1] >= 1 << 26:
             return super().gamma_arrays(ks)
         kf = np.array(ks, dtype=np.float64)
         return _rel_pad_arrays(1.0 / (kf * (kf + 1.0)), 4 * _U)
@@ -869,7 +880,7 @@ class _Power(_Integrable):
 
     def bound_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Both pows of each k share the log of their error bound."""
-        logs = [math.log(k) for k in ks]
+        logs = list(map(math.log, ks))
         glo, ghi = _pow_arrays(ks, -1.0 - self.eps, logs)
         lo, hi = _pow_arrays(ks, -self.eps, logs)
         # the four quotients by the point eps > 0 keep lo's and hi's order
@@ -880,7 +891,8 @@ class _Power(_Integrable):
 
     def index_for_tail_bound(self, target: float, start: int) -> int:
         # (N^-eps)/eps * (1 + eps/N) <= target; solve in logs with slack
-        ln_n = (math.log(1.0 / (target * self.eps)) / self.eps) + 1.0
+        x = target * self.eps
+        ln_n = ((math.log(1.0 / x) if x > 0.0 else -_log_product(target, self.eps)) / self.eps) + 1.0
         if ln_n > 700:
             return max(start, guard_index() + 1)
         return max(start, int(math.ceil(math.exp(ln_n))) + 1)
@@ -946,6 +958,7 @@ class _HarmonicLike(_Integrable):
         so the products and quotients of gamma run in numpy with the same
         roundings; past the float range, where gamma falls back to logs,
         every k takes the scalar calls."""
+        ks = _int_list(ks)
         try:
             kf = [float(max(k, 2)) for k in ks]
         except OverflowError:
@@ -978,7 +991,8 @@ class _HarmonicLike(_Integrable):
             raise ValueError("target must be positive")
         # cap the hint's bit length; callers fall back to their own caps
         # when even this index leaves the tail above target
-        bits = min(int(math.ceil((1.0 / target) / math.log(2.0))) + 2, 8192)
+        q = (1.0 / target) / math.log(2.0)  # inf for a subnormal target
+        bits = min(int(math.ceil(q)) + 2, 8192) if q < 8192 else 8192
         n = 1 << bits
         return max(start, n)
 
@@ -1002,6 +1016,15 @@ class _StepLog(_Base):
 
     def gamma_pair(self, k: int) -> Pair:
         return _dyadic_pair(-2 * self._block(k))
+
+    def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """gamma_pair below 2**53: frexp reads n off k - 1, exact in float64,
+        and 4^-n >= 2^-106 is built from its exponent bits."""
+        if not len(ks) or ks[-1] >= 1 << 53:
+            return super().gamma_arrays(ks)
+        n = np.frexp(np.array(ks, dtype=np.float64) - 1.0)[1].astype(np.int64)
+        g = ((1023 - 2 * n) << 52).view(np.float64)
+        return g, g.copy()
 
     def tail_scaled(self, k: int) -> Tuple[int, int]:
         """Gamma_k = num / 2**shift with exact integers.
@@ -1239,7 +1262,8 @@ class _AlternatingZero(_Base):
 
     def __init__(self, base: DiscountSpec) -> None:
         self.base = _impl(base)
-        self._evens = _BlockSums(self._even_terms)  # w_j = base gamma at 2j
+        rel = self.base._term_rel  # the base's term bound at 2j
+        self._evens = _BlockSums(self._even_terms, rel and (lambda js: rel(2.0 * js)))  # w_j = gamma_2j
         self._view = _EvenWeights(self) if self.base.monotone else None
 
     @classmethod
@@ -1259,8 +1283,14 @@ class _AlternatingZero(_Base):
     def even_view(self) -> Optional["_EvenWeights"]:
         return self._view
 
-    def term_rel(self, hi: int) -> float:
-        return self.base.term_rel(hi)
+    def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """The base's gamma_arrays at the even indices, 0 at the odd ones."""
+        ks = np.asarray(ks, dtype=object if len(ks) and ks[-1] >> 63 else np.int64)
+        even = (ks & 1) == 0
+        lo, hi = np.zeros(ks.size), np.zeros(ks.size)
+        if even.any():
+            lo[even], hi[even] = self.base.gamma_arrays(ks[even])
+        return lo, hi
 
     # the relative width that the rest of a tail over a monotone base aims for
     _SHARP = 2.0**-20
@@ -1330,12 +1360,6 @@ class _AlternatingZero(_Base):
             if rest.hi <= max(1e-3 * partial.lo, 1e-300) or n >= cap:
                 return Interval(max(partial.lo, 0.0), partial.hi + rest.hi)
             n = min(n * 4, cap)
-
-    def gamma_vec(self, ks: np.ndarray) -> Optional[np.ndarray]:
-        base = self.base.gamma_vec(ks)
-        if base is None:
-            return None
-        return np.where(ks % 2 == 1, 0.0, base)
 
     def k_gamma(self, k: int) -> Interval:
         return Interval.exact(0.0) if k % 2 == 1 else self.base.k_gamma(k)
@@ -1445,6 +1469,16 @@ class _CosineModulated(_Base):
         hi = (2.0 + c + pad_c) / kk
         return widened_pair(lo, hi)
 
+    def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """gamma_pair below 2**53, where each k is an exact float: numpy's
+        correctly rounded steps and one math.cos per element."""
+        if not len(ks) or ks[-1] >= 1 << 53:
+            return super().gamma_arrays(ks)
+        kf = np.array(ks, dtype=np.float64)
+        arg, kk = math.pi * np.sqrt(2.0 * kf), kf * kf
+        c, pad_c = np.array([math.cos(a) for a in arg.tolist()]), 4.0 * np.spacing(arg) + 4.0 * _U
+        return widened_arrays((2.0 + c - pad_c) / kk, (2.0 + c + pad_c) / kk)
+
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
         kf = np.asarray(ks, dtype=np.float64)
         return (2.0 + np.cos(np.pi * np.sqrt(2.0 * kf))) / (kf * kf)
@@ -1482,15 +1516,6 @@ class _CosineModulated(_Base):
         xf = float(x)
         v = self._VAR_C / (xf * math.sqrt(xf)) + 3.0 / (xf * xf)
         return Interval(0.0, v * (1.0 + 2.0**-48))
-
-    def term_rel(self, hi: int) -> float:
-        """_term_rel at hi, whose argument bound holds past 2**52 too: there
-        float(i) adds one relative rounding, u a <= ulp(a~) to the argument
-        and u to the quotient, inside its slack. It is capped at 3, which
-        bounds any term's error, as computed and true 2 + cos lie in [1, 3]:
-        the cap binds from about 2**100 on, where V past the guard sums the
-        term at k alone."""
-        return min(float(self._term_rel(float(hi))), 3.0)
 
     @staticmethod
     def _term_rel(hi):
@@ -1803,7 +1828,8 @@ class _Patched(_Base):
         gk = _seg_gamma(final, anchor)
         if gk <= need:
             return anchor
-        steps = math.log(need / gk) / math.log(final.g)
+        steps = (_log_product(target, 1.0 - final.g) - math.log(gk)) / math.log(final.g) \
+            if need == 0.0 else math.log(need / gk) / math.log(final.g)
         return anchor + int(math.ceil(steps)) + 2
 
     def premise_verdicts(self) -> Tuple[bool, bool, str]:

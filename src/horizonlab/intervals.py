@@ -20,7 +20,7 @@ the repr.
 
 widened_pair and widened_arrays are Interval.widened on a (lo, hi) pair of
 floats and on float64 lo/hi arrays, for kernels that replay a chain of
-interval operations (value._rest_enclosure, value._dense_relative). numpy is
+interval operations (value._rest_enclosure, value._dense_sum). numpy is
 trusted there only with correctly rounded elementwise operations
 (+ - * /, abs, minimum/maximum, spacing), which give the same bits as
 the scalar code. Its transcendentals are not: numpy's vectorised power

@@ -67,6 +67,51 @@ def weight_vec(family: str, params: tuple, ks: np.ndarray) -> np.ndarray:
     raise ValueError(f"no oracle weight for family {family!r}")
 
 
+def mp_weight(spec, i: int):
+    """gamma_i of an unscaled discount spec from its family formula, as an
+    mpmath number at the caller's working precision. Floats in the params
+    (a patched stretch's anchor, a custom table entry) are taken exactly:
+    the spec defines its weights through them."""
+    import mpmath
+
+    family, params = spec.family, spec.params
+    x = mpmath.mpf(i)
+    if family == "finite":
+        return mpmath.mpf(1 if i <= params[0] else 0)
+    if family == "geometric":
+        return mpmath.mpf(params[0]) ** i
+    if family == "quadratic":
+        return 1 / (x * (x + 1))
+    if family == "power":
+        return x ** (-1 - mpmath.mpf(params[0]))
+    if family == "harmonic_like":
+        x = max(x, 2)  # gamma_1 = gamma_2
+        return 1 / (x * mpmath.log(x) ** 2)
+    if family == "step_log":
+        return mpmath.mpf(4) ** -((i - 1).bit_length())
+    if family == "cosine_modulated":
+        return (2 + mpmath.cos(mpmath.pi * mpmath.sqrt(2 * x))) / x**2
+    if family == "alternating_zero":
+        return mpmath.mpf(0) if i % 2 else mp_weight(params[0], i)
+    if family == "patched":
+        seg = [s for s in params[0] if s.start <= i][-1]
+        anchor = mpmath.mpf(seg.gamma_start)
+        if seg.kind == "geometric":
+            return anchor * mpmath.mpf(seg.g) ** (i - seg.start)
+        start = mpmath.mpf(seg.start)
+        return anchor * (start * mpmath.log(start) ** 2) / (x * mpmath.log(x) ** 2)
+    if family == "custom":
+        table, (kind, p) = params[0], params[1] or (None, None)
+        if i <= len(table):
+            return mpmath.mpf(table[i - 1])
+        anchor, size = mpmath.mpf(table[-1]), len(table)
+        if kind == "geometric":
+            return anchor * mpmath.mpf(p) ** (i - size)
+        if kind == "power":
+            return anchor * (x / size) ** (-1 - mpmath.mpf(p))
+    raise ValueError(f"no oracle weight for {family!r} at index {i}")
+
+
 def tail_bounds(family: str, params: tuple, k: int) -> Tuple[float, float]:
     """Independent enclosure of Gamma_k = sum_{i>=k} gamma_i."""
     if family == "finite":

@@ -292,6 +292,29 @@ def test_tail_bound_hints_past_the_float_range_of_their_quotient(spec, c) -> Non
         assert d.index_for_tail_bound(spec, target, 1) - 1 == math.ceil(c / target)
 
 
+# Four more hints left the float range at a subnormal target: harmonic-
+# like's quotient 1 / target (OverflowError at 1e-310), the log of
+# target (1 - g) under geometric and patched (ValueError at 5e-324, where
+# it underflows to 0) and power's 1 / (target eps) (ZeroDivisionError).
+# Each is an int now, from the sum of the logs, and the hints at normal
+# targets keep the values they had.
+_SUBNORMAL_HINTS = {
+    "harmonic-like": (h.harmonic_like(), [1 << 1445, 1 << 8192, 1 << 8192]),
+    "geometric": (h.geometric(0.9), [90, 4395, 6748]),
+    "patched": (d.build_patched([1, 2]), [30154, 30770, 31127]),
+    "power": (h.power(0.5), [10873129, 100000001, 100000001]),
+    "alternating-power": (h.alternating_zero(h.power(0.5)), [10873129, 100000001, 100000001]),
+}
+
+
+@pytest.mark.parametrize("spec, normal", list(_SUBNORMAL_HINTS.values()), ids=list(_SUBNORMAL_HINTS))
+def test_tail_bound_hints_at_subnormal_targets_are_ints(spec, normal) -> None:
+    for target in (1e-310, 5e-324, 2.0**-1050 * 3):
+        hint = d.index_for_tail_bound(spec, target, 7)
+        assert isinstance(hint, int) and hint >= max(normal), (target, hint)
+    assert [d.index_for_tail_bound(spec, t, 7) for t in (1e-3, 1e-200, sys.float_info.min)] == normal
+
+
 # Run rewards under alternating and cosine past the float range ended in
 # tracebacks: the hint's OverflowError at 10^310; under cosine at 10^400 a
 # ZeroDivisionError, as Gamma_k's crude lower end is 0 there; a target that

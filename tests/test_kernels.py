@@ -1,6 +1,6 @@
 """Array kernels against the scalar interval code they replaced.
 
-value._dense_relative, value._runs_values and every family's
+value._dense_sum, value._runs_values and every family's
 discount segment_mass_arrays replay a chain of Interval operations over
 float64 lo/hi arrays, and value._rest_enclosure reads its rationals as
 ints. The scalar loops, Interval lists and Fraction code they replaced
@@ -37,7 +37,11 @@ def same_bits(a: Interval, b: Interval) -> bool:
     return bits(a.lo) == bits(b.lo) and bits(a.hi) == bits(b.hi)
 
 
-# -- the ratio-form dense sum ------------------------------------------------
+# -- the dense kernel ---------------------------------------------------------
+#
+# value._dense_sum sums lo/hi weight arrays against the rewards, for the
+# ratio form of geometric (_ratio_weights) and the absolute weights of
+# every other family (_gamma_weights) alike.
 
 
 def outcome(fn, *args):
@@ -55,8 +59,16 @@ def interval_sum_reference(ivs):
     return Interval.widened(math.fsum(iv.lo for iv in ivs), math.fsum(iv.hi for iv in ivs))
 
 
+def dense_relative(rspec, impl, k, tol):
+    """(numerator, truncation) of the dense path in ratio form, as
+    value._dense_value takes it over its exact denominator 1."""
+    numerator, denominator, n_trunc, _ = v._dense_value(rspec, d.geometric(impl.g), impl, k, tol, {})
+    assert denominator == Interval.exact(1.0)
+    return numerator, n_trunc
+
+
 def dense_relative_reference(rspec, impl, k, tol):
-    """The per-index loop of value._dense_relative before its array form."""
+    """The per-index loop of the ratio-form dense sum before its array form."""
     n_trunc = v._ratio_truncation(impl, k, tol)
     parts = []
     for i in range(k, n_trunc + 1):
@@ -89,7 +101,7 @@ def test_dense_relative_matches_the_scalar_loop(g, rspec) -> None:
     # past 2^63 the periodic phase must be reduced in Python ints, as reward_at does
     for k in (1, 2, 7, 64, 1000, 2**63 - 2, 2**63, 10**22, 2**200):
         for tol in (1e-3, 1e-9):
-            got = outcome(v._dense_relative, rspec, impl, k, tol)
+            got = outcome(dense_relative, rspec, impl, k, tol)
             want = outcome(dense_relative_reference, rspec, impl, k, tol)
             if isinstance(want, str):  # a custom table read past its end
                 assert got == want
@@ -103,7 +115,7 @@ def test_dense_relative_matches_where_the_weights_underflow(g) -> None:
     # the least subnormal, and 0.3**d underflows to zero
     impl = d._impl(d.geometric(g))
     for rspec in (h.periodic([1.0, 0.0, 0.5]), h.constant(1.0)):
-        got, n_got = v._dense_relative(rspec, impl, 5, 1e-323)
+        got, n_got = dense_relative(rspec, impl, 5, 1e-323)
         want, n_want = dense_relative_reference(rspec, impl, 5, 1e-323)
         assert n_got == n_want and same_bits(got, want)
         assert impl.tail_ratio(n_got, 5).lo == 0.0
@@ -111,7 +123,7 @@ def test_dense_relative_matches_where_the_weights_underflow(g) -> None:
 
 def test_dense_relative_of_zero_rewards_is_exactly_zero() -> None:
     impl = d._impl(d.geometric(0.9))
-    got, _ = v._dense_relative(h.periodic([0.0]), impl, 3, 1e-3)
+    got, _ = dense_relative(h.periodic([0.0]), impl, 3, 1e-3)
     assert got.lo == 0.0 and got.hi == impl.tail_ratio(v._ratio_truncation(impl, 3, 1e-3) + 1, 3).hi
 
 
@@ -130,9 +142,115 @@ def test_dense_relative_custom_table_names_its_first_missing_index() -> None:
     impl = d._impl(d.geometric(0.9))
     spec = r.custom_table([0.5] * 10)
     with pytest.raises(ValueError, match="^index 11 beyond custom reward table$"):
-        v._dense_relative(spec, impl, 3, 1e-3)
+        dense_relative(spec, impl, 3, 1e-3)
     with pytest.raises(ValueError, match="^index 11 beyond custom reward table$"):
         dense_relative_reference(spec, impl, 3, 1e-3)
+
+
+def dense_sum_reference(rspec, impl, k, n):
+    """The absolute dense sum term by term: Interval(*gamma_pair(i)) * r_i
+    over the i in [k, n] with r_i != 0 and a weight that is not exactly 0,
+    summed by one fsum per end."""
+    parts = []
+    for i in range(k, n + 1):
+        r_i = r.reward_at(rspec, i)
+        if r_i != 0.0 and impl.gamma_pair(i)[1] > 0.0:
+            parts.append(Interval(*impl.gamma_pair(i)) * r_i)
+    return interval_sum_reference(parts)
+
+
+def dense_sum(rspec, impl, k, n):
+    return v._dense_sum(rspec, k, n, v._gamma_weights(impl, k, n))
+
+
+_DENSE_FAMILIES = {
+    "finite": d.finite(300),
+    "geometric": d.geometric(0.9),
+    "quadratic": d.quadratic(),
+    "power0.5": d.power(0.5),
+    "power1.3": d.power(1.3),
+    "harmonic_like": d.harmonic_like(),
+    "step_log": d.step_log(),
+    "cosine": d.cosine_modulated(),
+    "alternating": d.alternating_zero(),
+    "alternating_power": d.alternating_zero(d.power(0.5)),
+    "alternating_cosine": d.alternating_zero(d.cosine_modulated()),
+    "patched": d.build_patched([1, 2]),
+    "custom_geometric": d.custom([0.5, 0.25], ("geometric", 0.5)),
+    "custom_power": d.custom([0.5, 0.25, 0.2], ("power", 1.0)),
+}
+
+
+# one chunk each: the kernel keeps the reference's bits. Past 2^63 the
+# indices reach gamma_arrays as Python ints; past 1.34e154 cosine's k^2
+# has no float, and past 2^1024 no index has one
+@pytest.mark.parametrize("dspec", list(_DENSE_FAMILIES.values()), ids=list(_DENSE_FAMILIES))
+def test_dense_sum_matches_the_interval_loop(dspec) -> None:
+    impl = d._impl(dspec)
+    for rspec in _REWARDS:
+        for k in (1, 2, 7, 1000, 2**53 - 5, 2**63 - 100, 10**22, 2**200, 10**155 + 3, 10**400):
+            n = k + 150
+            got = outcome(dense_sum, rspec, impl, k, n)
+            want = outcome(dense_sum_reference, rspec, impl, k, n)
+            if isinstance(want, str):  # a custom reward table read past its end
+                assert got == want
+                continue
+            assert same_bits(got, want), (rspec, k, got, want)
+
+
+def test_dense_sum_of_no_terms_is_exactly_zero() -> None:
+    impl = d._impl(d.alternating_zero())
+    for rspec, k, n in [(h.periodic([1.0]), 5, 4), (h.periodic([0.0]), 1, 99), (h.periodic([1.0, 0.0]), 3, 3)]:
+        got = dense_sum(rspec, impl, k, n)  # no index, no reward, no weight
+        assert got == Interval.exact(0.0) and math.copysign(1.0, got.lo) == 1.0
+
+
+@pytest.mark.parametrize("dspec, rspec, k", [
+    (d.quadratic(), h.periodic([1.0, 0.0, 0.7]), 10),
+    (d.power(0.5), h.linear_runs(), 3),
+    (d.cosine_modulated(), h.periodic([1.0, 0.0, 1.0]), 1000),
+    (d.alternating_zero(d.power(0.5)), h.exponential_runs(), 2**70),
+    (d.geometric(0.999), h.constant(0.3), 1),
+], ids=["quadratic", "power", "cosine", "alternating-2^70", "geometric"])
+def test_dense_sum_in_chunks_encloses_the_one_chunk_sum(monkeypatch, dspec, rspec, k) -> None:
+    # 2,001 indices in 32 chunks of 64: each chunk's sums move one float
+    # out, at most an ulp of the whole sum per chunk and end
+    mpmath = pytest.importorskip("mpmath")
+    import oracles
+
+    impl, n = d._impl(dspec), k + 2000
+    one = dense_sum(rspec, impl, k, n)
+    monkeypatch.setattr(v, "_DENSE_CHUNK", 64)
+    chunked = dense_sum(rspec, impl, k, n)
+    assert chunked.lo <= one.lo and one.hi <= chunked.hi and not same_bits(chunked, one)
+    assert chunked.width <= one.width + 2 * 32 * math.ulp(one.hi)
+    with mpmath.workprec(160):
+        exact = mpmath.fsum(oracles.mp_weight(dspec, i) * mpmath.mpf(r.reward_at(rspec, i))
+                            for i in range(k, n + 1))
+        assert mpmath.mpf(chunked.lo) <= exact <= mpmath.mpf(chunked.hi)
+
+
+# the numpy batch weights that the dense kernel reads, over every index of
+# a long range and up to 2^53, where cosine's argument carries a large ulp
+# and step_log's k - 1 is still exact; the kernel passes int64 arrays,
+# which per-element code must read as Python ints (patched, custom)
+@pytest.mark.parametrize("dspec", [d.cosine_modulated(), d.step_log()], ids=["cosine", "step_log"])
+def test_numpy_gamma_arrays_are_gamma_pair_over_a_long_range(dspec) -> None:
+    impl = d._impl(dspec)
+    for ks in (range(1, 200_002), range(2**52 - 5000, 2**52 + 5000), range(2**53 - 3000, 2**53)):
+        lo, hi = impl.gamma_arrays(np.arange(ks.start, ks.stop, dtype=np.int64))
+        pairs = np.array([impl.gamma_pair(k) for k in ks])
+        assert np.array_equal(lo, pairs[:, 0]) and np.array_equal(hi, pairs[:, 1])
+
+
+@pytest.mark.parametrize("dspec", list(_DENSE_FAMILIES.values()), ids=list(_DENSE_FAMILIES))
+def test_gamma_arrays_of_an_int64_array_are_those_of_its_list(dspec) -> None:
+    impl = d._impl(dspec)
+    for ks in ([1, 2, 3, 4, 5, 64, 65, 1999, 2000, 4097], list(range(2**40, 2**40 + 300)),
+               [2**53 - 1, 2**53, 2**62, 2**63 - 1]):
+        want = impl.gamma_arrays(ks)
+        got = impl.gamma_arrays(np.array(ks, dtype=np.int64))
+        assert all(np.array_equal(a, b) and a.dtype == np.float64 for a, b in zip(got, want)), ks
 
 
 # -- closed-form segment masses -------------------------------------------------
@@ -394,6 +512,21 @@ def test_block_table_stops_at_the_guard(monkeypatch) -> None:
         table.masses([10, end + 1])
     with pytest.raises(d.GuardExceeded):
         table.masses([2**63, 2**63 + 5])
+
+
+# alternating's even-weight table w_j = gamma_2j pads by its base's term
+# bound at 2j (cosine's grows with the ulp of pi sqrt(2i)); it took none
+# and padded [5000, 10^5) by 2.9e-14 of the mass, below the bound of
+# 2.9e-13 at its first term. The bound at a window's first index holds
+# for each of its terms, and on [99,000, 10^5) it is the one at 2b too.
+@pytest.mark.parametrize("a, b", [(5000, 10**5), (99_000, 10**5), (5000, 5100)])
+def test_alternating_even_table_pads_by_its_base_term_bound(a, b) -> None:
+    rho = d._impl(d.cosine_modulated())._term_rel
+    lo, hi = d._impl(d.alternating_zero(d.cosine_modulated()))._evens.mass_arrays([a, b])
+    total = (lo[0] + hi[0]) / 2
+    assert (hi[0] - lo[0]) / 2 >= rho(2.0 * a) * total
+    if b - a <= 1000:
+        assert rho(2.0 * a) == rho(2.0 * b)
 
 
 # -- segment mass arrays ---------------------------------------------------

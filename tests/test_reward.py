@@ -159,8 +159,9 @@ def test_ones_count_matches_a_direct_count(spec) -> None:
 
 # -- the two r_i maps: reward_at and reward_vec --------------------------
 #
-# value._dense_sum reads rewards through reward_at up to 2^17 terms and
-# through reward_vec beyond, so the two must give the same bits.
+# value._dense_sum reads rewards through reward_vec and the interval
+# references of tests/test_kernels.py through reward_at, so the two must
+# give the same bits.
 
 _CUSTOM_60 = [round(((37 * i) % 101) / 100, 2) for i in range(1, 61)]
 

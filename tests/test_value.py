@@ -668,19 +668,59 @@ def test_cosine_periodic_value_contains_the_mpmath_oracle(pattern, k, tol) -> No
 
 
 def test_cosine_periodic_dense_sum_is_padded_by_its_term_error() -> None:
-    # a partial sum to N = 10^5 on the short branch (at most 2^17 terms),
-    # where each computed weight errs by up to 1,288 u at i = 10^3 and
-    # 10,248 u at 10^5, far beyond the flat 16 u Gamma_k pad
+    # a partial sum to N = 10^5, where each computed weight errs by up to
+    # 1,288 u at i = 10^3 and 10,248 u at 10^5, far beyond a flat 16 u
+    # Gamma_k pad: the dense kernel's pad is the weights' own (gamma_pair),
+    # which grows with the argument's ulp
     rspec, dspec, k, n = h.periodic([1.0, 0.0, 1.0]), h.cosine_modulated(), 1000, 100_000
-    tail_k = d.gamma_tail(dspec, k)
-    s = v._dense_sum(rspec, dspec, k, n, tail_k)
+    impl = d._impl(dspec)
+    s = v._dense_sum(rspec, k, n, v._gamma_weights(impl, k, n))
     terms, pat = _cosine_terms(), rspec.params[0]
     with mpmath.workprec(120):
         exact = mpmath.fsum(terms[i] * pat[(i - 1) % 3] for i in range(k, n + 1))
         assert mpmath.mpf(s.lo) <= exact <= mpmath.mpf(s.hi)
-    rel = d._impl(dspec).term_rel(n + 1)
-    assert 10_000 * v._U <= rel <= 11_000 * v._U
-    assert s.width >= 2 * rel * s.lo
+    lo, hi = impl.gamma_arrays(range(k, n + 1))
+    pad = math.fsum(((hi - lo) * r.reward_vec(rspec, k, n)).tolist())
+    assert s.width >= pad >= 50 * 16 * d._U * d.gamma_tail(dspec, k).hi
+    g_lo, g_hi = impl.gamma_pair(n)
+    assert g_hi - g_lo >= 2 * 6_000 * d._U * g_lo  # the weight at N: over 6,000 u each side
+
+
+# The dense kernel against an mpmath sum of the formula weights
+# (oracles.mp_weight), for every family whose absolute weights it sums.
+# Power's weights carry u (8 + 2 ln k) each, beyond a flat 16 u once
+# ln k > 4: its sums reach N = 1,500 (ln N = 7.3) and past 10^22.
+_SWEEP_FAMILIES = {
+    "finite": d.finite(300),
+    "quadratic": h.quadratic(),
+    "power0.5": h.power(0.5),
+    "harmonic_like": h.harmonic_like(),
+    "step_log": h.step_log(),
+    "cosine": h.cosine_modulated(),
+    "alternating_quadratic": h.alternating_zero(h.quadratic()),
+    "alternating_power": h.alternating_zero(h.power(0.5)),
+    "patched": d.build_patched([1, 2]),
+    "custom_tail": d.custom([0.5, 0.25, 0.125, 0.1], ("power", 0.5)),
+}
+_CUSTOM_40 = [((37 * i) % 101) / 100 for i in range(1, 41)]
+
+
+@pytest.mark.parametrize("rspec", [h.periodic([1.0, 0.0, 1.0]), r.custom_table(_CUSTOM_40)],
+                         ids=["periodic", "custom40"])
+@pytest.mark.parametrize("dspec", list(_SWEEP_FAMILIES.values()), ids=list(_SWEEP_FAMILIES))
+def test_dense_sum_contains_the_mpmath_sum_of_the_formula_weights(dspec, rspec) -> None:
+    impl = d._impl(dspec)
+    spans = [(1, 40), (7, 40)]
+    if rspec.family == "periodic":
+        spans += [(7, 1500), (10**22, 10**22 + 60)]
+    for k, n in spans:
+        s = v._dense_sum(rspec, k, n, v._gamma_weights(impl, k, n))
+        with mpmath.workprec(160):
+            exact = mpmath.fsum(oracles.mp_weight(dspec, i) * mpmath.mpf(r.reward_at(rspec, i))
+                                for i in range(k, n + 1))
+            assert mpmath.mpf(s.lo) <= exact <= mpmath.mpf(s.hi), (k, n, s, exact)
+            if k < 10**22:  # there cosine's argument carries an ulp of 6e-5
+                assert s.width <= 1e-11 * s.hi, (k, n, s)
 
 
 @pytest.mark.parametrize("m", [0, 1, 9, 150, 2416, 10**5])
