@@ -976,7 +976,7 @@ class _HarmonicLike(_Integrable):
         ghi[zero] = 5e-324
         log_lo, log_hi = widened_arrays(logs, logs)
         tlo, thi = widened_arrays(1.0 / log_hi, 1.0 / log_lo)  # ln k > 0.69: 1 / [lo, hi]
-        if ks[0] == 1:
+        if len(ks) and ks[0] == 1:
             tlo[0], thi[0] = self.integral_pair(1)
         return glo, ghi, tlo, thi
 
@@ -1288,8 +1288,7 @@ class _AlternatingZero(_Base):
         ks = np.asarray(ks, dtype=object if len(ks) and ks[-1] >> 63 else np.int64)
         even = (ks & 1) == 0
         lo, hi = np.zeros(ks.size), np.zeros(ks.size)
-        if even.any():
-            lo[even], hi[even] = self.base.gamma_arrays(ks[even])
+        lo[even], hi[even] = self.base.gamma_arrays(ks[even])
         return lo, hi
 
     # the relative width that the rest of a tail over a monotone base aims for

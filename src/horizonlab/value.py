@@ -786,11 +786,15 @@ def _gamma_weights(impl: "_d._Base", k: int, n_trunc: int):
 
 
 def _ratio_weights(impl: "_d._Base"):
-    """_dense_sum's weights for a ratios family: gamma_{k+d} / Gamma_k =
-    (Gamma_{k+d} / Gamma_k) (1 - g), the interval product of tail_ratio_arrays
-    and one_minus_g, whose extremes pair their lo ends and their hi ends."""
-    omg = impl.one_minus_g.pair
-    return lambda ds: widened_arrays(*(t * w for t, w in zip(impl.tail_ratio_arrays(ds), omg)))
+    """_dense_sum's weights gamma_{k+d} / Gamma_k = (Gamma_{k+d} / Gamma_k) (1 - g)
+    of a ratios family: tail_ratio_arrays times one_minus_g, lo by lo, hi by hi."""
+    omg = impl.one_minus_g
+
+    def weights(ds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        t_lo, t_hi = impl.tail_ratio_arrays(ds)
+        return widened_arrays(t_lo * omg.lo, t_hi * omg.hi)
+
+    return weights
 
 
 # chunks that stay in cache: linear runs x alternating at k = 5000 (9,999,003
@@ -800,23 +804,20 @@ _DENSE_CHUNK = 1 << 18
 
 def _dense_sum(rspec: _r.RewardSpec, k: int, n_trunc: int, weights) -> Interval:
     """Enclosure of sum_{i=k}^{N} w_i r_i, the one dense kernel. weights(ds)
-    encloses w_{k+d} >= 0 as lo and hi float64 arrays at the int64 offsets
-    d where r_i != 0; a term of weight hi 0 is dropped. Each term is the
-    interval product [lo, hi] * r_i (r_i >= 0), replayed with
-    widened_arrays, and each end of a chunk of _DENSE_CHUNK indices is one
-    math.fsum, correctly rounded whatever the order: one chunk is its
-    _interval_sum; with more, each chunk's sums move one float outward,
-    past their rounding of at most half an ulp, and _interval_sum adds them."""
+    encloses w_{k+d} >= 0 as lo and hi float64 arrays at the int64 offsets d
+    where r_i != 0; a term of weight hi 0 is dropped. Each term is the interval
+    product [lo, hi] * r_i (r_i >= 0), replayed with widened_arrays, and each
+    end of a chunk of _DENSE_CHUNK indices is one math.fsum, correctly rounded
+    whatever the order: one chunk is its _interval_sum; with more, each chunk's
+    sums move one float outward, past their rounding, and _interval_sum adds them."""
     lo_sums, hi_sums = [], []
     for start in range(k, n_trunc + 1, _DENSE_CHUNK):
         rewards = _r.reward_vec(rspec, start, min(start + _DENSE_CHUNK - 1, n_trunc))
         js = np.flatnonzero(rewards)
-        w_lo, w_hi = weights(js + (start - k)) if js.size else (np.zeros(0), np.zeros(0))
-        r = rewards[js]
-        if not w_hi.all():
-            live = w_hi > 0.0
-            w_lo, w_hi, r = w_lo[live], w_hi[live], r[live]
-        lo, hi = widened_arrays(w_lo * r, w_hi * r)
+        w_lo, w_hi = weights(js + (start - k))
+        live = w_hi > 0.0
+        r = rewards[js[live]]
+        lo, hi = widened_arrays(w_lo[live] * r, w_hi[live] * r)
         if n_trunc - k < _DENSE_CHUNK:
             return _interval_sum(lo.tolist(), hi.tolist())
         if lo.size:

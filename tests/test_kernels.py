@@ -181,28 +181,22 @@ _DENSE_FAMILIES = {
 }
 
 
-# one chunk each: the kernel keeps the reference's bits. Past 2^63 the
-# indices reach gamma_arrays as Python ints; past 1.34e154 cosine's k^2
-# has no float, and past 2^1024 no index has one
+# one chunk each: the kernel keeps the reference's bits, an exact 0 where
+# no term is left (N = k - 1, a zero reward, finite's zero weights). Past
+# 2^63 the indices reach gamma_arrays as Python ints; past 1.34e154
+# cosine's k^2 has no float, and past 2^1024 no index has one
 @pytest.mark.parametrize("dspec", list(_DENSE_FAMILIES.values()), ids=list(_DENSE_FAMILIES))
 def test_dense_sum_matches_the_interval_loop(dspec) -> None:
     impl = d._impl(dspec)
     for rspec in _REWARDS:
-        for k in (1, 2, 7, 1000, 2**53 - 5, 2**63 - 100, 10**22, 2**200, 10**155 + 3, 10**400):
-            n = k + 150
+        for k, n in ((k, k + w) for k in (1, 2, 7, 1000, 2**53 - 5, 2**63 - 100, 10**22, 2**200,
+                                             10**155 + 3, 10**400) for w in (-1, 150)):
             got = outcome(dense_sum, rspec, impl, k, n)
             want = outcome(dense_sum_reference, rspec, impl, k, n)
             if isinstance(want, str):  # a custom reward table read past its end
                 assert got == want
                 continue
             assert same_bits(got, want), (rspec, k, got, want)
-
-
-def test_dense_sum_of_no_terms_is_exactly_zero() -> None:
-    impl = d._impl(d.alternating_zero())
-    for rspec, k, n in [(h.periodic([1.0]), 5, 4), (h.periodic([0.0]), 1, 99), (h.periodic([1.0, 0.0]), 3, 3)]:
-        got = dense_sum(rspec, impl, k, n)  # no index, no reward, no weight
-        assert got == Interval.exact(0.0) and math.copysign(1.0, got.lo) == 1.0
 
 
 @pytest.mark.parametrize("dspec, rspec, k", [
@@ -232,8 +226,7 @@ def test_dense_sum_in_chunks_encloses_the_one_chunk_sum(monkeypatch, dspec, rspe
 
 # the numpy batch weights that the dense kernel reads, over every index of
 # a long range and up to 2^53, where cosine's argument carries a large ulp
-# and step_log's k - 1 is still exact; the kernel passes int64 arrays,
-# which per-element code must read as Python ints (patched, custom)
+# and step_log's k - 1 is still exact
 @pytest.mark.parametrize("dspec", [d.cosine_modulated(), d.step_log()], ids=["cosine", "step_log"])
 def test_numpy_gamma_arrays_are_gamma_pair_over_a_long_range(dspec) -> None:
     impl = d._impl(dspec)
@@ -243,6 +236,8 @@ def test_numpy_gamma_arrays_are_gamma_pair_over_a_long_range(dspec) -> None:
         assert np.array_equal(lo, pairs[:, 0]) and np.array_equal(hi, pairs[:, 1])
 
 
+# the kernel passes int64 arrays, which per-element code (patched, custom,
+# finite, geometric) must read as Python ints
 @pytest.mark.parametrize("dspec", list(_DENSE_FAMILIES.values()), ids=list(_DENSE_FAMILIES))
 def test_gamma_arrays_of_an_int64_array_are_those_of_its_list(dspec) -> None:
     impl = d._impl(dspec)
