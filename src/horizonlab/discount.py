@@ -250,24 +250,22 @@ def _pow_iv(base, expo: float) -> Interval:
 
 
 def _int_list(ks: Sequence[int]) -> Sequence[int]:
-    """An array's indices as Python ints (np.int64 is not an int), for per-element code."""
+    """gamma_arrays' indices as Python ints (np.int64 is not an int), for per-element code."""
     return ks.tolist() if isinstance(ks, np.ndarray) else ks
 
 
 def _pow_arrays(
     bases: Sequence[int], expo: float, logs: Optional[Sequence[float]] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """_positive_pad_pair(*_pow_parts(b, expo)) for each of the increasing
-    int bases b as lo and hi arrays, bit for bit: one scalar pow per base,
-    the rest in numpy. logs, the math.log of each base, may be shared."""
+    """_positive_pad_pair(*_pow_parts(b, expo)) for each b, as lo and hi
+    arrays, bit for bit: one scalar pow per base, then the padding in
+    numpy. logs, the math.log of each base, lets several exponents share
+    them."""
     bases = _int_list(bases)
     if logs is None:
-        logs = list(map(math.log, bases))
-    if len(bases) and bases[-1] >= 1 << 1000:  # some base takes _pow_parts' logs
-        parts = [_pow_parts(b, expo, ln) for b, ln in zip(bases, logs)]
-        return _positive_pad_arrays(np.array([y for y, _ in parts]), np.array([r for _, r in parts]))
-    ys = np.array([b ** expo for b in bases])  # float(b) ** expo
-    return _positive_pad_arrays(ys, _U * (8.0 + 2.0 * np.abs(np.array(logs))))
+        logs = [math.log(b) for b in bases]
+    parts = [_pow_parts(b, expo, ln) for b, ln in zip(bases, logs)]
+    return _positive_pad_arrays(np.array([y for y, _ in parts]), np.array([r for _, r in parts]))
 
 
 def _subnormal_pair(y: float) -> Pair:
@@ -413,8 +411,8 @@ class _Base:
         raise NotImplementedError
 
     def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """lo and hi of gamma_pair(k) for each k of an increasing sequence of
-        ints (a list, a range or an int array) as float64 arrays, bit for bit."""
+        """lo and hi of gamma_pair(k) as float64 arrays, bit for bit, for each k of
+        ks: increasing, an int64 array or (as past int64) a sequence of Python ints."""
         pairs = [self.gamma_pair(k) for k in _int_list(ks)]
         return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
@@ -880,7 +878,7 @@ class _Power(_Integrable):
 
     def bound_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Both pows of each k share the log of their error bound."""
-        logs = list(map(math.log, ks))
+        logs = [math.log(k) for k in ks]
         glo, ghi = _pow_arrays(ks, -1.0 - self.eps, logs)
         lo, hi = _pow_arrays(ks, -self.eps, logs)
         # the four quotients by the point eps > 0 keep lo's and hi's order
@@ -1285,10 +1283,14 @@ class _AlternatingZero(_Base):
 
     def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """The base's gamma_arrays at the even indices, 0 at the odd ones."""
-        ks = np.asarray(ks, dtype=object if len(ks) and ks[-1] >> 63 else np.int64)
-        even = (ks & 1) == 0
-        lo, hi = np.zeros(ks.size), np.zeros(ks.size)
-        lo[even], hi[even] = self.base.gamma_arrays(ks[even])
+        if not isinstance(ks, np.ndarray):  # the evens stay Python ints
+            even = np.array([k % 2 == 0 for k in ks], dtype=bool)
+            evens = [k for k in ks if k % 2 == 0]
+        else:
+            even = (ks & 1) == 0
+            evens = ks[even]
+        lo, hi = np.zeros(len(ks)), np.zeros(len(ks))
+        lo[even], hi[even] = self.base.gamma_arrays(evens)
         return lo, hi
 
     # the relative width that the rest of a tail over a monotone base aims for

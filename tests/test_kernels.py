@@ -236,16 +236,19 @@ def test_numpy_gamma_arrays_are_gamma_pair_over_a_long_range(dspec) -> None:
         assert np.array_equal(lo, pairs[:, 0]) and np.array_equal(hi, pairs[:, 1])
 
 
-# the kernel passes int64 arrays, which per-element code (patched, custom,
-# finite, geometric) must read as Python ints
+# gamma_arrays takes an int64 array, which per-element code (patched,
+# custom, finite, geometric) must read as Python ints, or a sequence of
+# Python ints, which every index past int64 must be
 @pytest.mark.parametrize("dspec", list(_DENSE_FAMILIES.values()), ids=list(_DENSE_FAMILIES))
-def test_gamma_arrays_of_an_int64_array_are_those_of_its_list(dspec) -> None:
+def test_gamma_arrays_of_either_index_form_are_gamma_pair(dspec) -> None:
     impl = d._impl(dspec)
     for ks in ([1, 2, 3, 4, 5, 64, 65, 1999, 2000, 4097], list(range(2**40, 2**40 + 300)),
-               [2**53 - 1, 2**53, 2**62, 2**63 - 1]):
-        want = impl.gamma_arrays(ks)
-        got = impl.gamma_arrays(np.array(ks, dtype=np.int64))
-        assert all(np.array_equal(a, b) and a.dtype == np.float64 for a, b in zip(got, want)), ks
+               [2**53 - 1, 2**53, 2**62, 2**63 - 1], [2**63 - 1, 2**63, 2**64 + 7, 10**22]):
+        want = np.array([impl.gamma_pair(k) for k in ks])
+        forms = [ks] + ([np.array(ks, dtype=np.int64)] if ks[-1] < 2**63 else [])
+        for got in (impl.gamma_arrays(f) for f in forms):
+            assert all(a.dtype == np.float64 for a in got)
+            assert np.array_equal(got[0], want[:, 0]) and np.array_equal(got[1], want[:, 1]), ks
 
 
 # -- closed-form segment masses -------------------------------------------------

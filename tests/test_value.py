@@ -679,7 +679,7 @@ def test_cosine_periodic_dense_sum_is_padded_by_its_term_error() -> None:
     with mpmath.workprec(120):
         exact = mpmath.fsum(terms[i] * pat[(i - 1) % 3] for i in range(k, n + 1))
         assert mpmath.mpf(s.lo) <= exact <= mpmath.mpf(s.hi)
-    lo, hi = impl.gamma_arrays(range(k, n + 1))
+    lo, hi = d.gamma_arrays(dspec, range(k, n + 1))
     pad = math.fsum(((hi - lo) * r.reward_vec(rspec, k, n)).tolist())
     assert s.width >= pad >= 50 * 16 * d._U * d.gamma_tail(dspec, k).hi
     g_lo, g_hi = impl.gamma_pair(n)
