@@ -22,8 +22,8 @@ Memory is 8N/S bytes plus one chunk of 2**15 terms while the table
 grows. A query of p pieces costs one np.add.reduceat over the blocks
 they cover plus under 3S fresh terms per piece, all in numpy:
 O(pS + N/S), not O(N). Cosine needs its table only near k: far from k
-a first-order Euler-Maclaurin enclosure takes over (_CosineModulated),
-so a tail at resolution t sums O(t^(-2/3)) terms rather than O(1/t).
+a second-order Euler-Maclaurin enclosure takes over (_CosineModulated),
+so a tail at resolution t sums O(t^(-1/2)) terms rather than O(1/t).
 """
 
 from __future__ import annotations
@@ -1402,29 +1402,79 @@ class _CosineModulated(_Base):
     """gamma_i = g(i), g(x) = (2 + cos U_x) / x^2 with U_x = pi sqrt(2x).
 
     Near k masses are summed from the block table; far from k they are
-    enclosed in closed form (first-order Euler-Maclaurin). For integers
-    a < b <= inf, with B_1(t) = t - 1/2 and |B_1| <= 1/2 on [0, 1),
+    enclosed in closed form (second-order Euler-Maclaurin). For integers
+    a < b <= inf, with the periodic Bernoulli polynomial B~_2,
+    |B~_2| <= B_2 = 1/6,
 
-        sum_{a<=i<b} g(i) = int_a^b g + (g(a) - g(b)) / 2 + E,
-        E = int_a^b B_1(x - floor x) g'(x) dx,  |E| <= (1/2) int_a^b |g'|,
+        sum_{a<=i<b} g(i) = int_a^b g + (g(a) - g(b)) / 2 - (g'(a) - g'(b)) / 12 + E,
+        E = -int_a^b (B~_2(x) / 2) g''(x) dx,  |E| <= (1/12) int_a^b |g''|
 
-    (g(inf) = 0). As g' = -sin U_x pi / (sqrt(2x) x^2) - 2 (2 + cos U_x) / x^3,
-    |g'| <= (pi / sqrt 2) x^(-5/2) + 6 x^(-3), so
-    |E| <= (sqrt(2) pi / 6) (a^(-3/2) - b^(-3/2)) + (3/2) (a^(-2) - b^(-2)).
+    (g(inf) = g'(inf) = 0). As U'_x = pi / sqrt(2x),
+    g' = -(pi / sqrt 2) sin U_x x^(-5/2) - 2 (2 + cos U_x) x^(-3) and
+    g'' = -(pi^2 / 2) cos U_x x^(-3) + (9 pi / (2 sqrt 2)) sin U_x x^(-7/2)
+    + 6 (2 + cos U_x) x^(-4), so |g''| <= (pi^2 / 2) x^(-3)
+    + (9 pi / (2 sqrt 2)) x^(-7/2) + 18 x^(-4) and
+
+        |E| <= (pi^2 / 48) (a^-2 - b^-2) + (3 pi / (20 sqrt 2)) (a^(-5/2) - b^(-5/2))
+               + (1/2) (a^-3 - b^-3).
+
     In int_a^b cos(U_x) / x^2 dx the substitution u = U_x (x = u^2 / (2 pi^2))
-    gives 4 pi^2 int cos(u) / u^3 du; one integration by parts turns it into
-    (sqrt(2) / pi) (sin U_b b^(-3/2) - sin U_a a^(-3/2)) + R with
-    R = 12 pi^2 int sin(u) / u^4 du, |R| <= 4 pi^2 (U_a^-3 - U_b^-3)
-    = (sqrt(2) / pi) (a^(-3/2) - b^(-3/2)). Hence
+    gives 4 pi^2 int cos(u) / u^3 du; three integrations by parts turn it
+    into 4 pi^2 [sin u / u^3 - 3 cos u / u^4 - 12 sin u / u^5] from U_a to
+    U_b, plus R = -240 pi^2 int sin(u) / u^6 du with
+    |R| <= 48 pi^2 (U_a^-5 - U_b^-5) = (6 sqrt(2) / pi^3) (a^(-5/2) - b^(-5/2)).
+    (Stopping after two leaves R of order a^-2 that its bound meets on
+    short pieces.) As 4 pi^2 / U_x^3 = (sqrt(2) / pi) x^(-3/2),
+    12 pi^2 / U_x^4 = (3 / pi^2) x^-2 and 48 pi^2 / U_x^5 =
+    (6 sqrt(2) / pi^3) x^(-5/2), with c = cos U_x, s = sin U_x,
 
         sum_{a<=i<b} g(i) = F(a) - F(b) +- (H(a) - H(b)),
-        F(x) = 2/x - (sqrt(2) / pi) sin(U_x) x^(-3/2) + g(x) / 2,
-        H(x) = C x^(-3/2) + (3/2) x^(-2),  C = sqrt(2) pi / 6 + sqrt(2) / pi,
+        F(x) = 2/x - K s x^(-3/2) + x^-2 (1 + A c + x^(-1/2) (D s + (2 + c) x^(-1/2) / 6)),
+        H(x) = x^-2 (C2 + C5 x^(-1/2) + x^-1 / 2),
 
-    with F(inf) = H(inf) = 0. C = 1.19063... <= _EM_C. Both bounds
-    telescope: over consecutive pieces from P the errors add up to at
-    most H(P) = 1.19 P^(-3/2) + 1.5 P^(-2), however many pieces there are.
-    _closed_parts proves the floating-point evaluation of F and H.
+    with K = sqrt(2) / pi, A = 1/2 + 3 / pi^2, D = pi / (12 sqrt 2)
+    + 6 sqrt(2) / pi^3, C2 = pi^2 / 48 = 0.20561... <= _EM_C2 and
+    C5 = 3 pi / (20 sqrt 2) + 6 sqrt(2) / pi^3 = 0.60687... <= _EM_C5 (F(x)
+    is int_x^inf g + g(x) / 2 - g'(x) / 12, and F(inf) = H(inf) = 0). H only
+    grows with the float constants, and both bounds telescope: over
+    consecutive pieces from P the errors add up to at most
+    H(P) ~ 0.21 P^-2, however many pieces there are. Every power of x is
+    formed as x^-2 times powers of x^(-1/2), so H and F keep x^-3 inside a
+    factor of the normal x^-2 up to _FAR.
+
+    The float pad (_closed_parts). Each x is an index rounded to float64,
+    x~ = x (1 + d0) with |d0| <= u (d0 = 0 below 2**53). sqrt and the four
+    basic operations are correctly rounded, so q = 1 / (x~ x~), v = 1 / sqrt x~,
+    r = 1 / (x~ sqrt x~) and t1 = 2 / x~ are x^-2, x^(-1/2), x^(-3/2) and 2/x
+    times 1 + th with |th| <= 4.01 u, 2.52 u, 4.5 u and 2.01 u. _SQRT2_PI,
+    _EM_A and _EM_D are K (1 + 2.2 u), A (1 + 1.1 u) and D (1 + 1.1 u).
+    U~ = pi sqrt(2 x~) is formed as gamma_vec forms it, |U~ - U_x| <= 3.01 u U
+    + u U / 2 < 4 ulp(U~), and np.sin and np.cos are accurate to 4 ulp
+    (<= 8 u) in [-1, 1], so each of s~, c~ errs from s, c by
+    e <= S = min(6 ulp(U~) + 16 u, 3) (the cap holds for any values in
+    [-1, 1] they return). F~ = (t1 - kr s~) + t3 with kr = fl(K r) =
+    K x^(-3/2) (1 + 7.8 u) and t3 = q b, where b is the bracket of F formed
+    from c~, s~ and v in the order written. Then
+
+        |t2~ - t2| <= K x^(-3/2) (e + 8.9 u) <= (1 + 8 u) (S + 8.9 u) kr
+
+    for t2 = K s x^(-3/2), as |s~| <= 1. The bracket's four terms 1, A c~,
+    D s~ v and (2 + c~) v^2 / 6 pass with q through at most 7.01 u, 9.12 u,
+    12.64 u and 16.06 u of relative rounding, and |c~|, |s~| <= 1 bound them
+    by M = 1 + A + D x^(-1/2) + x^-1 / 2; the errors e move the bracket by at
+    most (A + D x^(-1/2) + x^-1 / 6) S <= M S. So |t3~ - t3| <=
+    x^-2 M (S + 16.1 u) <= (1 + 4.1 u) q~ M (S + 16.1 u), and m~, M's float
+    value, is M (1 +- 10 u). The two additions err by at most
+    2.01 u (t1 + kr + q~ m~). So |F~ - F| <= 4.02 u t1 + (S + 11 u + 8 u S) kr
+    + (S + 18.2 u + 8 u S) q~ m~, and p = 1.01 ((S + 24 u) (kr + q~ m~)
+    + 4 u t1) bounds it: the margin of 1.01 covers the terms in u S and the
+    roundings of p itself. H~ = q~ (_EM_C2 + v (_EM_C5 + v / 2)) is H(x)
+    (1 +- 14.1 u), and scaling it by 1 -+ 2**-48 (32 u) rounds to
+    H_lo <= H(x) <= H_hi. Below _FAR, q~ > 2**-1001 and kr > 2**-751, and
+    from x = 64 on b >= 1 - A - D x^(-1/2) > 0.1, while m~ and H~ / q~ exceed
+    1/5 everywhere: t1, kr, t3, p and H~ are normal floats (x^-3 alone would
+    underflow from 2**341). A partial product that underflows (D s~ v for
+    a tiny s~) errs by under 2**-1074, far below u q~.
     """
 
     name = "cosine_modulated"
@@ -1438,8 +1488,11 @@ class _CosineModulated(_Base):
 
     _DEFAULT_TARGET = 3.0 * 2.0**-23  # default tail resolution
     _last_rest: tuple = (None, None)  # (n, rest(n)) of tail_batch
-    _EM_C = 1.1907  # >= sqrt(2) pi / 6 + sqrt(2) / pi
-    _VAR_C = 1.4810  # >= sqrt(2) pi / 3
+    _EM_C2 = 0.20562  # >= pi^2 / 48
+    _EM_C5 = 0.6069  # >= 3 pi / (20 sqrt 2) + 6 sqrt(2) / pi^3
+    _EM_A = 0.80396355092701331  # 1/2 + 3 / pi^2 within 1.1 u
+    _EM_D = 0.45878346683990679  # pi / (12 sqrt 2) + 6 sqrt(2) / pi^3 within 1.1 u
+    _VAR_C = 0.9429  # >= 2 sqrt(2) / 3
     _SQRT2_PI = math.sqrt(2.0) / math.pi  # sqrt(2) / pi within 2.2 u
     _FAR = 2.0**500  # where the closed form stops: x^-2 stays a normal float
 
@@ -1497,16 +1550,24 @@ class _CosineModulated(_Base):
     def variation(self, m: int) -> Interval:
         """[0, V] with V >= sum_{i>m} |gamma_i - gamma_{i+1}|.
 
-        Each difference is |int_i^{i+1} g'|, so with x = m + 1 and the
-        bound on |g'| of the class docstring
+        Each difference is |int_i^{i+1} g'|, so with x = m + 1 and g' of
+        the class docstring the sum is at most int_x^inf |g'| <=
+        (pi / sqrt 2) I + 3 x^-2, I = int_x^inf |sin U_t| t^(-5/2) dt =
+        2^(5/2) pi^3 int_{U_x}^inf |sin u| u^-4 du (u = U_t). By the Fourier
+        series |sin u| = 2/pi - (4/pi) sum_k cos(2ku) / (4k^2 - 1) and
+        |int_A^inf cos(2ku) f| <= f(A) / k for f decreasing to 0 (one
+        integration by parts), int_A^inf |sin u| f <= (2/pi) int_A^inf f
+        + (4/pi) (2 ln 2 - 1) f(A), as sum_k 1 / (k (4k^2 - 1)) = 2 ln 2 - 1.
+        With f = u^-4 and U_x^2 = 2 pi^2 x,
 
-            sum_{i>m} |gamma_i - gamma_{i+1}| <= int_x^inf |g'|
-                <= (sqrt(2) pi / 3) x^(-3/2) + 3 x^(-2),
+            sum_{i>m} |gamma_i - gamma_{i+1}|
+                <= (2 sqrt(2) / 3) x^(-3/2) + (3 + (4/pi) (2 ln 2 - 1)) x^-2,
 
-        and sqrt(2) pi / 3 = 1.48096... <= _VAR_C. The float x~ = x (1 + d0),
+        with 2 sqrt(2) / 3 = 0.94281... <= _VAR_C and 3.4919 <= 3.5: the
+        mean of |sin| in place of its maximum. The float x~ = x (1 + d0),
         |d0| <= u (d0 = 0 below 2**53), r = 1 / (x~ sqrt x~) and
         q = 1 / (x~ x~) take three and two correct roundings, and
-        _VAR_C r + 3 q two more: the computed sum is the bound times
+        _VAR_C r + 3.5 q two more: the computed sum is the bound times
         (1 +- 8 u), and 1 + 2**-48 (32 u) lifts it above. From _FAR on,
         where x~^2 may overflow, V = 2 tail_crude(x).hi, as the sum is at
         most sum_{i>m} (gamma_i + gamma_{i+1}) <= 2 Gamma_x.
@@ -1515,7 +1576,7 @@ class _CosineModulated(_Base):
         if x >= self._FAR:
             return Interval(0.0, 2.0 * self.tail_crude(x).hi)
         xf = float(x)
-        v = self._VAR_C / (xf * math.sqrt(xf)) + 3.0 / (xf * xf)
+        v = self._VAR_C / (xf * math.sqrt(xf)) + 3.5 / (xf * xf)
         return Interval(0.0, v * (1.0 + 2.0**-48))
 
     @staticmethod
@@ -1536,46 +1597,21 @@ class _CosineModulated(_Base):
     @classmethod
     def _closed_parts(cls, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(F~, p, H_lo, H_hi) at float64 points 1 <= x < _FAR, with
-        |F~ - F(x)| <= p and H_lo <= H(x) <= H_hi (class docstring; H takes
-        the float _EM_C >= C, which only widens the bound, as x^(-3/2)
-        decreases).
-
-        Each x is an index rounded to float64, x~ = x (1 + d0) with
-        |d0| <= u (d0 = 0 below 2**53). F~ = (t1 - t2) + t3 with
-        t1 = 2 / x~, r = 1 / (x~ sqrt x~), t2 = (K r) sin U~,
-        t3 = (2 + cos U~) / (x~ x~) / 2, K = fl(sqrt 2 / pi) and
-        U~ = pi sqrt(2 x~) formed as gamma_vec forms it. sqrt and the four
-        basic operations are correctly rounded, so r = x^(-3/2) (1 + th),
-        |th| <= 4.5 u, and K = (sqrt 2 / pi) (1 + 2.2 u). |U~ - U_x| <=
-        3.01 u U + u U / 2 < 4 ulp(U~), and np.sin and np.cos are accurate
-        to 4 ulp (<= 8 u) in [-1, 1], so each errs from sin U_x or cos U_x
-        by e <= s = min(6 ulp(U~) + 16 u, 3) (the cap holds for any values
-        in [-1, 1] they return). With kr = fl(K r) = K x^(-3/2) (1 + 7.8 u),
-        |sin~| <= 1 and 2 + cos~ >= 1 (so t3~ >= (1 - 6 u) / (2 x^2)):
-
-            |t1~ - t1| <= 2 u t1,
-            |t2~ - t2| <= K x^(-3/2) (e + 8.9 u) <= (1 + 8 u) (s + 8.9 u) kr,
-            |t3~ - t3| <= e / (2 x^2) + 5.1 u t3 <= (s + 6 u + 11 u s) t3~,
-
-        the last as t3 <= (1 + e) t3~ (1 + 6 u), and the two additions
-        err by at most 2.01 u (t1 + kr + t3~). So |F~ - F| <= 4.01 u t1 +
-        (s + 11.2 u + 11 u s) (kr + t3~), and p = 1.01 ((s + 16 u)
-        (kr + t3~) + 4 u t1) bounds it: the margin of 1.01 covers the
-        terms in u s and the roundings of p itself. H~ = C r + 1.5 / (x~ x~)
-        is H(x) (1 +- 8 u), and scaling it by 1 -+ 2**-48 (32 u) rounds to
-        H_lo <= H(x) <= H_hi. Below _FAR, x~^2 < 2**1000, so no term
-        leaves the normal range.
-        """
-        xx = xs * xs
-        r = 1.0 / (xs * np.sqrt(xs))
+        |F~ - F(x)| <= p and H_lo <= H(x) <= H_hi, as the class docstring
+        derives."""
+        q = 1.0 / (xs * xs)
+        rt = np.sqrt(xs)
+        v, r = 1.0 / rt, 1.0 / (xs * rt)
         arg = np.pi * np.sqrt(2.0 * xs)
+        c, sn = np.cos(arg), np.sin(arg)
         t1 = 2.0 / xs
         kr = cls._SQRT2_PI * r
-        t3 = 0.5 * ((2.0 + np.cos(arg)) / xx)
-        f = (t1 - kr * np.sin(arg)) + t3
+        t3 = q * ((1.0 + cls._EM_A * c) + v * (cls._EM_D * sn + ((2.0 + c) * v) / 6.0))
+        f = (t1 - kr * sn) + t3
         s = np.minimum(6.0 * np.spacing(arg) + 16.0 * _U, 3.0)
-        pad = 1.01 * ((s + 16.0 * _U) * (kr + t3) + 4.0 * _U * t1)
-        h = cls._EM_C * r + 1.5 / xx
+        m = (1.0 + cls._EM_A) + v * (cls._EM_D + 0.5 * v)
+        pad = 1.01 * ((s + 24.0 * _U) * (kr + q * m) + 4.0 * _U * t1)
+        h = q * (cls._EM_C2 + v * (cls._EM_C5 + 0.5 * v))
         return f, pad, h * (1.0 - 2.0**-48), h * (1.0 + 2.0**-48)
 
     def _closed_mass_arrays(self, bounds: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -1609,25 +1645,29 @@ class _CosineModulated(_Base):
 
     @classmethod
     def _reach(cls, h: float) -> int:
-        """An index n >= 1 with H(n) <= h (each of H's terms at most h / 2),
-        or the table's reach min(guard, 2**52) if that comes first (h may
-        underflow to 0 from a subnormal target)."""
-        n = max((2.0 * cls._EM_C / h) ** (2.0 / 3.0), math.sqrt(3.0 / h)) if h > 0.0 else math.inf
+        """An index n >= 1 with H(n) <= h, or the table's reach
+        min(guard, 2**52) if that comes first (h may underflow to 0 from a
+        subnormal target). With n0 = max(sqrt(C2 / h), 1) <= n, H(n) <=
+        n^-2 (C2 + C5 n0^(-1/2) + n0^-1 / 2), which is h at the n taken."""
+        n = math.inf
+        if h > 0.0:
+            n0 = max(math.sqrt(cls._EM_C2 / h), 1.0)
+            n = math.sqrt((cls._EM_C2 + cls._EM_C5 / math.sqrt(n0) + 0.5 / n0) / h)
         return max(int(math.ceil(min(n, float(min(guard_index(), 1 << 52))))), 1)
 
     def segment_mass_arrays(
         self, bounds: Sequence[int], target: Optional[float] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Masses over consecutive bounds. With a target, pieces below the cut
-        P = _reach(target / 16) come from the block table and pieces from P
+        P = _reach(target / 64) come from the block table and pieces from P
         on in closed form (_closed_mass_arrays; a piece across P is split
         there, and its two parts are added as Intervals add), so the
-        closed-form pieces err by at most H(P) <= target / 16 in total.
+        closed-form pieces err by at most H(P) <= target / 64 in total.
         Without a target, or with bounds from _FAR on, every piece comes
         from the table."""
         if target is None or bounds[-1] >= self._FAR:
             return self._sums.mass_arrays(bounds)
-        cut = self._reach(target / 16.0)
+        cut = self._reach(target / 64.0)
         j = bisect.bisect_left(bounds, cut)  # bounds[:j] < cut <= bounds[j:]
         if j == 0:
             return self._closed_mass_arrays(bounds)
@@ -1645,7 +1685,7 @@ class _CosineModulated(_Base):
 
     def tail_batch(self, ks: Sequence[int], target: Optional[float] = None) -> List[Interval]:
         """Gamma_k for each k: the block-table mass over [k, n) plus rest(n),
-        where n = _reach(t / 4) leaves rest(n) at most t / 2 wide (t the
+        where n = _reach(t / 16) leaves rest(n) at most t / 8 wide (t the
         target, or _DEFAULT_TARGET). An index k >= n, as every index past
         the guard is, gets rest(k) alone."""
         if not ks:
@@ -1654,7 +1694,7 @@ class _CosineModulated(_Base):
         if sorted(set(ks)) != list(ks):
             raise ValueError("tail_batch needs strictly increasing indices")
         t = target if target is not None else self._DEFAULT_TARGET
-        n = self._reach(0.25 * t)
+        n = self._reach(t / 16.0)
         summed = [k for k in ks if k < n]
         far = [self.rest(k) for k in ks[len(summed) :]]
         if not summed:

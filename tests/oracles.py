@@ -112,6 +112,57 @@ def mp_weight(spec, i: int):
     raise ValueError(f"no oracle weight for {family!r} at index {i}")
 
 
+def cosine_class_tail(a: int, step: int = 1, order: int = 3):
+    """(T, e): the cosine weights over one residue class,
+    sum_{n>=0} g(a + n step) with g(x) = (2 + cos(pi sqrt(2x))) / x^2, lies
+    in [T - e, T + e] (mpmath numbers).
+
+    Euler-Maclaurin of order 2p (p = order) for h(t) = g(a + t step):
+        sum_{n>=0} h(n) = int_0^inf h + h(0)/2 - sum_{j<=p} B_2j / (2j)! h^(2j-1)(0) + R,
+        |R| <= |B_2p| / (2p)! int_0^inf |h^(2p)|,
+    with int_0^inf h = (1/step) int_a^inf g, where int_a^inf g =
+    2/a + 4 pi^2 (cos u/(2u^2) - sin u/(2u) + Ci(u)/2) at u = pi sqrt(2a),
+    and h^(n)(t) = step^n g^(n)(a + t step). The derivatives are exact:
+    g = 2 x^-2 + Re(x^-2 e^(i al sqrt x)), al = pi sqrt 2, and
+    d/dx (x^b e^(i al sqrt x)) = (b x^(b-1) + (i al / 2) x^(b-1/2)) e^(i al sqrt x),
+    so g^(n) is a finite sum of terms c x^b e^(i al sqrt x), and the
+    triangle inequality over them bounds int_a^inf |g^(2p)| term by term.
+    The working precision grows with a, so that cos(pi sqrt(2a)) keeps its
+    digits far past the float range. Independent of the package's
+    closed forms (those of _CosineModulated are of second order and bound
+    their remainders by hand)."""
+    import mpmath
+
+    with mpmath.workprec(200 + 2 * a.bit_length()):
+        x, pi = mpmath.mpf(a), mpmath.pi
+        al = pi * mpmath.sqrt(2)
+        u = al * mpmath.sqrt(x)
+        phase = mpmath.expj(u)
+        integral = 2 / x + 4 * pi**2 * (
+            mpmath.cos(u) / (2 * u**2) - mpmath.sin(u) / (2 * u) + mpmath.ci(u) / 2)
+        terms = {-4: mpmath.mpc(1)}  # twice the power b of x -> coefficient c
+        derivs = []  # g^(n)(a) for n = 0 .. 2p
+        for n in range(2 * order + 1):
+            osc = sum(c * x ** (mpmath.mpf(k) / 2) for k, c in terms.items()) * phase
+            derivs.append(2 * (-1) ** n * mpmath.factorial(n + 1) * x ** (-2 - n) + osc.real)
+            if n == 2 * order:
+                break
+            nxt = {}
+            for k, c in terms.items():
+                nxt[k - 2] = nxt.get(k - 2, 0) + c * mpmath.mpf(k) / 2
+                nxt[k - 1] = nxt.get(k - 1, 0) + c * 1j * al / 2
+            terms = nxt
+        total = integral / step + derivs[0] / 2
+        for j in range(1, order + 1):
+            total -= mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * step ** (2 * j - 1) * derivs[2 * j - 1]
+        n = 2 * order  # int_a^inf x^b = a^(b+1) / (-b - 1) for b < -1
+        bound = 2 * mpmath.factorial(n + 1) * x ** (-1 - n) / (1 + n)
+        bound += sum(abs(c) * x ** (mpmath.mpf(k) / 2 + 1) / (-mpmath.mpf(k) / 2 - 1)
+                     for k, c in terms.items())
+        err = abs(mpmath.bernoulli(n)) / mpmath.factorial(n) * step ** (n - 1) * bound
+        return total, err
+
+
 def tail_bounds(family: str, params: tuple, k: int) -> Tuple[float, float]:
     """Independent enclosure of Gamma_k = sum_{i>=k} gamma_i."""
     if family == "finite":

@@ -22,6 +22,8 @@ import horizonlab as h
 import horizonlab.discount as d
 from horizonlab import EnclosureAmbiguous, IntegerInterval, Interval, UndefinedMetric
 
+import oracles
+
 
 def assert_tight(iv, golden: float, ulps: int = 8) -> None:
     """Both endpoints within `ulps` units in the last place of golden."""
@@ -278,29 +280,15 @@ def _cosine_tail(x: int):
     """(T, e): the true tail sum_{i >= x} g(i), g(i) = (2 + cos(pi sqrt(2i))) / i^2,
     lies in [T - e, T + e].
 
-    The terms below M = max(x, _HEAD_END) are summed exactly; the rest
-    follows second-order Euler-Maclaurin,
-        sum_{i>=M} g(i) = int_M^inf g + g(M)/2 - g'(M)/12 + R,
-        |R| <= (1/12) int_M^inf |g''|,
-    with int_M^inf g = 2/M + 4 pi^2 int_a^inf cos(u)/u^3 du (u = pi sqrt(2x),
-    a = pi sqrt(2M)) = 2/M + 4 pi^2 (cos a/(2a^2) - sin a/(2a) + Ci(a)/2),
-    and |g''| <= (pi^2/2) x^-3 + (9 pi/(2 sqrt 2)) x^-7/2 + 18 x^-4. An
-    oracle independent of the package's first-order formula, and far
-    sharper: e ~ 0.2 M^-2.
+    The terms below M = max(x, _HEAD_END) are summed exactly; the rest is
+    sixth-order Euler-Maclaurin (oracles.cosine_class_tail), with a
+    remainder bounded term by term from the exact derivatives of g: an
+    oracle independent of the package's second-order formula, and far
+    sharper: e ~ 1e-3 M^-4.
     """
     head = _cosine_heads()[x] if x < _HEAD_END else 0
-    with mpmath.workprec(200):
-        big_m = mpmath.mpf(max(x, _HEAD_END))
-        pi, root2 = mpmath.pi, mpmath.sqrt(2)
-        a = pi * mpmath.sqrt(2 * big_m)
-        integral = 2 / big_m + 4 * pi**2 * (
-            mpmath.cos(a) / (2 * a**2) - mpmath.sin(a) / (2 * a) + mpmath.ci(a) / 2)
-        g = (2 + mpmath.cos(a)) / big_m**2
-        dg = (-mpmath.sin(a) * pi / (root2 * mpmath.sqrt(big_m) * big_m**2)
-              - 2 * (2 + mpmath.cos(a)) / big_m**3)
-        err = (pi**2 / 4 * big_m**-2 + 9 * pi / (2 * root2) * mpmath.mpf(2) / 5 * big_m ** mpmath.mpf(-2.5)
-               + 6 * big_m**-3) / 12
-        return head + integral + g / 2 - dg / 12, err
+    t, e = oracles.cosine_class_tail(max(x, _HEAD_END))
+    return head + t, e
 
 
 def _cosine_mass(a: int, b: int):
@@ -334,8 +322,8 @@ def test_cosine_tail_past_the_guard_encloses_the_tail(monkeypatch) -> None:
     monkeypatch.setenv("HORIZONLAB_GUARD", "40000")
     tail = d.gamma_tail(h.cosine_modulated(), 50_000)
     assert _encloses_true(tail, _cosine_tail(50_000))
-    # 2 H(k) / Gamma_k ~ 1.2 / sqrt(k); the crude sandwich was 200% wide
-    assert tail.width <= 1.3 * tail.lo / math.sqrt(50_000)
+    # 2 H(k) / Gamma_k ~ 0.51 / k; the crude sandwich was 200% wide
+    assert tail.width <= tail.lo / 50_000
 
 
 _COS = d._impl(h.cosine_modulated())
@@ -355,13 +343,39 @@ def test_cosine_rest_contains_the_true_tail(x: int) -> None:
     # under 15% of it from x = 2 on), so a wrong F shows off centre first
     assert abs(true[0] - mpmath.mpf(iv.mid)) <= iv.width / 8
     assert _COS.tail_crude(x).encloses(iv)
-    if 10**5 <= x < _COS._FAR:  # 2 H(x) / Gamma_x ~ 1.2 / sqrt(x)
-        assert iv.width <= 1.3 * iv.lo / math.sqrt(x)
+    if 10**5 <= x < _COS._FAR:  # 2 H(x) / Gamma_x ~ 0.51 / x, then the rounding pads
+        assert iv.width <= iv.lo * (1 / x + 64 * d._U)
+
+
+@pytest.mark.parametrize("x", [2**499, 10**150])
+def test_cosine_rest_near_the_closed_form_end_stays_normal(x: int) -> None:
+    # F, p and H carry every power of x as x^-2 times powers of x^-1/2:
+    # x^-3 alone would underflow from 2^341, x^-2 stays normal below _FAR
+    assert x < _COS._FAR
+    parts = [float(a[0]) for a in _COS._closed_parts(np.array([float(x)]))]
+    assert all(t >= 2.0**-1022 for t in parts), parts
+    iv = _COS.rest(x)
+    assert _encloses_true(iv, _cosine_tail(x))
+    # the closed form, not the crude sandwich (200% wide): the pad of the
+    # x^-3/2 term, whose sine carries no digit here, is about x^-1/2 of
+    # the tail, so the outward widening sets the width
+    assert iv.width <= 64 * d._U * iv.lo
+
+
+@pytest.mark.parametrize("h", [1e-6, 1e-8, 1e-10])
+def test_cosine_table_reach_is_of_order_h_to_the_minus_half(h: float) -> None:
+    # _reach(h) is where the closed form's error bound H falls to h: the
+    # block table is grown and summed only below it. H(n) ~ 0.206 n^-2, so
+    # n ~ (0.206 / h)^(1/2); the first-order form took (2.38 / h)^(2/3)
+    n = _COS._reach(h)
+    h_hi = _COS._closed_parts(np.array([float(n)]))[3][0]
+    assert h_hi <= h * (1 + 2.0**-40)
+    assert n <= 1.1 * math.sqrt(0.2057 / h)
 
 
 def _closed_cases():
     target = 1e-6
-    cut = _COS._reach(target / 16)
+    cut = _COS._reach(target / 64)
     return cut, [
         ("straddling P", [cut - 700, cut + 900]),
         ("starting at P", [cut, cut + 1, cut + 5000]),
@@ -896,7 +910,7 @@ def test_reused_cosine_rest_is_a_fresh_rest() -> None:
     impl, fresh = d._CosineModulated(), d._CosineModulated()
     first = impl.tail_batch([100, 200], 1e-9)
     n, rest = impl._last_rest
-    assert n == impl._reach(0.25e-9) and rest == fresh.rest(n)
+    assert n == impl._reach(1e-9 / 16) and rest == fresh.rest(n)
     again = impl.tail_batch([150, 300], 1e-9)
     assert impl._last_rest[1] is rest
     assert again == fresh.tail_batch([150, 300], 1e-9)

@@ -549,7 +549,7 @@ def cosine_masses_reference(impl, bounds, target=None):
 
     if target is None or bounds[-1] >= impl._FAR:
         return impl._sums.masses(bounds)
-    cut = impl._reach(target / 16.0)
+    cut = impl._reach(target / 64.0)
     j = bisect.bisect_left(bounds, cut)
     if j == 0:
         return closed(bounds)
@@ -633,7 +633,7 @@ def test_cosine_masses_split_across_the_closed_form_cut() -> None:
     # a piece across the cut adds its table part and its closed-form part
     impl = d._impl(d.cosine_modulated())
     target = 1e-3
-    cut = impl._reach(target / 16.0)
+    cut = impl._reach(target / 64.0)
     for bounds in ([5, cut - 3, cut + 10, cut + 500], [cut - 70, cut, cut + 1], [cut + 1, cut + 9]):
         got = d.segment_masses(d.cosine_modulated(), bounds, target)
         want = cosine_masses_reference(impl, bounds, target)
