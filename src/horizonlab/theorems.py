@@ -527,6 +527,8 @@ class RatioDiagnostics:
 def _series_label(series: Sequence[Interval], drift: float = 0.1) -> str:
     w = max(1, math.ceil(len(series) / 4))
     tail_hull = hull_of(series[-w:])
+    if math.isinf(tail_hull.hi):  # an undefined ratio's placeholder [0, inf]
+        return "undefined"
     if 1.0 - drift <= tail_hull.lo and tail_hull.hi <= 1.0 + drift:
         return "tends-to-1"
     if 0.0 <= tail_hull.lo and tail_hull.hi <= drift:
@@ -574,7 +576,10 @@ def lemma4_diagnostics(
     }
     step_to_one = labels["step_ratio"] == "tends-to-1"
     share_to_zero = labels["weight_share"] == "tends-to-0"
-    if step_to_one and share_to_zero:
+    if labels["weight_share"] == "undefined":
+        pattern = ("undefined: the ratios are undefined past the support "
+                   "(Gamma_k not certainly positive)")
+    elif step_to_one and share_to_zero:
         pattern = "smooth: step ratio -> 1 and weight share -> 0"
     elif share_to_zero:
         pattern = "step-like: weight share -> 0 without step ratio -> 1"

@@ -290,6 +290,15 @@ def test_ratio_diagnostics_step_family_breaks_step_ratio_only() -> None:
         assert iv.hi <= 2.0 ** (1 - n) + 1e-12, (n, iv)
 
 
+def test_ratio_diagnostics_past_the_support_are_undefined() -> None:
+    # past finite(50) gamma_k = Gamma_k = 0: each ratio is the placeholder
+    # [0, inf], whose hull is no limit, not "flat around inf"
+    diag = t.lemma4_diagnostics(h.finite(50), [2, 10, 100, 1000])
+    assert diag.labels == dict.fromkeys(("step_ratio", "weight_share", "tail_ratio"), "undefined")
+    assert diag.pattern.startswith("undefined") and "past the support" in diag.pattern
+    assert "inf" not in diag.pattern
+
+
 def test_ratio_diagnostics_geometric_is_proportional() -> None:
     diag = t.lemma4_diagnostics(h.geometric(0.5), [1, 2, 4, 8, 16])
     assert diag.pattern.startswith("proportional")
