@@ -1608,9 +1608,9 @@ class _CosineModulated(_Base):
         kr = cls._SQRT2_PI * r
         t3 = q * ((1.0 + cls._EM_A * c) + v * (cls._EM_D * sn + ((2.0 + c) * v) / 6.0))
         f = (t1 - kr * sn) + t3
-        s = np.minimum(6.0 * np.spacing(arg) + 16.0 * _U, 3.0)
+        dev = np.minimum(6.0 * np.spacing(arg) + 16.0 * _U, 3.0)  # S
         m = (1.0 + cls._EM_A) + v * (cls._EM_D + 0.5 * v)
-        pad = 1.01 * ((s + 24.0 * _U) * (kr + q * m) + 4.0 * _U * t1)
+        pad = 1.01 * ((dev + 24.0 * _U) * (kr + q * m) + 4.0 * _U * t1)
         h = q * (cls._EM_C2 + v * (cls._EM_C5 + 0.5 * v))
         return f, pad, h * (1.0 - 2.0**-48), h * (1.0 + 2.0**-48)
 
