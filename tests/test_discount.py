@@ -322,7 +322,7 @@ def test_cosine_tail_past_the_guard_encloses_the_tail(monkeypatch) -> None:
     monkeypatch.setenv("HORIZONLAB_GUARD", "40000")
     tail = d.gamma_tail(h.cosine_modulated(), 50_000)
     assert _encloses_true(tail, _cosine_tail(50_000))
-    # 2 H(k) / Gamma_k ~ 0.51 / k; the crude sandwich was 200% wide
+    # 2 H(k) / Gamma_k ~ 0.21 / k; the crude sandwich was 200% wide
     assert tail.width <= tail.lo / 50_000
 
 
@@ -343,7 +343,7 @@ def test_cosine_rest_contains_the_true_tail(x: int) -> None:
     # under 15% of it from x = 2 on), so a wrong F shows off centre first
     assert abs(true[0] - mpmath.mpf(iv.mid)) <= iv.width / 8
     assert _COS.tail_crude(x).encloses(iv)
-    if 10**5 <= x < _COS._FAR:  # 2 H(x) / Gamma_x ~ 0.51 / x, then the rounding pads
+    if 10**5 <= x < _COS._FAR:  # 2 H(x) / Gamma_x ~ 0.21 / x, then the rounding pads
         assert iv.width <= iv.lo * (1 / x + 64 * d._U)
 
 
