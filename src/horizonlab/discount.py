@@ -1123,6 +1123,14 @@ class _BlockSums:
     reach numpy as int64 offsets from origin, and terms() gets float64
     indices, exact below 2**53.
 
+    Two entries answer the same masses. mass_arrays(bounds) takes any
+    number of consecutive pieces as lo and hi arrays; mass(a, b) takes one
+    piece as a float pair, with the same whole-block reduceat, the same
+    fresh ends and the same pads, and returns the bits of
+    mass_arrays([a, b]) for about a third of its numpy calls (a tail asks
+    for one piece). Both form the pad below through one helper,
+    _block_pad, written with plain operators.
+
     The pad. Let w~_i >= 0 be the computed terms, with
     |w~_i - w_i| <= (200 u + rho_i) w~_i: 200 u covers the rounding of
     rational and logarithmic weights, and rho_i = term_rel (0 if not
@@ -1209,18 +1217,59 @@ class _BlockSums:
         parts = self._rels[run] * _range_sums(self._sums, lo, hi)
         return np.bincount(rng, weights=parts, minlength=f.size)
 
-    def masses(self, bounds: Sequence[int]) -> List[Interval]:
-        """Enclosures of sum_{a <= i < b} w_i for consecutive bounds a, b."""
-        lo, hi = self.mass_arrays(bounds)
-        return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    def _rel_pad(self, f: int, e: int) -> float:
+        """_rel_pads of the one range [f, e), as a float: the same reduceat
+        sums, added in the same order."""
+        cuts = self._cuts
+        i = int(np.searchsorted(cuts, f, "right")) - 1
+        j = int(np.searchsorted(cuts, e, "left"))
+        inner = cuts[i + 1 : j]  # the runs that start inside (f, e)
+        lo, hi = np.concatenate(([f], inner)), np.concatenate((inner, [e]))
+        return sum((self._rels[i:j] * _range_sums(self._sums, lo, hi)).tolist())
+
+    def _cap(self, end: int) -> int:
+        """The blocks the table may hold; GuardExceeded if a piece ending
+        at end reaches past them by more than 2 SIZE indices."""
+        cap = min(guard_index(), 1 << 52) // self.SIZE
+        if end - self._origin > (cap + 2) * self.SIZE:
+            raise GuardExceeded("block sums past the work guard")
+        return cap
+
+    def mass(self, a: int, b: int) -> Pair:
+        """mass_arrays([a, b]) as a (lo, hi) pair, bit for bit: the same
+        whole-block reduceat, fresh ends and pads, on Python floats."""
+        size, cap = self.SIZE, self._cap(b)
+        a, b = a - self._origin, b - self._origin
+        f, e = -(-a // size), min(b // size, cap)  # whole blocks [f, e) of [a, b)
+        whole = f < e
+        c, d = (f * size, e * size) if whole else (b, b)  # fresh ends [a, c), [d, b)
+        idx = np.arange(a, a + (c - a) + (b - d))
+        idx[c - a :] += d - c
+        terms = self._terms(idx + float(self._origin))
+        # each end's reduceat sum; an empty [a, c) reads the term at d, dropped
+        sums = np.add.reduceat(terms, [j for j in (0, c - a) if j < terms.size]).tolist()
+        p1 = sums[0] if c > a else 0.0
+        p2 = sums[-1] if b > d else 0.0
+        w, depth = 0.0, self._END_DEPTH
+        if whole:
+            self._grow(e, cap)
+            w = float(np.add.reduceat(self._sums[:e], [f])[0])
+            depth = max(depth, 25 + int(_sum_depth(e - f)))
+        s = (w + p1) + p2
+        rel_ends = rel_blocks = 0.0
+        if self._term_rel is not None:
+            r1, r2 = self._term_rel(np.array([c, b]) + float(self._origin)).tolist()
+            rel_ends = r1 * p1 + r2 * p2
+            if whole:
+                rel_blocks = self._rel_pad(f, e)
+        pad = _block_pad(s, depth, rel_ends, rel_blocks)
+        return widened_pair(max(s - pad, 0.0), s + pad)
 
     def mass_arrays(self, bounds: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """masses as lo and hi arrays."""
-        size, o = self.SIZE, self._origin
-        cap = min(guard_index(), 1 << 52) // size  # blocks the table may hold
-        if bounds[-1] - o > (cap + 2) * size:
-            raise GuardExceeded("block sums past the work guard")
-        x = np.array(bounds, dtype=np.int64) - o
+        """Enclosures of sum_{a <= i < b} w_i for consecutive bounds a, b,
+        as lo and hi arrays."""
+        size, cap = self.SIZE, self._cap(bounds[-1])
+        x = np.array(bounds, dtype=np.int64) - self._origin
         a, b = x[:-1], x[1:]
         f, e = -(-a // size), np.minimum(b // size, cap)  # whole blocks [f, e) of [a, b)
         whole = f < e
@@ -1236,13 +1285,22 @@ class _BlockSums:
             w[whole] = _range_sums(self._sums, f, e)
             depth[whole] = np.maximum(depth[whole], 25 + _sum_depth(e - f))
         s = (w + p1) + p2
-        pad = (depth + 204) * _U * s  # (d + 202) u s, d = depth + 2
+        rel_ends = rel_blocks = 0.0
         if self._term_rel is not None:
-            rel = self._term_rel(np.concatenate([c, b]) + float(o))
-            pad += rel[: a.size] * p1 + rel[a.size :] * p2
+            rel = self._term_rel(np.concatenate([c, b]) + float(self._origin))
+            rel_ends = rel[: a.size] * p1 + rel[a.size :] * p2
+            rel_blocks = np.zeros(a.size)
             if f.size:
-                pad[whole] += self._rel_pads(f, e)
+                rel_blocks[whole] = self._rel_pads(f, e)
+        pad = _block_pad(s, depth, rel_ends, rel_blocks)
         return widened_arrays(np.maximum(s - pad, 0.0), s + pad)
+
+
+def _block_pad(s, depth, ends, blocks):
+    """The pad (d + 202) u s + R~ of _BlockSums for sums s with d = depth + 2,
+    where ends and blocks are R~'s parts over the fresh ends and the whole
+    blocks (0 without term_rel). Plain operators: floats and arrays alike."""
+    return ((depth + 204) * _U * s + ends) + blocks
 
 
 class _AlternatingZero(_Base):
@@ -1352,12 +1410,12 @@ class _AlternatingZero(_Base):
             t, g = base.tail(n + 1), Interval(g_lo[i], g_hi[i])
             tail = Interval(max(((t - g) * 0.5).lo, 0.0), (t * 0.5).hi)
             if n >= start:
-                tail = self._evens.masses([start // 2, n // 2 + 1])[0] + tail
+                tail = Interval(*self._evens.mass(start // 2, n // 2 + 1)) + tail
             return Interval(max(tail.lo, 0.0), tail.hi)
         n = max(min(max(start + 4096, 1 << 16), cap), start - 2)
         while True:
             rest = base.tail(n + 1)
-            partial = self._evens.masses([start // 2, n // 2 + 1])[0]
+            partial = Interval(*self._evens.mass(start // 2, n // 2 + 1))
             if rest.hi <= max(1e-3 * partial.lo, 1e-300) or n >= cap:
                 return Interval(max(partial.lo, 0.0), partial.hi + rest.hi)
             n = min(n * 4, cap)
@@ -1487,7 +1545,7 @@ class _CosineModulated(_Base):
     target_free = False
 
     _DEFAULT_TARGET = 3.0 * 2.0**-23  # default tail resolution
-    _last_rest: tuple = (None, None)  # (n, rest(n)) of tail_batch
+    _last_rest: tuple = (None, None)  # (n, rest(n)) of the last tail (_rest_at)
     _EM_C2 = 0.20562  # >= pi^2 / 48
     _EM_C5 = 0.6069  # >= 3 pi / (20 sqrt 2) + 6 sqrt(2) / pi^3
     _EM_A = 0.80396355092701331  # 1/2 + 3 / pi^2 within 1.1 u
@@ -1693,23 +1751,36 @@ class _CosineModulated(_Base):
         ks = [int(k) for k in ks]
         if sorted(set(ks)) != list(ks):
             raise ValueError("tail_batch needs strictly increasing indices")
-        t = target if target is not None else self._DEFAULT_TARGET
-        n = self._reach(t / 16.0)
+        n = self._tail_cut(target)
         summed = [k for k in ks if k < n]
         far = [self.rest(k) for k in ks[len(summed) :]]
         if not summed:
             return far
-        if self._last_rest[0] != n:  # n depends on the target only: a search shares it
-            self._last_rest = (n, self.rest(n))
-        acc = self._last_rest[1]
+        acc = self._rest_at(n)
         head: List[Interval] = []
-        for m in reversed(self._sums.masses(summed + [n])):
-            acc = m + acc
+        lo, hi = self._sums.mass_arrays(summed + [n])
+        for a, b in zip(reversed(lo.tolist()), reversed(hi.tolist())):
+            acc = Interval(a, b) + acc
             head.append(acc)
         return head[::-1] + far
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
-        return self.tail_batch([k], target)[0]
+        """tail_batch([k], target)[0], with the one mass from mass."""
+        k, n = int(k), self._tail_cut(target)
+        if k >= n:
+            return self.rest(k)
+        return Interval(*self._sums.mass(k, n)) + self._rest_at(n)
+
+    def _tail_cut(self, target: Optional[float]) -> int:
+        """The n of tail_batch: _reach(t / 16)."""
+        return self._reach((target if target is not None else self._DEFAULT_TARGET) / 16.0)
+
+    def _rest_at(self, n: int) -> Interval:
+        """rest(n), kept for the last n: n depends on the target only, so a
+        search shares it."""
+        if self._last_rest[0] != n:
+            self._last_rest = (n, self.rest(n))
+        return self._last_rest[1]
 
     def index_for_tail_bound(self, target: float, start: int) -> int:
         return max(start, _ceil_quotient(3.0, target) + 1)
@@ -1837,7 +1908,7 @@ class _Patched(_Base):
                 return gk / one_minus
             g_next = _rel_pad_iv(_seg_gamma(seg, seg.end + 1), 16 * _U)
             return (gk - g_next) / one_minus
-        return self._harm[seg.start].masses([k, seg.end + 1])[0]
+        return Interval(*self._harm[seg.start].mass(k, seg.end + 1))
 
     @staticmethod
     def _harm_table(seg: PatchedSegment) -> _BlockSums:
@@ -1911,9 +1982,12 @@ class _Custom(_Base):
         if not ((table >= 0.0).all() and np.isfinite(table).all()):
             raise ValueError("custom weights must be finite and nonnegative")
         # backward partial sums over the table: suffix[j] = sum_{i>=j} (0-based),
-        # suffix[K] = 0; np.cumsum adds sequentially, from the end, in floats
-        self._suffix = np.cumsum(np.concatenate(([0.0], table[::-1])))[::-1].tolist()
+        # suffix[K] = 0; np.cumsum adds sequentially, from the end, in floats.
+        # The float64 array itself is kept: boxed, its K + 1 floats slow
+        # every garbage collection
+        self._suffix = np.cumsum(np.concatenate(([0.0], table[::-1])))[::-1]
         self.monotone = bool(np.all(np.diff(table) <= 0.0))
+        self._beyond = self._model_tail(self.K + 1)  # the continuation past the table
 
     def gamma(self, k: int) -> float:
         if k <= self.K:
@@ -1980,10 +2054,10 @@ class _Custom(_Base):
 
     def tail(self, k: int, target: Optional[float] = None) -> Interval:
         if k <= self.K:
-            part = self._suffix[k - 1]
+            part = float(self._suffix[k - 1])
             pad = _U * (self.K - k + 2) * abs(part) + 5e-324
             table_part = Interval(part - pad, part + pad)
-            return table_part + self._model_tail(self.K + 1)
+            return table_part + self._beyond
         if self.tail_model is None:
             raise ValueError(f"index {k} beyond custom table without a tail model")
         return self._model_tail(k)

@@ -283,7 +283,11 @@ def verify_future_avg(
     gaps = [abs(1.0 - rv.mid) for rv in ratios]
     prev_gap = max(gaps[-2 * w : -w] or gaps[:1])
     drifting = max(gaps[-w:]) <= 0.7 * prev_gap
-    if 1.0 - tol <= tail_hull.lo and tail_hull.hi <= 1.0 + tol:
+    if math.isinf(tail_hull.hi):  # an undefined ratio's placeholder [0, inf]
+        premises.append(PremiseCheck(
+            name, "undecidable-at-scale",
+            "late ratios undefined past the support (gamma_k not certainly positive)"))
+    elif 1.0 - tol <= tail_hull.lo and tail_hull.hi <= 1.0 + tol:
         premises.append(PremiseCheck(name, "satisfied", span))
     elif drifting:
         premises.append(

@@ -437,6 +437,12 @@ def test_sum_depth_bounds_the_pairwise_depth() -> None:
     assert d._sum_depth(np.array([64, 128, 192])).tolist() == [25, 25, 26]
 
 
+def block_masses(table, bounds):
+    """_BlockSums.mass_arrays boxed as Intervals."""
+    lo, hi = table.mass_arrays(bounds)
+    return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+
+
 def _cosine_table(origin=1):
     f = d._CosineModulated()
     return (d._BlockSums(f.gamma_vec, f._term_rel, origin=origin),
@@ -474,7 +480,7 @@ _BLOCK_CASES = [
                          ids=[c[0] for c in _BLOCK_CASES])
 def test_block_masses_overlap_the_list_reference(make, args, bounds) -> None:
     table, reference = make(*args)
-    got, want = table.masses(bounds), reference.masses(bounds)
+    got, want = block_masses(table, bounds), reference.masses(bounds)
     assert len(got) == len(want) == len(bounds) - 1
     for (a, b), g, w in zip(zip(bounds, bounds[1:]), got, want):
         assert g.intersects(w), (a, b, g, w)
@@ -487,15 +493,15 @@ def test_block_masses_overlap_the_list_reference(make, args, bounds) -> None:
 
 def test_block_table_cut_short_by_the_guard_is_redone_whole(monkeypatch) -> None:
     bounds = [3, 900, 5000, 70_000]
-    fresh = _cosine_table()[0].masses(bounds)
+    fresh = block_masses(_cosine_table()[0], bounds)
     table = _cosine_table()[0]
     monkeypatch.setenv("HORIZONLAB_GUARD", "1000")
-    table.masses([3, 800])  # fills 15 blocks, part of the first chunk
+    table.mass_arrays([3, 800])  # fills 15 blocks, part of the first chunk
     assert table._sums.size == 1000 // _S
     with pytest.raises(d.GuardExceeded):
-        table.masses([3, 1000 + 2 * _S + 2])
+        table.mass_arrays([3, 1000 + 2 * _S + 2])
     monkeypatch.delenv("HORIZONLAB_GUARD")
-    assert [same_bits(a, b) for a, b in zip(table.masses(bounds), fresh)] == [True] * 3
+    assert [same_bits(a, b) for a, b in zip(block_masses(table, bounds), fresh)] == [True] * 3
 
 
 def test_block_table_stops_at_the_guard(monkeypatch) -> None:
@@ -504,12 +510,116 @@ def test_block_table_stops_at_the_guard(monkeypatch) -> None:
     # the table holds the whole blocks below the guard; up to two blocks
     # past the last of them are summed fresh
     end = 1 + (5000 // _S + 2) * _S
-    masses = table.masses([10, 5000, end])
+    masses = block_masses(table, [10, 5000, end])
     assert table._sums.size == 5000 // _S and len(masses) == 2
     with pytest.raises(d.GuardExceeded):
-        table.masses([10, end + 1])
+        table.mass_arrays([10, end + 1])
     with pytest.raises(d.GuardExceeded):
-        table.masses([2**63, 2**63 + 5])
+        table.mass_arrays([2**63, 2**63 + 5])
+
+
+# -- one-piece block masses --------------------------------------------------
+#
+# A tail asks _BlockSums for one piece, through mass(a, b). It must return
+# the bits of mass_arrays([a, b]), the batch entry: the same whole-block
+# reduceat, fresh ends and pads, on Python floats.
+
+
+def _even_table(base):
+    return d._AlternatingZero(base)._evens
+
+
+_ONE_PIECE_TABLES = {
+    "cosine from 1": (lambda: _cosine_table()[0], 1, 300_000),
+    "cosine from 10^8 - 10^4": (lambda: _cosine_table(10**8 - 10**4)[0], 10**8 - 10**4, 10**8 + 10**4),
+    "patched stretch": (lambda: _harmonic_table(427, 30154)[0], 427, 30_154),
+    "alternating evens": (lambda: _even_table(h.quadratic()), 1, 300_000),
+    "alternating evens over cosine": (lambda: _even_table(h.cosine_modulated()), 1, 300_000),
+}
+
+
+def _one_piece_cases(origin, end):
+    """Pieces [a, b) over a table from origin whose stretch ends at end."""
+    rng = np.random.default_rng(origin)
+    edge = origin + 9 * _S
+    pieces = [tuple(sorted(p)) for p in rng.integers(origin, end + 1, (300, 2)).tolist()]
+    pieces += [(origin + 5, origin + 40), (origin + 3 * _S + 1, origin + 4 * _S - 1)]  # one block
+    pieces += [(origin, origin + 1), (origin + 1000, origin + 1001), (end - 1, end)]  # single terms
+    pieces += [(origin + 7, origin + 7), (end, end)]  # empty
+    pieces += [(a, b) for a in (edge - 1, edge, edge + 1) for b in (edge + 2 * _S - 1, edge + 2 * _S,
+                                                                   edge + 2 * _S + 1)]
+    pieces += [(origin, edge), (edge, end), (origin + 1, end)]  # from and to block edges
+    return pieces
+
+
+@pytest.mark.parametrize("name", list(_ONE_PIECE_TABLES))
+def test_one_piece_mass_is_mass_arrays_bit_for_bit(name) -> None:
+    make, origin, end = _ONE_PIECE_TABLES[name]
+    one, batch = make(), make()
+    for a, b in _one_piece_cases(origin, end):
+        lo, hi = batch.mass_arrays([a, b])
+        got = one.mass(a, b)
+        assert all(type(x) is float for x in got)
+        assert (bits(got[0]), bits(got[1])) == (bits(lo[0]), bits(hi[0])), (a, b)
+
+
+@pytest.mark.parametrize("make", [lambda: _cosine_table()[0],
+                                  lambda: _even_table(h.cosine_modulated())],
+                         ids=["cosine", "alternating evens over cosine"])
+def test_one_piece_mass_over_several_rho_runs(make) -> None:
+    # rho_i steps up with the ulp of pi sqrt(2i): a long piece crosses
+    # several runs of blocks of equal rho, each summed by itself
+    one, batch = make(), make()
+    for a, b in [(1000, 900_000), (5, 2**20 + 3), (20_000, 260_001)]:
+        lo, hi = batch.mass_arrays([a, b])
+        got = one.mass(a, b)
+        assert (bits(got[0]), bits(got[1])) == (bits(lo[0]), bits(hi[0])), (a, b)
+        f, e = -(-(a - 1) // _S), (b - 1) // _S  # the whole blocks (origin 1)
+        runs = np.searchsorted(one._cuts, e, "left") - np.searchsorted(one._cuts, f, "right") + 1
+        assert runs >= 3, (a, b)
+
+
+def test_one_piece_mass_raises_at_the_guard_as_mass_arrays(monkeypatch) -> None:
+    monkeypatch.setenv("HORIZONLAB_GUARD", "5000")
+    one, batch = _cosine_table()[0], _cosine_table()[0]
+    end = 1 + (5000 // _S + 2) * _S
+    for a, b in [(10, 5000), (10, end), (4000, end)]:
+        lo, hi = batch.mass_arrays([a, b])
+        assert one.mass(a, b) == (lo[0], hi[0]), (a, b)
+    for a, b in [(10, end + 1), (2**63, 2**63 + 5)]:
+        with pytest.raises(d.GuardExceeded):
+            batch.mass_arrays([a, b])
+        with pytest.raises(d.GuardExceeded):
+            one.mass(a, b)
+    assert one._sums.size == batch._sums.size == 5000 // _S
+
+
+def custom_tails_reference(impl, table, ks):
+    """_Custom.tail at each k, with the suffix sums as a list of boxed
+    floats and the continuation taken per call."""
+    suffix = np.cumsum(np.concatenate(([0.0], np.array(table)[::-1])))[::-1].tolist()
+    out = []
+    for k in ks:
+        if k > impl.K:
+            out.append(impl._model_tail(k))
+            continue
+        part = suffix[k - 1]
+        pad = d._U * (impl.K - k + 2) * abs(part) + 5e-324
+        out.append(Interval(part - pad, part + pad) + impl._model_tail(impl.K + 1))
+    return out
+
+
+@pytest.mark.parametrize("model", [None, ("geometric", 0.9), ("power", 1.0), ("power", 0.25)],
+                         ids=str)
+def test_custom_tails_match_the_list_suffix_form(model) -> None:
+    rng = np.random.default_rng(5000)
+    table = (rng.random(5000) * 10.0 ** rng.uniform(-20, 0, 5000)).tolist()
+    impl = d._Custom(tuple(table), model)
+    ks = range(1, 5001) if model is None else range(1, 5011)
+    for k, want in zip(ks, custom_tails_reference(impl, table, ks)):
+        got = impl.tail(k)
+        assert type(got.lo) is float and type(got.hi) is float
+        assert same_bits(got, want), k
 
 
 # alternating's even-weight table w_j = gamma_2j pads by its base's term
@@ -548,16 +658,16 @@ def cosine_masses_reference(impl, bounds, target=None):
         return [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
     if target is None or bounds[-1] >= impl._FAR:
-        return impl._sums.masses(bounds)
+        return block_masses(impl._sums, bounds)
     cut = impl._reach(target / 64.0)
     j = bisect.bisect_left(bounds, cut)
     if j == 0:
         return closed(bounds)
     if j == len(bounds):
-        return impl._sums.masses(bounds)
+        return block_masses(impl._sums, bounds)
     if bounds[j] == cut:
-        return impl._sums.masses(bounds[: j + 1]) + closed(bounds[j:])
-    near = impl._sums.masses(bounds[:j] + [cut])
+        return block_masses(impl._sums, bounds[: j + 1]) + closed(bounds[j:])
+    near = block_masses(impl._sums, bounds[:j] + [cut])
     far = closed([cut] + bounds[j:])
     return near[:-1] + [near[-1] + far[0]] + far[1:]
 

@@ -156,6 +156,16 @@ def test_future_average_harness_wide_window_straddles_half() -> None:
     assert rep.consistent
 
 
+def test_future_average_ratios_past_the_support_are_undefined() -> None:
+    # gamma_k = 0 past k = 50, so the late ratios are the 0/0 placeholder
+    # [0, inf]; its midpoint is no drift toward 1
+    rep = t.verify_future_avg(h.linear_runs(), h.finite(50), lambda k: 2 * k, scale=10**4)
+    check = next(p for p in rep.premises if p.name.startswith("gamma_{m_k}/gamma_k"))
+    assert check.status == "undecidable-at-scale"
+    assert "undefined past the support" in check.evidence
+    assert "approaching" not in check.evidence
+
+
 def test_future_average_harness_identity_window_is_trivial() -> None:
     rep = t.verify_future_avg(h.constant(0.7), h.geometric(0.5),
                               lambda k: k, scale=10**4)

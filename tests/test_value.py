@@ -517,16 +517,49 @@ def test_cosine_runs_values_sum_the_block_table_only_near_k(monkeypatch, k, cut)
     # the linear-runs x cosine V of the numeric_tails benchmark: every
     # block-table query ends below the closed form's cut (with the
     # first-order closed form the k = 2534 V read the table to 210,462)
-    ends = []
-    mass_arrays = d._BlockSums.mass_arrays
-
-    def spy(self, bounds):
-        ends.append(bounds[-1])
-        return mass_arrays(self, bounds)
-
-    monkeypatch.setattr(d._BlockSums, "mass_arrays", spy)
+    calls = _spy_block_queries(monkeypatch)
     det = v.disc_value_detail(r.linear_runs(), h.cosine_modulated(), k, 1e-3)
+    ends = [args[-1] if name == "mass" else args[0][-1] for name, args in calls]
     assert det.attained and ends and max(ends) < cut
+
+
+def _spy_block_queries(monkeypatch):
+    """Record every _BlockSums query, through either entry, as (entry, args)."""
+    calls = []
+    for name in ("mass", "mass_arrays"):
+        def spy(self, *args, _real=getattr(d._BlockSums, name), _name=name):
+            calls.append((_name, args))
+            return _real(self, *args)
+
+        monkeypatch.setattr(d._BlockSums, name, spy)
+    return calls
+
+
+# recorded before tails took their one piece through _BlockSums.mass
+_TABLE_CELLS_AT_150 = {
+    "cosine": "cosine_modulated,150,6.513429223426278e-05,"
+              '"[0.013564478208379981, 0.013564522864563095]",144,'
+              '"[208.25402016488533, 208.25470576661917]","[0.7202718394661273, 0.7202742107030513]"',
+    "alternating": "alternating_zero,150,4.415011037527594e-05,"
+                   '"[0.003344443283051802, 0.003344445112164444]",149,'
+                   '"[75.75164036112318, 75.7516817905248]","[1.9801540567085116, 1.9801551396764494]"',
+    "patched:1,2": "patched,150,3.0464436085977205e-07,"
+                   '"[3.8228010428533566e-05, 3.8228010428535816e-05]",87,'
+                   '"[125.48405728123706, 125.48405728124494]","[1.1953709758029882, 1.1953709758030657]"',
+}
+
+
+@pytest.mark.parametrize("discount", list(_TABLE_CELLS_AT_150))
+def test_table_cell_takes_its_tails_one_piece_each(monkeypatch, capsys, discount) -> None:
+    # the numeric_tails table op: every tail asks the block table for one
+    # piece, through mass; no query goes through the batch entry
+    import horizonlab.cli as cli
+
+    calls = _spy_block_queries(monkeypatch)
+    assert cli.main(["table", "--discount", discount, "--k", "150", "--format", "csv"]) == 0
+    header = "family,k,gamma_k,Gamma_k,eff_horizon,quasi_horizon,k*gamma/Gamma\n"
+    assert capsys.readouterr().out == header + _TABLE_CELLS_AT_150[discount] + "\n"
+    assert calls and {name for name, _ in calls} == {"mass"}
 
 
 @pytest.mark.parametrize("reward", ["linear", "exponential", "explicit", "explicit_odd"])
