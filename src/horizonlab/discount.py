@@ -1127,9 +1127,9 @@ class _BlockSums:
     number of consecutive pieces as lo and hi arrays; mass(a, b) takes one
     piece as a float pair, with the same whole-block reduceat, the same
     fresh ends and the same pads, and returns the bits of
-    mass_arrays([a, b]) for about a third of its numpy calls (a tail asks
-    for one piece). Both form the pad below through one helper,
-    _block_pad, written with plain operators.
+    mass_arrays([a, b]) without the batch bookkeeping (a tail asks for one
+    piece). Both form the pad below through one helper, _block_pad,
+    written with plain operators.
 
     The pad. Let w~_i >= 0 be the computed terms, with
     |w~_i - w_i| <= (200 u + rho_i) w~_i: 200 u covers the rounding of
