@@ -500,8 +500,12 @@ def test_block_table_cut_short_by_the_guard_is_redone_whole(monkeypatch) -> None
     assert table._sums.size == 1000 // _S
     with pytest.raises(d.GuardExceeded):
         table.mass_arrays([3, 1000 + 2 * _S + 2])
+    with pytest.raises(d.GuardExceeded):
+        table.mass(3, 1000 + 2 * _S + 2)
     monkeypatch.delenv("HORIZONLAB_GUARD")
     assert [same_bits(a, b) for a, b in zip(block_masses(table, bounds), fresh)] == [True] * 3
+    ones = [Interval(*table.mass(a, b)) for a, b in zip(bounds, bounds[1:])]
+    assert [same_bits(a, b) for a, b in zip(ones, fresh)] == [True] * 3
 
 
 def test_block_table_stops_at_the_guard(monkeypatch) -> None:
@@ -512,10 +516,13 @@ def test_block_table_stops_at_the_guard(monkeypatch) -> None:
     end = 1 + (5000 // _S + 2) * _S
     masses = block_masses(table, [10, 5000, end])
     assert table._sums.size == 5000 // _S and len(masses) == 2
-    with pytest.raises(d.GuardExceeded):
-        table.mass_arrays([10, end + 1])
-    with pytest.raises(d.GuardExceeded):
-        table.mass_arrays([2**63, 2**63 + 5])
+    ones = [Interval(*_cosine_table()[0].mass(a, b)) for a, b in [(10, 5000), (5000, end)]]
+    assert [same_bits(a, b) for a, b in zip(ones, masses)] == [True] * 2
+    for a, b in [(10, end + 1), (2**63, 2**63 + 5)]:  # both entries stop at the same bounds
+        with pytest.raises(d.GuardExceeded):
+            table.mass_arrays([a, b])
+        with pytest.raises(d.GuardExceeded):
+            table.mass(a, b)
 
 
 # -- one-piece block masses --------------------------------------------------
@@ -577,21 +584,6 @@ def test_one_piece_mass_over_several_rho_runs(make) -> None:
         f, e = -(-(a - 1) // _S), (b - 1) // _S  # the whole blocks (origin 1)
         runs = np.searchsorted(one._cuts, e, "left") - np.searchsorted(one._cuts, f, "right") + 1
         assert runs >= 3, (a, b)
-
-
-def test_one_piece_mass_raises_at_the_guard_as_mass_arrays(monkeypatch) -> None:
-    monkeypatch.setenv("HORIZONLAB_GUARD", "5000")
-    one, batch = _cosine_table()[0], _cosine_table()[0]
-    end = 1 + (5000 // _S + 2) * _S
-    for a, b in [(10, 5000), (10, end), (4000, end)]:
-        lo, hi = batch.mass_arrays([a, b])
-        assert one.mass(a, b) == (lo[0], hi[0]), (a, b)
-    for a, b in [(10, end + 1), (2**63, 2**63 + 5)]:
-        with pytest.raises(d.GuardExceeded):
-            batch.mass_arrays([a, b])
-        with pytest.raises(d.GuardExceeded):
-            one.mass(a, b)
-    assert one._sums.size == batch._sums.size == 5000 // _S
 
 
 def custom_tails_reference(impl, table, ks):
