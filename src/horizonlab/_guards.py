@@ -9,6 +9,9 @@ call time so tests can tighten it.
 from __future__ import annotations
 
 import os
+from typing import Optional, Sequence
+
+import numpy as np
 
 GUARD_INDEX_DEFAULT = 10**8
 SEARCH_BOUND_DEFAULT = 10**7
@@ -38,6 +41,38 @@ def as_index(x, what: str) -> int:
     if isinstance(x, float) and not x.is_integer():
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)
+
+
+def index_dtype(top: int):
+    """The dtype of an array of integers >= 0 whose largest value is top,
+    an exact Python int: int64 below 2**63, object (Python ints) from
+    there up. Never uint64 or float64: numpy reads [2**63] as uint64 and
+    promotes uint64 with int64 to float64. Both dtypes serve the same
+    numpy expressions (diff, searchsorted, unique, slicing, concatenate,
+    + - * <<), so indices of any size take one path; per-element scalar
+    code reads Python ints off them with .tolist()."""
+    return np.int64 if top < 1 << 63 else object
+
+
+def index_array(values: Sequence[int], top: Optional[int] = None) -> np.ndarray:
+    """values as an array of index_dtype(top), top by default their largest."""
+    dtype = index_dtype(max(values, default=0) if top is None else top)
+    return np.array(values if dtype is np.int64 else [int(x) for x in values], dtype=dtype)
+
+
+def short_index(k: int) -> str:
+    """k for a message: in full below 10**20, else rounded to three
+    significant digits, with its digit count (10**400 reads
+    1.00e400, 401 digits)."""
+    if k < 10**20:
+        return str(k)
+    e = (k.bit_length() - 1) * 30102 // 100000  # 10**e <= k: 0.30102 < log10 2
+    while 10 ** (e + 1) <= k:
+        e += 1
+    count, lead = e + 1, (k // 10 ** (e - 3) + 5) // 10
+    if lead == 1000:  # 9995... rounds up to the next power of ten
+        lead, e = 100, e + 1
+    return f"{lead // 100}.{lead % 100:02d}e{e}, {count} digits"
 
 
 def json_list(d: dict, key: str) -> list:

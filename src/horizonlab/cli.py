@@ -27,7 +27,6 @@ import csv
 import io
 import json
 import sys
-from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import corpus as _c
@@ -494,91 +493,118 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _add_common(p: argparse.ArgumentParser, with_reward: bool,
+                fmt_help: Optional[str] = None) -> None:
+    p.add_argument("--discount", action="append", default=[],
+                   metavar="SPEC", help="discount spec (repeatable)")
+    if with_reward:
+        p.add_argument("--reward", metavar="SPEC", help="reward spec")
+    p.add_argument("--tol", type=float, default=1e-3,
+                   help="target enclosure width / scan tolerance")
+    p.add_argument("--format", choices=("table", "csv", "json"),
+                   default="table", dest="fmt", help=fmt_help)
+    p.add_argument("--out", default=None, help="write output to this path")
+
+
+def _table_args(p: argparse.ArgumentParser) -> None:
+    _add_common(p, with_reward=False)
+    p.add_argument("--k", default="1,10,100,1000",
+                   help="comma-separated evaluation indices")
+
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
+    _add_common(p, with_reward=True)
+    p.add_argument("--k", type=int, default=1, help="window start")
+    p.add_argument("--m", type=int, default=None, help="window end")
+    p.add_argument("--u-to", type=int, default=None, dest="u_to",
+                   help="synonym for --m")
+    p.add_argument("--v-at", type=int, default=None, dest="v_at",
+                   help="index for the discounted value (default --k)")
+
+
+def _limits_args(p: argparse.ArgumentParser) -> None:
+    _add_common(p, with_reward=True, fmt_help=(
+        "csv: one row per requested --schedule index; table and json: every "
+        "scanned point, including the added change-point and phase-offset probes. "
+        "In json, schedule lists every scanned index and requested, parallel to "
+        "it, is true for the indices given in --schedule"))
+    p.add_argument("--schedule", default="dyadic:100000",
+                   help="dyadic:N or list:a,b,c; the scan adds change points "
+                        "of binary rewards and, for V of a periodic reward, "
+                        "phase-offset probes")
+
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
+    _add_common(p, with_reward=False)
+    p.add_argument("--prop", type=int, choices=(1, 2), required=True,
+                   help="1: U settles while V splits; 2: V settles while U splits")
+    p.add_argument("--n-max", type=int, default=5, dest="n_max",
+                   help="number of certified runs to emit")
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--example", type=int, choices=range(1, 7), default=None,
+                   help="run one example's checks")
+    p.add_argument("--all", action="store_true",
+                   help="all examples, the corpus sweep, and identity suites")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=10_000,
+                   help="identity trial count for --all; each trial draws one "
+                        "seeded case, in turn: running averages of a random "
+                        "table equal to the nearest float of the exact "
+                        "rational, three discount tail recurrences, one "
+                        "summation-by-parts window, or V under geometric "
+                        "weights inside the exact hull of its windowed averages")
+
+
+# each command: its handler, its help line in the top-level usage and the
+# function that adds its arguments to a parser
+_COMMANDS: Dict[str, Tuple[Callable[[argparse.Namespace], int], str,
+                           Callable[[argparse.ArgumentParser], None]]] = {
+    "table": (cmd_table, "horizon metrics per (discount, k)", _table_args),
+    "eval": (cmd_eval, "average and discounted values", _eval_args),
+    "limits": (cmd_limits, "limit scan along a schedule", _limits_args),
+    "construct": (cmd_construct, "counterexample change points", _construct_args),
+    "verify": (cmd_verify, "golden checks and identity suites", _verify_args),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args keeps no
-    state between calls, and the append action copies its default list."""
+    """The full argument parser, each command a subparser."""
     parser = argparse.ArgumentParser(
         prog="horizonlab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_reward: bool,
-                   fmt_help: Optional[str] = None) -> None:
-        p.add_argument("--discount", action="append", default=[],
-                       metavar="SPEC", help="discount spec (repeatable)")
-        if with_reward:
-            p.add_argument("--reward", metavar="SPEC", help="reward spec")
-        p.add_argument("--tol", type=float, default=1e-3,
-                       help="target enclosure width / scan tolerance")
-        p.add_argument("--format", choices=("table", "csv", "json"),
-                       default="table", dest="fmt", help=fmt_help)
-        p.add_argument("--out", default=None, help="write output to this path")
-
-    p_table = sub.add_parser("table", help="horizon metrics per (discount, k)")
-    add_common(p_table, with_reward=False)
-    p_table.add_argument("--k", default="1,10,100,1000",
-                         help="comma-separated evaluation indices")
-
-    p_eval = sub.add_parser("eval", help="average and discounted values")
-    add_common(p_eval, with_reward=True)
-    p_eval.add_argument("--k", type=int, default=1, help="window start")
-    p_eval.add_argument("--m", type=int, default=None, help="window end")
-    p_eval.add_argument("--u-to", type=int, default=None, dest="u_to",
-                        help="synonym for --m")
-    p_eval.add_argument("--v-at", type=int, default=None, dest="v_at",
-                        help="index for the discounted value (default --k)")
-
-    p_lim = sub.add_parser("limits", help="limit scan along a schedule")
-    add_common(p_lim, with_reward=True, fmt_help=(
-        "csv: one row per requested --schedule index; table and json: every "
-        "scanned point, including the added change-point and phase-offset probes. "
-        "In json, schedule lists every scanned index and requested, parallel to "
-        "it, is true for the indices given in --schedule"))
-    p_lim.add_argument("--schedule", default="dyadic:100000",
-                       help="dyadic:N or list:a,b,c; the scan adds change points "
-                            "of binary rewards and, for V of a periodic reward, "
-                            "phase-offset probes")
-
-    p_con = sub.add_parser("construct", help="counterexample change points")
-    add_common(p_con, with_reward=False)
-    p_con.add_argument("--prop", type=int, choices=(1, 2), required=True,
-                       help="1: U settles while V splits; 2: V settles while U splits")
-    p_con.add_argument("--n-max", type=int, default=5, dest="n_max",
-                       help="number of certified runs to emit")
-
-    p_ver = sub.add_parser("verify", help="golden checks and identity suites")
-    p_ver.add_argument("--example", type=int, choices=range(1, 7), default=None,
-                       help="run one example's checks")
-    p_ver.add_argument("--all", action="store_true",
-                       help="all examples, the corpus sweep, and identity suites")
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--trials", type=int, default=10_000,
-                       help="identity trial count for --all; each trial draws one "
-                            "seeded case, in turn: running averages of a random "
-                            "table equal to the nearest float of the exact "
-                            "rational, three discount tail recurrences, one "
-                            "summation-by-parts window, or V under geometric "
-                            "weights inside the exact hull of its windowed averages")
+    for name, (_, help_line, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
-_COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
-    "table": cmd_table,
-    "eval": cmd_eval,
-    "limits": cmd_limits,
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-}
+def _parse(argv: List[str]) -> Tuple[Callable[[argparse.Namespace], int], argparse.Namespace]:
+    """The handler and arguments of a command line. A command named first
+    is parsed by a parser of its arguments alone, built as the full
+    parser builds its subparser (the same prog, so the same usage, help
+    and error bytes). Anything else goes through the full parser: no
+    command, an unknown one, a top-level -h, and leftover arguments, for
+    which it prints its own usage. argparse exits with status 2 on bad
+    flags."""
+    if argv and argv[0] in _COMMANDS:
+        handler, _, add_args = _COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"horizonlab {argv[0]}")
+        add_args(parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return handler, args
+    args = _build_parser().parse_args(argv)
+    return _COMMANDS[args.command][0], args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)  # argparse exits with status 2 on bad flags
+    handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return _COMMANDS[args.command](args)
+        return handler(args)
     except SpecParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

@@ -28,7 +28,6 @@ so a tail at resolution t sums O(t^(-1/2)) terms rather than O(1/t).
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import asdict, dataclass, field
@@ -37,7 +36,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._guards import GuardExceeded, as_index, guard_index, json_list
+from ._guards import GuardExceeded, as_index, guard_index, index_array, json_list, short_index
 from .intervals import Interval, IntegerInterval, Pair, widened_arrays, widened_pair
 
 _U = 2.0**-53  # binary64 unit roundoff
@@ -462,7 +461,7 @@ class _Base:
 
     def tail_arrays(self, ks: Sequence[int], target: Optional[float] = None) -> Tuple[np.ndarray, ...]:
         """lo and hi of tail_batch as float64 arrays."""
-        tails = self.tail_batch(ks, target)
+        tails = self.tail_batch(_int_list(ks), target)
         return np.array([t.lo for t in tails]), np.array([t.hi for t in tails])
 
     _last_tail: tuple = (None, None)  # ((k, guard), tail(k)) of default_tail
@@ -480,7 +479,7 @@ class _Base:
         hint, the possible one (no larger) bisected between the tails taken."""
         tail_k = self.default_tail(k)
         if not tail_k.lo > 0.0:
-            raise UndefinedMetric(f"tail enclosure not positive at k={k}")
+            raise UndefinedMetric(f"tail enclosure not positive at k={short_index(k)}")
         if tail_k.width > 0.5 * tail_k.lo:
             raise EnclosureAmbiguous("tail enclosure too wide to halve certainly")
         half_hi = 0.5 * tail_k.hi + 2 * math.ulp(tail_k.hi)
@@ -504,13 +503,13 @@ class _Base:
     def quasi_horizon(self, k: int) -> Interval:
         g = self.gamma_iv(k)
         if not g.lo > 0.0:
-            raise UndefinedMetric(f"gamma is zero (or indistinguishable from it) at k={k}")
+            raise UndefinedMetric(f"gamma is zero (or indistinguishable from it) at k={short_index(k)}")
         return self.default_tail(k) / g
 
     def horizon_ratio(self, k: int) -> Interval:
         tail_k = self.default_tail(k)
         if not tail_k.lo > 0.0:
-            raise UndefinedMetric(f"tail is zero (or indistinguishable from it) at k={k}")
+            raise UndefinedMetric(f"tail is zero (or indistinguishable from it) at k={short_index(k)}")
         g = self.gamma_iv(k)
         if g.lo == 0.0 and g.hi == 0.0:
             return Interval.exact(0.0)  # k * 0 / Gamma is exactly zero
@@ -560,18 +559,18 @@ class _Finite(_Base):
     def effective_horizon(self, k: int) -> IntegerInterval:
         t = self.m - k + 1
         if t <= 0:
-            raise UndefinedMetric(f"tail is zero at k={k}")
+            raise UndefinedMetric(f"tail is zero at k={short_index(k)}")
         h = (t + 1) // 2
         return IntegerInterval(h, h)
 
     def quasi_horizon(self, k: int) -> Interval:
         if k > self.m:
-            raise UndefinedMetric(f"gamma is zero at k={k}")
+            raise UndefinedMetric(f"gamma is zero at k={short_index(k)}")
         return Interval.exact(float(self.m - k + 1))
 
     def horizon_ratio(self, k: int) -> Interval:
         if k > self.m:
-            raise UndefinedMetric(f"tail is zero at k={k}")
+            raise UndefinedMetric(f"tail is zero at k={short_index(k)}")
         return Interval.rounded(k / (self.m - k + 1))
 
     def index_for_tail_bound(self, target: float, start: int) -> int:
@@ -762,7 +761,7 @@ class _Quadratic(_Base):
         """tail_pair from one numpy 1.0 / k, correctly rounded as the scalar
         one, and np.spacing, which is math.ulp at 1/k <= 1."""
         try:
-            y = 1.0 / np.array(ks, dtype=np.float64)
+            y = 1.0 / np.asarray(ks, dtype=np.float64)
         except OverflowError:
             return super().tail_arrays(ks, target)
         return y - np.spacing(y), y + np.spacing(y)
@@ -878,6 +877,7 @@ class _Power(_Integrable):
 
     def bound_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Both pows of each k share the log of their error bound."""
+        ks = _int_list(ks)
         logs = [math.log(k) for k in ks]
         glo, ghi = _pow_arrays(ks, -1.0 - self.eps, logs)
         lo, hi = _pow_arrays(ks, -self.eps, logs)
@@ -1269,7 +1269,7 @@ class _BlockSums:
         """Enclosures of sum_{a <= i < b} w_i for consecutive bounds a, b,
         as lo and hi arrays."""
         size, cap = self.SIZE, self._cap(bounds[-1])
-        x = np.array(bounds, dtype=np.int64) - self._origin
+        x = np.asarray(bounds, dtype=np.int64) - self._origin
         a, b = x[:-1], x[1:]
         f, e = -(-a // size), np.minimum(b // size, cap)  # whole blocks [f, e) of [a, b)
         whole = f < e
@@ -1682,7 +1682,7 @@ class _CosineModulated(_Base):
         the factor 1 + 2**-48 covers. mid -+ radius rounds by half an ulp of
         each end, inside the 4-ulp widening.
         """
-        f, p, h_lo, h_hi = self._closed_parts(np.array(bounds, dtype=np.float64))
+        f, p, h_lo, h_hi = self._closed_parts(np.asarray(bounds, dtype=np.float64))
         mid = f[:-1] - f[1:]
         cancel = _U * (np.abs(f[:-1]) + np.abs(f[1:]))
         rad = ((h_hi[:-1] - h_lo[1:]) + (p[:-1] + p[1:]) + cancel) * (1.0 + 2.0**-48)
@@ -1726,7 +1726,7 @@ class _CosineModulated(_Base):
         if target is None or bounds[-1] >= self._FAR:
             return self._sums.mass_arrays(bounds)
         cut = self._reach(target / 64.0)
-        j = bisect.bisect_left(bounds, cut)  # bounds[:j] < cut <= bounds[j:]
+        j = int(np.searchsorted(bounds, cut))  # bounds[:j] < cut <= bounds[j:]
         if j == 0:
             return self._closed_mass_arrays(bounds)
         if j == len(bounds):
@@ -1734,8 +1734,8 @@ class _CosineModulated(_Base):
         if bounds[j] == cut:
             near, far = self._sums.mass_arrays(bounds[: j + 1]), self._closed_mass_arrays(bounds[j:])
         else:
-            near = self._sums.mass_arrays(bounds[:j] + [cut])
-            far = self._closed_mass_arrays([cut] + bounds[j:])
+            near = self._sums.mass_arrays(np.concatenate((bounds[:j], [cut])))
+            far = self._closed_mass_arrays(np.concatenate(([cut], bounds[j:])))
             both = Interval(near[0][-1], near[1][-1]) + Interval(far[0][0], far[1][0])
             near = (np.append(near[0][:-1], both.lo), np.append(near[1][:-1], both.hi))
             far = (far[0][1:], far[1][1:])
@@ -2174,6 +2174,13 @@ def segment_masses(
 ):
     """Enclosures of the gamma mass over [bounds[j], bounds[j+1]) for each j.
 
+    bounds is a sequence of ints or one integer array of int64 or object
+    dtype (Python ints, past int64; _guards.index_dtype picks it), which
+    the families take as it is: numpy expressions serve both dtypes, and
+    per-element scalar code reads Python ints off it through .tolist()
+    or _int_list, never np.int64 scalars, whose products (k (k + 1))
+    overflow silently. A list is made such an array first.
+
     Every family answers with lo and hi float64 arrays
     (_Base.segment_mass_arrays), and this is the one place that turns
     them into Intervals; arrays=True returns the two arrays instead, as
@@ -2193,8 +2200,9 @@ def segment_masses(
     errors add up to at most target / 16. Power and harmonic-like take
     their integral sandwich, and the other families tail differences.
     """
-    bounds = [int(b) for b in bounds]
-    if len(bounds) < 2 or any(b <= a for a, b in zip(bounds, bounds[1:])):
+    if not isinstance(bounds, np.ndarray):
+        bounds = index_array(bounds)
+    if bounds.size < 2 or not (np.diff(bounds) > 0).all():
         raise ValueError("bounds must be strictly increasing, length >= 2")
     _check_target(target)
     impl = _impl(spec)

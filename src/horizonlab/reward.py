@@ -12,7 +12,7 @@ module asks these functions for it:
     reward_at      r_k, one index at a time
     reward_vec     r_a..r_b as a float array, bit for bit equal to reward_at
     window_mean    U_{km}, the mean of r_k..r_m
-    one_segments   the 1-runs of a binary sequence cut to a window
+    one_segments   the 1-runs of a binary sequence cut to a window, as flat bounds
     run_count      the stored runs of an explicit list (None when generated)
     even_rewards   r_2, r_4, ... as a spec of their own, where one exists
 """
@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import discount as _disc
-from ._guards import as_index, json_list
+from ._guards import as_index, index_array, index_dtype, json_list
 from .intervals import Interval
 
 
@@ -184,13 +184,13 @@ def run_index(spec: RewardSpec, k: int) -> int:
     raise ValueError("run index is defined for generated run families only")
 
 
-def _generated_runs(gen: str, first: int, last: int) -> List[Tuple[int, int]]:
-    """(k_j, m_j) for j = first .. last, in closed form: (2j - 1)(j - 1) + 1
-    and (2j - 1) j + 1 for linear runs, 4^(j-1) and 2 4^(j-1) for exponential."""
-    js = range(first, last + 1)
+def _generated_runs(gen: str, j):
+    """(k_j, m_j) in closed form: (2j - 1)(j - 1) + 1 and (2j - 1) j + 1 for
+    linear runs, 4^(j-1) and 2 4^(j-1) for exponential; for a Python int j,
+    or elementwise for an index array j whose dtype holds m_j."""
     if gen == "linear":
-        return [((2 * j - 1) * (j - 1) + 1, (2 * j - 1) * j + 1) for j in js]
-    return [(1 << (2 * j - 2), 1 << (2 * j - 1)) for j in js]
+        return (2 * j - 1) * (j - 1) + 1, (2 * j - 1) * j + 1
+    return 1 << (2 * j - 2), 1 << (2 * j - 1)
 
 
 def change_points(spec: RewardSpec, n: int) -> Tuple[int, int]:
@@ -200,7 +200,7 @@ def change_points(spec: RewardSpec, n: int) -> Tuple[int, int]:
     if n < 1:
         raise ValueError("run index n must be >= 1")
     if spec.params[0] != "explicit":
-        return _generated_runs(spec.params[0], n, n)[0]
+        return _generated_runs(spec.params[0], n)
     pts = spec.params[1]
     if 2 * n > len(pts):
         raise ValueError(f"run {n} beyond stored change points")
@@ -231,36 +231,49 @@ def runs_started(spec: RewardSpec, m: int) -> int:
     return min((bisect_right(spec.params[1], m) + 1) // 2, stored)
 
 
-def one_segments(spec: RewardSpec, k: int, n: int) -> List[Tuple[int, int]]:
-    """The 1-runs [k_j, m_j) cut to [k, n + 1), as half-open pieces in order.
+def one_segments(spec: RewardSpec, k: int, n: int) -> np.ndarray:
+    """The 1-runs [k_j, m_j) cut to [k, n + 1), as the flat bounds
+    [a0, b0, a1, b1, ...] of nonempty half-open pieces in order.
 
-    Generated runs are listed in closed form from run_index(k) to
-    run_index(n) (the runs that start by n), and only the first and the
-    last can be cut. Explicit lists are walked from their first run; an
-    odd-length list ends in a 1-run that reaches n.
+    The bounds are one integer array of _guards.index_dtype: int64 when
+    n + 1 and every run end or change point they are cut from lie below
+    2**63, else object, holding Python ints. Scalar code reads them
+    through .tolist(), never as np.int64 scalars, whose products (k (k + 1))
+    overflow silently.
+
+    Generated runs evaluate the closed forms of _generated_runs on the
+    run indices run_index(k) .. run_index(n) (the runs that start by n);
+    only the first and the last can be cut, and only the first can then
+    be empty. An explicit list is searched (np.searchsorted) for the
+    change points inside (k, n + 1): k opens a piece if it lies in a
+    1-run, and n + 1 closes one if n does; an odd-length list ends in a
+    1-run that reaches n.
     """
     end = n + 1
     stored = run_count(spec)
+    if n < k:
+        return index_array([], end)
     if stored is None:
-        if n < k:
-            return []
-        segs = _generated_runs(spec.params[0], run_index(spec, k), run_index(spec, n))
-        segs[0] = (max(segs[0][0], k), segs[0][1])
-        segs[-1] = (segs[-1][0], min(segs[-1][1], end))
-        return [seg for seg in segs if seg[0] < seg[1]]
-    segs = []
-    for j in range(1, stored + 1):
-        a, b = change_points(spec, j)
-        if a >= end:
-            return segs
-        a, b = max(a, k), min(b, end)
-        if a < b:
-            segs.append((a, b))
-    pts = spec.params[1]
-    a = max(pts[-1], k)
-    if len(pts) % 2 == 1 and a < end:
-        segs.append((a, end))
-    return segs
+        first, last = run_index(spec, k), run_index(spec, n)
+        gen = spec.params[0]
+        top = max(end, _generated_runs(gen, last)[1])
+        js = np.arange(first, last + 1, dtype=index_dtype(top))
+        starts, ends = _generated_runs(gen, js)
+        flat = np.empty(2 * js.size, dtype=js.dtype)
+        flat[0::2], flat[1::2] = starts, ends
+        flat[0], flat[-1] = max(flat[0], k), min(flat[-1], end)
+        return flat[2:] if flat[0] >= flat[1] else flat
+    pts = index_array(spec.params[1], max(spec.params[1][-1], end))
+    # pts[:i] <= k < pts[i:], pts[:j] < end <= pts[j:]: r_x = 1 iff an odd
+    # number of change points is <= x
+    i, j = int(np.searchsorted(pts, k, "right")), int(np.searchsorted(pts, end, "left"))
+    flat = np.empty(j - i + i % 2 + j % 2, dtype=pts.dtype)
+    flat[i % 2 : flat.size - j % 2] = pts[i:j]
+    if i % 2:
+        flat[0] = k
+    if j % 2:
+        flat[-1] = end
+    return flat
 
 
 def reward_vec(spec: RewardSpec, a: int, b: int) -> np.ndarray:
@@ -279,10 +292,11 @@ def reward_vec(spec: RewardSpec, a: int, b: int) -> np.ndarray:
             # the first missing index, as reward_at reports it in a loop from a
             raise ValueError(f"index {max(a, len(table) + 1)} beyond custom reward table")
         return np.array(table[a - 1 : b], dtype=np.float64)
-    out = np.zeros(b - a + 1)
-    for lo, hi in one_segments(spec, a, b):
-        out[lo - a : hi - a] = 1.0
-    return out
+    # the pieces never touch: +1 at each start and -1 at each end, summed
+    edges = np.zeros(b - a + 2, dtype=np.int8)
+    bounds = (one_segments(spec, a, b) - a).astype(np.int64)
+    edges[bounds[0::2]], edges[bounds[1::2]] = 1, -1
+    return np.cumsum(edges[:-1]).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +326,7 @@ def ones_count(spec: RewardSpec, m: int) -> int:
     # runs before n hold sum_{j<n} A_j ones: (n-1)^2 for A_j = 2j - 1,
     # (4^(n-1) - 1)/3 for A_j = 4^(j-1)
     n = run_index(spec, m)
-    kn, mn = _generated_runs(gen, n, n)[0]
+    kn, mn = _generated_runs(gen, n)
     before = (n - 1) ** 2 if gen == "linear" else (kn - 1) // 3
     return before + min(mn, m + 1) - kn
 

@@ -15,8 +15,10 @@ Otherwise the unseen rewards contribute [0, Gamma_{N+1}], with N the
 smallest index whose remaining discount mass is below tol * Gamma_k.
 
 Binary-run rewards take one runs path: the numerator is the discount
-mass of the 1-runs (reward.one_segments), read in the family's mass_form
-(tail differences, block sums or ratios to Gamma_k; see discount._Base).
+mass of the 1-runs, whose bounds reward.one_segments gives as one flat
+integer array (int64, or Python ints past 2**63) that every layer takes
+as it is, read in the family's mass_form (tail differences, block sums
+or ratios to Gamma_k; see discount._Base).
 Families with no mass_form, and other rewards, are summed densely by one
 kernel (_dense_sum) of the family's own weight enclosures: gamma_arrays
 over Gamma_k, for geometric tail_ratio_arrays (1 - g) over 1;
@@ -31,7 +33,6 @@ calls it once per V scan.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from collections import Counter
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import discount as _d
 from . import reward as _r
-from ._guards import guard_index
+from ._guards import guard_index, short_index
 from .intervals import Interval, Pair, hull_of, widened_arrays, widened_pair
 
 class InconclusiveEnclosure(RuntimeError):
@@ -426,9 +427,9 @@ def _runs_values(
     each of the increasing indices ks, or the UndefinedMetric met there.
 
     The numerator is the mass of the 1-run pieces in [k, N] plus the rest
-    past N. The pieces are ordered and never touch, so their ends,
-    flattened, are the sorted bounds (with k and N + 1 in the blocks
-    form), and the pieces are every other gap from the first. The gap
+    past N. The pieces are ordered and never touch, so their flat bounds
+    (reward.one_segments; with k and N + 1 in the blocks form) are
+    sorted, and the pieces are every other gap from the first. The gap
     masses come as lo and hi arrays in the family's mass_form: tails
     (discount.segment_masses; over Gamma_k), blocks (gaps over [k, N+1)
     also sum to a sharp denominator) or ratios to Gamma_k
@@ -467,9 +468,9 @@ def _runs_values(
         except _d.UndefinedMetric as exc:
             plans.append(exc)
     live = [p for p in plans if not isinstance(p, _d.UndefinedMetric)]
-    cuts = _run_bounds(rspec, [(p[0], p[1]) for p in live])
+    flats, cuts = _run_bounds(rspec, [(p[0], p[1]) for p in live])
     if impl.mass_form == "tails" and impl.target_free:
-        masses = _shared_masses(dspec, cuts)
+        masses = _shared_masses(dspec, flats, cuts)
     else:
         masses = (None for _ in cuts)
     out = iter([_runs_finish(dspec, impl, plan, cut, last, m)
@@ -504,7 +505,7 @@ def _runs_plan(
     elif form == "blocks":
         crude_lo = impl.tail_crude(k).lo
         if not crude_lo > 0.0:
-            raise _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
+            raise _d.UndefinedMetric(f"tail enclosure not positive at k={short_index(k)}")
         # kept positive where it underflows, and then out of reach
         target = max(tol * crude_lo, 5e-324)
         attained = target == tol * crude_lo
@@ -517,7 +518,7 @@ def _runs_plan(
     else:
         denom = _d.gamma_tail(dspec, k, _tail_target(tol, k))
         if not denom.lo > 0.0:
-            raise _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
+            raise _d.UndefinedMetric(f"tail enclosure not positive at k={short_index(k)}")
         # the masses' resolution hint, kept positive where it underflows
         target = max(tol * denom.lo, 5e-324)
         if last is not None:
@@ -530,77 +531,70 @@ def _runs_plan(
     return k, n_trunc, denom, target, unseen, attained
 
 
-def _run_bounds(rspec: _r.RewardSpec, spans: List[Tuple[int, int]]) -> List[tuple]:
-    """The flattened reward.one_segments(rspec, k, n) of each span (k, n),
-    for increasing k, as a cut (flat, a, b, first, last): the pieces a to
-    b - 1 of flat, one enumeration per stretch of overlapping spans, that
-    meet [k, n + 1) (found by bisection), the first starting at first and
-    the last ending at last (_cut_bounds lists them)."""
-    out: List[tuple] = []
+_EMPTY = np.zeros(0)  # no masses: the lo or hi of an empty cut
+
+
+def _run_bounds(
+    rspec: _r.RewardSpec, spans: List[Tuple[int, int]]
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """The flat bounds of reward.one_segments(rspec, k, n) for each span
+    (k, n), for increasing k, from one enumeration per stretch of
+    overlapping spans: the pieces that meet [k, n + 1), found by
+    np.searchsorted, sliced off it and cut at its two ends. Returns the
+    enumerations (which _shared_masses reads) and the bounds of each span,
+    integer arrays of the dtype that one_segments picked."""
+    flats: List[np.ndarray] = []
+    out: List[np.ndarray] = []
     j = 0
     while j < len(spans):
         group, (lo, hi) = j, spans[j]
         while j + 1 < len(spans) and spans[j + 1][0] <= hi + 1:
             j += 1
             hi = max(hi, spans[j][1])
-        flat = [x for seg in _r.one_segments(rspec, lo, hi) for x in seg]
+        flat = _r.one_segments(rspec, lo, hi)
+        flats.append(flat)
         starts, ends = flat[0::2], flat[1::2]
         for k, n in spans[group : j + 1]:
-            a, b = bisect.bisect_right(ends, k), bisect.bisect_left(starts, n + 1)
+            a, b = int(np.searchsorted(ends, k, "right")), int(np.searchsorted(starts, n + 1))
             if a >= b or n < k:
-                out.append((flat, 0, 0, None, None))
-            else:
-                out.append((flat, a, b, max(flat[2 * a], k), min(flat[2 * b - 1], n + 1)))
+                out.append(flat[:0])
+                continue
+            bounds = flat[2 * a : 2 * b].copy()
+            bounds[0], bounds[-1] = max(bounds[0], k), min(bounds[-1], n + 1)
+            out.append(bounds)
         j += 1
-    return out
+    return flats, out
 
 
-def _cut_bounds(cut: tuple) -> List[int]:
-    """The bounds of a cut of _run_bounds, as a new list."""
-    flat, a, b, first, last = cut
-    bounds = flat[2 * a : 2 * b]
-    if bounds:
-        bounds[0], bounds[-1] = first, last
-    return bounds
-
-
-def _shared_masses(dspec: _d.DiscountSpec, cuts: List[tuple]):
-    """The masses over the gaps of the bounds of each cut, from one
-    segment_masses call over the union of the enumerated bounds and the
-    cut ends (an empty cut gets empty ones), as lo and hi lists, made as
-    they are read."""
-    flats = {id(cut[0]): cut[0] for cut in cuts}.values()
-    union = sorted({x for flat in flats for x in flat}
-                   | {x for cut in cuts if cut[2] for x in cut[3:]})
-    if not union:
-        return (([], []) for _ in cuts)
-    pos = {x: j for j, x in enumerate(union)}
-    at = {id(flat): np.array([pos[x] for x in flat], dtype=np.int64) for flat in flats}
-
-    def pick(cut: tuple) -> np.ndarray:
-        flat, a, b, first, last = cut
-        p = at[id(flat)][2 * a : 2 * b].copy()
-        p[0], p[-1] = pos[first], pos[last]
-        return p
-
-    masses = _d.segment_masses(dspec, union, arrays=True, picks=(pick(c) for c in cuts if c[2]))
-    return (tuple(a.tolist() for a in next(masses)) if cut[2] else ([], []) for cut in cuts)
+def _shared_masses(dspec: _d.DiscountSpec, flats: List[np.ndarray], cuts: List[np.ndarray]):
+    """The masses over the gaps of each bounds array of cuts, from one
+    segment_masses call over the union of the enumerations and the ends
+    of the cuts, each cut gathered from it by np.searchsorted;
+    an empty cut gets empty ones. lo and hi arrays, made as they are read."""
+    live = [c for c in cuts if c.size]
+    if not live:
+        return ((_EMPTY, _EMPTY) for _ in cuts)
+    # sorted and deduplicated by hand: np.unique imports numpy.ma on first use
+    union = np.sort(np.concatenate(flats + [c[[0, -1]] for c in live]))
+    union = union[np.append(True, union[1:] != union[:-1])]
+    masses = _d.segment_masses(dspec, union, arrays=True,
+                               picks=(np.searchsorted(union, c) for c in live))
+    return (next(masses) if c.size else (_EMPTY, _EMPTY) for c in cuts)
 
 
 def _runs_finish(
     dspec: _d.DiscountSpec,
     impl: "_d._Base",
     plan: tuple,
-    cut: tuple,
+    bounds: np.ndarray,
     last: Optional[int],
-    masses: Optional[Tuple[List[float], List[float]]],
+    masses: Optional[Tuple[np.ndarray, np.ndarray]],
 ) -> Tuple[Interval, Interval, int, bool]:
     """The per-index half of _runs_values once the runs of k are cut
     (_run_bounds): masses holds the tails form's shared masses, if any."""
     k, n_trunc, denom, target, unseen, attained = plan
     form = impl.mass_form
-    bounds = [] if masses is not None else _cut_bounds(cut)
-    pieces = len(bounds) // 2
+    pieces = bounds.size // 2
     first = 0
     finite_done = last is not None and last <= n_trunc + 1
     if form == "ratios":
@@ -608,30 +602,32 @@ def _runs_finish(
         lo, hi = _ratio_masses(impl, k, bounds)
     elif form == "blocks":
         end = n_trunc + 1  # k when the guard stopped the sum before k
-        if end > k:
-            if not bounds or bounds[0] > k:
-                bounds.insert(0, k)
-                first = 1
-            if bounds[-1] < end:
-                bounds.append(end)
+        if end > k:  # the dtype of the bounds holds end, hence k
+            head = [k] if not pieces or bounds[0] > k else []
+            tail = [end] if not pieces or bounds[-1] < end else []
+            first = len(head)
+            bounds = np.concatenate((np.array(head, bounds.dtype), bounds,
+                                     np.array(tail, bounds.dtype)))
         # with no 1s past the last piece (finite_done), the gaps up to its
         # end are summed without a target, so the numerator stays as sharp
         # as the table; only the gaps past it may take a coarser form
         split = first + 2 * pieces - 1 if finite_done and pieces else 0
-        lo, hi = [], []
+        lo = hi = _EMPTY
         if split:
-            lo, hi = _masses(dspec, bounds[: split + 1])
-        if len(bounds) > split + 1:
-            far_lo, far_hi = _masses(dspec, bounds[split:], target)
-            lo, hi = lo + far_lo, hi + far_hi
+            lo, hi = _d.segment_masses(dspec, bounds[: split + 1], arrays=True)
+        if bounds.size > split + 1:
+            far_lo, far_hi = _d.segment_masses(dspec, bounds[split:], target, arrays=True)
+            lo, hi = np.concatenate((lo, far_lo)), np.concatenate((hi, far_hi))
         rest = impl.rest(end)
-        denom = _interval_sum(lo, hi) + rest
+        denom = _interval_sum(lo.tolist(), hi.tolist()) + rest
         unseen = Interval(0.0, rest.hi)
     elif masses is not None:
         lo, hi = masses
+    elif pieces:
+        lo, hi = _d.segment_masses(dspec, bounds, target, arrays=True)
     else:
-        lo, hi = _masses(dspec, bounds, target) if bounds else ([], [])
-    s = _interval_sum(lo[first::2], hi[first::2])
+        lo = hi = _EMPTY
+    s = _interval_sum(lo[first::2].tolist(), hi[first::2].tolist())
     if finite_done:
         unseen = Interval.exact(0.0)
     # the division by the denominator widens by 4 ulp, which covers the
@@ -640,23 +636,14 @@ def _runs_finish(
     return numerator, denom, n_trunc, attained or finite_done
 
 
-def _masses(
-    dspec: _d.DiscountSpec, bounds: List[int], target: Optional[float] = None
-) -> Tuple[List[float], List[float]]:
-    """The lo and hi ends of discount.segment_masses, as lists."""
-    lo, hi = _d.segment_masses(dspec, bounds, target, arrays=True)
-    return lo.tolist(), hi.tolist()
-
-
-def _ratio_masses(impl: "_d._Base", k: int, bounds: List[int]) -> Tuple[List[float], List[float]]:
+def _ratio_masses(impl: "_d._Base", k: int, bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The lo and hi ends of tail_ratio(a, k) - tail_ratio(b, k) over each
     gap [a, b) of the bounds, replayed on the arrays of tail_ratio_arrays
-    (offsets past int64 go in as Python ints)."""
-    if not bounds:
-        return [], []
-    r_lo, r_hi = impl.tail_ratio_arrays(np.array([b - k for b in bounds]))
-    lo, hi = widened_arrays(r_lo[:-1] - r_hi[1:], r_hi[:-1] - r_lo[1:])
-    return lo.tolist(), hi.tolist()
+    at the offsets bounds - k (of the dtype of the bounds)."""
+    if not bounds.size:
+        return _EMPTY, _EMPTY
+    r_lo, r_hi = impl.tail_ratio_arrays(bounds - k)
+    return widened_arrays(r_lo[:-1] - r_hi[1:], r_hi[:-1] - r_lo[1:])
 
 
 def _ratio_truncation(impl: "_d._Base", k: int, tol: float) -> int:
@@ -692,7 +679,7 @@ def disc_value_detail(
         raise detail
     if strict and not detail.attained:
         raise InconclusiveEnclosure(
-            f"tolerance {tol} unattainable within the work guard at k={k}", detail
+            f"tolerance {tol} unattainable within the work guard at k={short_index(k)}", detail
         )
     return detail
 
@@ -737,7 +724,7 @@ def disc_value_details(
     for k, part in zip(ks, parts):
         if not isinstance(part, _d.UndefinedMetric) and not part[1].lo > 0.0:
             # the blocks form sums its denominator, which rounding may widen past 0
-            part = _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
+            part = _d.UndefinedMetric(f"tail enclosure not positive at k={short_index(k)}")
         if isinstance(part, _d.UndefinedMetric):
             out.append(part)
             continue
@@ -764,7 +751,7 @@ def _dense_value(
         return numerator, Interval.exact(1.0), n_trunc, True
     tail_k = _d.gamma_tail(dspec, k, _tail_target(tol, k))
     if not tail_k.lo > 0.0:
-        raise _d.UndefinedMetric(f"tail enclosure not positive at k={k}")
+        raise _d.UndefinedMetric(f"tail enclosure not positive at k={short_index(k)}")
     n_trunc, unseen, attained = _truncate(rspec, dspec, k, tail_k, tol, guard_index(), probes)
     s = _dense_sum(rspec, k, n_trunc, _gamma_weights(impl, k, n_trunc))
     numerator = Interval(max(s.lo + unseen.lo, 0.0), s.hi + unseen.hi)

@@ -202,9 +202,23 @@ def test_cli_output_matches_golden(name, golden, monkeypatch, capsys) -> None:
     assert (code, captured.out, captured.err) == (want["exit"], want["stdout"], want["stderr"])
 
 
+# command lines that argparse answers itself: every --help, bad flags,
+# bad choices and types, a missing required flag, leftover arguments, no
+# command and an unknown one
+_PARSER_EXITS = [
+    ["--help"], ["-h"], [], ["bogus"], ["--bogus"], ["TABLE"], ["table", "--bogus"],
+    ["table", "extra"], ["table", "--help"], ["eval", "-h"], ["limits", "--help"],
+    ["construct", "--help"], ["verify", "--help"], ["construct"], ["construct", "--prop", "3"],
+    ["table", "--format", "xml"], ["eval", "--k", "abc"], ["eval", "--v-at", "1.5"],
+    ["verify", "--example", "9"], ["limits", "--tol"], ["verify", "--all", "--seed", "x"],
+    ["table", "--k", "5", "--", "x"],
+]
+
+
 def test_back_to_back_calls_print_the_golden_bytes(golden, monkeypatch, capsys) -> None:
-    # cli.main builds its parser once per process; argparse errors and the
-    # help print what a parser built afresh prints
+    # cli.main builds the parser of the named command alone; on the golden
+    # cases and on every command line that argparse answers itself it prints
+    # the bytes of the full parser, built afresh, call after call
     monkeypatch.chdir(GOLDEN_DIR)
 
     def exits(parse, argv):
@@ -220,10 +234,18 @@ def test_back_to_back_calls_print_the_golden_bytes(golden, monkeypatch, capsys) 
             captured = capsys.readouterr()
             want = golden[name]
             assert (code, captured.out, captured.err) == (want["exit"], want["stdout"], want["stderr"])
-        for argv in (["table", "--bogus"], ["--help"], ["limits", "--help"]):
-            fresh = exits(cli._build_parser.__wrapped__().parse_args, argv)
-            assert exits(cli.main, argv) == fresh and fresh[0] in (0, 2)
-    assert cli._build_parser() is cli._build_parser()
+        for argv in _PARSER_EXITS:
+            fresh = exits(cli._build_parser().parse_args, argv)
+            assert exits(cli.main, argv) == fresh and fresh[0] in (0, 2), argv
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_command_parsers_read_what_the_full_parser_reads(name) -> None:
+    argv = list(CASES[name][0])
+    handler, args = cli._parse(argv)
+    full = cli._build_parser().parse_args(argv)
+    assert vars(full) == {**vars(args), "command": argv[0]}
+    assert handler is cli._COMMANDS[full.command][0]
 
 
 def _capture() -> None:

@@ -768,7 +768,7 @@ def runs_value_reference(rspec, dspec, k, tol):
         if budget_end is not None and n_trunc > budget_end:
             n_trunc, attained = budget_end, False
     else:
-        denom = d.gamma_tail(dspec, k, tol * 0.3 / (k + 1))
+        denom = d.gamma_tail(dspec, k, v._tail_target(tol, k))
         if not denom.lo > 0.0:
             raise d.UndefinedMetric(f"tail enclosure not positive at k={k}")
         target = tol * denom.lo
@@ -779,8 +779,9 @@ def runs_value_reference(rspec, dspec, k, tol):
             if budget_end is not None:
                 cap = min(cap, budget_end)
             n_trunc, unseen, attained = v._truncate(rspec, dspec, k, denom, tol, cap)
-    segs = r.one_segments(rspec, k, n_trunc)
-    bounds = {x for seg in segs for x in seg}
+    flat = r.one_segments(rspec, k, n_trunc).tolist()
+    segs = list(zip(flat[0::2], flat[1::2]))
+    bounds = set(flat)
     if form == "blocks":
         end = n_trunc + 1
         if end > k:
@@ -839,6 +840,80 @@ def test_runs_value_matches_the_interval_lists(rspec, dspec) -> None:
                 continue
             assert got[2:] == want[2:], (k, tol, got, want)
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (k, tol, got, want)
+
+
+# indices around the float and int64 limits, where the run bounds change
+# dtype (int64 below 2**63, Python ints from there up)
+_EDGE_KS = [2**53 - 1, 2**53 + 1, 2**62, 2**63 - 1, 2**63 + 1, 2**64 + 1, 10**310]
+_EDGE_REWARDS = {
+    "linear": h.linear_runs(),
+    "exponential": h.exponential_runs(),
+    "explicit_even": h.explicit_change_points([3, 7, 600, 700, 2**53, 2**53 + 2, 2**63 - 2,
+                                               2**63 + 5, 2**64, 10**310]),
+    "explicit_odd": h.explicit_change_points([2, 9, 650, 2**62 + 1, 2**63, 10**310 + 7]),
+}
+_EDGE_DISCOUNTS = {
+    "quadratic": d.quadratic(), "power": d.power(0.5), "harmonic_like": d.harmonic_like(),
+    "step_log": d.step_log(), "cosine": d.cosine_modulated(), "geometric0.5": d.geometric(0.5),
+    "geometric0.9": d.geometric(0.9),
+}
+
+
+@pytest.mark.parametrize("dspec", list(_EDGE_DISCOUNTS.values()), ids=list(_EDGE_DISCOUNTS))
+@pytest.mark.parametrize("rspec", list(_EDGE_REWARDS.values()), ids=list(_EDGE_REWARDS))
+def test_batched_runs_values_match_the_interval_lists_at_the_int64_edges(rspec, dspec) -> None:
+    # one pass over every index: the runs are shared, and under quadratic,
+    # power, harmonic-like and step_log the mass ends too (one union of
+    # bounds); every value keeps the bits of the list reference at its index
+    ks = [1, 7, 600, 3600] + _EDGE_KS
+    if rspec.params[0] == "linear" and dspec.family in ("quadratic", "step_log"):
+        # their rest at 10**310 is wide (Gamma_k is subnormal): N stops at the
+        # run budget, whose 200,000 pieces take the list reference seconds
+        ks.remove(10**310)
+    for tol in (1e-3, 1e-5):
+        got = any_outcome(v._runs_values, rspec, dspec, ks, tol)
+        if isinstance(got, str):  # the pass as a whole raised
+            assert got == any_outcome(runs_value_reference, rspec, dspec, ks[0], tol)
+            continue
+        for k, g in zip(ks, got):
+            if isinstance(g, d.UndefinedMetric):  # recorded, not raised
+                g = f"UndefinedMetric: {g}"
+            want = any_outcome(runs_value_reference, rspec, dspec, k, tol)
+            if isinstance(want, str) or isinstance(g, str):
+                assert g == want, (k, tol)
+                continue
+            assert g[2:] == want[2:], (k, tol, g, want)
+            assert same_bits(g[0], want[0]) and same_bits(g[1], want[1]), (k, tol, g, want)
+
+
+def test_index_arrays_are_int64_or_python_ints() -> None:
+    # numpy reads [2**63] as uint64, and uint64 with int64 as float64
+    from horizonlab._guards import index_array, index_dtype
+    for top in (0, 1, 2**53 + 1, 2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**64 + 1, 10**310):
+        assert index_dtype(top) in (np.int64, object)
+    for values in ([1, 2**63 - 1], [2**62, 2**63], [5, 2**63 + 1, 2**64 + 1], [2**53 + 1, 10**310],
+                   [np.int64(3), 2**64 + 1]):
+        a, ints = index_array(values), [int(x) for x in values]
+        assert a.dtype == (np.int64 if max(ints) < 2**63 else object)
+        assert a.tolist() == ints and all(type(x) is int for x in a.tolist())
+        # the numpy expressions of the runs path keep the dtype and the values
+        assert np.diff(a).tolist() == [y - x for x, y in zip(ints, ints[1:])]
+        assert np.concatenate((a[:1], a[1:])).dtype == a.dtype
+        assert int(np.searchsorted(a, values[-1])) == len(values) - 1
+    assert index_array([], 2**63).dtype == object and index_array([]).dtype == np.int64
+
+
+@pytest.mark.parametrize("bounds", [[5, 3], [1], [], [7, 7, 9], [2**63 + 1, 2**63], [10**310],
+                                    [1, 10**310, 10**310]])
+def test_segment_masses_refuse_bad_bounds_in_every_form(bounds) -> None:
+    from horizonlab._guards import index_array
+    forms = [bounds, index_array(bounds)]
+    if all(b < 2**63 for b in bounds):
+        forms.append(np.array(bounds, dtype=object))
+    for form in forms:
+        for dspec in (d.quadratic(), d.cosine_modulated(), d.geometric(0.9)):
+            with pytest.raises(ValueError, match=r"^bounds must be strictly increasing, length >= 2$"):
+                d.segment_masses(dspec, form)
 
 
 # -- the rest probe ----------------------------------------------------------------

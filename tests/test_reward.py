@@ -231,7 +231,8 @@ def test_reward_vec_names_the_first_missing_index(a, b, first_missing) -> None:
 @pytest.mark.parametrize("k, n", [(1, 1), (1, 10**5), (12345, 67890), (29, 31),
                                   (4**9 - 3, 4**9 + 3), (10**12, 10**12 + 10**4)])
 def test_one_segments_match_the_oracle_bits(spec, bits, k, n) -> None:
-    segs = r.one_segments(spec, k, n)
+    flat = r.one_segments(spec, k, n).tolist()
+    segs = list(zip(flat[0::2], flat[1::2]))
     # pieces are nonempty, in order, inside [k, n + 1) and never touch
     assert all(k <= a < b <= n + 1 for a, b in segs)
     assert all(b1 < a2 for (_, b1), (a2, _) in zip(segs, segs[1:]))
@@ -242,16 +243,36 @@ def test_one_segments_match_the_oracle_bits(spec, bits, k, n) -> None:
 
 
 def one_segments_reference(spec, k, n):
-    """reward.one_segments on generated runs before their closed-form ends:
-    one change_points call per run from run_index(k)."""
-    end, j, segs = n + 1, r.run_index(spec, k), []
-    while True:
+    """reward.one_segments as a list of (a, b) pieces, before it returned
+    flat integer arrays: one change_points call per run, from run_index(k)
+    for generated runs and from the first run of an explicit list."""
+    end, segs = n + 1, []
+    stored = r.run_count(spec)
+    if stored is None:
+        if n < k:
+            return segs
+        j = r.run_index(spec, k)
+        while True:
+            a, b = r.change_points(spec, j)
+            if a >= end:
+                return segs
+            if max(a, k) < min(b, end):
+                segs.append((max(a, k), min(b, end)))
+            j += 1
+    for j in range(1, stored + 1):
         a, b = r.change_points(spec, j)
         if a >= end:
             return segs
         if max(a, k) < min(b, end):
             segs.append((max(a, k), min(b, end)))
-        j += 1
+    pts = spec.params[1]
+    if len(pts) % 2 == 1 and max(pts[-1], k) < end:
+        segs.append((max(pts[-1], k), end))
+    return segs
+
+
+def flat_reference(spec, k, n):
+    return [x for seg in one_segments_reference(spec, k, n) for x in seg]
 
 
 def _ends_near(spec, k):
@@ -268,7 +289,37 @@ def _ends_near(spec, k):
                                10**12 + 1, 2**63 + 1, 10**30 - 1, 10**30])
 def test_closed_form_run_ends_match_the_per_run_loop(spec, k) -> None:
     for n in _ends_near(spec, k):
-        assert r.one_segments(spec, k, n) == one_segments_reference(spec, k, n), n
+        assert r.one_segments(spec, k, n).tolist() == flat_reference(spec, k, n), n
+
+
+# indices around the float and int64 limits, where the bounds change dtype
+_EDGE_KS = [2**53 - 1, 2**53 + 1, 2**62, 2**63 - 1, 2**63 + 1, 2**64 + 1, 10**310]
+_RUN_SPECS = {
+    "linear": h.linear_runs(),
+    "exponential": h.exponential_runs(),
+    "explicit_even": h.explicit_change_points([3, 7, 2**53, 2**53 + 2, 2**63 - 2, 2**63 + 5,
+                                               2**64, 10**310]),
+    "explicit_odd": h.explicit_change_points([2, 9, 2**62 + 1, 2**63, 10**310 + 7]),
+}
+
+
+def _edge_windows():
+    for k in _EDGE_KS:
+        for dk in (-3, -1, 0, 1, 2):
+            for width in (0, 1, 2, 5, 100, 2**20):
+                yield k + dk, k + dk + width
+    yield 1, 10**5
+
+
+@pytest.mark.parametrize("spec", list(_RUN_SPECS.values()), ids=list(_RUN_SPECS))
+def test_one_segments_flat_arrays_match_the_list_enumeration(spec) -> None:
+    for k, n in _edge_windows():
+        flat = r.one_segments(spec, k, n)
+        assert flat.tolist() == flat_reference(spec, k, n), (k, n)
+        # int64 or Python ints, never uint64 or float64; the dtype holds n + 1
+        assert flat.dtype in (np.dtype(np.int64), np.dtype(object)), (k, n, flat.dtype)
+        assert n + 1 < 2**63 or flat.dtype == object, (k, n)
+        assert all(type(x) is int for x in flat.tolist())
 
 
 # -- window envelopes ---------------------------------------------------

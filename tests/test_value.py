@@ -813,6 +813,21 @@ def test_periodic_values_past_the_quadratic_float_range(k, dspec) -> None:
     assert Fraction(2, 3) + Fraction(3, k) <= Fraction(det.interval.hi)
 
 
+def test_undefined_values_far_out_name_k_by_its_magnitude() -> None:
+    # k = 10**400 in full would put 401 digits in the message
+    want = "tail enclosure not positive at k=1.00e400, 401 digits"
+    for rspec in (h.periodic([1.0, 0.0, 1.0]), _LIN):
+        with pytest.raises(d.UndefinedMetric) as exc:
+            v.disc_value_detail(rspec, h.quadratic(), 10**400, 1e-3)
+        assert str(exc.value) == want
+    with pytest.raises(d.UndefinedMetric) as exc:
+        d.horizon_ratio(h.finite(5), 10**400)
+    assert str(exc.value) == "tail is zero at k=1.00e400, 401 digits"
+    with pytest.raises(d.UndefinedMetric) as exc:
+        d.horizon_ratio(h.finite(5), 10**20 - 1)
+    assert str(exc.value) == "tail is zero at k=99999999999999999999"
+
+
 def test_quadratic_value_where_the_tail_underflows_is_undefined() -> None:
     for rspec in (h.periodic([1.0, 0.0, 1.0]), _LIN):
         with pytest.raises(d.UndefinedMetric, match="tail enclosure not positive"):
