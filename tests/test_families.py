@@ -156,6 +156,102 @@ def test_boxed_weight_is_the_pair_with_its_recorded_bits(family) -> None:
         assert pair == want, k
 
 
+# tail(k, target).pair of each example family, and of alternating over
+# quadratic and over cosine, as the families answered Gamma_k when some
+# of them computed Intervals and some pairs; a typed error by its name
+TAIL_FAMILIES = {**EXAMPLES, "alternating_zero:quadratic": d.alternating_zero(),
+                 "alternating_zero:cosine_modulated": d.alternating_zero(d.cosine_modulated())}
+TAIL_KS = [1, 2, 3, 150, 2**53 + 1, 10**310]
+TAILS = {
+    ('alternating_zero', None): [(0.3333333333333244, 0.33333333333334225),
+        (0.3333333333333244, 0.33333333333334225), (0.0833333333333311, 0.08333333333333556),
+        (9.341989762165196e-46, 9.341989762165697e-46), (0.0, 2e-323), (0.0, 2e-323)],
+    ('alternating_zero', 1e-09): [(0.3333333333333244, 0.33333333333334225),
+        (0.3333333333333244, 0.33333333333334225), (0.0833333333333311, 0.08333333333333556),
+        (9.341989762165196e-46, 9.341989762165697e-46), (0.0, 2e-323), (0.0, 2e-323)],
+    ('alternating_zero:cosine_modulated', None): [(1.0263783023378459, 1.0264088164346588),
+        (1.0263783023378459, 1.0264088164346588), (0.2763783023378953, 0.2764088164346094),
+        (0.006796834479237893, 0.006798741631180394), 'GuardExceeded', 'GuardExceeded'],
+    ('alternating_zero:cosine_modulated', 1e-09): [(1.0263783023378459, 1.0264088164346588),
+        (1.0263783023378459, 1.0264088164346588), (0.2763783023378953, 0.2764088164346094),
+        (0.006796834479237893, 0.006798741631180394), 'GuardExceeded', 'GuardExceeded'],
+    ('alternating_zero:quadratic', None): [(0.3068527599516529, 0.3068528789865364),
+        (0.3068527599516529, 0.3068528789865364), (0.14018609340089644, 0.14018621220378985),
+        (0.003344443283051802, 0.003344445112164444), (5.551115123125776e-17, 5.551115123125789e-17),
+        (4.9999999999963e-311, 5.000000000002e-311)],
+    ('alternating_zero:quadratic', 1e-09): [(0.3068528192072433, 0.30685281967288025),
+        (0.3068528192072433, 0.30685281967288025), (0.14018615254061, 0.1401861530061803),
+        (0.0033444439668391464, 0.0033444444282804873), (5.551115123125776e-17, 5.551115123125789e-17),
+        (4.9999999999963e-311, 5.000000000002e-311)],
+    ('cosine_modulated', None): [(3.2259518876802558, 3.2259519323368604),
+        (1.492207229721785, 1.4922072743781627), (0.7422072297218343, 0.7422072743781134),
+        (0.013564478208379981, 0.013564522864563095), (2.2204460492503091e-16, 2.220446049250318e-16),
+        (9.9999999999995e-311, 3.00000000000004e-310)],
+    ('cosine_modulated', 1e-09): [(3.2259519099557368, 3.225951910081157),
+        (1.492207251997267, 1.492207252122458), (0.7422072519973165, 0.7422072521224086),
+        (0.013564500483862315, 0.013564500608858108), (2.2204460492503091e-16, 2.220446049250318e-16),
+        (9.9999999999995e-311, 3.00000000000004e-310)],
+    ('custom', None): [(1.0833333333333308, 1.1944444444444478), (0.5833333333333313, 0.6944444444444471),
+        (0.3333333333333318, 0.44444444444444653), (0.006666666666666634, 0.006711111111111151),
+        (1.1102230246251435e-16, 1.1102230246251728e-16), (9.9999999999886e-311, 1.0000000000015e-310)],
+    ('custom', 1e-09): [(1.0833333333333308, 1.1944444444444478), (0.5833333333333313, 0.6944444444444471),
+        (0.3333333333333318, 0.44444444444444653), (0.006666666666666634, 0.006711111111111151),
+        (1.1102230246251435e-16, 1.1102230246251728e-16), (9.9999999999886e-311, 1.0000000000015e-310)],
+    ('finite', None): [(3.0, 3.0), (2.0, 2.0), (1.0, 1.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)],
+    ('finite', 1e-09): [(3.0, 3.0), (2.0, 2.0), (1.0, 1.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)],
+    ('geometric', None): [(0.3333333333333331, 0.33333333333333354),
+        (0.08333333333333327, 0.08333333333333338), (0.02083333333333332, 0.020833333333333346),
+        (6.545457953730297e-91, 6.545457953730306e-91), (0.0, 5e-324), (0.0, 5e-324)],
+    ('geometric', 1e-09): [(0.3333333333333331, 0.33333333333333354),
+        (0.08333333333333327, 0.08333333333333338), (0.02083333333333332, 0.020833333333333346),
+        (6.545457953730297e-91, 6.545457953730306e-91), (0.0, 5e-324), (0.0, 5e-324)],
+    ('harmonic_like', None): [(2.483379531391762, 3.52406402189458),
+        (1.4426950408889616, 2.4833795313917726), (0.9102392266268361, 1.1864177098569142),
+        (0.19957549119135481, 0.19984102703591722), (0.027220661148848333, 0.027220661148848416),
+        (0.0014009499416233913, 0.0014009499416233957)],
+    ('harmonic_like', 1e-09): [(2.483379531391762, 3.52406402189458),
+        (1.4426950408889616, 2.4833795313917726), (0.9102392266268361, 1.1864177098569142),
+        (0.19957549119135481, 0.19984102703591722), (0.027220661148848333, 0.027220661148848416),
+        (0.0014009499416233913, 0.0014009499416233957)],
+    ('patched', None): [(2.00019465397596, 2.000194653975977), (1.0001946539759639, 1.0001946539759723),
+        (0.500194653975966, 0.5001946539759702), (3.8228010428533566e-05, 3.8228010428535816e-05),
+        (0.0, 7e-323), (0.0, 5e-324)],
+    ('patched', 1e-09): [(2.00019465397596, 2.000194653975977), (1.0001946539759639, 1.0001946539759723),
+        (0.500194653975966, 0.5001946539759702), (3.8228010428533566e-05, 3.8228010428535816e-05),
+        (0.0, 7e-323), (0.0, 5e-324)],
+    ('power', None): [(1.9999999999999964, 3.000000000000009), (1.4142135623730918, 1.7677669529663738),
+        (1.1547005383792484, 1.347150628109131), (0.16329931618554466, 0.1638436472394977),
+        (2.10734242554468e-08, 2.107342425544725e-08), (1.9999999999996833e-155, 2.000000000000329e-155)],
+    ('power', 1e-09): [(1.9999999999999964, 3.000000000000009), (1.4142135623730918, 1.7677669529663738),
+        (1.1547005383792484, 1.347150628109131), (0.16329931618554466, 0.1638436472394977),
+        (2.10734242554468e-08, 2.107342425544725e-08), (1.9999999999996833e-155, 2.000000000000329e-155)],
+    ('quadratic', None): [(0.9999999999999998, 1.0000000000000002),
+        (0.4999999999999999, 0.5000000000000001), (0.33333333333333326, 0.33333333333333337),
+        (0.006666666666666666, 0.006666666666666668), (1.1102230246251563e-16, 1.1102230246251568e-16),
+        (9.9999999999995e-311, 1.00000000000005e-310)],
+    ('quadratic', 1e-09): [(0.9999999999999998, 1.0000000000000002),
+        (0.4999999999999999, 0.5000000000000001), (0.33333333333333326, 0.33333333333333337),
+        (0.006666666666666666, 0.006666666666666668), (1.1102230246251563e-16, 1.1102230246251568e-16),
+        (9.9999999999995e-311, 1.00000000000005e-310)],
+    ('step_log', None): [(1.5, 1.5), (0.5, 0.5), (0.25, 0.25), (0.0035858154296875, 0.0035858154296875),
+        (5.5511151231257815e-17, 5.551115123125784e-17), (5.4829863599474e-311, 5.4829863599484e-311)],
+    ('step_log', 1e-09): [(1.5, 1.5), (0.5, 0.5), (0.25, 0.25), (0.0035858154296875, 0.0035858154296875),
+        (5.5511151231257815e-17, 5.551115123125784e-17), (5.4829863599474e-311, 5.4829863599484e-311)],
+
+}
+
+
+@pytest.mark.parametrize("family, target", sorted(TAILS, key=repr))
+def test_boxed_tail_has_its_recorded_bits(family, target) -> None:
+    impl = d._impl(TAIL_FAMILIES[family])
+    for k, want in zip(TAIL_KS, TAILS[family, target]):
+        try:
+            got = impl.tail(k, target).pair
+        except (ArithmeticError, RuntimeError, ValueError) as exc:
+            got = type(exc).__name__
+        assert got == want, k
+
+
 def test_every_exported_name_resolves() -> None:
     for name in horizonlab.__all__:
         assert getattr(horizonlab, name) is not None, name
