@@ -37,7 +37,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._guards import GuardExceeded, as_index, guard_index, index_array, json_list, short_index
-from .intervals import Interval, IntegerInterval, Pair, widened_arrays, widened_pair
+from .intervals import (Interval, IntegerInterval, Pair, pair_add, pair_div, pair_mul, pair_sub,
+                        rounded_pair, widened_arrays, widened_pair)
 
 _U = 2.0**-53  # binary64 unit roundoff
 
@@ -187,17 +188,13 @@ def custom(table: Sequence[float], tail: Optional[Tuple] = None) -> DiscountSpec
 
 
 def _rel_pad_pair(value: float, rel: float) -> Pair:
-    """value * (1 +/- rel), outward rounded; _rel_pad_iv boxes it."""
+    """value * (1 +/- rel), outward rounded."""
     pad = abs(value) * rel + 5e-324
     return widened_pair(value - pad, value + pad)
 
 
-def _rel_pad_iv(value: float, rel: float) -> Interval:
-    return Interval(*_rel_pad_pair(value, rel))
-
-
 def _rel_pad_arrays(values: np.ndarray, rel) -> Tuple[np.ndarray, np.ndarray]:
-    """_rel_pad_iv on each value (rel a float or one per value), bit for bit."""
+    """_rel_pad_pair on each value (rel a float or one per value), bit for bit."""
     pad = np.abs(values) * rel + 5e-324
     return widened_arrays(values - pad, values + pad)
 
@@ -221,12 +218,13 @@ def _positive_pad_arrays(values: np.ndarray, rel) -> Tuple[np.ndarray, np.ndarra
 
 
 def _pow_rel(base: float) -> float:
-    """Relative error bound of base**expo for a float base > 0 (_pow_iv)."""
+    """Relative error bound of base**expo for a float base > 0 (_pow_parts)."""
     return _U * (8.0 + 2.0 * abs(math.log(base)))
 
 
 def _pow_parts(base, expo: float, ln: Optional[float] = None) -> Tuple[float, float]:
-    """(base**expo, its relative error bound): _pow_iv before the padding.
+    """(base**expo, its relative error bound) for base > 0, a float or an
+    int of any size; _rel_pad_pair pads it into an enclosure.
 
     pow is assumed faithful to 1 ulp; the exponent itself may carry one
     rounding whose effect scales with |ln base|, hence the log factor. An
@@ -241,11 +239,6 @@ def _pow_parts(base, expo: float, ln: Optional[float] = None) -> Tuple[float, fl
         x = expo * ln
         return math.exp(x), _U * (8.0 + 4.0 * abs(x))
     return float(base) ** expo, _U * (8.0 + 2.0 * abs(ln))
-
-
-def _pow_iv(base, expo: float) -> Interval:
-    """Enclosure of base**expo for base > 0, a float or an int of any size."""
-    return _rel_pad_iv(*_pow_parts(base, expo))
 
 
 def _int_list(ks: Sequence[int]) -> Sequence[int]:
@@ -325,19 +318,30 @@ def _least_passing(passes, top: Optional[int]) -> int:
 
 
 class _Base:
-    """One discount family. Capabilities are per-class constants:
+    """One discount family. It answers three protocols in floats, and each
+    has one boxing point, where its answers become Intervals:
+
+    weights: gamma_pair(k), a (lo, hi) pair, and gamma_arrays(ks), lo and
+        hi arrays; boxed by gamma_iv.
+    tails: tail_pair(k, target) and tail_arrays(ks, target), for Gamma_k
+        (target a resolution hint); boxed by tail, the arrays by
+        discount.gamma_tail_batch.
+    masses: segment_mass_arrays(bounds, target), over each gap of bounds
+        (gap_masses of mass_ends); boxed by discount.segment_masses.
+
+    Capabilities are per-class constants:
 
     mass_form: how V's runs path gets the mass of a reward's 1-runs.
         "tails" (default): segment_mass_arrays as tail differences.
         "blocks": segment_mass_arrays(bounds, target) summed directly (from a
             block table near k, in closed form far from it), plus
-            tail_crude(k), an analytic sandwich of Gamma_k that sets the
-            target, and rest(x), an enclosure of Gamma_x without summing.
+            tail_crude(k), an analytic sandwich pair of Gamma_k that sets
+            the target, and rest(x), a pair enclosing Gamma_x unsummed.
         "ratios": tail_ratio(j, k) = Gamma_j / Gamma_k and one_minus_g.
         None: no runs path; V is summed densely.
     sums_terms: False (default) when tails cost O(polylog k), so truncation
         indices may pass the work guard; True when tails sum terms.
-    target_free: True (default) when tail(k, target) is a closed form in
+    target_free: True (default) when tail_pair(k, target) is a closed form in
         k alone, so a tail, and whatever is built from tails alone, may
         serve several targets: V at several indices shares its rest probes
         and mass ends (value.disc_value_details, segment_masses' picks).
@@ -406,20 +410,20 @@ class _Base:
         """gamma_pair(k) as an Interval: the one place weights are boxed."""
         return Interval(*self.gamma_pair(k))
 
-    def tail(self, k: int, target: Optional[float] = None) -> Interval:
+    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
+        """An enclosure of Gamma_k as a (lo, hi) pair, target a resolution
+        hint. Every family answers its tails here."""
         raise NotImplementedError
+
+    def tail(self, k: int, target: Optional[float] = None) -> Interval:
+        """tail_pair(k, target) as an Interval: the one place tails are boxed."""
+        return Interval(*self.tail_pair(k, target))
 
     def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """lo and hi of gamma_pair(k) as float64 arrays, bit for bit, for each k of
         ks: increasing, an int64 array or (as past int64) a sequence of Python ints."""
         pairs = [self.gamma_pair(k) for k in _int_list(ks)]
         return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-
-    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
-        return self.tail(k, target).pair
-
-    def tail_batch(self, ks: Sequence[int], target: Optional[float] = None) -> List[Interval]:
-        return [self.tail(k, target) for k in ks]
 
     def gamma_vec(self, ks: np.ndarray) -> Optional[np.ndarray]:
         return None
@@ -447,7 +451,7 @@ class _Base:
 
     def mass_ends(self, bounds: Sequence[int], target: Optional[float] = None) -> Tuple[np.ndarray, ...]:
         """The per-bound arrays whose gaps gap_masses takes: lo and hi of
-        tail_batch by default."""
+        tail_arrays by default."""
         return self.tail_arrays(bounds, target)
 
     def gap_masses(self, ends: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
@@ -460,9 +464,10 @@ class _Base:
         return np.maximum(lo, 0.0), np.maximum(hi, 0.0)
 
     def tail_arrays(self, ks: Sequence[int], target: Optional[float] = None) -> Tuple[np.ndarray, ...]:
-        """lo and hi of tail_batch as float64 arrays."""
-        tails = self.tail_batch(_int_list(ks), target)
-        return np.array([t.lo for t in tails]), np.array([t.hi for t in tails])
+        """lo and hi of tail_pair(k, target) for each k of ks, as gamma_arrays
+        takes them; quadratic and cosine answer them in one batch."""
+        pairs = [self.tail_pair(k, target) for k in _int_list(ks)]
+        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
     _last_tail: tuple = (None, None)  # ((k, guard), tail(k)) of default_tail
 
@@ -550,8 +555,8 @@ class _Finite(_Base):
         g = self.gamma(k)
         return g, g
 
-    def tail(self, k: int, target: Optional[float] = None) -> Interval:
-        return Interval.exact(float(max(self.m - k + 1, 0)))
+    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
+        return (float(max(self.m - k + 1, 0)),) * 2
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
         return (ks <= self.m).astype(np.float64)
@@ -617,19 +622,19 @@ class _Geometric(_Base):
         lo, hi = _rel_pad_pair(y, _U * (8.0 + 2.0 * k * _U / max(1.0 - self.g, _U)))
         return max(lo, 0.0), hi
 
-    def tail(self, k: int, target: Optional[float] = None) -> Interval:
+    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
         if self.g == 0.5:
-            return Interval(*_dyadic_pair(1 - k))
+            return _dyadic_pair(1 - k)
         if self.dyadic_exp is not None and self.dyadic_exp * k < -1022:
             # g = 2^-d past the normal range, where dividing widens below 0: the
             # int quotient 1 / ((2^d - 1) 2^(d (k-1))), correctly rounded
             d = -self.dyadic_exp
             y = 1 / (((1 << d) - 1) << d * (k - 1)) if d * (k - 1) < 1100 else 0.0
-            return Interval(*_subnormal_pair(y))
+            return _subnormal_pair(y)
         if k >> 1023:  # g^k <= g^(2^1023) < 2^-1074 (1 - g) for every float g < 1
-            return Interval(0.0, 5e-324)
-        iv = self.gamma_iv(k) / self.one_minus_g
-        return iv if iv.lo >= 0.0 else Interval(0.0, iv.hi)  # a weight that underflowed
+            return 0.0, 5e-324
+        lo, hi = pair_div(self.gamma_pair(k), self.one_minus_g.pair)
+        return max(lo, 0.0), hi  # a weight that underflowed
 
     def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
         if self.dyadic_exp is not None:  # 2^(d k) exactly (0 below 2^-1074), as gamma
@@ -641,17 +646,13 @@ class _Geometric(_Base):
         if self.dyadic_exp is not None:
             return IntegerInterval(1, 1)  # g <= 1/2, and g**0 = 1 > 1/2
         h = max(int(math.floor(self.half_life)) - 1, 0)
-        half = Interval.exact(0.5)
         while True:
-            p = _pow_iv(self.g, float(h))
-            if p.certainly_le(half):
-                lo = h
-                break
-            if half.certainly_lt(p):
-                h += 1
-                continue
-            raise EnclosureAmbiguous(f"g**{h} straddles 1/2 for g={self.g}")
-        return IntegerInterval(lo, lo)
+            lo, hi = _rel_pad_pair(*_pow_parts(self.g, float(h)))
+            if hi <= 0.5:  # certainly halved
+                return IntegerInterval(h, h)
+            if not 0.5 < lo:  # not certainly above a half either
+                raise EnclosureAmbiguous(f"g**{h} straddles 1/2 for g={self.g}")
+            h += 1
 
     def quasi_horizon(self, k: int) -> Interval:
         if self.g == 0.5:
@@ -687,8 +688,10 @@ class _Geometric(_Base):
             return Interval(*_dyadic_pair(self.dyadic_exp * d))
         if d == 0:
             return Interval.exact(1.0)
-        r = _pow_iv(self.g, float(d))
-        return r if r.lo > 0.0 else Interval(0.0, max(r.hi, 5e-324))
+        if d >> 1023:  # g^d <= g^(2^1023) < 2^-1074 for every float g < 1
+            return Interval(0.0, 5e-324)
+        lo, hi = _rel_pad_pair(*_pow_parts(self.g, float(d)))
+        return Interval(lo, hi) if lo > 0.0 else Interval(0.0, max(hi, 5e-324))
 
     def tail_ratio_arrays(self, ds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """lo and hi of tail_ratio(k + d, k) for each offset d >= 0 in ds,
@@ -698,10 +701,13 @@ class _Geometric(_Base):
             below = self.dyadic_exp * ds < -1074
             return np.where(below, 0.0, ps), np.where(below, 5e-324, ps)
         g = self.g
-        lo, hi = _rel_pad_arrays(np.array([g ** float(d) for d in ds.tolist()]), _pow_rel(g))
+        top = 2.0**1023  # float(d) may overflow past it, where g^d rounds to 0 anyway
+        ps = [g ** float(d) for d in np.minimum(ds, top).tolist()]
+        lo, hi = _rel_pad_arrays(np.array(ps), _pow_rel(g))
         under = ~(lo > 0.0)
         lo[under] = 0.0
         hi[under] = np.maximum(hi[under], 5e-324)
+        hi[ds >= top] = 5e-324  # as tail_ratio cuts there
         one = ds == 0
         lo[one] = 1.0
         hi[one] = 1.0
@@ -744,7 +750,7 @@ class _Quadratic(_Base):
             y = 1.0 / k
         except OverflowError:
             return _subnormal_pair(1 / k)
-        return y - math.ulp(y), y + math.ulp(y)  # Interval.rounded
+        return rounded_pair(y)
 
     def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """gamma_pair from one numpy 1.0 / (k (k+1)) below 2**26, where
@@ -753,9 +759,6 @@ class _Quadratic(_Base):
             return super().gamma_arrays(ks)
         kf = np.array(ks, dtype=np.float64)
         return _rel_pad_arrays(1.0 / (kf * (kf + 1.0)), 4 * _U)
-
-    def tail(self, k: int, target: Optional[float] = None) -> Interval:
-        return Interval(*self.tail_pair(k))
 
     def tail_arrays(self, ks: Sequence[int], target: Optional[float] = None) -> Tuple[np.ndarray, ...]:
         """tail_pair from one numpy 1.0 / k, correctly rounded as the scalar
@@ -808,9 +811,6 @@ class _Integrable(_Base):
 
     def integral_pair(self, k: int) -> Pair:
         raise NotImplementedError
-
-    def tail(self, k: int, target: Optional[float] = None) -> Interval:
-        return Interval(*self.tail_pair(k))
 
     def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
         """The sandwich F(k) <= Gamma_k <= gamma_k + F(k)."""
@@ -870,7 +870,7 @@ class _Power(_Integrable):
         return widened_pair(lo / self.eps, hi / self.eps)
 
     def k_gamma(self, k: int) -> Interval:
-        return _pow_iv(k, -self.eps)  # k gamma_k = k^(-eps)
+        return Interval(*_rel_pad_pair(*_pow_parts(k, -self.eps)))  # k gamma_k = k^(-eps)
 
     def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         return _pow_arrays(ks, -1.0 - self.eps)  # bound_arrays' first two, without the second pow
@@ -930,21 +930,15 @@ class _HarmonicLike(_Integrable):
 
     def k_gamma(self, k: int) -> Interval:
         ln = math.log(k)  # k gamma_k = 1 / ln^2 k: gamma's roundings, less the product by k
-        return _rel_pad_iv(1.0 / (ln * ln), self._gamma_rel(k))
-
-    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
-        if k > 1:
-            return super().tail_pair(k)
-        (a, b), (c, d) = self.gamma_pair(1), self.tail_pair(2)  # gamma_1 + Gamma_2
-        return widened_pair(a + c, b + d)
+        return Interval(*_rel_pad_pair(1.0 / (ln * ln), self._gamma_rel(k)))
 
     def integral_pair(self, k: int) -> Pair:
         """int_k^inf dx / (x ln^2 x) = 1 / ln k for k >= 2, ln k enclosed by
         its widened float. At k = 1 it is gamma_1 + 1/ln 2: with
-        gamma_1 = gamma_2 the segment sandwich then holds from a = 1 as well."""
+        gamma_1 = gamma_2 the segment sandwich then holds from a = 1 as well,
+        and tail_pair(1) is gamma_1 + tail_pair(2) bit for bit."""
         if k == 1:
-            (a, b), (c, d) = self.gamma_pair(1), self.integral_pair(2)
-            return widened_pair(a + c, b + d)
+            return pair_add(self.gamma_pair(1), self.integral_pair(2))
         y = math.log(k)  # ln k > 0.69: 1 / [lo, hi] is [1 / hi, 1 / lo]
         lo, hi = widened_pair(y, y)
         return widened_pair(1.0 / hi, 1.0 / lo)
@@ -1034,12 +1028,12 @@ class _StepLog(_Base):
         n = self._block(k)
         return 3 * (1 << n) - 2 * k + 2, 2 * n + 1
 
-    def tail(self, k: int, target: Optional[float] = None) -> Interval:
+    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
         num, shift = self.tail_scaled(k)
         if num.bit_length() <= 53 and shift < 1000:
-            return Interval.exact(math.ldexp(float(num), -shift))
+            return (math.ldexp(float(num), -shift),) * 2
         y = num / (1 << shift)  # correctly rounded, a subnormal or 0 included
-        return Interval.rounded(y) if y > 0.0 else Interval(0.0, 5e-324)
+        return rounded_pair(y) if y > 0.0 else (0.0, 5e-324)
 
     def effective_horizon(self, k: int) -> IntegerInterval:
         # exact integer bisection: Gamma(k+h) <= Gamma(k)/2 compared via
@@ -1354,7 +1348,7 @@ class _AlternatingZero(_Base):
     # the relative width that the rest of a tail over a monotone base aims for
     _SHARP = 2.0**-20
 
-    def tail(self, k: int, target: Optional[float] = None) -> Interval:
+    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
         """Gamma_k: the base weights at the even indices i >= k.
 
         The even indices from start (k rounded up to even) to an even
@@ -1389,7 +1383,7 @@ class _AlternatingZero(_Base):
         cap -= cap % 2
         base = self.base
         if base.monotone:
-            scale = base.tail(start).lo  # Gamma_start: at most twice the tail
+            scale = base.tail_pair(start)[0]  # Gamma_start: at most twice the tail
             goal = self._SHARP * scale
             if target is not None:
                 goal = min(goal, 2.0 * target)
@@ -1406,18 +1400,18 @@ class _AlternatingZero(_Base):
             i = first(fine, min(start + 4094, cap))
             if g_hi[i] > fine:
                 i = first(max(goal, 1e-300), cap)
-            n = ns[i]
-            t, g = base.tail(n + 1), Interval(g_lo[i], g_hi[i])
-            tail = Interval(max(((t - g) * 0.5).lo, 0.0), (t * 0.5).hi)
+            n, half = ns[i], (0.5, 0.5)
+            t = base.tail_pair(n + 1)
+            tail = max(pair_mul(pair_sub(t, (g_lo[i], g_hi[i])), half)[0], 0.0), pair_mul(t, half)[1]
             if n >= start:
-                tail = Interval(*self._evens.mass(start // 2, n // 2 + 1)) + tail
-            return Interval(max(tail.lo, 0.0), tail.hi)
+                tail = pair_add(self._evens.mass(start // 2, n // 2 + 1), tail)
+            return max(tail[0], 0.0), tail[1]
         n = max(min(max(start + 4096, 1 << 16), cap), start - 2)
         while True:
-            rest = base.tail(n + 1)
-            partial = Interval(*self._evens.mass(start // 2, n // 2 + 1))
-            if rest.hi <= max(1e-3 * partial.lo, 1e-300) or n >= cap:
-                return Interval(max(partial.lo, 0.0), partial.hi + rest.hi)
+            rest_hi = base.tail_pair(n + 1)[1]
+            lo, hi = self._evens.mass(start // 2, n // 2 + 1)
+            if rest_hi <= max(1e-3 * lo, 1e-300) or n >= cap:
+                return max(lo, 0.0), hi + rest_hi
             n = min(n * 4, cap)
 
     def k_gamma(self, k: int) -> Interval:
@@ -1452,8 +1446,8 @@ class _EvenWeights(_Base):
     def gamma_pair(self, j: int) -> Pair:
         return self._alt.base.gamma_pair(2 * j)
 
-    def tail(self, j: int, target: Optional[float] = None) -> Interval:
-        return self._alt.tail(2 * j, target)
+    def tail_pair(self, j: int, target: Optional[float] = None) -> Pair:
+        return self._alt.tail_pair(2 * j, target)
 
 
 class _CosineModulated(_Base):
@@ -1595,15 +1589,15 @@ class _CosineModulated(_Base):
         kf = np.asarray(ks, dtype=np.float64)
         return (2.0 + np.cos(np.pi * np.sqrt(2.0 * kf))) / (kf * kf)
 
-    def tail_crude(self, k: int) -> Interval:
+    def tail_crude(self, k: int) -> Pair:
         """Analytic sandwich of Gamma_k with no summation: 1 <= 2 + cos <= 3
         and sum_{i>=k} i^-2 lies in [1/k, 1/(k-1)] (in [1, pi^2/6] at k = 1)."""
         if k <= 1:
-            return Interval.widened(1.0, 3.0 * math.pi * math.pi / 6.0)
+            return widened_pair(1.0, 3.0 * math.pi * math.pi / 6.0)
         lo, hi = 1 / k, 3 / (k - 1)  # int quotients, correctly rounded
         if hi < 2.0**-1021:
-            return Interval(_subnormal_pair(lo)[0], _subnormal_pair(hi)[1])
-        return Interval.widened(lo, hi)
+            return _subnormal_pair(lo)[0], _subnormal_pair(hi)[1]
+        return widened_pair(lo, hi)
 
     def variation(self, m: int) -> Interval:
         """[0, V] with V >= sum_{i>m} |gamma_i - gamma_{i+1}|.
@@ -1627,12 +1621,12 @@ class _CosineModulated(_Base):
         q = 1 / (x~ x~) take three and two correct roundings, and
         _VAR_C r + 3.5 q two more: the computed sum is the bound times
         (1 +- 8 u), and 1 + 2**-48 (32 u) lifts it above. From _FAR on,
-        where x~^2 may overflow, V = 2 tail_crude(x).hi, as the sum is at
+        where x~^2 may overflow, V = 2 tail_crude(x)[1], as the sum is at
         most sum_{i>m} (gamma_i + gamma_{i+1}) <= 2 Gamma_x.
         """
         x = m + 1
         if x >= self._FAR:
-            return Interval(0.0, 2.0 * self.tail_crude(x).hi)
+            return Interval(0.0, 2.0 * self.tail_crude(x)[1])
         xf = float(x)
         v = self._VAR_C / (xf * math.sqrt(xf)) + 3.5 / (xf * xf)
         return Interval(0.0, v * (1.0 + 2.0**-48))
@@ -1688,7 +1682,7 @@ class _CosineModulated(_Base):
         rad = ((h_hi[:-1] - h_lo[1:]) + (p[:-1] + p[1:]) + cancel) * (1.0 + 2.0**-48)
         return widened_arrays(np.maximum(mid - rad, 0.0), mid + rad)
 
-    def rest(self, x: int) -> Interval:
+    def rest(self, x: int) -> Pair:
         """Enclosure of Gamma_x = sum_{i >= x} gamma_i with no summation:
         F(x) +- H(x) (b = inf in the class docstring), cut to tail_crude(x).
         F~ -+ (H_hi + p) (1 + 2**-48) rounds by half an ulp of each end,
@@ -1698,8 +1692,8 @@ class _CosineModulated(_Base):
             return crude
         f, p, _, h_hi = (float(v[0]) for v in self._closed_parts(np.array([float(x)])))
         rad = (h_hi + p) * (1.0 + 2.0**-48)
-        em = Interval.widened(f - rad, f + rad)
-        return Interval(max(em.lo, crude.lo), min(em.hi, crude.hi))
+        lo, hi = widened_pair(f - rad, f + rad)
+        return max(lo, crude[0]), min(hi, crude[1])
 
     @classmethod
     def _reach(cls, h: float) -> int:
@@ -1741,41 +1735,40 @@ class _CosineModulated(_Base):
             far = (far[0][1:], far[1][1:])
         return np.concatenate([near[0], far[0]]), np.concatenate([near[1], far[1]])
 
-    def tail_batch(self, ks: Sequence[int], target: Optional[float] = None) -> List[Interval]:
-        """Gamma_k for each k: the block-table mass over [k, n) plus rest(n),
-        where n = _reach(t / 16) leaves rest(n) at most t / 8 wide (t the
-        target, or _DEFAULT_TARGET). An index k >= n, as every index past
-        the guard is, gets rest(k) alone."""
-        if not ks:
-            return []
-        ks = [int(k) for k in ks]
-        if sorted(set(ks)) != list(ks):
-            raise ValueError("tail_batch needs strictly increasing indices")
-        n = self._tail_cut(target)
-        summed = [k for k in ks if k < n]
-        far = [self.rest(k) for k in ks[len(summed) :]]
-        if not summed:
-            return far
-        acc = self._rest_at(n)
-        head: List[Interval] = []
-        lo, hi = self._sums.mass_arrays(summed + [n])
-        for a, b in zip(reversed(lo.tolist()), reversed(hi.tolist())):
-            acc = Interval(a, b) + acc
-            head.append(acc)
-        return head[::-1] + far
-
-    def tail(self, k: int, target: Optional[float] = None) -> Interval:
-        """tail_batch([k], target)[0], with the one mass from mass."""
+    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
+        """Gamma_k: the block-table mass over [k, n) plus rest(n), where
+        n = _reach(t / 16) leaves rest(n) at most t / 8 wide (t the target,
+        or _DEFAULT_TARGET). An index k >= n, as every index past the guard
+        is, gets rest(k) alone."""
         k, n = int(k), self._tail_cut(target)
         if k >= n:
             return self.rest(k)
-        return Interval(*self._sums.mass(k, n)) + self._rest_at(n)
+        return pair_add(self._sums.mass(k, n), self._rest_at(n))
+
+    def tail_arrays(self, ks: Sequence[int], target: Optional[float] = None) -> Tuple[np.ndarray, ...]:
+        """tail_pair's sum for each k of strictly increasing ks, with the
+        masses between consecutive k below n from one mass_arrays call,
+        added to the rest from the last one down."""
+        ks = [int(k) for k in ks]
+        if sorted(set(ks)) != ks:
+            raise ValueError("tail_arrays needs strictly increasing indices")
+        n = self._tail_cut(target)
+        summed = [k for k in ks if k < n]
+        pairs = [self.rest(k) for k in ks[len(summed) :]]
+        if summed:
+            acc, head = self._rest_at(n), []
+            lo, hi = self._sums.mass_arrays(summed + [n])
+            for mass in zip(reversed(lo.tolist()), reversed(hi.tolist())):
+                acc = pair_add(mass, acc)
+                head.append(acc)
+            pairs = head[::-1] + pairs
+        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
     def _tail_cut(self, target: Optional[float]) -> int:
-        """The n of tail_batch: _reach(t / 16)."""
+        """The n of tail_pair: _reach(t / 16)."""
         return self._reach((target if target is not None else self._DEFAULT_TARGET) / 16.0)
 
-    def _rest_at(self, n: int) -> Interval:
+    def _rest_at(self, n: int) -> Pair:
         """rest(n), kept for the last n: n depends on the target only, so a
         search shares it."""
         if self._last_rest[0] != n:
@@ -1853,7 +1846,6 @@ class _Patched(_Base):
             raise ValueError("patched spec needs a final infinite segment")
         self.segments = segments
         self.monotone = self._joins_descend()
-        self._suffix: List[Interval] = []  # mass from segment j's start to infinity
         # one block table per harmonic stretch, keyed by its start
         self._harm = {s.start: self._harm_table(s) for s in segments if s.kind == "harmonic"}
         self._build_suffix()
@@ -1892,23 +1884,22 @@ class _Patched(_Base):
         if any(s.kind == "harmonic" and s.start < 2 for s in segs):
             return False
         for prev, seg in zip(segs, segs[1:]):
-            end = _rel_pad_iv(_seg_gamma(prev, prev.end), 32 * _U)
-            if not seg.gamma_start <= end.lo:
+            if not seg.gamma_start <= _rel_pad_pair(_seg_gamma(prev, prev.end), 32 * _U)[0]:
                 return False
         return True
 
-    def _seg_mass(self, seg: PatchedSegment, k: int) -> Interval:
+    def _seg_mass(self, seg: PatchedSegment, k: int) -> Pair:
         """Mass of gamma over [k, seg.end], or [k, inf) for the final segment."""
         if seg.kind == "geometric":
             if seg.end == 0 and (k - seg.start) >> 1023:
-                return Interval(0.0, 5e-324)  # g^(2^1023) is below 2^-2^969 for every float g < 1
-            gk = _rel_pad_iv(_seg_gamma(seg, k), 16 * _U)
-            one_minus = Interval.rounded(1.0 - seg.g) if seg.g < 0.5 else Interval.exact(1.0 - seg.g)
+                return 0.0, 5e-324  # g^(2^1023) is below 2^-2^969 for every float g < 1
+            gk = _rel_pad_pair(_seg_gamma(seg, k), 16 * _U)
+            one_minus = rounded_pair(1.0 - seg.g) if seg.g < 0.5 else (1.0 - seg.g,) * 2
             if seg.end == 0:
-                return gk / one_minus
-            g_next = _rel_pad_iv(_seg_gamma(seg, seg.end + 1), 16 * _U)
-            return (gk - g_next) / one_minus
-        return Interval(*self._harm[seg.start].mass(k, seg.end + 1))
+                return pair_div(gk, one_minus)
+            g_next = _rel_pad_pair(_seg_gamma(seg, seg.end + 1), 16 * _U)
+            return pair_div(pair_sub(gk, g_next), one_minus)
+        return self._harm[seg.start].mass(k, seg.end + 1)
 
     @staticmethod
     def _harm_table(seg: PatchedSegment) -> _BlockSums:
@@ -1918,19 +1909,20 @@ class _Patched(_Base):
         )
 
     def _build_suffix(self) -> None:
+        """_suffix[j]: the mass from segment j's start to infinity."""
         acc = self._seg_mass(self.segments[-1], self.segments[-1].start)
         self._suffix = [acc]
         for seg in reversed(self.segments[:-1]):
-            acc = self._seg_mass(seg, seg.start) + acc
+            acc = pair_add(self._seg_mass(seg, seg.start), acc)
             self._suffix.insert(0, acc)
 
-    def tail(self, k: int, target: Optional[float] = None) -> Interval:
+    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
         j = self._seg_index(k)
         seg = self.segments[j]
-        iv = self._seg_mass(seg, k)
+        lo, hi = self._seg_mass(seg, k)
         if seg.end != 0:
-            iv = iv + self._suffix[j + 1]
-        return iv if iv.lo >= 0.0 else Interval(0.0, iv.hi)  # weights that underflowed
+            lo, hi = pair_add((lo, hi), self._suffix[j + 1])
+        return max(lo, 0.0), hi  # weights that underflowed
 
     def index_for_tail_bound(self, target: float, start: int) -> int:
         final = self.segments[-1]
@@ -2026,38 +2018,35 @@ class _Custom(_Base):
         x = logs[0] + expo * (logs[1] - logs[2])
         return math.exp(x), _U * (8.0 + 4.0 * (abs(logs[0]) + abs(expo) * (logs[1] + logs[2])))
 
-    def _model_tail(self, k: int) -> Interval:
+    def _model_tail(self, k: int) -> Pair:
         """Enclosure of the continuation mass from max(k, K+1) onward."""
         if self.tail_model is None:
-            return Interval.exact(0.0)
+            return 0.0, 0.0
         kind, p = self.tail_model
         start = max(k, self.K + 1)
         g, rel = self._model_weight(start)
-        gk_iv = _rel_pad_iv(g, max(rel, 16 * _U))
+        gk = _rel_pad_pair(g, max(rel, 16 * _U))
         if kind == "geometric":
             if (start - self.K) >> 1023:
-                return Interval(0.0, 5e-324)  # p^(2^1023) is below 2^-2^969 for every float p < 1
-            one_minus = Interval.rounded(1.0 - p) if p < 0.5 else Interval.exact(1.0 - p)
-            iv = gk_iv / one_minus
-            return iv if iv.lo >= 0.0 else Interval(0.0, iv.hi)  # a weight that underflowed
+                return 0.0, 5e-324  # p^(2^1023) is below 2^-2^969 for every float p < 1
+            lo, hi = pair_div(gk, rounded_pair(1.0 - p) if p < 0.5 else (1.0 - p,) * 2)
+            return max(lo, 0.0), hi  # a weight that underflowed
         # power continuation anchored at the table edge:
         # sum_{i>=s} A (i/K)^(-1-p) sandwiched by the integral
         # A K/p (s/K)^(-p) from below and that plus gamma_s from above.
-        anchor_iv = _rel_pad_iv(self.gammas[-1], 8 * _U)
+        anchor = _rel_pad_pair(self.gammas[-1], 8 * _U)
         try:
-            ratio = _pow_iv(start / self.K, -p)
+            ratio = _rel_pad_pair(*_pow_parts(start / self.K, -p))
         except OverflowError:  # start / K past the float range
-            ratio = _rel_pad_iv(*self._ratio_pow(start, -p))
-        integral = anchor_iv * ratio * Interval.rounded(self.K / p)
-        hi = (integral + gk_iv).hi
-        return Interval(max(integral.lo, 0.0), hi)
+            ratio = _rel_pad_pair(*self._ratio_pow(start, -p))
+        integral = pair_mul(pair_mul(anchor, ratio), rounded_pair(self.K / p))
+        return max(integral[0], 0.0), pair_add(integral, gk)[1]
 
-    def tail(self, k: int, target: Optional[float] = None) -> Interval:
+    def tail_pair(self, k: int, target: Optional[float] = None) -> Pair:
         if k <= self.K:
             part = float(self._suffix[k - 1])
             pad = _U * (self.K - k + 2) * abs(part) + 5e-324
-            table_part = Interval(part - pad, part + pad)
-            return table_part + self._beyond
+            return pair_add((part - pad, part + pad), self._beyond)
         if self.tail_model is None:
             raise ValueError(f"index {k} beyond custom table without a tail model")
         return self._model_tail(k)
@@ -2156,12 +2145,9 @@ def gamma_tail(spec: DiscountSpec, k: int, target: Optional[float] = None) -> In
 def gamma_tail_batch(
     spec: DiscountSpec, ks: Sequence[int], target: Optional[float] = None
 ) -> List[Interval]:
-    """Enclosures of Gamma at several increasing indices in one pass."""
+    """Enclosures of Gamma at several increasing indices: tail_arrays, boxed."""
     _check_target(target)
-    out = _impl(spec).tail_batch(list(ks), target)
-    if spec.scale != 1.0:
-        out = [iv * spec.scale for iv in out]
-    return out
+    return _boxed(spec, _impl(spec).tail_arrays(list(ks), target), False)
 
 
 def segment_masses(
@@ -2207,22 +2193,23 @@ def segment_masses(
     _check_target(target)
     impl = _impl(spec)
     if picks is None:
-        return _boxed_masses(spec, impl.segment_mass_arrays(bounds, target), arrays)
+        return _boxed(spec, impl.segment_mass_arrays(bounds, target), arrays)
     if not impl.target_free:
         raise ValueError(f"{spec.family} masses cannot share their ends between picks")
     ends = impl.mass_ends(bounds, target)
-    return (_boxed_masses(spec, impl.gap_masses(tuple(e[p] for e in ends)), arrays)
+    return (_boxed(spec, impl.gap_masses(tuple(e[p] for e in ends)), arrays)
             for p in picks)
 
 
-def _boxed_masses(spec: DiscountSpec, masses: Tuple[np.ndarray, np.ndarray], arrays: bool):
-    """segment_masses' answer from the lo and hi arrays of a family."""
-    lo, hi = masses
+def _boxed(spec: DiscountSpec, ends: Tuple[np.ndarray, np.ndarray], arrays: bool):
+    """The answer of segment_masses or gamma_tail_batch from the lo and hi
+    arrays of a family: Intervals, or with arrays the two arrays, scaled."""
+    lo, hi = ends
     if np.isnan(lo).any() or np.isnan(hi).any():
         raise ValueError("interval endpoints must not be NaN")
     if spec.scale != 1.0:
-        # the ends are >= 0 and the scale positive and finite: the product
-        # of Interval * scale takes lo * scale and hi * scale
+        # the scale is positive and finite: of the products of Interval *
+        # scale, lo * scale is the least and hi * scale the greatest
         with np.errstate(over="ignore"):
             lo, hi = widened_arrays(lo * spec.scale, hi * spec.scale)
     if arrays:

@@ -18,9 +18,12 @@ or deleted (FrozenInstanceError), == and hash on (lo, hi), == only
 between Intervals, the ValueErrors for NaN and inverted endpoints, and
 the repr.
 
-widened_pair and widened_arrays are Interval.widened on a (lo, hi) pair of
-floats and on float64 lo/hi arrays, for kernels that replay a chain of
-interval operations (value._rest_enclosure, value._dense_sum). numpy is
+The pair kit (widened_pair, rounded_pair, pair_add, pair_sub, pair_mul,
+pair_div) replays Interval's constructors and operators on (lo, hi) float
+pairs, bit for bit, for chains that build one Interval at their end (the
+families' tail_pair, value._rest_enclosure). widened_arrays is
+Interval.widened on float64 lo/hi arrays, for kernels that replay such a
+chain elementwise (value._dense_sum). numpy is
 trusted there only with correctly rounded elementwise operations
 (+ - * /, abs, minimum/maximum, spacing), which give the same bits as
 the scalar code. Its transcendentals are not: numpy's vectorised power
@@ -236,6 +239,39 @@ def widened_pair(lo: float, hi: float) -> Pair:
     if hi - hi == 0.0:
         hi += _WIDEN * _ulp(hi)
     return lo, hi
+
+
+def rounded_pair(x: float) -> Pair:
+    """Interval.rounded(x) as a pair."""
+    return x - _ulp(x), x + _ulp(x)
+
+
+def pair_add(x: Pair, y: Pair) -> Pair:
+    """x + y as Interval.__add__ computes it."""
+    return widened_pair(x[0] + y[0], x[1] + y[1])
+
+
+def pair_sub(x: Pair, y: Pair) -> Pair:
+    """x - y as Interval.__sub__ computes it."""
+    return widened_pair(x[0] - y[1], x[1] - y[0])
+
+
+def pair_mul(x: Pair, y: Pair) -> Pair:
+    """x * y as Interval.__mul__ computes it, every sign case included."""
+    (a, b), (c, d) = x, y
+    if 0.0 <= a and 0.0 <= c and b < _INF and d < _INF:
+        return widened_pair(a * c, b * d)
+    products = (a * c, a * d, b * c, b * d)
+    return widened_pair(min(products), max(products))
+
+
+def pair_div(x: Pair, y: Pair) -> Pair:
+    """x / y as Interval.__truediv__ computes it, for y > 0."""
+    (a, b), (c, d) = x, y
+    if 0.0 <= a and b < _INF and d < _INF:
+        return widened_pair(a / d, b / c)
+    quotients = (a / c, a / d, b / c, b / d)
+    return widened_pair(min(quotients), max(quotients))
 
 
 def widened_arrays(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

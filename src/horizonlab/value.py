@@ -45,7 +45,8 @@ import numpy as np
 from . import discount as _d
 from . import reward as _r
 from ._guards import guard_index, short_index
-from .intervals import Interval, Pair, hull_of, widened_arrays, widened_pair
+from .intervals import (Interval, Pair, hull_of, pair_add, pair_div, pair_mul, pair_sub,
+                        rounded_pair, widened_arrays, widened_pair)
 
 class InconclusiveEnclosure(RuntimeError):
     """Requested tolerance unattainable before the guard index.
@@ -186,29 +187,6 @@ def _truncation_index(
     return lo, tail_at(lo + 1), True
 
 
-def _add(x: Pair, y: Pair) -> Pair:
-    """x + y as Interval.__add__ computes it, on (lo, hi) float pairs."""
-    return widened_pair(x[0] + y[0], x[1] + y[1])
-
-
-def _mul(x: Pair, y: Pair) -> Pair:
-    """x * y as Interval.__mul__ computes it, every sign case included."""
-    (a, b), (c, d) = x, y
-    if 0.0 <= a and 0.0 <= c and b < math.inf and d < math.inf:
-        return widened_pair(a * c, b * d)
-    products = (a * c, a * d, b * c, b * d)
-    return widened_pair(min(products), max(products))
-
-
-def _div(x: Pair, y: Pair) -> Pair:
-    """x / y as Interval.__truediv__ computes it, for y > 0."""
-    (a, b), (c, d) = x, y
-    if 0.0 <= a and b < math.inf and d < math.inf:
-        return widened_pair(a / d, b / c)
-    quotients = (a / c, a / d, b / c, b / d)
-    return widened_pair(min(quotients), max(quotients))
-
-
 def _int_times(n: int, x: Pair) -> Pair:
     """Enclosure of n x for x in the pair x, n >= 0 an integer of any size.
 
@@ -243,15 +221,14 @@ def _q_times(num: int, den: int, x: Pair) -> Pair:
     rationals give equal bits. num = 0 gives a pair that straddles 0, and
     a negative num negates."""
     g = math.gcd(num, den)
-    lo, hi = _div(_int_times(abs(num) // g, x), _den_iv(den // g))
+    lo, hi = pair_div(_int_times(abs(num) // g, x), _den_iv(den // g))
     return (-hi, -lo) if num < 0 else (lo, hi)
 
 
 def _sqrt_iv(n: int) -> Pair:
     """Enclosure of sqrt(n) for an integer n >= 1."""
     if n < 1 << 53:
-        y = math.sqrt(n)  # n exact, sqrt correctly rounded: Interval.rounded
-        return y - math.ulp(y), y + math.ulp(y)
+        return rounded_pair(math.sqrt(n))  # n exact, sqrt correctly rounded
     r = math.isqrt(n)
     return widened_pair(float(r), float(r + 1))
 
@@ -291,20 +268,19 @@ def _rest_enclosure(
     """
     g = fam.gamma_pair(m + 1)
     t2 = fam.tail_pair(m + 2, hint)
-    t1 = _add(g, t2)
+    t1 = pair_add(g, t2)
     s0 = g if fam.monotone else fam.variation(m).pair  # variation(m) is g then
     if env.p == 0.0:
         s = s0
     elif env.p == 1.0:
-        s = _add(_int_times(m + 1, g), t2)
+        s = pair_add(_int_times(m + 1, g), t2)
     else:
         root = _sqrt_iv(m + 1)
-        s = _add(_mul(root, g), _div(t2, _add(root, root)))
+        s = pair_add(pair_mul(root, g), pair_div(t2, pair_add(root, root)))
     den = env.den
-    radius = _add(_mul(env.a.pair, s), _q_times(env.b_num, den, s0))[1]
+    radius = pair_add(pair_mul(env.a.pair, s), _q_times(env.b_num, den, s0))[1]
     mean, excess = _q_times(env.mean_num, den, t1), _q_times(env.excess_num(m), den, g)
-    lo, hi = widened_pair(mean[0] - excess[1], mean[1] - excess[0])
-    lo, hi = _add((lo, hi), (-radius, radius))
+    lo, hi = pair_add(pair_sub(mean, excess), (-radius, radius))
     return Interval(max(lo, 0.0), min(hi, t1[1]))
 
 
@@ -503,7 +479,7 @@ def _runs_plan(
             # evaluations and makes the numerator exact (zero slack)
             n_trunc = max(n_trunc, last - 1)
     elif form == "blocks":
-        crude_lo = impl.tail_crude(k).lo
+        crude_lo = impl.tail_crude(k)[0]
         if not crude_lo > 0.0:
             raise _d.UndefinedMetric(f"tail enclosure not positive at k={short_index(k)}")
         # kept positive where it underflows, and then out of reach
@@ -619,8 +595,8 @@ def _runs_finish(
             far_lo, far_hi = _d.segment_masses(dspec, bounds[split:], target, arrays=True)
             lo, hi = np.concatenate((lo, far_lo)), np.concatenate((hi, far_hi))
         rest = impl.rest(end)
-        denom = _interval_sum(lo.tolist(), hi.tolist()) + rest
-        unseen = Interval(0.0, rest.hi)
+        denom = _interval_sum(lo.tolist(), hi.tolist()) + Interval(*rest)
+        unseen = Interval(0.0, rest[1])
     elif masses is not None:
         lo, hi = masses
     elif pieces:

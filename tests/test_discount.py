@@ -342,13 +342,13 @@ _GUARD = 10**8
     10**200,  # past _FAR: the crude sandwich alone
 ])
 def test_cosine_rest_contains_the_true_tail(x: int) -> None:
-    iv = _COS.rest(x)
+    iv = Interval(*_COS.rest(x))
     true = _cosine_tail(x)
     assert _encloses_true(iv, true)
     # the bound on the Euler-Maclaurin error is loose (the error itself is
     # under 15% of it from x = 2 on), so a wrong F shows off centre first
     assert abs(true[0] - mpmath.mpf(iv.mid)) <= iv.width / 8
-    assert _COS.tail_crude(x).encloses(iv)
+    assert Interval(*_COS.tail_crude(x)).encloses(iv)
     if 10**5 <= x < _COS._FAR:  # 2 H(x) / Gamma_x ~ 0.21 / x, then the rounding pads
         assert iv.width <= iv.lo * (1 / x + 64 * d._U)
 
@@ -360,7 +360,7 @@ def test_cosine_rest_near_the_closed_form_end_stays_normal(x: int) -> None:
     assert x < _COS._FAR
     parts = [float(a[0]) for a in _COS._closed_parts(np.array([float(x)]))]
     assert all(t >= 2.0**-1022 for t in parts), parts
-    iv = _COS.rest(x)
+    iv = Interval(*_COS.rest(x))
     assert _encloses_true(iv, _cosine_tail(x))
     # the closed form, not the crude sandwich (200% wide): the pad of the
     # x^-3/2 term, whose sine carries no digit here, is about x^-1/2 of
@@ -575,7 +575,7 @@ def test_block_tables_answer_independently_of_history() -> None:
     # grew the table in another order, and after one sweep: same bits
     cos_queries = [
         lambda f: np.concatenate(f.segment_mass_arrays([5, 900, 1 + 16 * _S, 100_000])).tolist(),
-        lambda f: f.tail_batch([3, 1500, 70_000], 3e-6),
+        lambda f: [a.tolist() for a in f.tail_arrays([3, 1500, 70_000], 3e-6)],
         lambda f: f.tail(150),
     ]
     fresh = [q(d._CosineModulated()) for q in cos_queries]
@@ -903,7 +903,7 @@ def test_shared_tail_follows_the_work_guard(monkeypatch) -> None:
     assert d.gamma_tail(spec, k) is summed
     monkeypatch.setenv("HORIZONLAB_GUARD", "1000")
     rest = d.gamma_tail(spec, k)
-    assert rest == d._impl(spec).rest(k) != summed
+    assert rest == Interval(*d._impl(spec).rest(k)) != summed
     assert d.quasi_horizon(spec, k) == rest / d.gamma_iv(spec, k)
     monkeypatch.setenv("HORIZONLAB_GUARD", "100000000")
     assert d.gamma_tail(spec, k) == summed
@@ -911,16 +911,19 @@ def test_shared_tail_follows_the_work_guard(monkeypatch) -> None:
 
 
 def test_reused_cosine_rest_is_a_fresh_rest() -> None:
-    # tail_batch keeps its last rest(n): n depends on the target only, so a
+    # tail_arrays keeps its last rest(n): n depends on the target only, so a
     # second batch at the same target reads the kept one
+    def batch(impl, ks):
+        return [a.tolist() for a in impl.tail_arrays(ks, 1e-9)]
+
     impl, fresh = d._CosineModulated(), d._CosineModulated()
-    first = impl.tail_batch([100, 200], 1e-9)
+    first = batch(impl, [100, 200])
     n, rest = impl._last_rest
     assert n == impl._reach(1e-9 / 16) and rest == fresh.rest(n)
-    again = impl.tail_batch([150, 300], 1e-9)
+    again = batch(impl, [150, 300])
     assert impl._last_rest[1] is rest
-    assert again == fresh.tail_batch([150, 300], 1e-9)
-    assert first == d._CosineModulated().tail_batch([100, 200], 1e-9)
+    assert again == batch(fresh, [150, 300])
+    assert first == batch(d._CosineModulated(), [100, 200])
 
 
 def alternating_rest_index_reference(base, start: int, cap: int, fine: float, goal: float) -> int:
@@ -953,11 +956,11 @@ def test_batched_alternating_search_equals_the_per_step_loop(monkeypatch, base, 
     goal = impl._SHARP * scale if target is None else min(impl._SHARP * scale, 2.0 * target)
     n = alternating_rest_index_reference(impl.base, start, cap, 2.0 * d._U * scale, goal)
     rests = []
-    real = impl.base.tail
-    monkeypatch.setattr(impl.base, "tail", lambda i, t=None: rests.append(i) or real(i, t))
+    real = impl.base.tail_pair
+    monkeypatch.setattr(impl.base, "tail_pair", lambda i, t=None: rests.append(i) or real(i, t))
     got = impl.tail(k, target)
     assert rests[-1] == n + 1
-    t, g = real(n + 1), impl.base.gamma_iv(n + 1)
+    t, g = Interval(*real(n + 1)), impl.base.gamma_iv(n + 1)
     want = Interval(max(((t - g) * 0.5).lo, 0.0), (t * 0.5).hi)
     if n >= start:
         want = even_mass(impl, start // 2, n // 2 + 1) + want

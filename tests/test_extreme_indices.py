@@ -9,6 +9,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import horizonlab as h
@@ -355,3 +356,28 @@ def test_run_values_past_the_float_range_exit_with_their_codes(capsys) -> None:
                 assert err.startswith("error: tail enclosure not positive at k=")
             else:
                 assert "(best effort; tolerance not attained)" in out
+
+
+@pytest.mark.parametrize("g", [0.9, 0.5, 0.3])
+def test_geometric_ratio_past_the_float_range_of_its_offset(g) -> None:
+    """An offset of 2**1023 or more, which float() may refuse, cuts the
+    ratio g^d to [0, 5e-324] in the scalar and the array form alike."""
+    impl = d._impl(h.geometric(g))
+    ds = [0, 1, 2**1023, 10**310]
+    lo, hi = impl.tail_ratio_arrays(np.array(ds, dtype=object))
+    assert list(zip(lo.tolist(), hi.tolist())) == [impl.tail_ratio(5 + x, 5).pair for x in ds]
+    assert impl.tail_ratio(10**310 + 5, 5) == h.Interval(0.0, 5e-324)
+
+
+def test_geometric_value_of_a_list_past_the_float_range(capsys) -> None:
+    """V_1 of explicit:5,10^6,10^7,10^310 under geometric:0.9 is g^4 to
+    within g^(10^6 - 1) < 1e-20: the list's last change point no longer
+    raises OverflowError on the ratios path."""
+    points = [5, 10**6, 10**7, 10**310]
+    det = h.disc_value_detail(h.explicit_change_points(points), h.geometric(0.9), 1)
+    g4 = Fraction(0.9) ** 4
+    assert det.attained and det.interval.lo < g4 - Fraction(1, 10**20)
+    assert g4 + Fraction(1, 10**20) < det.interval.hi
+    argv = ["eval", "--reward", "explicit:" + ",".join(map(str, points)), "--discount", "geometric:0.9"]
+    assert cli.main(argv) == 0
+    assert repr(det.interval) in capsys.readouterr().out

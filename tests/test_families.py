@@ -2,7 +2,8 @@
 discount._FAMILIES (see discount._Base): mini-language names, the JSON
 keys of its params and its table footer note. No module compares family
 names more often than it does now. Every family answers its weights as
-gamma_pair, which only _Base.gamma_iv boxes."""
+gamma_pair, which only _Base.gamma_iv boxes, and its tails as tail_pair,
+which only _Base.tail boxes."""
 
 from __future__ import annotations
 
@@ -156,6 +157,11 @@ def test_boxed_weight_is_the_pair_with_its_recorded_bits(family) -> None:
         assert pair == want, k
 
 
+def test_only_the_base_boxes_tails() -> None:
+    for cls in (*d._FAMILIES.values(), d._EvenWeights):
+        assert not {"tail", "tail_batch"} & set(vars(cls)), cls.__name__
+
+
 # tail(k, target).pair of each example family, and of alternating over
 # quadratic and over cosine, as the families answered Gamma_k when some
 # of them computed Intervals and some pairs; a typed error by its name
@@ -249,6 +255,8 @@ def test_boxed_tail_has_its_recorded_bits(family, target) -> None:
             got = impl.tail(k, target).pair
         except (ArithmeticError, RuntimeError, ValueError) as exc:
             got = type(exc).__name__
+        else:
+            assert impl.tail_pair(k, target) == got, k
         assert got == want, k
 
 

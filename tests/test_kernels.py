@@ -27,6 +27,7 @@ import horizonlab.discount as d
 import horizonlab.reward as r
 import horizonlab.value as v
 from horizonlab import Interval
+from horizonlab.intervals import pair_add, pair_div, pair_mul, pair_sub, rounded_pair
 
 
 def bits(x: float) -> int:
@@ -309,7 +310,8 @@ def test_segment_masses_raise_as_the_scalar_loop_does() -> None:
 def test_pow_arrays_keep_libm_pow_per_element() -> None:
     # numpy's vectorised power may differ from pow in the last bit; the
     # kernels call pow per element, so they agree with the scalar form
-    # exactly (_pow_iv under the underflow policy, which 10^400^-1.5 meets)
+    # exactly (_pow_parts padded under the underflow policy, which
+    # 10^400^-1.5 meets)
     bases = list(range(1, 5000)) + [2**1000 + 5, 10**400]
     for expo in (-1.5, -0.5, -1.001, -2.3):
         lo, hi = d._pow_arrays(bases, expo)
@@ -593,11 +595,11 @@ def custom_tails_reference(impl, table, ks):
     out = []
     for k in ks:
         if k > impl.K:
-            out.append(impl._model_tail(k))
+            out.append(Interval(*impl._model_tail(k)))
             continue
         part = suffix[k - 1]
         pad = d._U * (impl.K - k + 2) * abs(part) + 5e-324
-        out.append(Interval(part - pad, part + pad) + impl._model_tail(impl.K + 1))
+        out.append(Interval(part - pad, part + pad) + Interval(*impl._model_tail(impl.K + 1)))
     return out
 
 
@@ -638,7 +640,7 @@ def test_alternating_even_table_pads_by_its_base_term_bound(a, b) -> None:
 
 def tail_difference_reference(impl, bounds, target=None):
     """_Base.segment_masses before its array form: tail differences, clamped at 0."""
-    tails = impl.tail_batch(bounds, target)
+    tails = [impl.tail(k, target) for k in bounds]
     diffs = [a - b for a, b in zip(tails, tails[1:])]
     return [Interval(max(x.lo, 0.0), max(x.hi, 0.0)) for x in diffs]
 
@@ -761,7 +763,7 @@ def runs_value_reference(rspec, dspec, k, tol):
         if last is not None:
             n_trunc = max(n_trunc, last - 1)
     elif form == "blocks":
-        target = tol * impl.tail_crude(k).lo
+        target = tol * impl.tail_crude(k)[0]
         n_trunc = max(k, impl.index_for_tail_bound(target, k))
         if n_trunc > guard:
             n_trunc, attained = max(guard, k - 1), False
@@ -797,7 +799,7 @@ def runs_value_reference(rspec, dspec, k, tol):
         masses = masses_reference(dspec, bounds[: split + 1]) if split else []
         if len(bounds) > split + 1:
             masses += masses_reference(dspec, bounds[split:], target)
-        rest = impl.rest(end)
+        rest = Interval(*impl.rest(end))
         denom = interval_sum_reference(masses) + rest
         unseen = Interval(0.0, rest.hi)
     else:
@@ -1010,13 +1012,17 @@ def test_pair_arithmetic_matches_the_interval_operators() -> None:
     # every sign case, infinities and 0 * inf included, with the same bits or the same error
     for x in _SIGNED:
         for y in _SIGNED:
-            ops = [(v._add, Interval.__add__), (v._mul, Interval.__mul__)]
+            ops = [(pair_add, Interval.__add__), (pair_sub, Interval.__sub__),
+                   (pair_mul, Interval.__mul__)]
             if y[0] > 0.0:
-                ops.append((v._div, Interval.__truediv__))
+                ops.append((pair_div, Interval.__truediv__))
             for pair_op, interval_op in ops:
                 got = any_outcome(lambda: Interval(*pair_op(x, y)))
                 want = any_outcome(interval_op, Interval(*x), Interval(*y))
                 assert got == want if isinstance(want, str) else same_bits(got, want), (x, y)
+        for end in x:
+            if math.isfinite(end):
+                assert same_bits(Interval(*rounded_pair(end)), Interval.rounded(end)), end
 
 
 def test_q_times_reduces_as_fraction_does() -> None:

@@ -18,7 +18,8 @@ import horizonlab.discount as d
 import horizonlab.reward as r
 import horizonlab.theorems as t
 import horizonlab.value as v
-from horizonlab import PremiseFailure
+from horizonlab import Interval, PremiseFailure
+from test_families import EXAMPLES
 
 
 def premise_status(report, name_fragment: str) -> str:
@@ -321,3 +322,38 @@ def test_ratio_diagnostics_geometric_is_proportional() -> None:
         assert iv.contains(0.75) and iv.width < 1e-12
     for iv in diag2.weight_share:
         assert iv.contains(0.25) and iv.width < 1e-12
+
+
+# -- no NaN in any report ---------------------------------------------------
+
+_SWEEP = {**EXAMPLES, "finite50": d.finite(50), "custom_bare": d.custom([0.5, 0.25, 0.125])}
+
+
+def _floats(x):
+    """Every float that a report holds, through its fields, Intervals and
+    estimates."""
+    if isinstance(x, float):
+        yield x
+    elif isinstance(x, Interval):
+        yield from (x.lo, x.hi)
+    elif isinstance(x, (tuple, list)):
+        for item in x:
+            yield from _floats(item)
+    elif hasattr(x, "__dataclass_fields__"):
+        for name in x.__dataclass_fields__:
+            yield from _floats(getattr(x, name))
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP))
+def test_future_average_and_lemma4_reports_hold_no_nan(name) -> None:
+    # the Interval(0, inf) placeholders of both harnesses (undefined ratios)
+    # never turn into NaN; custom without a tail model refuses past its table
+    spec = _SWEEP[name]
+    calls = [lambda: t.verify_future_avg(h.linear_runs(), spec, lambda k: 2 * k, scale=10**4),
+             lambda: t.lemma4_diagnostics(spec, v.dyadic_schedule(4096))]
+    for call in calls:
+        if name == "custom_bare":
+            with pytest.raises(ValueError, match="beyond custom table without a tail model"):
+                call()
+            continue
+        assert not any(math.isnan(x) for x in _floats(call())), name
