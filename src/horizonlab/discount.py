@@ -1713,7 +1713,7 @@ class _CosineModulated(_Base):
         """Masses over consecutive bounds. With a target, pieces below the cut
         P = _reach(target / 64) come from the block table and pieces from P
         on in closed form (_closed_mass_arrays; a piece across P is split
-        there, and its two parts are added as Intervals add), so the
+        there, and its two parts are added by pair_add), so the
         closed-form pieces err by at most H(P) <= target / 64 in total.
         Without a target, or with bounds from _FAR on, every piece comes
         from the table."""
@@ -1730,8 +1730,8 @@ class _CosineModulated(_Base):
         else:
             near = self._sums.mass_arrays(np.concatenate((bounds[:j], [cut])))
             far = self._closed_mass_arrays(np.concatenate(([cut], bounds[j:])))
-            both = Interval(near[0][-1], near[1][-1]) + Interval(far[0][0], far[1][0])
-            near = (np.append(near[0][:-1], both.lo), np.append(near[1][:-1], both.hi))
+            lo, hi = pair_add((near[0][-1], near[1][-1]), (far[0][0], far[1][0]))
+            near = (np.append(near[0][:-1], lo), np.append(near[1][:-1], hi))
             far = (far[0][1:], far[1][1:])
         return np.concatenate([near[0], far[0]]), np.concatenate([near[1], far[1]])
 

@@ -243,7 +243,6 @@ TAILS = {
         (5.5511151231257815e-17, 5.551115123125784e-17), (5.4829863599474e-311, 5.4829863599484e-311)],
     ('step_log', 1e-09): [(1.5, 1.5), (0.5, 0.5), (0.25, 0.25), (0.0035858154296875, 0.0035858154296875),
         (5.5511151231257815e-17, 5.551115123125784e-17), (5.4829863599474e-311, 5.4829863599484e-311)],
-
 }
 
 
