@@ -331,22 +331,21 @@ class _Base:
 
     Capabilities are per-class constants:
 
-    mass_form: how V's runs path gets the mass of a reward's 1-runs.
-        "tails" (default): segment_mass_arrays as tail differences.
+    mass_form: how V's runs path, which every binary-run reward takes, gets
+        the mass of its 1-runs. "tails" (default): segment_mass_arrays over
+        Gamma_k (tail differences; alternating's from its even weights).
         "blocks": segment_mass_arrays(bounds, target) summed directly (from a
             block table near k, in closed form far from it), plus
             tail_crude(k), an analytic sandwich pair of Gamma_k that sets
             the target, and rest(x), a pair enclosing Gamma_x unsummed.
         "ratios": tail_ratio(j, k) = Gamma_j / Gamma_k and one_minus_g.
-        None: no runs path; V is summed densely.
     sums_terms: False (default) when tails cost O(polylog k), so truncation
         indices may pass the work guard; True when tails sum terms.
-    target_free: True (default) when tail_pair(k, target) is a closed form in
-        k alone, so a tail, and whatever is built from tails alone, may
-        serve several targets: V at several indices shares its rest probes
-        and mass ends (value.disc_value_details, segment_masses' picks).
-        False for the families that sum their tails (alternating and cosine
-        read the target) and for alternating's even view.
+    target_free: True (default) when tail_pair(k, target) does not read the
+        target, so a tail, and whatever is built from tails alone, may serve
+        several targets: V at several indices shares its rest probes and mass
+        ends (value.disc_value_details, segment_masses' picks). False for
+        alternating, its even view and cosine, which sum deeper for a smaller target.
     monotone: True only when gamma is provably nonincreasing. V's rest
         enclosure by summation by parts (value._rest_enclosure) relies on
         it or on variation; the cosine and alternating families are False,
@@ -380,7 +379,7 @@ class _Base:
     keys: Tuple[str, ...] = ()
     note = ""
     monotone = True
-    mass_form: Optional[str] = "tails"
+    mass_form = "tails"
     sums_terms = False
     target_free = True
     _term_rel = None
@@ -1010,13 +1009,16 @@ class _StepLog(_Base):
         return _dyadic_pair(-2 * self._block(k))
 
     def gamma_arrays(self, ks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """gamma_pair below 2**53: frexp reads n off k - 1, exact in float64,
-        and 4^-n >= 2^-106 is built from its exponent bits."""
+        """gamma_pair below 2**53, which is gamma_vec exactly."""
         if not len(ks) or ks[-1] >= 1 << 53:
             return super().gamma_arrays(ks)
-        n = np.frexp(np.array(ks, dtype=np.float64) - 1.0)[1].astype(np.int64)
-        g = ((1023 - 2 * n) << 52).view(np.float64)
+        g = self.gamma_vec(ks)
         return g, g.copy()
+
+    def gamma_vec(self, ks: np.ndarray) -> np.ndarray:
+        """gamma below 2**53: frexp reads n off k - 1 exactly, and 4^-n from its exponent bits."""
+        n = np.frexp(np.asarray(ks, dtype=np.float64) - 1.0)[1].astype(np.int64)
+        return ((1023 - 2 * n) << 52).view(np.float64)
 
     def tail_scaled(self, k: int) -> Tuple[int, int]:
         """Gamma_k = num / 2**shift with exact integers.
@@ -1306,7 +1308,6 @@ class _AlternatingZero(_Base):
     note = ("gamma vanishes at every odd index; tails and horizons follow the "
             "even-index base weights")
     monotone = False
-    mass_form = None
     sums_terms = True
     target_free = False
 
@@ -1413,6 +1414,19 @@ class _AlternatingZero(_Base):
             if rest_hi <= max(1e-3 * lo, 1e-300) or n >= cap:
                 return max(lo, 0.0), hi + rest_hi
             n = min(n * 4, cap)
+
+    def segment_mass_arrays(self, bounds: Sequence[int], target: Optional[float] = None) -> Tuple[np.ndarray, ...]:
+        """Masses of the even weights: [a, b) holds w_j = gamma_2j for
+        ceil(a/2) <= j < ceil(b/2), read off the block table, and exactly 0
+        where no j is. From the first piece that ends past the table's reach
+        (min(guard, 2**52) even indices) on, _Base's tail differences."""
+        js = -(-bounds // 2)
+        n = int(np.searchsorted(js, min(guard_index(), 1 << 52), "right"))  # js[:n] in reach
+        near = np.asarray(js[:n], dtype=np.int64)
+        lo, hi = self._evens.mass_arrays(near) if n > 1 else (np.zeros(0), np.zeros(0))
+        lo[near[1:] == near[:-1]] = hi[near[1:] == near[:-1]] = 0.0
+        far = super().segment_mass_arrays(bounds[max(n - 1, 0):], target) if n < len(bounds) else ((), ())
+        return np.concatenate((lo, far[0])), np.concatenate((hi, far[1]))
 
     def k_gamma(self, k: int) -> Interval:
         return Interval.exact(0.0) if k % 2 == 1 else self.base.k_gamma(k)
@@ -1814,6 +1828,8 @@ def _seg_gamma(seg: PatchedSegment, k: int) -> float:
 
 
 class _Patched(_Base):
+    """Geometric and harmonic stretches (PatchedSegment); its tails never read their target."""
+
     name = "patched"
     cli_names = ("patched",)
     cli_arg = (int, "patched threshold")
@@ -1821,7 +1837,6 @@ class _Patched(_Base):
     note = ("harmonic-shaped segments re-anchored at geometric weights on a "
             "doubling threshold ladder")
     sums_terms = True
-    target_free = False
 
     @staticmethod
     def make(thresholds: Sequence[int]) -> DiscountSpec:
@@ -2046,7 +2061,8 @@ class _Custom(_Base):
         if k <= self.K:
             part = float(self._suffix[k - 1])
             pad = _U * (self.K - k + 2) * abs(part) + 5e-324
-            return pair_add((part - pad, part + pad), self._beyond)
+            lo, hi = pair_add((part - pad, part + pad), self._beyond)
+            return max(lo, 0.0), hi  # a sum of weights >= 0
         if self.tail_model is None:
             raise ValueError(f"index {k} beyond custom table without a tail model")
         return self._model_tail(k)
@@ -2180,9 +2196,9 @@ def segment_masses(
     segment_masses(spec, bounds[pick]). Only a target_free family shares
     its ends so.
 
-    Cosine sums these directly from its block table (module docstring),
-    so no truncation term is shared and differences stay sharp; with a
-    target, pieces far from the first bound come in closed form, whose
+    Cosine and alternating sum these directly from a block table, so no
+    truncation term is shared and differences stay sharp; with a target,
+    cosine's pieces far from the first bound come in closed form, whose
     errors add up to at most target / 16. Power and harmonic-like take
     their integral sandwich, and the other families tail differences.
     """

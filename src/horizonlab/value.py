@@ -18,11 +18,11 @@ Binary-run rewards take one runs path: the numerator is the discount
 mass of the 1-runs, whose bounds reward.one_segments gives as one flat
 integer array (int64, or Python ints past 2**63) that every layer takes
 as it is, read in the family's mass_form (tail differences, block sums
-or ratios to Gamma_k; see discount._Base).
-Families with no mass_form, and other rewards, are summed densely by one
-kernel (_dense_sum) of the family's own weight enclosures: gamma_arrays
-over Gamma_k, for geometric tail_ratio_arrays (1 - g) over 1;
-disc_value_detail says how the path is picked.
+or ratios to Gamma_k; see discount._Base), which every family has.
+Other rewards are summed densely by one kernel (_dense_sum) of the
+family's own weight enclosures: gamma_arrays over Gamma_k, for
+geometric tail_ratio_arrays (1 - g) over 1; disc_value_detail says how
+the path is picked.
 
 disc_value_details takes V at several indices in one pass, with the bits
 of one disc_value_detail call per index: the indices share their runs,
@@ -413,17 +413,17 @@ def _runs_values(
     by one math.fsum, which is correctly rounded whatever the order, so
     the sums keep the bits of the Interval sums they replace.
 
-    The rest is [0, Gamma_{N+1}], except in the tails form for a reward
-    with a WindowEnvelope (linear and exponential runs) and a
-    nonincreasing discount, where _rest_enclosure gives it and
-    _enveloped_truncation picks N (see _truncate). In the blocks form
-    Gamma_{N+1} is the family's closed-form rest(N + 1), and the masses
-    take the target tol * Gamma_k (from tail_crude(k)), so gaps far from
-    k may come in closed form too (discount._CosineModulated). Once N covers the last
-    change point of an even-length explicit list no 1s remain: the rest
-    is dropped and the value attained. Generated runs stop N before the
-    run that would pass _SEG_CAP pieces (closed form, _budget_end); a
-    tolerance out of reach there is not attained.
+    The rest is [0, Gamma_{N+1}], except in the tails form for a reward with
+    a WindowEnvelope (linear and exponential runs) and a nonincreasing
+    discount, where _rest_enclosure gives it and _enveloped_truncation picks
+    N (see _truncate). In the blocks form Gamma_{N+1} is the family's
+    closed-form rest(N + 1), and the masses take the target tol * Gamma_k
+    (from tail_crude(k)), so gaps far from k may come in closed form too
+    (discount._CosineModulated). Once N covers the last change point of an
+    even-length explicit list (within the guard if the family sums terms) no
+    1s remain: the rest is dropped and the value attained. Generated runs
+    stop N before the run that would pass _SEG_CAP pieces (closed form,
+    _budget_end); a tolerance out of reach there is not attained.
 
     The indices share three things, none of which moves a bit: the rest
     probes of a target_free family (one table, keyed by M), the runs (one
@@ -497,7 +497,7 @@ def _runs_plan(
             raise _d.UndefinedMetric(f"tail enclosure not positive at k={short_index(k)}")
         # the masses' resolution hint, kept positive where it underflows
         target = max(tol * denom.lo, 5e-324)
-        if last is not None:
+        if last is not None and not (impl.sums_terms and last > guard_index()):
             n_trunc, unseen = max(last - 1, k), Interval.exact(0.0)
         else:
             cap = guard_index() if impl.sums_terms else _N_CAP
@@ -639,12 +639,12 @@ def disc_value_detail(
     one index k, raising the UndefinedMetric it records.
 
     Paths: constant and product_zero are exact. Binary-run rewards take
-    the runs path (_runs_values) when the family has a mass_form (tails,
-    blocks or ratios); the rest are summed densely, in ratio form for a
-    ratios family. On the dense branch a periodic reward gets the rest of
-    _rest_enclosure under a monotone discount, under cosine and under
-    alternating over a monotone base (_truncate). Only the structural
-    product_zero test reads a family name.
+    the runs path (_runs_values) under every family, read in its
+    mass_form (tails, blocks or ratios); the rest are summed densely, in
+    ratio form for a ratios family. On the dense branch a periodic reward
+    gets the rest of _rest_enclosure under a monotone discount, under
+    cosine and under alternating over a monotone base (_truncate). Only
+    the structural product_zero test reads a family name.
 
     strict=True raises InconclusiveEnclosure when tol is unattainable
     within the work guard; strict=False returns the best achieved
@@ -687,7 +687,7 @@ def disc_value_details(
         return [ValueDetail(iv, iv, 0, "product_zero", True)] * len(ks)
 
     impl = _d._impl(dspec)
-    if _r.is_binary_runs(rspec) and impl.mass_form is not None:
+    if _r.is_binary_runs(rspec):
         path, parts = "runs", _runs_values(rspec, dspec, ks, tol)
     else:
         path, probes, parts = "dense", {}, []

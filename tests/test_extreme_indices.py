@@ -263,6 +263,16 @@ def test_custom_tail_models_past_the_float_range(tmp_path, capsys) -> None:
     assert "work guard exceeded" in capsys.readouterr().err
 
 
+def test_custom_table_whose_suffix_is_zero_keeps_its_tail_at_zero() -> None:
+    # the float suffix 0 was padded below 0 by 5e-324 and widened on adding
+    # the empty continuation: [-2.5e-323, 2.5e-323]. A sum of weights >= 0
+    # is cut at 0, and a positive suffix keeps its bits
+    zero = h.Interval(0.0, 2.5e-323)
+    assert d.gamma_tail(h.custom([0.5, 0.0]), 2) == zero
+    assert d.gamma_tail_batch(h.custom([0.5, 0.0, 0.0]), [2, 3]) == [zero, zero]
+    assert d.gamma_tail(h.custom([0.5, 0.0]), 1) == h.Interval(0.4999999999999996, 0.5000000000000007)
+
+
 @pytest.mark.parametrize("k", [2**1024 * 2, 10**400, 10**1000], ids=["2^1025", "10^400", "10^1000"])
 @pytest.mark.parametrize("p", [1.0, 0.01])
 def test_custom_power_model_past_the_float_range_holds_its_weight_and_tail(k, p) -> None:

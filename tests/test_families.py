@@ -18,6 +18,7 @@ import horizonlab
 import horizonlab.cli as cli
 import horizonlab.discount as d
 import horizonlab.reward as r
+import horizonlab.value as v
 from horizonlab import Interval
 
 EXAMPLES = {
@@ -262,3 +263,53 @@ def test_boxed_tail_has_its_recorded_bits(family, target) -> None:
 def test_every_exported_name_resolves() -> None:
     for name in horizonlab.__all__:
         assert getattr(horizonlab, name) is not None, name
+
+
+# -- capabilities: each family's flags say what its code does (discount._Base)
+
+def test_every_family_has_a_mass_form() -> None:
+    for cls in d._FAMILIES.values():
+        assert cls.mass_form in ("tails", "blocks", "ratios"), cls.__name__
+
+
+# alternating over quadratic sums its even weights until the target is met
+# (over geometric:0.5 it stops at the rounding pads first, whatever the target)
+CAPABILITY_EXAMPLES = {**EXAMPLES, "alternating_zero": d.alternating_zero()}
+
+
+@pytest.mark.parametrize("family", sorted(CAPABILITY_EXAMPLES))
+def test_target_free_exactly_when_tails_do_not_read_the_target(family) -> None:
+    impl = d._impl(CAPABILITY_EXAMPLES[family].unscaled())
+    reads = any(len({impl.tail_pair(k, t) for t in (None, 1e-3, 1e-12)}) > 1 for k in (1, 2, 150, 5000))
+    assert impl.target_free is not reads
+    assert reads is (family in ("alternating_zero", "cosine_modulated"))
+
+
+# every binary-run reward takes the runs path: no family sends it to the dense kernel
+RUNS_DISCOUNTS = {**EXAMPLES, "alternating_zero:quadratic": d.alternating_zero(),
+                  "alternating_zero:power": d.alternating_zero(d.power(0.5)),
+                  "alternating_zero:step_log": d.alternating_zero(d.step_log()),
+                  "alternating_zero:cosine_modulated": d.alternating_zero(d.cosine_modulated())}
+
+
+@pytest.mark.parametrize("family", sorted(RUNS_DISCOUNTS))
+def test_binary_runs_never_sum_densely(monkeypatch, family) -> None:
+    def refuse(*args):
+        raise AssertionError("a binary-run reward reached the dense kernel")
+
+    monkeypatch.setattr(v, "_dense_sum", refuse)
+    # the last list ends past the guard, which a family that sums its terms
+    # does not sum to: alternating over cosine cannot, and stops at the guard
+    rewards = (r.linear_runs(), r.exponential_runs(), r.explicit_change_points([2, 5, 9, 30]),
+               r.explicit_change_points([5, 10**6, 10**7, 10**30]))
+    for rspec in rewards:
+        for detail in v.disc_value_details(rspec, RUNS_DISCOUNTS[family], [1, 2, 150], 1e-3):
+            if not isinstance(detail, d.UndefinedMetric):  # finite:3 past its support
+                assert detail.path == "runs" and 0.0 <= detail.interval.lo <= detail.interval.hi <= 1.0
+
+
+def test_alternating_limits_scan_ends_on_the_runs_path(monkeypatch, capsys) -> None:
+    # its dense V points did not end within 200 s on the default schedule
+    monkeypatch.setattr(v, "_dense_sum", lambda *args: pytest.fail("dense kernel"))
+    assert cli.main(["limits", "--reward", "linear-runs", "--discount", "alternating"]) in (4, 5)
+    assert "verdict:" in capsys.readouterr().out

@@ -666,6 +666,20 @@ def cosine_masses_reference(impl, bounds, target=None):
     return near[:-1] + [near[-1] + far[0]] + far[1:]
 
 
+def alternating_masses_reference(impl, bounds, target=None):
+    """_AlternatingZero.segment_mass_arrays as Interval lists: [a, b) holds
+    the even weights w_j = gamma_2j with ceil(a/2) <= j < ceil(b/2), read
+    off the even-weight table, [0, 0] where there are none; from the first
+    piece that ends past the table's reach (min(guard, 2**52) even
+    indices), the tail differences that every piece took before."""
+    js = [-(-b // 2) for b in bounds]
+    n = bisect.bisect_right(js, min(v.guard_index(), 2**52))
+    near = block_masses(impl._evens, js[:n]) if n > 1 else []
+    near = [Interval.exact(0.0) if a == b else iv for a, b, iv in zip(js, js[1:], near)]
+    far = tail_difference_reference(impl, bounds[max(n - 1, 0):], target) if n < len(bounds) else []
+    return near + far
+
+
 def masses_reference(dspec, bounds, target=None):
     """The Interval list that discount.segment_masses returned before."""
     impl = d._impl(dspec.unscaled())
@@ -673,6 +687,8 @@ def masses_reference(dspec, bounds, target=None):
         out = segment_masses_reference(impl, bounds)
     elif isinstance(impl, d._CosineModulated):
         out = cosine_masses_reference(impl, bounds, target)
+    elif isinstance(impl, d._AlternatingZero):
+        out = alternating_masses_reference(impl, bounds, target)
     else:
         out = tail_difference_reference(impl, bounds, target)
     return out if dspec.scale == 1.0 else [iv * dspec.scale for iv in out]
@@ -774,7 +790,7 @@ def runs_value_reference(rspec, dspec, k, tol):
         if not denom.lo > 0.0:
             raise d.UndefinedMetric(f"tail enclosure not positive at k={k}")
         target = tol * denom.lo
-        if last is not None:
+        if last is not None and not (impl.sums_terms and last > guard):
             n_trunc, unseen = max(last - 1, k), Interval.exact(0.0)
         else:
             cap = guard if impl.sums_terms else v._N_CAP
@@ -822,9 +838,10 @@ _RUNS_REWARDS = [
 
 
 @pytest.mark.parametrize("dspec", [d.harmonic_like(), d.power(0.5), d.quadratic(), d.step_log(),
-                                   d.cosine_modulated(), d.geometric(0.5), d.geometric(0.9)],
+                                   d.cosine_modulated(), d.geometric(0.5), d.geometric(0.9),
+                                   d.alternating_zero()],
                          ids=["harmonic_like", "power", "quadratic", "step_log", "cosine",
-                              "geometric0.5", "geometric0.9"])
+                              "geometric0.5", "geometric0.9", "alternating"])
 @pytest.mark.parametrize("rspec", _RUNS_REWARDS, ids=["linear", "exponential", "explicit4",
                                                       "explicit3", "explicit_far"])
 def test_runs_value_matches_the_interval_lists(rspec, dspec) -> None:
@@ -1200,6 +1217,37 @@ def test_dyadic_gamma_vec_is_gamma_past_underflow(g) -> None:
     assert alt._even_terms(js).tolist() == [impl.gamma(2 * j) for j in range(1, 1700)]
 
 
+def test_step_log_gamma_vec_is_gamma_below_2_to_the_53() -> None:
+    impl = d._impl(d.step_log())
+    near = [2**52 + j for j in range(-2000, 2001)] + [2**53 - j for j in range(1, 2001)]
+    for ks in (np.arange(1, 2**18 + 1, dtype=np.int64), np.array(near, dtype=np.int64)):
+        want = np.array([impl.gamma(k) for k in ks.tolist()])
+        for form in (ks, ks.astype(np.float64)):  # as check_monotone and _BlockSums pass them
+            assert impl.gamma_vec(form).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+# alternating:step-log tails as the even-weight table gave them when it
+# took step_log's weights one gamma call at a time
+_ALT_STEP_LOG_KS = [1, 2, 3, 150, 5000, 2**20 + 1, 10**6 + 7]
+_ALT_STEP_LOG_TAILS = {
+    None: [(0.37499988079069946, 0.375000000000011), (0.37499988079069946, 0.375000000000011),
+           (0.12499997019767398, 0.1250000000000037), (0.0018005366437136607, 0.001800537109375052),
+           (5.4314703447742746e-05, 5.4314732551576205e-05), (2.3841846541472457e-07, 2.384185791015627e-07),
+           (2.6050554424727923e-07, 2.6050565793411907e-07)],
+    1e-9: [(0.3749999995343277, 0.375000000000011), (0.3749999995343277, 0.375000000000011),
+           (0.12499999953433508, 0.1250000000000037), (0.0018005366437136607, 0.001800537109375052),
+           (5.4314703447742746e-05, 5.4314732551576205e-05), (2.3841846541472457e-07, 2.384185791015627e-07),
+           (2.6050554424727923e-07, 2.6050565793411907e-07)],
+}
+
+
+@pytest.mark.parametrize("target", list(_ALT_STEP_LOG_TAILS), ids=str)
+def test_alternating_step_log_tails_keep_their_bits(target) -> None:
+    impl = d._impl(d.alternating_zero(d.step_log()))
+    got = [impl.tail_pair(k, target) for k in _ALT_STEP_LOG_KS]
+    assert [(bits(a), bits(b)) for a, b in got] == [(bits(a), bits(b)) for a, b in _ALT_STEP_LOG_TAILS[target]]
+
+
 def telescope_reference(gam):
     """corpus._trial_telescope's per-step Interval chain before _window_sums."""
     n1 = len(gam) - 1
@@ -1251,7 +1299,7 @@ _END_POOL = ([1, 2, 3, 4, 5] + list(range(6, 5000, 37)) + [2**53 - 1, 2**53, 2**
 
 
 @pytest.mark.parametrize("name", ["quadratic", "power0.5", "power1.3", "harmonic_like", "step_log",
-                                  "finite", "geometric", "custom_tail", "scaled_harmonic"])
+                                  "finite", "geometric", "custom_tail", "scaled_harmonic", "patched"])
 def test_gathered_ends_give_the_masses_of_each_sub_list(name) -> None:
     dspec = _MASS_FAMILIES[name]
     impl = d._impl(dspec.unscaled())
@@ -1275,6 +1323,6 @@ def test_gathered_ends_give_the_masses_of_each_sub_list(name) -> None:
 
 
 def test_summed_families_do_not_share_their_ends() -> None:
-    for dspec in (d.cosine_modulated(), d.alternating_zero(), d.build_patched([1, 2])):
+    for dspec in (d.cosine_modulated(), d.alternating_zero()):
         with pytest.raises(ValueError, match="cannot share their ends"):
             d.segment_masses(dspec, [1, 2, 3], picks=[np.array([0, 2])])

@@ -641,6 +641,92 @@ def test_alternating_periodic_value_contains_the_digamma_oracle(pattern, k, tol)
         assert mpmath.mpf(det.interval.lo) <= true <= mpmath.mpf(det.interval.hi), (det, true)
 
 
+def _decimated_runs_oracle(gen: str, k: int, n_trunc: int, mass):
+    """[S / W_k, (S + W_{N+1}) / W_k] in mpmath, which holds V_k of linear
+    or exponential runs under alternating: S sums the even weights w_j =
+    gamma_2j of each 1-run [k_n, m_n) cut to [k, N], the decimated run
+    ceil(k_n / 2) <= j < ceil(m_n / 2), and the rewards past N add at most
+    the tail W_{N+1}. mass(a, b) is sum_{a <= j < b} w_j (b None: to
+    infinity). Linear runs: k_n = 2n^2 - 3n + 2, m_n = k_n + 2n - 1;
+    exponential runs: k_n = 4^(n-1), m_n = 2 k_n."""
+    half = lambda i: -(-i // 2)  # noqa: E731
+    total, n = mpmath.mpf(0), 1
+    while True:
+        a = 2 * n * n - 3 * n + 2 if gen == "linear" else 4 ** (n - 1)
+        if a > n_trunc:
+            break
+        b = a + 2 * n - 1 if gen == "linear" else 2 * a
+        a, b = max(a, k), min(b, n_trunc + 1)
+        if a < b:
+            total += mass(half(a), half(b))
+        n += 1
+    whole = mass(half(k), None)
+    return total / whole, (total + mass(half(n_trunc + 1), None)) / whole
+
+
+def _quadratic_even_mass(a: int, b):
+    """sum_{a <= j < b} 1/(2j (2j+1)) = sum (1/(2j) - 1/(2j+1)), by digamma."""
+    part = lambda x: mpmath.digamma(mpmath.mpf(x) + 0.5) - mpmath.digamma(x)  # noqa: E731
+    return (part(a) - (0 if b is None else part(b))) / 2
+
+
+@functools.lru_cache(maxsize=None)
+def _euler_maclaurin_coefficients(s):
+    """B_2i/(2i)! s(s+1)...(s+2i-2) for i = 1..6."""
+    out, rising = [], s
+    for i in range(1, 7):
+        out.append(mpmath.bernoulli(2 * i) / mpmath.factorial(2 * i) * rising)
+        rising *= (s + 2 * i - 1) * (s + 2 * i)
+    return out
+
+
+def _hurwitz_zeta(s, a: int):
+    """zeta(s, a) = sum_{j >= a} j^-s: mpmath.zeta below a = 500, and from
+    there its Euler-Maclaurin series a^(1-s)/(s-1) + a^-s/2 +
+    sum_{i<=6} B_2i/(2i)! s(s+1)...(s+2i-2) a^(-s-2i+1), whose error is
+    below the next term, under 1e-38 of the sum for s = 1.5 (mpmath.zeta
+    takes about 0.3 ms a call, too slow for the 14,000 run ends here)."""
+    if a < 500:
+        return mpmath.zeta(s, a)
+    x = mpmath.mpf(a)
+    power, step = x ** (1 - s), 1 / (x * x)
+    total = power / (s - 1) + power / (2 * x)
+    for c in _euler_maclaurin_coefficients(s):
+        power *= step
+        total += c * power
+    return total
+
+
+def _power_half_even_mass(a: int, b):
+    """sum_{a <= j < b} (2j)^-1.5 = 2^-1.5 (zeta(1.5, a) - zeta(1.5, b)), by Hurwitz zeta."""
+    s = mpmath.mpf(1.5)
+    return (_hurwitz_zeta(s, a) - (0 if b is None else _hurwitz_zeta(s, b))) / mpmath.mpf(2) ** s
+
+
+@pytest.mark.parametrize("k", [10, 999, 5000])
+@pytest.mark.parametrize("gen", ["linear", "exponential"])
+def test_alternating_runs_values_contain_the_digamma_oracle(gen, k) -> None:
+    # binary runs under alternating take the runs path: the masses of their
+    # decimated runs come off the even-weight table
+    rspec = h.linear_runs() if gen == "linear" else h.exponential_runs()
+    det = v.disc_value_detail(rspec, h.alternating_zero(), k, 1e-3)
+    assert det.path == "runs" and det.interval.width <= 1e-3
+    with mpmath.workdps(40):
+        lo, hi = _decimated_runs_oracle(gen, k, det.truncation, _quadratic_even_mass)
+        assert mpmath.mpf(det.interval.lo) <= lo <= hi <= mpmath.mpf(det.interval.hi), (det, lo, hi)
+
+
+def test_alternating_power_runs_value_at_the_guard_contains_the_zeta_oracle() -> None:
+    # summed densely to the guard, this value took 21-29 s; from the table, well under one
+    det = v.disc_value_detail(h.linear_runs(), h.alternating_zero(h.power(0.5)), 1000, 1e-3, strict=False)
+    assert (det.path, det.truncation, det.attained) == ("runs", 10**8, False)
+    with mpmath.workdps(30):
+        for a in (500, 501, 10**4, 10**7):  # the series agrees with mpmath.zeta
+            assert abs(_hurwitz_zeta(mpmath.mpf(1.5), a) / mpmath.zeta(1.5, a) - 1) < 1e-28
+        lo, hi = _decimated_runs_oracle("linear", 1000, det.truncation, _power_half_even_mass)
+        assert mpmath.mpf(det.interval.lo) <= lo <= hi <= mpmath.mpf(det.interval.hi), (det, lo, hi)
+
+
 _COS_HEAD = 1 << 17
 
 
